@@ -129,12 +129,6 @@ def sphere_point(z) -> np.ndarray:
     return z / norm
 
 
-def is_bright(z, ell_o) -> np.ndarray:
-    """True where ``z`` lies strictly below the observer latitude."""
-    z = np.asarray(z, dtype=float)
-    return z[..., -1] < ell_o - 1.0
-
-
 def validate_params(p: ProjectionParams) -> ProjectionParams:
     """Check the observer-ball constraint, scale positivity and finiteness.
 
@@ -350,11 +344,57 @@ def _lbeta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
+def _betacf_scalar(x, a, b):
+    """Continued fraction for the incomplete beta (modified Lentz), one point.
+
+    Plain-float twin of ``_betacf``: the same operations in the same
+    order, so a point gets the same bits here as in a batch.
+    """
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    dd = 1.0 - qab * x / qap
+    if abs(dd) < _BETA_FPMIN:
+        dd = _BETA_FPMIN
+    dd = 1.0 / dd
+    h = dd
+    for m in range(1, _BETA_MAXIT + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        dd = 1.0 + aa * dd
+        if abs(dd) < _BETA_FPMIN:
+            dd = _BETA_FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _BETA_FPMIN:
+            c = _BETA_FPMIN
+        dd = 1.0 / dd
+        h = h * dd * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        dd = 1.0 + aa * dd
+        if abs(dd) < _BETA_FPMIN:
+            dd = _BETA_FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _BETA_FPMIN:
+            c = _BETA_FPMIN
+        dd = 1.0 / dd
+        delta = dd * c
+        h = h * delta
+        if abs(delta - 1.0) < _BETA_EPS:
+            return h
+    raise DomainError("incomplete beta continued fraction failed to converge")
+
+
 def _betacf(x, a, b):
     """Continued fraction for the incomplete beta (modified Lentz).
 
-    Elementwise over arrays; converges for x < (a+1)/(a+b+2).
+    Elementwise over 1-d arrays, with a and b per element; converges
+    for x < (a+1)/(a+b+2).  Each element stops at its own convergence
+    and leaves the working arrays, so its value does not depend on the
+    rest of the batch.
     """
+    out = np.empty_like(x)
+    idx = np.arange(x.shape[0])
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -380,9 +420,91 @@ def _betacf(x, a, b):
         dd = 1.0 / dd
         delta = dd * c
         h = h * delta
-        if np.all(np.abs(delta - 1.0) < _BETA_EPS):
-            return h
+        done = np.abs(delta - 1.0) < _BETA_EPS
+        if done.any():
+            out[idx[done]] = h[done]
+            live = ~done
+            if not live.any():
+                return out
+            idx, x, a, b, qab, qap, qam, c, dd, h = (
+                v[live] for v in (idx, x, a, b, qab, qap, qam, c, dd, h))
     raise DomainError("incomplete beta continued fraction failed to converge")
+
+
+def _incomplete_beta_scalar(x, a, b, log):
+    """Plain-float twin of ``_incomplete_beta`` for one point.
+
+    log, log1p and exp are numpy's rather than ``math``'s: on SIMD
+    builds the two differ in the last bit on up to a few arguments in a
+    hundred, and numpy's give a point the bits it gets inside a batch.
+    """
+    if not 0.0 <= x <= 1.0:
+        raise DomainError("x must lie in [0, 1]")
+    lbeta = _lbeta(a, b)
+    swap = x > (a + 1.0) / (a + b + 2.0)
+    xs, ar, br = (1.0 - x, b, a) if swap else (x, a, b)
+    if not 0.0 < xs < 1.0:
+        # x is 0 or 1, where I is exact
+        if log:
+            return 0.0 if x == 1.0 else -math.inf
+        return x
+    lfront = ar * float(np.log(xs)) + br * float(np.log1p(-xs)) - lbeta
+    cf = _betacf_scalar(xs, ar, br)
+    if log and not swap:
+        return lfront + float(np.log(cf)) - math.log(a)
+    value = min(max(float(np.exp(lfront)) * cf / ar, 0.0), 1.0)
+    if log:
+        return float(np.log1p(-value))
+    return 1.0 - value if swap else value
+
+
+def _incomplete_beta(x, a, b, log):
+    """I_x(a, b) where ``log`` is false, log I_x(a, b) where it is true.
+
+    ``log`` broadcasts against ``x``, so one call can return the value
+    for some elements and its log for others.  The symmetry reduction
+    I_x(a, b) = 1 - I_{1-x}(b, a) is applied where x > (a+1)/(a+b+2),
+    so the continued fraction runs once, in its rapidly convergent
+    region, over every interior element.  Where the reduction applies
+    the reflected value is small, so its log1p complement is accurate;
+    elsewhere the log is taken of the continued-fraction form directly,
+    which stays finite far below double-precision range.  A single
+    point takes the plain-float twin; a 0-d ``x`` returns a float.
+    """
+    a = float(a)
+    b = float(b)
+    if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
+        raise DomainError(f"shape parameters must be positive, got a={a}, b={b}")
+    x = np.asarray(x, dtype=float)
+    if x.size == 1:
+        value = _incomplete_beta_scalar(float(x.flat[0]), a, b, bool(log))
+        return value if x.ndim == 0 else np.full(x.shape, value)
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise DomainError("x must lie in [0, 1]")
+    log = np.broadcast_to(np.asarray(log, dtype=bool), x.shape)
+    swap = x > (a + 1.0) / (a + b + 2.0)
+    xs = np.where(swap, 1.0 - x, x)
+    # x is 0 or 1 off the interior, where I is exact
+    out = np.where(log, np.where(x == 1.0, 0.0, -np.inf), x)
+    inner = (xs > 0.0) & (xs < 1.0)
+    if not inner.any():
+        return out
+    xi = xs[inner]
+    si = swap[inner]
+    li = log[inner]
+    ai = np.where(si, b, a)
+    bi = np.where(si, a, b)
+    lfront = ai * np.log(xi) + bi * np.log1p(-xi) - _lbeta(a, b)
+    cf = _betacf(xi, ai, bi)
+    value = np.clip(np.exp(lfront) * cf / ai, 0.0, 1.0)
+    res = np.where(si, 1.0 - value, value)
+    if li.any():
+        reflected = li & si
+        res[reflected] = np.log1p(-value[reflected])
+        direct = li & ~si
+        res[direct] = lfront[direct] + np.log(cf[direct]) - math.log(a)
+    out[inner] = res
+    return out
 
 
 def regularized_incomplete_beta(x, a, b):
@@ -391,35 +513,13 @@ def regularized_incomplete_beta(x, a, b):
     Continued-fraction evaluation with the symmetry reduction
     I_x(a, b) = 1 - I_{1-x}(b, a) applied when x > (a+1)/(a+b+2), so
     the fraction is always used in its rapidly convergent region.
-    Accepts scalar or array x; a and b are positive scalars.
+    Accepts scalar or array x; a and b are positive scalars.  A single
+    point runs in plain Python floats, and a 0-d x returns a float.
+    Each element's fraction stops when its own |delta - 1| < 1e-15, so
+    an element gets the same value alone, on the single-point path and
+    in any batch.
     """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
-        raise DomainError(f"shape parameters must be positive, got a={a}, b={b}")
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(x_arr)) or np.any((x_arr < 0.0) | (x_arr > 1.0)):
-        raise DomainError("x must lie in [0, 1]")
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-
-    swap = x_arr > (a + 1.0) / (a + b + 2.0)
-    xs = np.where(swap, 1.0 - x_arr, x_arr)
-    aa = np.where(swap, b, a)
-    bb = np.where(swap, a, b)
-
-    interior = (xs > 0.0) & (xs < 1.0)
-    out = np.where(xs >= 1.0, 1.0, 0.0)
-    if np.any(interior):
-        xi = xs[interior]
-        ai = aa[interior]
-        bi = bb[interior]
-        lfront = ai * np.log(xi) + bi * np.log1p(-xi) - _lbeta(a, b)
-        cf = _betacf(xi, ai, bi)
-        out[interior] = np.exp(lfront) * cf / ai
-    out = np.where(swap, 1.0 - out, out)
-    out = np.clip(out, 0.0, 1.0)
-    return float(out[0]) if scalar else out
+    return _incomplete_beta(x, a, b, False)
 
 
 def log_regularized_incomplete_beta(x, a, b):
@@ -428,28 +528,9 @@ def log_regularized_incomplete_beta(x, a, b):
     Uses the log of the continued-fraction form directly when x is in
     the convergent region, else the log1p complement of the reflected
     value.  Intended for deep lower tails (e.g. heavy-tail CDF logs).
+    A single point runs in plain Python floats, and a 0-d x returns a
+    float.  Each element's fraction stops when its own
+    |delta - 1| < 1e-15, so an element gets the same value alone, on
+    the single-point path and in any batch.
     """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
-        raise DomainError(f"shape parameters must be positive, got a={a}, b={b}")
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(x_arr)) or np.any((x_arr < 0.0) | (x_arr > 1.0)):
-        raise DomainError("x must lie in [0, 1]")
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-
-    out = np.empty_like(x_arr)
-    direct = x_arr <= (a + 1.0) / (a + b + 2.0)
-    lo = direct & (x_arr > 0.0)
-    if np.any(lo):
-        xi = x_arr[lo]
-        lfront = a * np.log(xi) + b * np.log1p(-xi) - _lbeta(a, b)
-        out[lo] = lfront + np.log(_betacf(xi, a, b)) - math.log(a)
-    if np.any(~direct):
-        # complement is small there, so the plain value is accurate
-        xi = x_arr[~direct]
-        out[~direct] = np.log1p(-regularized_incomplete_beta(1.0 - xi, b, a))
-    out[x_arr == 0.0] = -np.inf
-    out[x_arr == 1.0] = 0.0
-    return float(out[0]) if scalar else out
+    return _incomplete_beta(x, a, b, True)

@@ -19,9 +19,8 @@ import numpy as np
 from .errors import DomainError, EmptyInput
 from .geometry import (
     ProjectionParams,
+    _incomplete_beta,
     log_jacobian,
-    log_regularized_incomplete_beta,
-    regularized_incomplete_beta,
     validate_params,
 )
 
@@ -93,30 +92,48 @@ def student_t_cdf(t, nu):
     """CDF of the univariate Student t with ``nu`` degrees of freedom.
 
     Closed forms for nu = 1 (arctangent) and nu = 2 (algebraic); the
-    general case reduces to the regularized incomplete beta function.
-    Monotone in t and exact at t = 0 for every nu.
+    general case reduces to the regularized incomplete beta function,
+    and a 0-d ``t`` there runs in plain Python floats.  Monotone in t
+    and exact at t = 0 for every nu.
     """
     if nu <= 0:
         raise DomainError(f"degrees of freedom must be positive, got {nu}")
     t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
     if nu == 1:
         out = 0.5 + np.arctan(t_arr) / math.pi
     elif nu == 2:
         out = 0.5 * (1.0 + t_arr / np.sqrt(2.0 + t_arr * t_arr))
+    elif t_arr.ndim == 0:
+        t = float(t_arr)
+        half_tail = 0.5 * _incomplete_beta(nu / (nu + t * t), nu / 2.0, 0.5, False)
+        return 1.0 - half_tail if t > 0.0 else half_tail
     else:
         x = nu / (nu + t_arr * t_arr)
-        half_tail = 0.5 * regularized_incomplete_beta(x, nu / 2.0, 0.5)
+        half_tail = 0.5 * _incomplete_beta(x, nu / 2.0, 0.5, False)
         out = np.where(t_arr > 0.0, 1.0 - half_tail, half_tail)
-    return float(out[0]) if scalar else out
+    return float(out) if t_arr.ndim == 0 else out
 
 
 def student_t_log_cdf(t, nu):
-    """log of the Student t CDF, stable deep into the lower tail."""
+    """log of the Student t CDF, stable deep into the lower tail.
+
+    Outside the nu = 1 and nu = 2 closed forms, one incomplete-beta
+    call serves both signs: it returns log I_x for t < 0 and I_x for
+    t >= 0, with x = nu / (nu + t^2).  Each element stops at its own
+    convergence, and a 0-d ``t`` runs in plain Python floats, so a
+    point gets the same value alone as inside a batch.
+    """
     if nu <= 0:
         raise DomainError(f"degrees of freedom must be positive, got {nu}")
     t_arr = np.asarray(t, dtype=float)
+    if nu != 1 and nu != 2:
+        if t_arr.ndim == 0:
+            t = float(t_arr)
+            v = _incomplete_beta(nu / (nu + t * t), nu / 2.0, 0.5, t < 0.0)
+            return math.log(0.5) + v if t < 0.0 else float(np.log(1.0 - 0.5 * v))
+        neg = t_arr < 0.0
+        v = _incomplete_beta(nu / (nu + t_arr * t_arr), nu / 2.0, 0.5, neg)
+        return np.where(neg, math.log(0.5) + v, np.log(1.0 - 0.5 * v))
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
     out = np.empty_like(t_arr)
@@ -128,15 +145,10 @@ def student_t_log_cdf(t, nu):
         if nu == 1:
             # arctan(t) + pi/2 = arctan(-1/t) for t < 0
             out[~pos] = np.log(np.arctan(-1.0 / tn) / math.pi)
-        elif nu == 2:
+        else:
             # rationalized form of (1 + t/sqrt(2+t^2))/2 for t < 0
             s = np.sqrt(2.0 + tn * tn)
             out[~pos] = -np.log(s * (s - tn))
-        else:
-            x = nu / (nu + tn * tn)
-            out[~pos] = math.log(0.5) + log_regularized_incomplete_beta(
-                x, nu / 2.0, 0.5
-            )
     return float(out[0]) if scalar else out
 
 

@@ -197,18 +197,23 @@ def project_params(theta_bar, ell_o):
 
 
 def alignment_metrics(theta_bar, alpha_skew, xi):
-    """Cosine of (h_o, skewness) and relative distance of (mu, location)."""
+    """Cosine of (h_o, skewness) and location error of (mu, location).
+
+    The location error is the root-mean-square coordinate distance
+    |mu - xi| / sqrt(d), defined for every xi, including the zero
+    location of the skew-t preset.  Only a zero skewness vector, which
+    has no direction, raises.
+    """
     h_o, mu, _ = theta_bar
     h_o = np.asarray(h_o, dtype=float)
     alpha_skew = np.asarray(alpha_skew, dtype=float)
     xi = np.asarray(xi, dtype=float)
     n_h = np.linalg.norm(h_o)
     n_a = np.linalg.norm(alpha_skew)
-    n_x = np.linalg.norm(xi)
-    if n_a == 0.0 or n_x == 0.0:
-        raise ValueError("alignment reference must be nonzero")
+    if n_a == 0.0:
+        raise ValueError("skewness reference must be nonzero")
     cosine = 0.0 if n_h == 0.0 else float(h_o @ alpha_skew / (n_h * n_a))
-    return cosine, float(np.linalg.norm(mu - xi) / n_x)
+    return cosine, float(np.linalg.norm(mu - xi) / math.sqrt(xi.shape[0]))
 
 
 def tune(target: TargetModel, ell_o, opts: TuneOptions | None = None,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special as sps
 
+from brightside import geometry
 from brightside.errors import (
     BoundaryWithoutSymmetry,
     DarkSidePoint,
@@ -467,3 +468,63 @@ class TestRegularizedIncompleteBeta:
             regularized_incomplete_beta(0.5, -1.0, 1.0)
         with pytest.raises(DomainError):
             regularized_incomplete_beta(0.5, 1.0, 0.0)
+
+
+def rel_diff(got, ref):
+    """Elementwise |got - ref| / |ref|, zero where both are the same infinity."""
+    got = np.asarray(got, dtype=float)
+    ref = np.asarray(ref, dtype=float)
+    same = got == ref
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel = np.abs(got - ref) / np.abs(ref)
+    return np.where(same, 0.0, rel)
+
+
+class TestIncompleteBetaPaths:
+    """The single-point path and the batched path compute the same values."""
+
+    FUNCS = (regularized_incomplete_beta, log_regularized_incomplete_beta)
+
+    def test_batch_independence(self):
+        for f in self.FUNCS:
+            alone = f(np.array([0.3]), 5.5, 0.5)[0]
+            for batch in ([0.3, 0.8], [0.3, 0.3], [0.3, 0.05, 0.99, 0.0]):
+                assert f(np.array(batch), 5.5, 0.5)[0] == alone
+            assert f(0.3, 5.5, 0.5) == alone
+
+    def test_scalar_matches_array(self):
+        rng = np.random.default_rng(31)
+        for nu in (3.0, 11.0, 101.0):
+            a, b = nu / 2.0, 0.5
+            edge = (a + 1.0) / (a + b + 2.0)
+            xs = np.concatenate([
+                [0.0, 1.0, edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0),
+                 1e-300, 1e-16, 1.0 - 1e-16],
+                rng.uniform(0.0, 1.0, 200),
+            ])
+            for f in self.FUNCS:
+                batch = f(xs, a, b)
+                single = np.array([f(float(x), a, b) for x in xs])
+                assert isinstance(f(float(xs[2]), a, b), float)
+                assert np.all(rel_diff(single, batch) <= 1e-14)
+
+    def test_domain_errors_on_both_paths(self):
+        for f in self.FUNCS:
+            for x in (math.nan, -0.1, 1.1, math.inf):
+                with pytest.raises(DomainError):
+                    f(x, 2.0, 0.5)
+                with pytest.raises(DomainError):
+                    f(np.array([0.5, x]), 2.0, 0.5)
+            for a, b in ((0.0, 0.5), (2.0, -1.0), (math.nan, 0.5)):
+                with pytest.raises(DomainError):
+                    f(0.5, a, b)
+                with pytest.raises(DomainError):
+                    f(np.array([0.2, 0.5]), a, b)
+
+    def test_nonconvergence_raises_on_both_paths(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_BETA_MAXIT", 2)
+        for f in self.FUNCS:
+            with pytest.raises(DomainError):
+                f(0.8, 5.5, 0.5)
+            with pytest.raises(DomainError):
+                f(np.array([0.3, 0.8]), 5.5, 0.5)

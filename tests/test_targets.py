@@ -98,6 +98,23 @@ class TestStudentTCdf:
     def test_domain(self):
         with pytest.raises(DomainError):
             student_t_cdf(0.0, -1.0)
+        for f in (student_t_cdf, student_t_log_cdf):
+            with pytest.raises(DomainError):
+                f(math.nan, 3.0)
+            with pytest.raises(DomainError):
+                f(np.array([0.5, math.nan]), 3.0)
+
+    def test_scalar_matches_array(self):
+        rng = np.random.default_rng(32)
+        ts = np.concatenate([[1e8, -1e8, -50.0, 50.0, 0.0, -0.0],
+                             rng.standard_cauchy(200) * 5.0])
+        for nu in (3.0, 11.0, 101.0):
+            for f in (student_t_cdf, student_t_log_cdf):
+                batch = f(ts, nu)
+                single = np.array([f(float(t), nu) for t in ts])
+                assert isinstance(f(float(ts[0]), nu), float)
+                scale = np.where(batch == 0.0, 1.0, np.abs(batch))
+                assert np.all(np.abs(single - batch) <= 1e-14 * scale)
 
 
 class TestMultivariateStudentT:
@@ -166,6 +183,21 @@ class TestSkewT:
             )
             ys = rng.standard_normal((30, d)) * 4.0
             assert_grad_matches_fd(st, ys)
+
+    def test_single_point_matches_batch_row(self):
+        rng = np.random.default_rng(33)
+        for d in (10, 100):
+            alpha = np.zeros(d)
+            alpha[0], alpha[1] = 100.0, -100.0
+            st = skew_t(xi=np.zeros(d), alpha_skew=alpha, nu=1.0)
+            # the first row is the kernels' ``ones`` start, where alpha'z = 0
+            ys = np.vstack([np.ones(d), rng.standard_cauchy((40, d))])
+            dens = st.log_density(ys)
+            grads = st.grad_log_density(ys)
+            for y, dens_row, grad_row in zip(ys, dens, grads):
+                assert abs(st.log_density(y) - dens_row) <= 1e-13 * abs(dens_row)
+                g = st.grad_log_density(y)
+                assert np.linalg.norm(g - grad_row) <= 1e-13 * np.linalg.norm(grad_row)
 
     def test_gradient_matches_fd_strong_skew(self):
         rng = np.random.default_rng(6)

@@ -178,6 +178,14 @@ class TestAlignmentMetrics:
         assert cos == 0.0
 
 
+    def test_zero_location_reference(self):
+        mu = np.array([3.0, -4.0, 0.0, 0.0])
+        _, rel = alignment_metrics((np.ones(4), mu, 1.0), np.ones(4), np.zeros(4))
+        assert abs(rel - 2.5) < 1e-15
+        with pytest.raises(ValueError):
+            alignment_metrics((np.ones(4), mu, 1.0), np.zeros(4), np.ones(4))
+
+
 class TestTune:
     def test_cauchy_recovery(self):
         d = 5
