@@ -25,6 +25,7 @@ from .errors import (
 from .geometry import (
     ChordScale,
     ProjectionParams,
+    cap_forward,
     cap_ratio_bound,
     cap_ratio_exact,
     log_jacobian,

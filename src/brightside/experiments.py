@@ -30,7 +30,7 @@ from .diagnostics import (
     relative_quantile_errors,
     write_qq_csv,
 )
-from .geometry import ProjectionParams, make_params, validate_params
+from .geometry import ProjectionParams, make_params
 from .kernels import (
     HMC_TARGET_ACCEPT,
     WALK_TARGET_ACCEPT,

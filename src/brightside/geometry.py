@@ -24,6 +24,9 @@ the observer to ``(yhat, 0)`` is controlled by the chord scale ``M``,
 the positive root of a quadratic; all Jacobians are evaluated in log
 space so that dimensions in the hundreds remain representable.
 
+``cap_forward`` is the one evaluation of the forward map and its
+log-Jacobian from sphere points, for single states and for batches.
+
 All functions broadcast over leading axes and are pure; sampling takes
 an explicit ``numpy.random.Generator``.
 """
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -52,8 +56,6 @@ INTERIOR_MARGIN = 1e-9
 
 # Round-off slack below which a negative discriminant is clamped to 0.
 DISCRIMINANT_SLACK = 1e-12
-
-_SPHERE_NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,11 @@ class ProjectionParams:
         object.__setattr__(self, "ell_o", float(self.ell_o))
         object.__setattr__(self, "R", float(self.R))
         object.__setattr__(self, "d", int(d))
+
+    @cached_property
+    def _log_jac_const(self) -> float:
+        """d*log R + d*log ell_o, the state-free part of the cap log-Jacobian."""
+        return self.d * math.log(self.R) + self.d * math.log(self.ell_o)
 
 
 def make_params(d, h_o=0.0, ell_o=1.0, mu=0.0, R=1.0) -> ProjectionParams:
@@ -159,24 +166,51 @@ def validate_params(p: ProjectionParams) -> ProjectionParams:
     return p
 
 
+def cap_forward(x, p: ProjectionParams):
+    """Forward map and log-Jacobian at bright-side sphere points.
+
+    Returns the tuple (y, log_jac, t, bracket), with h_x = x[..., :d],
+    z_d = x[..., d] and t = ell_o - 1 - z_d:
+
+        y = R * (ell_o * h_x - (z_d + 1) * h_o) / t + mu,
+        bracket = <h_x - h_o, h_x> - t * z_d,
+        log_jac = d*log R + d*log ell_o + log(bracket) - (d+1)*log t,
+
+    which is ``log_jacobian(y, p)`` free of the root solve (M = t/ell_o).
+    t and bracket feed the tuner's closed-form gradient in h_o.  A 1-d
+    ``x`` is one point and runs in plain floats; otherwise the leading
+    axes are a batch.  Raises DarkSidePoint if any point is at or above
+    the observer latitude, where the chord never reaches the plane.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        zd = x[-1]
+        t = (p.ell_o - 1.0) - zd
+        if t <= 0.0:
+            raise DarkSidePoint("point at or above observer latitude")
+        hx = x[:-1]
+        y = (p.ell_o * hx - (zd + 1.0) * p.h_o) * (p.R / t) + p.mu
+        bracket = (hx - p.h_o) @ hx - t * zd
+        log_jac = p._log_jac_const + math.log(bracket) - (p.d + 1.0) * math.log(t)
+        return y, log_jac, t, bracket
+    hx = x[..., :-1]
+    zd = x[..., -1]
+    t = (p.ell_o - 1.0) - zd
+    if np.any(t <= 0.0):
+        raise DarkSidePoint("point at or above observer latitude")
+    y = ((p.ell_o * hx - (zd + 1.0)[..., None] * p.h_o) * (p.R / t)[..., None]
+         + p.mu)
+    bracket = np.sum((hx - p.h_o) * hx, axis=-1) - t * zd
+    log_jac = p._log_jac_const + np.log(bracket) - (p.d + 1.0) * np.log(t)
+    return y, log_jac, t, bracket
+
+
 def scp_forward(x, p: ProjectionParams) -> np.ndarray:
     """Project bright-side sphere points onto the target space.
 
-    y = R * (ell_o * h_x - ell_x * h_o) / (ell_o - ell_x) + mu with
-    h_x = x[..., :d] and ell_x = x[..., d] + 1.
-
-    Raises DarkSidePoint if any point is at or above the observer
-    latitude, where the chord never reaches the plane.
+    The ``y`` of ``cap_forward``; raises DarkSidePoint on the dark side.
     """
-    x = np.asarray(x, dtype=float)
-    hx = x[..., :-1]
-    zd = x[..., -1]
-    t = (p.ell_o - 1.0) - zd  # ell_o - ell_x
-    if np.any(t <= 0.0):
-        raise DarkSidePoint("point at or above observer latitude")
-    ell_x = zd + 1.0
-    num = p.ell_o * hx - ell_x[..., None] * p.h_o
-    return p.R * num / t[..., None] + p.mu
+    return cap_forward(x, p)[0]
 
 
 def solve_chord_scale(y, p: ProjectionParams) -> ChordScale:
@@ -202,7 +236,9 @@ def solve_chord_scale(y, p: ProjectionParams) -> ChordScale:
         )
     root = np.sqrt(np.maximum(disc, 0.0))
     denom = B + root
-    safe_denom = np.where(denom > 0.0, denom, 1.0)  # unused branch guard
+    # np.where evaluates both branches; at ell_o = 2, h_o = 0 (C = 0,
+    # B = -2) denom is 0 on the discarded one and -C/denom would be 0/0
+    safe_denom = np.where(denom > 0.0, denom, 1.0)
     M = np.where(B > 0.0, -C / safe_denom, (-B + root) / A)
     return ChordScale(M=M, A=A, B=B, C=C)
 
@@ -243,25 +279,13 @@ def log_jacobian(y, p: ProjectionParams) -> np.ndarray:
             - p.d * np.log(M) - math.log(p.ell_o))
 
 
-def log_jacobian_at_cap_point(x, p: ProjectionParams) -> np.ndarray:
+def log_jacobian_at_cap_point(x, p: ProjectionParams):
     """Log Jacobian evaluated directly at a bright-side sphere point.
 
-    Equal to ``log_jacobian(scp_forward(x, p), p)`` but free of the
-    quadratic root solve: with t = ell_o - ell_x the identities
-    M = t / ell_o and yhat - h_o = ell_o*(h_x - h_o)/t reduce it to
-
-        log J = d*log R + d*log ell_o + log(<h_x - h_o, h_x> - t*z_d)
-                - (d+1)*log t.
+    The ``log_jac`` of ``cap_forward``: equal to
+    ``log_jacobian(scp_forward(x, p), p)`` but free of the root solve.
     """
-    x = np.asarray(x, dtype=float)
-    hx = x[..., :-1]
-    zd = x[..., -1]
-    t = (p.ell_o - 1.0) - zd
-    if np.any(t <= 0.0):
-        raise DarkSidePoint("point at or above observer latitude")
-    bracket = np.sum((hx - p.h_o) * hx, axis=-1) - t * zd
-    return (p.d * math.log(p.R) + p.d * math.log(p.ell_o)
-            + np.log(bracket) - (p.d + 1.0) * np.log(t))
+    return cap_forward(x, p)[1]
 
 
 def sample_uniform_cap(d, ell_o, rng, size=None, with_rejection_stats=False):

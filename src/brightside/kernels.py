@@ -5,10 +5,13 @@ the sphere: a Gaussian tangent-space proposal is projected back onto
 the sphere, proposals that land on the dark side are relocated along
 the proposal great circle by a deterministic stepping-out walk, and
 the usual accept/reject uses the target density times the projection
-Jacobian.  The stereographic sampler is the same kernel at latitude 2
-(where the dark side is a single point and stepping-out never fires);
-plain random-walk Metropolis and Hamiltonian Monte Carlo baselines run
-directly in target space.
+Jacobian from ``geometry.cap_forward``.  The stereographic sampler is
+the same kernel at latitude 2 (where the dark side is a single point
+and stepping-out never fires); plain random-walk Metropolis and
+Hamiltonian Monte Carlo baselines run directly in target space.  The
+transitions are written once, in the loop of ``run_chain`` (HMC's in
+``hmc_step``), so ``run_chain`` and ``run_chains`` are the way to step
+a chain.
 """
 
 from __future__ import annotations
@@ -23,13 +26,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ChainAborted, DarkSidePoint, DegenerateProposal
-from .geometry import (
-    ProjectionParams,
-    log_jacobian_at_cap_point,
-    scp_forward,
-    scp_inverse,
-    validate_params,
-)
+from .geometry import ProjectionParams, cap_forward, scp_inverse, validate_params
 from .targets import TargetModel
 
 KERNEL_KINDS = ("scs", "sps", "rwm", "hmc")
@@ -141,72 +138,6 @@ def stepping_out(x, x_prime, ell_o) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
-def _scs_eval(x, h_o, mu, R, ell_o, d, lat_thr, log_const):
-    """Forward point and log-Jacobian of a single trusted sphere state.
-
-    Scalar fast path of scp_forward / log_jacobian_at_cap_point shared
-    by the step function and the chain runner; ``log_const`` caches
-    d*log(R) + d*log(ell_o).
-    """
-    zd = x[-1]
-    tt = lat_thr - zd
-    if tt <= 0.0:
-        raise DarkSidePoint("point at or above observer latitude")
-    hx = x[:-1]
-    y = (ell_o * hx - (zd + 1.0) * h_o) * (R / tt) + mu
-    bracket = (hx - h_o) @ hx - tt * zd
-    return y, log_const + math.log(bracket) - (d + 1.0) * math.log(tt)
-
-
-def _scs_consts(p):
-    return (p.h_o, p.mu, p.R, p.ell_o, p.d, p.ell_o - 1.0,
-            p.d * math.log(p.R) + p.d * math.log(p.ell_o))
-
-
-def _scs_logpost(x, p, target):
-    """Cached quantity driving the acceptance ratio: log J + log pi."""
-    y, logjac = _scs_eval(x, *_scs_consts(p))
-    return y, logjac + float(target.log_density(y))
-
-
-def _scs_step_cached(x, y, logpost, p, h, target, rng):
-    """One transition given the cached (y, log J + log pi) of the state."""
-    x_prime = propose_tangent(x, h, rng)
-    try:
-        if p.ell_o < 2.0 and x_prime[-1] > p.ell_o - 1.0:
-            x_star = stepping_out(x, x_prime, p.ell_o)
-        else:
-            x_star = x_prime
-        y_star, logpost_star = _scs_logpost(x_star, p, target)
-    except (DegenerateProposal, DarkSidePoint):
-        # coincident/antipodal proposals and exact boundary ties are
-        # probability-zero; rejecting them preserves invariance
-        return x, y, logpost, False
-    if math.log(rng.uniform()) < logpost_star - logpost:
-        return x_star, y_star, logpost_star, True
-    return x, y, logpost, False
-
-
-def scs_step(x, p: ProjectionParams, h, target: TargetModel, rng):
-    """One sub-Cauchy projection sampler transition.
-
-    Returns (new sphere state, accepted flag, current target-space
-    point).  A rejected step returns ``x`` unchanged.
-    """
-    y, logpost = _scs_logpost(x, p, target)
-    x_new, y_new, _, accepted = _scs_step_cached(x, y, logpost, p, h, target, rng)
-    return x_new, accepted, y_new
-
-
-def rwm_step(y, h, target: TargetModel, rng):
-    """Gaussian random-walk Metropolis in target space."""
-    y_prime = y + h * rng.standard_normal(y.shape[0])
-    log_ratio = float(target.log_density(y_prime)) - float(target.log_density(y))
-    if math.log(rng.uniform()) < log_ratio:
-        return y_prime, True
-    return y, False
-
-
 def leapfrog(y, momentum, eps, steps, grad):
     """Leapfrog integration of (y, momentum) under potential -log pi."""
     y = y.copy()
@@ -303,8 +234,8 @@ def run_chain(kernel: KernelConfig, params: Optional[ProjectionParams],
     on_sphere = kernel.kind in ("scs", "sps")
     if on_sphere:
         x = scp_inverse(init, params)
-        y, logpost = _scs_logpost(x, params, target)
-        consts = _scs_consts(params)
+        y, logjac, _, _ = cap_forward(x, params)
+        logpost = logjac + float(target.log_density(y))
         ell_o, lat_thr = params.ell_o, params.ell_o - 1.0
         logpdf = target.log_density
         log = math.log
@@ -320,11 +251,14 @@ def run_chain(kernel: KernelConfig, params: Optional[ProjectionParams],
                 try:
                     if ell_o < 2.0 and x_star[-1] > lat_thr:
                         x_star = stepping_out(x, x_star, ell_o)
-                    y_star, logjac = _scs_eval(x_star, *consts)
+                    y_star, logjac, _, _ = cap_forward(x_star, params)
                     lp_star = logjac + float(logpdf(y_star))
                     if log(rng.uniform()) < lp_star - logpost:
                         x, y, logpost, acc = x_star, y_star, lp_star, True
                 except (DegenerateProposal, DarkSidePoint):
+                    # coincident/antipodal proposals and exact boundary
+                    # ties are probability-zero; rejecting them
+                    # preserves invariance
                     acc = False
             elif kernel.kind == "rwm":
                 y_prime = y + h * rng.standard_normal(target.dim)

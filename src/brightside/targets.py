@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,13 +115,15 @@ def student_t_cdf(t, nu):
 
 
 def student_t_log_cdf(t, nu):
-    """log of the Student t CDF, stable deep into the lower tail.
+    """log of the Student t CDF, stable deep into both tails.
 
-    Outside the nu = 1 and nu = 2 closed forms, one incomplete-beta
-    call serves both signs: it returns log I_x for t < 0 and I_x for
-    t >= 0, with x = nu / (nu + t^2).  Each element stops at its own
-    convergence, and a 0-d ``t`` runs in plain Python floats, so a
-    point gets the same value alone as inside a batch.
+    For t >= 0 it returns log1p(-F(-t)), so the upper tail keeps its
+    precision as 1 - F vanishes.  Outside the nu = 1 and nu = 2 closed
+    forms, one incomplete-beta call serves both signs: it returns
+    log I_x for t < 0 and I_x for t >= 0, with x = nu / (nu + t^2) and
+    F(-|t|) = I_x / 2.  Each element stops at its own convergence, and
+    a 0-d ``t`` runs in plain Python floats, so a point gets the same
+    value alone as inside a batch.
     """
     if nu <= 0:
         raise DomainError(f"degrees of freedom must be positive, got {nu}")
@@ -130,25 +132,25 @@ def student_t_log_cdf(t, nu):
         if t_arr.ndim == 0:
             t = float(t_arr)
             v = _incomplete_beta(nu / (nu + t * t), nu / 2.0, 0.5, t < 0.0)
-            return math.log(0.5) + v if t < 0.0 else float(np.log(1.0 - 0.5 * v))
+            return math.log(0.5) + v if t < 0.0 else float(np.log1p(-0.5 * v))
         neg = t_arr < 0.0
         v = _incomplete_beta(nu / (nu + t_arr * t_arr), nu / 2.0, 0.5, neg)
-        return np.where(neg, math.log(0.5) + v, np.log(1.0 - 0.5 * v))
+        return np.where(neg, math.log(0.5) + v, np.log1p(-0.5 * v))
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
-    out = np.empty_like(t_arr)
-    pos = t_arr >= 0.0
-    if np.any(pos):
-        out[pos] = np.log(student_t_cdf(t_arr[pos], nu))
-    if np.any(~pos):
-        tn = t_arr[~pos]
-        if nu == 1:
-            # arctan(t) + pi/2 = arctan(-1/t) for t < 0
-            out[~pos] = np.log(np.arctan(-1.0 / tn) / math.pi)
-        else:
-            # rationalized form of (1 + t/sqrt(2+t^2))/2 for t < 0
-            s = np.sqrt(2.0 + tn * tn)
-            out[~pos] = -np.log(s * (s - tn))
+    a = np.abs(t_arr)
+    # F(-|t|) in forms free of cancellation
+    if nu == 1:
+        # arctan(t) + pi/2 = arctan2(1, -t) for t <= 0
+        lower = np.arctan2(1.0, a) / math.pi
+    else:
+        # rationalized form of (1 + t/sqrt(2+t^2))/2 for t <= 0
+        s = np.sqrt(2.0 + a * a)
+        prod = s * (s + a)
+        lower = 1.0 / prod
+    out = np.log1p(-lower)
+    neg = t_arr < 0.0
+    out[neg] = np.log(lower[neg]) if nu == 1 else -np.log(prod[neg])
     return float(out[0]) if scalar else out
 
 

@@ -28,6 +28,7 @@ from .errors import NonfiniteGradient, ObserverOutsideBall, TuningFailed
 from .geometry import (
     INTERIOR_MARGIN,
     ProjectionParams,
+    cap_forward,
     sample_uniform_cap,
     validate_params,
 )
@@ -80,55 +81,38 @@ def _params_from(theta_bar, ell_o, d) -> ProjectionParams:
     )
 
 
-def _cap_pieces(theta_bar, ell_o, cap_samples):
-    """Per-sample forward points and the reusable geometric factors."""
-    h_o, mu, R = theta_bar
-    h_o = np.asarray(h_o, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    R = float(R)
-    z = np.asarray(cap_samples, dtype=float)
-    d = z.shape[-1] - 1
-    hx = z[:, :d]
-    zd = z[:, d]
-    tt = (ell_o - 1.0) - zd          # ell_o - ell_x, positive on the cap
-    lx = zd + 1.0
-    y = (ell_o * hx - lx[:, None] * h_o) * (R / tt)[:, None] + mu
-    bracket = np.sum((hx - h_o) * hx, axis=1) - tt * zd
-    log_jac = (d * math.log(R) + d * math.log(ell_o)
-               + np.log(bracket) - (d + 1.0) * np.log(tt))
-    return d, h_o, mu, R, hx, lx, tt, y, bracket, log_jac
-
-
 def kl_objective(theta_bar, ell_o, target: TargetModel, cap_samples) -> float:
     """Monte Carlo KL divergence (up to a constant) of the pushforward.
 
     Mean over the cap samples of -log J - log pi(forward point); exact
     cancellation of the two terms certifies a perfectly matched target.
     """
-    _params_from(theta_bar, ell_o, np.asarray(cap_samples).shape[-1] - 1)
-    *_, y, _, log_jac = _cap_pieces(theta_bar, ell_o, cap_samples)
-    return float(np.mean(-log_jac - target.log_density(y)))
+    return float(np.mean(kl_integrand(theta_bar, ell_o, target, cap_samples)))
 
 
 def kl_integrand(theta_bar, ell_o, target: TargetModel, cap_samples) -> np.ndarray:
     """Per-sample values whose mean is ``kl_objective``."""
-    *_, y, _, log_jac = _cap_pieces(theta_bar, ell_o, cap_samples)
+    cap_samples = np.asarray(cap_samples, dtype=float)
+    p = _params_from(theta_bar, ell_o, cap_samples.shape[-1] - 1)
+    y, log_jac, _, _ = cap_forward(cap_samples, p)
     return -log_jac - np.asarray(target.log_density(y), dtype=float)
 
 
 def _analytic_gradient(theta_bar, ell_o, target, cap_samples):
-    d, h_o, mu, R, hx, lx, tt, y, bracket, log_jac = _cap_pieces(
-        theta_bar, ell_o, cap_samples
-    )
+    cap_samples = np.asarray(cap_samples, dtype=float)
+    p = _params_from(theta_bar, ell_o, cap_samples.shape[-1] - 1)
+    y, log_jac, tt, bracket = cap_forward(cap_samples, p)
+    hx = cap_samples[:, :-1]
+    lx = cap_samples[:, -1] + 1.0
     glp = np.asarray(target.grad_log_density(y), dtype=float)
     if not np.all(np.isfinite(glp)):
         raise NonfiniteGradient("target gradient is not finite on the batch")
-    yhat = (y - mu) / R
+    yhat = (y - p.mu) / p.R
     g_mu = -np.mean(glp, axis=0)
-    g_R = -d / R - float(np.mean(np.sum(glp * yhat, axis=1)))
+    g_R = -p.d / p.R - float(np.mean(np.sum(glp * yhat, axis=1)))
     # d(logJ)/d(h_o) = -hx/bracket; d(y)/d(h_o) = -R lx/tt per sample
     g_ho = (np.mean(hx / bracket[:, None], axis=0)
-            + R * np.mean((lx / tt)[:, None] * glp, axis=0))
+            + p.R * np.mean((lx / tt)[:, None] * glp, axis=0))
     objective = float(np.mean(-log_jac - target.log_density(y)))
     return objective, (g_ho, g_mu, g_R)
 

@@ -14,6 +14,7 @@ from brightside.errors import (
 )
 from brightside.geometry import (
     ProjectionParams,
+    cap_forward,
     cap_ratio_bound,
     cap_ratio_exact,
     log_jacobian,
@@ -327,6 +328,35 @@ class TestLogJacobianAtCapPoint:
         north = np.array([0.0, 0.0, 1.0])
         with pytest.raises(DarkSidePoint):
             log_jacobian_at_cap_point(north, p)
+
+
+class TestCapForward:
+    def test_single_point_matches_batch_row(self):
+        # the single point takes @ and math.log where the batch takes
+        # np.sum and np.log, so log_jac may differ in the last bits
+        rng = np.random.default_rng(18)
+        for d in (1, 10, 100):
+            p = random_params(rng, d)
+            xs = sample_uniform_cap(d, p.ell_o, rng, size=60)
+            y_b, lj_b, t_b, _ = cap_forward(xs, p)
+            for i, x in enumerate(xs):
+                y, lj, t, _ = cap_forward(x, p)
+                assert isinstance(lj, float)
+                assert np.array_equal(y, y_b[i])
+                assert t == t_b[i]
+                assert abs(lj - lj_b[i]) <= 1e-12 * max(1.0, abs(lj_b[i]))
+            y_2, lj_2, _, _ = cap_forward(xs.reshape(3, 20, d + 1), p)
+            assert np.array_equal(y_2.reshape(60, d), y_b)
+            assert np.array_equal(lj_2.reshape(60), lj_b)
+
+    def test_dark_side_raises_on_both_branches(self):
+        p = make_params(2, ell_o=1.2)
+        north = np.array([0.0, 0.0, 1.0])
+        south = np.array([0.0, 0.0, -1.0])
+        with pytest.raises(DarkSidePoint):
+            cap_forward(north, p)
+        with pytest.raises(DarkSidePoint):
+            cap_forward(np.stack([south, north]), p)
 
 
 class TestUniformCap:

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from brightside.diagnostics import ess
 from brightside.errors import DarkSidePoint, DegenerateProposal
 from brightside.geometry import (
+    cap_forward,
     cap_ratio_exact,
     log_jacobian,
     make_params,
@@ -13,7 +15,6 @@ from brightside.geometry import (
     scp_inverse,
 )
 from brightside.kernels import (
-    ChainOutput,
     KernelConfig,
     adapt_step_size,
     derive_chain_seed,
@@ -23,11 +24,9 @@ from brightside.kernels import (
     propose_tangent,
     run_chain,
     run_chains,
-    rwm_step,
-    scs_step,
     stepping_out,
 )
-from brightside.targets import mv_student_t, uniform_cap_pullback
+from brightside.targets import mv_student_t, student_t_cdf, uniform_cap_pullback
 
 
 class FixedNormals:
@@ -146,52 +145,51 @@ class TestSteppingOut:
 
 class TestScsStep:
     def test_uniform_pullback_always_accepts(self):
-        rng = np.random.default_rng(4)
         p = make_params(2, ell_o=1.4, mu=np.array([0.5, -0.5]), R=1.5)
-        target = uniform_cap_pullback(p)
-        x = scp_inverse(np.zeros(2), p)
-        n_accept = 0
-        for _ in range(3000):
-            x, accepted, _ = scs_step(x, p, 0.8, target, rng)
-            n_accept += accepted
-        assert n_accept == 3000
+        out = run_chain(KernelConfig("scs", h=0.8), p, uniform_cap_pullback(p),
+                        np.zeros(2), 3000, seed=4)
+        assert out.acceptance_rate == 1.0
 
     def test_matched_cauchy_always_accepts(self):
-        rng = np.random.default_rng(5)
         p = make_params(3, ell_o=1.0)
-        target = mv_student_t(3, nu=1.0)
-        x = scp_inverse(np.zeros(3), p)
-        for _ in range(2000):
-            x, accepted, _ = scs_step(x, p, 0.8, target, rng)
-            assert accepted
+        out = run_chain(KernelConfig("scs", h=0.8), p, mv_student_t(3, nu=1.0),
+                        np.zeros(3), 2000, seed=5)
+        assert out.acceptance_rate == 1.0
 
     def test_rejected_step_returns_input_unchanged(self):
-        rng = np.random.default_rng(6)
+        # a rejected step repeats the previous sample bit for bit, so the
+        # samples change exactly as often as a step is accepted; the
+        # spike rejects every step, the gentle well about half of them
         p = make_params(2, ell_o=1.1)
 
-        class Spiky:
+        class Well:
             dim = 2
+            has_gradient = False
+
+            def __init__(self, depth):
+                self.depth = depth
 
             def log_density(self, y):
                 y = np.asarray(y)
-                return -1e4 * np.sum(y * y, axis=-1)
+                return -self.depth * np.sum(y * y, axis=-1)
 
-            has_gradient = False
-
-        target = Spiky()
-        x0 = scp_inverse(np.zeros(2), p)
-        sightings = 0
-        for _ in range(200):
-            x1, accepted, y1 = scs_step(x0, p, 1.0, target, rng)
-            if not accepted:
-                sightings += 1
-                assert x1 is x0
-                assert np.array_equal(y1, scp_forward(x0, p))
-        assert sightings > 0
+        n = 200
+        for depth, lo, hi in ((1e4, 0.0, 0.0), (1.0, 0.1, 0.9)):
+            out = run_chain(KernelConfig("scs", h=1.0), p, Well(depth),
+                            np.zeros(2), n, seed=6)
+            assert lo <= out.acceptance_rate <= hi
+            prev = scp_forward(scp_inverse(np.zeros(2), p), p)
+            changed = 0
+            for row in out.samples:
+                if not np.array_equal(row, prev):
+                    changed += 1
+                prev = row
+            assert changed == round(out.acceptance_rate * n)
 
     def test_stereographic_matches_closed_form_ratio(self):
         # at latitude 2 the acceptance ratio must agree with the
-        # independent closed-form stereographic Jacobian to 1e-10
+        # independent closed-form stereographic Jacobian to 1e-10, both
+        # through the chord solve and through cap_forward
         rng = np.random.default_rng(7)
         d = 3
         p = make_params(d, ell_o=2.0, R=math.sqrt(d) / 2.0)
@@ -208,11 +206,12 @@ class TestScsStep:
                 return d * math.log((float(vhat @ vhat) + 4.0) / 4.0) \
                     + d * math.log(p.R)
 
-            generic = (float(log_jacobian(y_star, p)) + float(target.log_density(y_star))
-                       - float(log_jacobian(y, p)) - float(target.log_density(y)))
-            closed = (stereo_logjac(y_star) + float(target.log_density(y_star))
-                      - stereo_logjac(y) - float(target.log_density(y)))
-            assert abs(generic - closed) <= 1e-10 * max(1.0, abs(closed))
+            log_pi = float(target.log_density(y_star)) - float(target.log_density(y))
+            closed = stereo_logjac(y_star) - stereo_logjac(y) + log_pi
+            generic = float(log_jacobian(y_star, p)) - float(log_jacobian(y, p)) + log_pi
+            at_cap = cap_forward(x_prime, p)[1] - cap_forward(x, p)[1] + log_pi
+            for got in (generic, at_cap):
+                assert abs(got - closed) <= 1e-10 * max(1.0, abs(closed))
             x = x_prime
 
     def test_invariance_ensemble_ks(self):
@@ -222,21 +221,14 @@ class TestScsStep:
         d = 2
         p = make_params(d, ell_o=1.1)
         target = mv_student_t(d, nu=1.0)
+        cfg = KernelConfig("scs", h=0.7)
         n_chains, n_steps = 1000, 1000
         inits = target.exact_sample(rng, size=n_chains)
         finals = np.empty((n_chains, d))
         for c in range(n_chains):
-            x = scp_inverse(inits[c], p)
-            y, logpost = None, None
-            from brightside.kernels import _scs_logpost, _scs_step_cached
-
-            y, logpost = _scs_logpost(x, p, target)
-            for _ in range(n_steps):
-                x, y, logpost, _ = _scs_step_cached(x, y, logpost, p, 0.7,
-                                                    target, rng)
-            finals[c] = y
-        from brightside.targets import student_t_cdf
-
+            out = run_chain(cfg, p, target, inits[c], n_steps,
+                            seed=derive_chain_seed(8, c))
+            finals[c] = out.samples[-1]
         for j in range(d):
             s = np.sort(finals[:, j])
             F = student_t_cdf(s, 1.0)
@@ -246,21 +238,13 @@ class TestScsStep:
 
     def test_latitude_band_occupancy_detailed_balance(self):
         # uniform-pullback target: band occupancy must match band areas
-        rng = np.random.default_rng(9)
         d = 2
         ell_o = 1.5
         p = make_params(d, ell_o=ell_o)
-        target = uniform_cap_pullback(p)
-        from brightside.kernels import _scs_logpost, _scs_step_cached
-
-        x = scp_inverse(np.zeros(d), p)
-        y, logpost = _scs_logpost(x, p, target)
         n = 200_000
-        lat = np.empty(n)
-        for t in range(n):
-            x, y, logpost, _ = _scs_step_cached(x, y, logpost, p, 0.8,
-                                                target, rng)
-            lat[t] = x[-1]
+        out = run_chain(KernelConfig("scs", h=0.8), p, uniform_cap_pullback(p),
+                        np.zeros(d), n, seed=9)
+        lat = scp_inverse(out.samples, p)[:, -1]
         edges = np.array([-1.0, -0.5, 0.0, 0.25, ell_o - 1.0])
         # P(z_d+1 > s) = cap_ratio_exact at latitude 1+s for s >= 0, and
         # 1 - that at 1-s for s < 0 (symmetry of the uniform sphere law)
@@ -270,8 +254,6 @@ class TestScsStep:
             return 1.0 - cap_ratio_exact(d, 1.0 - s)
 
         bright_mass = 1.0 - cap_ratio_exact(d, ell_o)
-        from brightside.diagnostics import ess
-
         for lo, hi in zip(edges[:-1], edges[1:]):
             expected = (upper_frac(lo) - upper_frac(hi)) / bright_mass
             ind = ((lat > lo) & (lat <= hi)).astype(float)
@@ -283,24 +265,24 @@ class TestScsStep:
 
 class TestRwmStep:
     def test_uphill_always_accepted(self):
-        target = mv_student_t(2, nu=1.0)
-        rng = np.random.default_rng(10)
-        uphill = 0
-        for _ in range(500):
-            y = rng.standard_normal(2) * 5.0
-            y_new, accepted = rwm_step(y, 0.5, target, rng)
-            if float(target.log_density(y_new)) >= float(target.log_density(y)):
-                uphill += 1
-                if not np.array_equal(y_new, y):
-                    assert accepted
-        assert uphill > 0
+        # a flat target makes every proposal level with the state
+        class Flat:
+            dim = 2
+
+            def log_density(self, y):
+                return np.zeros(np.shape(y)[:-1])
+
+            has_gradient = False
+
+        out = run_chain(KernelConfig("rwm", h=0.5), None, Flat(), np.zeros(2),
+                        500, seed=10)
+        assert out.acceptance_rate == 1.0
 
     def test_tiny_steps_accepted(self):
         target = mv_student_t(3, nu=2.0)
-        rng = np.random.default_rng(11)
-        y = np.zeros(3)
-        accepted = sum(rwm_step(y, 1e-4, target, rng)[1] for _ in range(1000))
-        assert accepted >= 990
+        out = run_chain(KernelConfig("rwm", h=1e-4), None, target, np.zeros(3),
+                        1000, seed=11)
+        assert out.acceptance_rate >= 0.99
 
     def test_rejected_returns_input(self):
         class Wall:
@@ -310,10 +292,12 @@ class TestRwmStep:
                 y = np.asarray(y)
                 return np.where(np.abs(y[..., 0]) < 1e-9, 0.0, -1e12)
 
-        rng = np.random.default_rng(12)
-        y = np.zeros(1)
-        y_new, accepted = rwm_step(y, 1.0, Wall(), rng)
-        assert not accepted and y_new is y
+            has_gradient = False
+
+        out = run_chain(KernelConfig("rwm", h=1.0), None, Wall(), np.zeros(1),
+                        100, seed=12)
+        assert out.acceptance_rate == 0.0
+        assert np.all(out.samples == 0.0)
 
 
 class TestHmc:

@@ -95,6 +95,24 @@ class TestStudentTCdf:
                 got = student_t_log_cdf(t, nu)
                 assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
 
+    def test_log_cdf_upper_tail(self):
+        # log F(t) ~ -(1 - F(t)) for large t: 40-digit reference, on the
+        # single-point and the array paths
+        import mpmath
+
+        ts = (30.0, 1e5, 1e8)
+        with mpmath.workdps(40):
+            for nu in (1.0, 2.0, 3.0):
+                refs = []
+                for t in ts:
+                    x = mpmath.mpf(nu) / (nu + mpmath.mpf(t) ** 2)
+                    upper = mpmath.betainc(nu / 2, 0.5, 0, x, regularized=True) / 2
+                    refs.append(float(mpmath.log1p(-upper)))
+                batch = student_t_log_cdf(np.array(ts), nu)
+                for t, ref, got in zip(ts, refs, batch):
+                    assert abs(student_t_log_cdf(t, nu) - ref) <= 1e-12 * abs(ref)
+                    assert abs(got - ref) <= 1e-12 * abs(ref)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             student_t_cdf(0.0, -1.0)

@@ -7,6 +7,8 @@ from brightside.errors import TuningFailed
 from brightside.geometry import (
     INTERIOR_MARGIN,
     ProjectionParams,
+    cap_forward,
+    make_params,
     sample_uniform_cap,
     validate_params,
 )
@@ -103,9 +105,8 @@ class TestKlGradient:
         cap = sample_uniform_cap(d, 1.1, rng, size=300)
         theta = (np.full(d, 0.05), np.full(d, 0.3), 1.2)
         g_mu = kl_gradient(theta, 1.1, target, cap)[1]
-        from brightside.tuning import _cap_pieces
-
-        y = _cap_pieces(theta, 1.1, cap)[7]
+        p = make_params(d, h_o=theta[0], ell_o=1.1, mu=theta[1], R=theta[2])
+        y = cap_forward(cap, p)[0]
         assert np.allclose(g_mu, -np.mean(target.grad_log_density(y), axis=0),
                            atol=1e-12)
 
