@@ -9,17 +9,23 @@ Jacobian from ``geometry.cap_forward``.  The stereographic sampler is
 the same kernel at latitude 2 (where the dark side is a single point
 and stepping-out never fires); plain random-walk Metropolis and
 Hamiltonian Monte Carlo baselines run directly in target space.  The
-transitions are written once, in the loop of ``run_chain`` (HMC's in
-``hmc_step``), so ``run_chain`` and ``run_chains`` are the way to step
-a chain.
+transitions are written once, in the chain loop behind ``run_chain``
+(HMC's in ``hmc_step``), so ``run_chain`` and ``run_chains`` are the
+way to step a chain.
+
+``hmc_step`` and ``leapfrog`` work over a leading chain axis: a state
+of shape (d,) is one chain, a state of shape (n, d) is n chains with
+their own generators and step sizes, stepped with one batched gradient
+call per leapfrog step.  ``run_chains`` runs HMC replicas that way; the
+scs, sps and rwm replicas run one after another, since a masked batch
+of the sphere transition is slower than this loop for one chain.
+Replica i depends only on ``(seed, i)``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -138,37 +144,81 @@ def stepping_out(x, x_prime, ell_o) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
-def leapfrog(y, momentum, eps, steps, grad):
-    """Leapfrog integration of (y, momentum) under potential -log pi."""
-    y = y.copy()
-    momentum = momentum.copy()
-    g = grad(y)
-    for _ in range(steps):
-        momentum += 0.5 * eps * g
-        y += eps * momentum
+def leapfrog(y, momentum, eps, steps, grad, g):
+    """Leapfrog integration of (y, momentum) under potential -log pi.
+
+    ``y`` is one state of shape (d,) or chains along a leading axis,
+    with ``eps`` a scalar or one step size per chain broadcast as
+    (n, 1); ``g`` is the gradient at ``y``.  Adjacent half-kicks are
+    fused into one full kick, so the trajectory takes ``steps``
+    gradient calls and steps + 1 kicks.  Returns the end point, its
+    momentum and its gradient; the inputs are not modified.
+    """
+    half = 0.5 * eps
+    momentum = momentum + half * g
+    y = y + eps * momentum
+    for _ in range(steps - 1):
         g = grad(y)
-        momentum += 0.5 * eps * g
-    return y, momentum
+        momentum += eps * g
+        y += eps * momentum
+    g = grad(y)
+    momentum += half * g
+    return y, momentum, g
 
 
-def hmc_step(y, eps, L, target: TargetModel, rng):
-    """One Hamiltonian Monte Carlo transition with identity mass matrix."""
-    momentum = rng.standard_normal(y.shape[0])
-    logp0 = float(target.log_density(y))
-    h0 = -logp0 + 0.5 * float(momentum @ momentum)
-    y_new, momentum_new = leapfrog(y, momentum, eps, L, target.grad_log_density)
-    if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(momentum_new))):
-        return y, False
-    h1 = -float(target.log_density(y_new)) + 0.5 * float(momentum_new @ momentum_new)
-    if not math.isfinite(h1):
-        return y, False
-    if math.log(rng.uniform()) < h0 - h1:
-        return y_new, True
-    return y, False
+def hmc_step(y, logp, g, eps, steps, target: TargetModel, rng):
+    """One Hamiltonian Monte Carlo transition with identity mass matrix.
+
+    Steps one chain, ``y`` of shape (d,) with a scalar ``eps`` and one
+    generator ``rng``, or n chains at once, ``y`` of shape (n, d) with
+    ``eps`` of shape (n,) and a sequence of n generators.  ``logp`` and
+    ``g`` are the log density and gradient at ``y``; they are returned
+    with the new state, so a chain evaluates them once per transition,
+    at the proposal: one gradient call per leapfrog step and one density
+    call over the rows whose trajectory is finite.  Each chain draws a
+    momentum from its own generator, then a uniform only where its
+    trajectory and energy are finite; a non-finite row is rejected on
+    its own.  Returns (y, logp, g, accepted).
+    """
+    ensemble = y.ndim == 2
+    if ensemble:
+        momentum = np.empty_like(y)
+        for gen, row in zip(rng, momentum):
+            gen.standard_normal(out=row)
+        y1, m1, g1 = leapfrog(y, momentum, eps[:, None], steps,
+                              target.grad_log_density, g)
+    else:
+        momentum = rng.standard_normal(y.shape[0])
+        y1, m1, g1 = leapfrog(y, momentum, eps, steps, target.grad_log_density, g)
+    energy0 = 0.5 * np.vecdot(momentum, momentum) - logp
+    ok = np.isfinite(y1).all(axis=-1) & np.isfinite(m1).all(axis=-1)
+    if ok.all():
+        logp1 = target.log_density(y1)
+    else:
+        logp1 = np.full(ok.shape, -np.inf)
+        if ok.any():
+            logp1[ok] = target.log_density(y1[ok])
+    energy1 = 0.5 * np.vecdot(m1, m1) - logp1
+    ok &= np.isfinite(energy1)
+    if not ensemble:
+        if ok and math.log(rng.uniform()) < energy0 - energy1:
+            return y1, logp1, g1, True
+        return y, logp, g, False
+    accept = np.zeros(ok.shape, dtype=bool)
+    for i in np.flatnonzero(ok):
+        accept[i] = math.log(rng[i].uniform()) < energy0[i] - energy1[i]
+    keep = accept[:, None]
+    return (np.where(keep, y1, y), np.where(accept, logp1, logp),
+            np.where(keep, g1, g), accept)
 
 
-def adapt_step_size(h, accepted, t, target_accept) -> float:
-    """Robbins-Monro step-size update, log h += t^-0.6 (acc - target)."""
+def adapt_step_size(h, accepted, t, target_accept):
+    """Robbins-Monro step-size update, log h += t^-0.6 (acc - target).
+
+    ``h`` and ``accepted`` may be per-chain arrays.
+    """
+    if np.ndim(accepted):
+        return h * np.exp(t**-0.6 * (accepted - target_accept))
     return h * math.exp(t**-0.6 * ((1.0 if accepted else 0.0) - target_accept))
 
 
@@ -204,6 +254,18 @@ def run_chain(kernel: KernelConfig, params: Optional[ProjectionParams],
     given ``seed``; the reported acceptance rate covers the post
     burn-in iterations (all iterations when ``burnin = 0``).
     """
+    return _drive(kernel, params, target, init, iterations, burnin,
+                  thinning, seed)
+
+
+def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
+    """The chain loop behind ``run_chain`` and ``run_chains``.
+
+    An int ``seed`` runs one chain on a state of shape (d,) and returns
+    its ``ChainOutput``.  A list of seeds runs an HMC ensemble, one
+    chain per seed on a state of shape (n, d), each with its own
+    generator and step size, and returns a list.
+    """
     iterations = int(iterations)
     burnin = int(burnin)
     thinning = int(thinning)
@@ -219,14 +281,18 @@ def run_chain(kernel: KernelConfig, params: Optional[ProjectionParams],
     if init.shape != (target.dim,):
         raise ValueError(f"init must have shape ({target.dim},)")
 
-    rng = np.random.default_rng(seed)
+    ensemble = isinstance(seed, list)
+    if ensemble:
+        rng = [np.random.default_rng(s) for s in seed]
+        h = np.full(len(seed), kernel.h)
+    else:
+        rng = np.random.default_rng(seed)
+        h = kernel.h
     adapt_until = kernel.adapt_burnin if kernel.adapt_burnin is not None else burnin
     adapt_until = min(adapt_until, burnin)
-    h = kernel.h
     n_keep = (iterations - burnin) // thinning
-    samples = np.empty((n_keep, target.dim))
     trace = []
-    accepted_post = 0
+    accepted_post = np.zeros(len(seed), dtype=int) if ensemble else 0
     post_steps = 0
     kept = 0
     start = time.perf_counter()
@@ -239,9 +305,34 @@ def run_chain(kernel: KernelConfig, params: Optional[ProjectionParams],
         ell_o, lat_thr = params.ell_o, params.ell_o - 1.0
         logpdf = target.log_density
         log = math.log
+    elif ensemble:
+        y = np.tile(init, (len(seed), 1))
+        logpost = target.log_density(y)
     else:
         y = init.copy()
         logpost = float(target.log_density(y))
+    if kernel.kind == "hmc":
+        grad = target.grad_log_density(y)
+    if ensemble:
+        # chain-major storage: each chain's samples are one contiguous block
+        store = np.empty((len(seed), n_keep, target.dim))
+        samples = store.transpose(1, 0, 2)
+    else:
+        samples = np.empty((n_keep, target.dim))
+
+    def outputs(valid):
+        wall = time.perf_counter() - start
+        rate = accepted_post / max(post_steps, 1)
+        steps = np.asarray(trace)
+        if not ensemble:
+            return ChainOutput(samples=samples[:kept], acceptance_rate=rate,
+                               step_size_trace=steps, seed=int(seed),
+                               wall_time=wall, valid=valid)
+        return [ChainOutput(samples=store[i, :kept],
+                            acceptance_rate=float(rate[i]),
+                            step_size_trace=steps[:, i], seed=int(s),
+                            wall_time=wall, valid=valid)
+                for i, s in enumerate(seed)]
 
     try:
         for t in range(1, iterations + 1):
@@ -268,10 +359,14 @@ def run_chain(kernel: KernelConfig, params: Optional[ProjectionParams],
                 else:
                     acc = False
             else:
-                y, acc = hmc_step(y, h, kernel.leapfrog_steps, target, rng)
+                y, logpost, grad, acc = hmc_step(y, logpost, grad, h,
+                                                 kernel.leapfrog_steps, target, rng)
             if t <= adapt_until:
                 h = adapt_step_size(h, acc, t, kernel.target_accept)
-                h = min(max(h, _STEP_SIZE_CLAMP[0]), _STEP_SIZE_CLAMP[1])
+                if ensemble:
+                    h = np.clip(h, *_STEP_SIZE_CLAMP)
+                else:
+                    h = min(max(h, _STEP_SIZE_CLAMP[0]), _STEP_SIZE_CLAMP[1])
                 trace.append(h)
             if t > burnin:
                 post_steps += 1
@@ -280,25 +375,12 @@ def run_chain(kernel: KernelConfig, params: Optional[ProjectionParams],
                     samples[kept] = y
                     kept += 1
     except Exception as exc:  # pragma: no cover - exercised via targets
-        partial = ChainOutput(
-            samples=samples[:kept],
-            acceptance_rate=accepted_post / max(post_steps, 1),
-            step_size_trace=np.asarray(trace + [h]),
-            seed=int(seed),
-            wall_time=time.perf_counter() - start,
-            valid=False,
-        )
+        trace.append(h)
         raise ChainAborted(f"chain aborted at iteration {t}: {exc}",
-                           partial=partial) from exc
+                           partial=outputs(False)) from exc
 
     trace.append(h)
-    return ChainOutput(
-        samples=samples,
-        acceptance_rate=accepted_post / max(post_steps, 1),
-        step_size_trace=np.asarray(trace),
-        seed=int(seed),
-        wall_time=time.perf_counter() - start,
-    )
+    return outputs(True)
 
 
 def derive_chain_seed(base_seed, chain_index) -> int:
@@ -308,30 +390,23 @@ def derive_chain_seed(base_seed, chain_index) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def max_workers(default=None) -> int:
-    """Worker cap from BRIGHTSIDE_THREADS, else the given or CPU default."""
-    env = os.environ.get("BRIGHTSIDE_THREADS")
-    if env:
-        return max(1, int(env))
-    if default is not None:
-        return max(1, int(default))
-    return max(1, os.cpu_count() or 1)
-
-
 def run_chains(kernel: KernelConfig, params, target, init, iterations,
                burnin=0, thinning=1, seed=0, n_chains=1, workers=None):
-    """Run replicate chains with per-chain derived seeds, in worker threads.
+    """Run replicate chains, chain i seeded with ``derive_chain_seed(seed, i)``.
 
-    Results are returned in chain order and are independent of thread
-    scheduling because every chain owns its own generator.
+    Chain i depends only on ``(seed, i)``: it owns its generator and
+    draws what ``run_chain`` draws with that seed.  HMC chains step
+    together as one ensemble, with one batched gradient call per
+    leapfrog step and one density call per transition for all of them;
+    each has its own step size.  Scs, sps and rwm chains run one after
+    another.  ``workers`` is accepted and ignored.  Results come in
+    chain order.  The chains of an HMC ensemble each report the
+    ensemble's wall time, and an aborted ensemble raises
+    ``ChainAborted`` carrying the list of partial outputs.
     """
     seeds = [derive_chain_seed(seed, i) for i in range(n_chains)]
-
-    def _one(chain_seed):
-        return run_chain(kernel, params, target, init, iterations,
-                         burnin=burnin, thinning=thinning, seed=chain_seed)
-
-    if n_chains == 1:
-        return [_one(seeds[0])]
-    with ThreadPoolExecutor(max_workers=max_workers(workers)) as pool:
-        return list(pool.map(_one, seeds))
+    if kernel.kind == "hmc" and n_chains > 1:
+        return _drive(kernel, params, target, init, iterations, burnin,
+                      thinning, seeds)
+    return [run_chain(kernel, params, target, init, iterations, burnin=burnin,
+                      thinning=thinning, seed=s) for s in seeds]

@@ -150,7 +150,12 @@ def student_t_log_cdf(t, nu):
         lower = 1.0 / prod
     out = np.log1p(-lower)
     neg = t_arr < 0.0
-    out[neg] = np.log(lower[neg]) if nu == 1 else -np.log(prod[neg])
+    if nu == 1:
+        # lower is 0 at t = -inf, whose log is -inf as for every other nu
+        with np.errstate(divide="ignore"):
+            out[neg] = np.log(lower[neg])
+    else:
+        out[neg] = -np.log(prod[neg])
     return float(out[0]) if scalar else out
 
 

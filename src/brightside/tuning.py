@@ -168,16 +168,25 @@ def project_params(theta_bar, ell_o):
     """Radially rescale the longitude back inside the observer ball.
 
     Projects onto twice the interior margin so the result validates
-    even after the rescaling round-off.
+    even after the rescaling round-off, or onto h_o = 0 where that
+    margin leaves no room.  At the stereographic latitude ell_o = 2 the
+    only admissible longitude is h_o = 0; where no longitude is
+    admissible it raises ``ObserverOutsideBall``.
     """
     h_o, mu, R = theta_bar
     h_o = np.asarray(h_o, dtype=float)
+    mu, R = np.asarray(mu, dtype=float), float(R)
+    if ell_o == 2.0:
+        return np.zeros_like(h_o), mu, R
     limit = 1.0 - (ell_o - 1.0) ** 2 - INTERIOR_MARGIN
+    if not (1.0 <= ell_o < 2.0 and limit >= 0.0):
+        raise ObserverOutsideBall(
+            f"no observer longitude is admissible at ell_o = {ell_o}")
     norm_sq = float(h_o @ h_o)
     if norm_sq > limit:
-        target_sq = 1.0 - (ell_o - 1.0) ** 2 - 2.0 * INTERIOR_MARGIN
+        target_sq = max(1.0 - (ell_o - 1.0) ** 2 - 2.0 * INTERIOR_MARGIN, 0.0)
         h_o = h_o * math.sqrt(target_sq / norm_sq)
-    return h_o, np.asarray(mu, dtype=float), float(R)
+    return h_o, mu, R
 
 
 def alignment_metrics(theta_bar, alpha_skew, xi):

@@ -511,14 +511,20 @@ def rel_diff(got, ref):
 
 
 class TestIncompleteBetaPaths:
-    """The single-point path and the batched path compute the same values."""
+    """The plain-float path and the batched path compute the same values."""
 
     FUNCS = (regularized_incomplete_beta, log_regularized_incomplete_beta)
+    # batches up to the small-batch limit loop the plain-float twin, one
+    # point more takes the array path
+    SIZES = (geometry._BETA_SMALL_BATCH, geometry._BETA_SMALL_BATCH + 1)
 
     def test_batch_independence(self):
+        rng = np.random.default_rng(30)
         for f in self.FUNCS:
             alone = f(np.array([0.3]), 5.5, 0.5)[0]
-            for batch in ([0.3, 0.8], [0.3, 0.3], [0.3, 0.05, 0.99, 0.0]):
+            batches = [[0.3, 0.8], [0.3, 0.3], [0.3, 0.05, 0.99, 0.0]]
+            batches += [[0.3] + list(rng.uniform(0.0, 1.0, n - 1)) for n in self.SIZES]
+            for batch in batches:
                 assert f(np.array(batch), 5.5, 0.5)[0] == alone
             assert f(0.3, 5.5, 0.5) == alone
 
@@ -537,19 +543,26 @@ class TestIncompleteBetaPaths:
                 single = np.array([f(float(x), a, b) for x in xs])
                 assert isinstance(f(float(xs[2]), a, b), float)
                 assert np.all(rel_diff(single, batch) <= 1e-14)
+                for n in self.SIZES:
+                    assert np.array_equal(f(xs[:n], a, b), single[:n])
 
     def test_domain_errors_on_both_paths(self):
+        big = np.full(self.SIZES[1], 0.5)
         for f in self.FUNCS:
             for x in (math.nan, -0.1, 1.1, math.inf):
                 with pytest.raises(DomainError):
                     f(x, 2.0, 0.5)
                 with pytest.raises(DomainError):
                     f(np.array([0.5, x]), 2.0, 0.5)
+                with pytest.raises(DomainError):
+                    f(np.append(big, x), 2.0, 0.5)
             for a, b in ((0.0, 0.5), (2.0, -1.0), (math.nan, 0.5)):
                 with pytest.raises(DomainError):
                     f(0.5, a, b)
                 with pytest.raises(DomainError):
                     f(np.array([0.2, 0.5]), a, b)
+                with pytest.raises(DomainError):
+                    f(big, a, b)
 
     def test_nonconvergence_raises_on_both_paths(self, monkeypatch):
         monkeypatch.setattr(geometry, "_BETA_MAXIT", 2)
@@ -558,3 +571,5 @@ class TestIncompleteBetaPaths:
                 f(0.8, 5.5, 0.5)
             with pytest.raises(DomainError):
                 f(np.array([0.3, 0.8]), 5.5, 0.5)
+            with pytest.raises(DomainError):
+                f(np.full(self.SIZES[1], 0.8), 5.5, 0.5)

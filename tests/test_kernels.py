@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from brightside.diagnostics import ess
-from brightside.errors import DarkSidePoint, DegenerateProposal
+from brightside.errors import ChainAborted, DarkSidePoint, DegenerateProposal
 from brightside.geometry import (
     cap_forward,
     cap_ratio_exact,
@@ -15,6 +15,7 @@ from brightside.geometry import (
     scp_inverse,
 )
 from brightside.kernels import (
+    HMC_TARGET_ACCEPT,
     KernelConfig,
     adapt_step_size,
     derive_chain_seed,
@@ -300,44 +301,49 @@ class TestRwmStep:
         assert np.all(out.samples == 0.0)
 
 
+class Gauss:
+    """Standard normal target in four dimensions."""
+
+    dim = 4
+    has_gradient = True
+
+    def log_density(self, y):
+        y = np.asarray(y)
+        return -0.5 * np.sum(y * y, axis=-1)
+
+    def grad_log_density(self, y):
+        return -np.asarray(y)
+
+
 class TestHmc:
     def test_leapfrog_reversibility(self):
         target = mv_student_t(3, nu=2.0)
+        grad = target.grad_log_density
         rng = np.random.default_rng(13)
         y = rng.standard_normal(3)
         mom = rng.standard_normal(3)
-        y1, m1 = leapfrog(y, mom, 0.05, 20, target.grad_log_density)
-        y2, m2 = leapfrog(y1, -m1, 0.05, 20, target.grad_log_density)
+        y1, m1, g1 = leapfrog(y, mom, 0.05, 20, grad, grad(y))
+        assert np.array_equal(g1, grad(y1))
+        y2, m2, _ = leapfrog(y1, -m1, 0.05, 20, grad, g1)
         assert np.allclose(y2, y, atol=1e-10)
         assert np.allclose(-m2, mom, atol=1e-10)
 
     def test_gaussian_energy_error(self):
-        class Gauss:
-            dim = 4
-
-            def log_density(self, y):
-                y = np.asarray(y)
-                return -0.5 * np.sum(y * y, axis=-1)
-
-            def grad_log_density(self, y):
-                return -np.asarray(y)
-
-            has_gradient = True
-
         target = Gauss()
+        grad = target.grad_log_density
         rng = np.random.default_rng(14)
         errors = []
         accepted = 0
         y = rng.standard_normal(4)
+        logp, g = target.log_density(y), grad(y)
         for _ in range(1000):
             mom = rng.standard_normal(4)
             h0 = -float(target.log_density(y)) + 0.5 * float(mom @ mom)
-            y1, m1 = leapfrog(y, mom, 0.01, 10, target.grad_log_density)
+            y1, m1, _ = leapfrog(y, mom, 0.01, 10, grad, g)
             h1 = -float(target.log_density(y1)) + 0.5 * float(m1 @ m1)
             errors.append(abs(h1 - h0))
-            y_new, acc = hmc_step(y, 0.01, 10, target, rng)
+            y, logp, g, acc = hmc_step(y, logp, g, 0.01, 10, target, rng)
             accepted += acc
-            y = y_new
         assert np.median(errors) < 1e-3
         assert accepted / 1000 > 0.99
 
@@ -355,8 +361,75 @@ class TestHmc:
 
         rng = np.random.default_rng(15)
         y = np.zeros(1)
-        y_new, accepted = hmc_step(y, 0.1, 5, Bad(), rng)
+        bad = Bad()
+        y_new, _, _, accepted = hmc_step(y, bad.log_density(y), bad.grad_log_density(y),
+                                         0.1, 5, bad, rng)
         assert not accepted and np.array_equal(y_new, y)
+
+    def test_ensemble_matches_single_chains(self):
+        # run_chains steps the four chains as one batch; chain i must
+        # follow run_chain with the derived seed, step sizes included
+        cfg = KernelConfig("hmc", h=0.3, leapfrog_steps=5,
+                           target_accept=HMC_TARGET_ACCEPT)
+        outs = run_chains(cfg, None, Gauss(), np.ones(4), 200, burnin=100,
+                          seed=16, n_chains=4)
+        assert len({o.step_size_trace[-1] for o in outs}) == 4
+        for i, ens in enumerate(outs):
+            one = run_chain(cfg, None, Gauss(), np.ones(4), 200, burnin=100,
+                            seed=derive_chain_seed(16, i))
+            assert ens.seed == one.seed
+            assert ens.samples.shape == one.samples.shape == (100, 4)
+            assert np.allclose(ens.samples, one.samples, rtol=0.0, atol=1e-10)
+            assert np.allclose(ens.step_size_trace, one.step_size_trace,
+                               rtol=1e-10, atol=0.0)
+            assert ens.acceptance_rate == one.acceptance_rate
+
+    def test_nonfinite_row_rejected_alone(self):
+        # the gradient is NaN in the half-space y_0 > 5, where row 1
+        # starts: that row is rejected without drawing a uniform, while
+        # the other rows move
+        class NanPatch(Gauss):
+            def grad_log_density(self, y):
+                y = np.asarray(y)
+                return np.where(y[..., :1] > 5.0, np.nan, -y)
+
+        target = NanPatch()
+        y = np.zeros((3, 4))
+        y[1, 0] = 10.0
+        rngs = [np.random.default_rng(s) for s in (17, 18, 19)]
+        y_new, logp, g, accepted = hmc_step(
+            y, target.log_density(y), target.grad_log_density(y),
+            np.full(3, 0.1), 5, target, rngs)
+        assert accepted.tolist() == [True, False, True]
+        assert np.array_equal(y_new[1], y[1])
+        assert np.all(y_new[[0, 2]] != 0.0)
+        assert logp[1] == target.log_density(y[1])
+        assert np.all(np.isnan(g[1]))
+        # row 1 drew its momentum and nothing else
+        probe = np.random.default_rng(18)
+        probe.standard_normal(4)
+        assert rngs[1].uniform() == probe.uniform()
+
+
+    def test_ensemble_abort_carries_partial_chains(self):
+        # one gradient call at the start and five per transition: call
+        # 31 falls in transition 6, after five kept samples
+        class Fails(Gauss):
+            calls = 0
+
+            def grad_log_density(self, y):
+                self.calls += 1
+                if self.calls > 30:
+                    raise FloatingPointError("gradient blew up")
+                return -np.asarray(y)
+
+        cfg = KernelConfig("hmc", h=0.2, leapfrog_steps=5)
+        with pytest.raises(ChainAborted) as info:
+            run_chains(cfg, None, Fails(), np.ones(4), 20, seed=20, n_chains=3)
+        partial = info.value.partial
+        assert [o.seed for o in partial] == [derive_chain_seed(20, i) for i in range(3)]
+        for o in partial:
+            assert not o.valid and o.samples.shape == (5, 4)
 
 
 class TestAdaptStepSize:
@@ -428,13 +501,12 @@ class TestRunChain:
         out = run_chain(cfg, p, target, np.zeros(2), 500, burnin=100, seed=5)
         assert np.all(out.step_size_trace == 0.3)
 
-    def test_run_chains_parallel_deterministic(self, monkeypatch):
+    def test_run_chains_parallel_deterministic(self):
         target = mv_student_t(2, nu=1.0)
         p = make_params(2, ell_o=1.1)
         cfg = KernelConfig(kind="scs", h=0.5)
         outs1 = run_chains(cfg, p, target, np.zeros(2), 600, burnin=100,
                            seed=9, n_chains=4, workers=4)
-        monkeypatch.setenv("BRIGHTSIDE_THREADS", "1")
         outs2 = run_chains(cfg, p, target, np.zeros(2), 600, burnin=100,
                            seed=9, n_chains=4, workers=4)
         for a, b in zip(outs1, outs2):

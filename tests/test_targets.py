@@ -97,7 +97,8 @@ class TestStudentTCdf:
 
     def test_log_cdf_upper_tail(self):
         # log F(t) ~ -(1 - F(t)) for large t: 40-digit reference, on the
-        # single-point and the array paths
+        # single-point and the array paths; log F(-inf) = -inf without
+        # a warning
         import mpmath
 
         ts = (30.0, 1e5, 1e8)
@@ -112,6 +113,10 @@ class TestStudentTCdf:
                 for t, ref, got in zip(ts, refs, batch):
                     assert abs(student_t_log_cdf(t, nu) - ref) <= 1e-12 * abs(ref)
                     assert abs(got - ref) <= 1e-12 * abs(ref)
+                # t = -inf is exact and silent on both paths
+                assert student_t_log_cdf(-math.inf, nu) == -math.inf
+                assert student_t_log_cdf(np.array([-math.inf]), nu)[0] == -math.inf
+                assert student_t_log_cdf(np.array(ts + (-math.inf,)), nu)[-1] == -math.inf
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from brightside.errors import TuningFailed
+from brightside.errors import ObserverOutsideBall, TuningFailed
 from brightside.geometry import (
     INTERIOR_MARGIN,
     ProjectionParams,
@@ -156,6 +156,18 @@ class TestProjectParams:
             h_o, mu, R = project_params((raw, np.zeros(d), 1.0), ell_o)
             validate_params(ProjectionParams(h_o=h_o, ell_o=ell_o,
                                              mu=mu, R=R, d=d))
+
+
+    def test_stereographic_latitude_pins_h_o_at_zero(self):
+        h_o, _, _ = project_params((np.array([0.3, -0.1]), np.zeros(2), 1.0), 2.0)
+        assert np.array_equal(h_o, [0.0, 0.0])
+        rep = tune(mv_student_t(3, nu=1), 2.0, TuneOptions(mc_batch=50, steps=2))
+        assert np.array_equal(rep.theta_bar[0], np.zeros(3))
+
+    def test_no_admissible_longitude_raises(self):
+        for ell_o in (0.5, 2.0 - 1e-12, 2.5):
+            with pytest.raises(ObserverOutsideBall):
+                project_params((np.zeros(2), np.zeros(2), 1.0), ell_o)
 
 
 class TestAlignmentMetrics:
