@@ -1,14 +1,25 @@
-"""Experiment presets and artifact writers behind the command line.
+"""Experiment presets and the three entry points that run them.
 
-Four presets reproduce the study designs at desk scale: heavy-tailed
-Cauchy sampling across four kernels, skew-t sampling with a tuned
-projection against Hamiltonian Monte Carlo, and separable logistic /
-robit regression posteriors.  ``paper_scale`` switches every preset to
-the full-size settings (hundreds of dimensions, millions of
-iterations); the desk defaults finish in minutes.
+``ExperimentConfig`` is the one config type.  A field left ``None``
+takes its preset default: ``resolve`` returns the same frozen class
+filled in from ``_PRESET_TABLE``, which holds a desk row and a paper
+row per preset (``paper_scale``: hundreds of dimensions, millions of
+iterations; the desk rows finish in minutes) and the protocol values
+that are not config fields.
 
-All artifacts are plain CSV / JSON, deterministic for a fixed seed,
-and re-readable through the loaders in this module.
+Four presets reproduce the study designs: heavy-tailed Cauchy sampling
+across four kernels, skew-t sampling with a tuned projection against
+Hamiltonian Monte Carlo, and separable logistic / robit regression
+posteriors; ``custom`` runs the regression protocol on a CSV written by
+``targets.save_regression_csv``.  ``run_experiment`` compares the
+preset's methods and writes ``<out>/<preset>/<method>_qq.csv`` and
+``summary.json``; ``run_sample`` runs one chain of ``kernel`` and writes
+``<out>/samples.csv`` and ``report.json``; ``run_tune`` runs the tuner
+alone and writes ``<out>/tune.json``.  The three share one setup, so
+one config gives them the same target, dimension and tuner seed.
+
+All artifacts are plain CSV / JSON, deterministic for a fixed seed, and
+re-readable (``diagnostics.read_qq_csv``, ``load_samples_csv``, json).
 """
 
 from __future__ import annotations
@@ -16,8 +27,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,10 +58,56 @@ from .targets import (
     mv_student_t,
     skew_t,
 )
-from .tuning import TuneOptions, tune
+from .tuning import TuneOptions, TuneReport, tune
 
-PRESETS = ("cauchy", "skewt", "logistic", "robit", "custom")
+# Preset defaults as (desk row, paper row).  A key that names a config
+# field fills that field where the config leaves it None.  The other
+# keys are protocol values: ``methods`` compared by ``run_experiment``,
+# ``hmc_iterations`` (None: the same as ``iterations``) and
+# ``fixed_step``, which fixes both step sizes at 0.1 without adaptation.
+# For the regression presets ``reference_size`` is the length factor of
+# the long reference chains; ``nu`` is used by the skew-t target only.
+_ALL_KERNELS = ("scs", "sps", "rwm", "hmc")
+_LOGISTIC = (
+    dict(dimension=5, iterations=100_000, burnin=2_000, thinning=10,
+         replicates=3, reference_size=10, nu=2.0, tuner_enabled=True,
+         tuner_steps=1000, tuner_batch=1000, n_obs=30, link="logit",
+         methods=("scs", "hmc"), hmc_iterations=None, fixed_step=False),
+    dict(dimension=20, iterations=5_000_000, burnin=100, thinning=500,
+         replicates=20, reference_size=10, nu=2.0, tuner_enabled=True,
+         tuner_steps=2000, tuner_batch=2000, n_obs=50, link="logit",
+         methods=("scs", "hmc"), hmc_iterations=1_000_000, fixed_step=False),
+)
+_PRESET_TABLE = {
+    "cauchy": (
+        dict(dimension=10, iterations=100_000, burnin=2_000, thinning=10,
+             replicates=3, reference_size=0, nu=1.0, tuner_enabled=False,
+             tuner_steps=1000, tuner_batch=1000, n_obs=30, link="logit",
+             methods=_ALL_KERNELS, hmc_iterations=None, fixed_step=False),
+        dict(dimension=100, iterations=500_000, burnin=10_000, thinning=10,
+             replicates=3, reference_size=0, nu=1.0, tuner_enabled=False,
+             tuner_steps=2000, tuner_batch=2000, n_obs=50, link="logit",
+             methods=_ALL_KERNELS, hmc_iterations=None, fixed_step=False),
+    ),
+    "skewt": (
+        dict(dimension=10, iterations=100_000, burnin=100, thinning=10,
+             replicates=5, reference_size=1_000_000, nu=1.0,
+             tuner_enabled=True, tuner_steps=1000, tuner_batch=1000,
+             n_obs=30, link="logit", methods=("scs", "hmc"),
+             hmc_iterations=None, fixed_step=True),
+        dict(dimension=100, iterations=500_000, burnin=100, thinning=50,
+             replicates=10, reference_size=10_000_000, nu=1.0,
+             tuner_enabled=True, tuner_steps=2000, tuner_batch=2000,
+             n_obs=50, link="logit", methods=("scs", "hmc"),
+             hmc_iterations=None, fixed_step=True),
+    ),
+    "logistic": _LOGISTIC,
+    "robit": tuple(dict(row, link="robit") for row in _LOGISTIC),
+    "custom": _LOGISTIC,
+}
+PRESETS = tuple(_PRESET_TABLE)
 SUMMARY_SCHEMA_VERSION = 1
+_FLOAT_FIELDS = ("ell_o", "tuner_lr", "link_nu", "prior_nu", "h", "nu")
 
 
 class ConfigError(ValueError):
@@ -58,7 +116,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """User-facing knobs; ``None`` means "use the preset default"."""
+    """User-facing knobs; ``None`` means "use the preset default".
+
+    The real-valued fields (``ell_o``, ``tuner_lr``, ``link_nu``,
+    ``prior_nu``, ``h``, ``nu``) are stored as floats, so ``ell_o=1``
+    means 1.0 everywhere downstream, the summary included.
+    """
 
     preset: str = "cauchy"
     dimension: int | None = None
@@ -86,6 +149,15 @@ class ExperimentConfig:
     out: str = "brightside-out"
     paper_scale: bool = False
 
+    def __post_init__(self):
+        for name in _FLOAT_FIELDS:
+            v = getattr(self, name)
+            if v is None:
+                continue
+            if not isinstance(v, numbers.Real):
+                raise ConfigError(f"{name} must be a real number")
+            object.__setattr__(self, name, float(v))
+
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         allowed = set(cls.__dataclass_fields__)
@@ -102,7 +174,7 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}")
-        if self.kernel not in ("scs", "sps", "rwm", "hmc"):
+        if self.kernel not in _ALL_KERNELS:
             raise ConfigError(f"unknown kernel {self.kernel!r}")
         for name in ("dimension", "iterations", "burnin", "thinning",
                      "replicates", "n_obs", "reference_size"):
@@ -118,232 +190,139 @@ class ExperimentConfig:
         return self
 
 
-@dataclass
-class ResolvedExperiment:
-    """Config with every preset default filled in."""
-
-    preset: str
-    dimension: int
-    iterations: int
-    burnin: int
-    thinning: int
-    replicates: int
-    seed: int
-    ell_o: float
-    methods: tuple
-    nu: float
-    link: str
-    link_nu: float
-    prior_nu: float
-    n_obs: int
-    data_csv: str | None
-    tuner_enabled: bool
-    tuner_steps: int
-    tuner_batch: int
-    tuner_lr: float
-    h: float | None
-    leapfrog_steps: int
-    target_accept: float | None
-    reference_size: int
-    hmc_iterations: int
-    fixed_step: bool
-    out: Path
-    paper_scale: bool
+def _preset_row(cfg: ExperimentConfig) -> dict:
+    """The preset table row for the config's preset and scale."""
+    return _PRESET_TABLE[cfg.preset][1 if cfg.paper_scale else 0]
 
 
-_DESK = {
-    "cauchy": dict(dimension=10, iterations=100_000, burnin=2_000, thinning=10,
-                   replicates=3, reference_size=0, nu=1.0, tuner=False,
-                   methods=("scs", "sps", "rwm", "hmc")),
-    "skewt": dict(dimension=10, iterations=100_000, burnin=100, thinning=10,
-                  replicates=5, reference_size=1_000_000, nu=1.0, tuner=True,
-                  methods=("scs", "hmc")),
-    "logistic": dict(dimension=5, iterations=100_000, burnin=2_000,
-                     thinning=10, replicates=3, reference_size=10,
-                     nu=2.0, tuner=True, methods=("scs", "hmc")),
-}
-_PAPER = {
-    "cauchy": dict(dimension=100, iterations=500_000, burnin=10_000,
-                   thinning=10, replicates=3, reference_size=0, nu=1.0,
-                   tuner=False, methods=("scs", "sps", "rwm", "hmc")),
-    "skewt": dict(dimension=100, iterations=500_000, burnin=100, thinning=50,
-                  replicates=10, reference_size=10_000_000, nu=1.0,
-                  tuner=True, methods=("scs", "hmc")),
-    "logistic": dict(dimension=20, iterations=5_000_000, burnin=100,
-                     thinning=500, replicates=20, reference_size=10,
-                     nu=2.0, tuner=True, methods=("scs", "hmc")),
-}
-_PAPER["robit"] = _PAPER["logistic"]
-_DESK["robit"] = _DESK["logistic"]
-_PAPER["custom"] = _PAPER["logistic"]
-_DESK["custom"] = _DESK["logistic"]
-
-_PAPER_N_OBS = 50
-_DESK_N_OBS = 30
-
-
-def resolve(config: ExperimentConfig) -> ResolvedExperiment:
+def resolve(config: ExperimentConfig) -> ExperimentConfig:
+    """Validate ``config`` and fill every ``None`` from the preset table."""
     config.validate()
-    table = _PAPER if config.paper_scale else _DESK
-    base = table[config.preset]
-
-    def pick(name, default):
-        v = getattr(config, name)
-        return default if v is None else v
-
-    iterations = pick("iterations", base["iterations"])
-    burnin = pick("burnin", base["burnin"])
-    if iterations <= burnin:
+    defaults = {name: value for name, value in _preset_row(config).items()
+                if name in ExperimentConfig.__dataclass_fields__
+                and getattr(config, name) is None}
+    cfg = replace(config, **defaults)
+    if cfg.iterations <= cfg.burnin:
         raise ConfigError("iterations must exceed burnin")
-    regression = config.preset in ("logistic", "robit", "custom")
-    # the skew-t protocol fixes both step sizes at 0.1 instead of adapting
-    fixed_step = config.preset == "skewt"
-    hmc_iterations = iterations
-    if regression and config.paper_scale:
-        hmc_iterations = 1_000_000
-    return ResolvedExperiment(
-        preset=config.preset,
-        dimension=pick("dimension", base["dimension"]),
-        iterations=iterations,
-        burnin=burnin,
-        thinning=pick("thinning", base["thinning"]),
-        replicates=pick("replicates", base["replicates"]),
-        seed=config.seed,
-        ell_o=config.ell_o,
-        methods=base["methods"],
-        nu=pick("nu", base["nu"]),
-        link=pick("link", "robit" if config.preset == "robit" else "logit"),
-        link_nu=config.link_nu,
-        prior_nu=config.prior_nu,
-        n_obs=pick("n_obs", _PAPER_N_OBS if config.paper_scale else _DESK_N_OBS),
-        data_csv=config.data_csv,
-        tuner_enabled=pick("tuner_enabled", base["tuner"]),
-        tuner_steps=pick("tuner_steps", 2000 if config.paper_scale else 1000),
-        tuner_batch=pick("tuner_batch", 2000 if config.paper_scale else 1000),
-        tuner_lr=config.tuner_lr,
-        h=config.h,
-        leapfrog_steps=config.leapfrog_steps,
-        target_accept=config.target_accept,
-        reference_size=pick("reference_size", base["reference_size"]),
-        hmc_iterations=hmc_iterations,
-        fixed_step=fixed_step,
-        out=Path(config.out),
-        paper_scale=config.paper_scale,
-    )
+    return cfg
 
 
-def build_target(resolved: ResolvedExperiment):
+def build_target(cfg: ExperimentConfig):
     """Target model plus (skewness, location) reference when meaningful."""
-    d = resolved.dimension
-    if resolved.preset == "cauchy":
+    d = cfg.dimension
+    if cfg.preset == "cauchy":
         return mv_student_t(d, nu=1.0), None
-    if resolved.preset == "skewt":
+    if cfg.preset == "skewt":
         alpha = np.zeros(d)
         alpha[0], alpha[1] = 100.0, -100.0
         xi = np.zeros(d)
-        return skew_t(xi=xi, alpha_skew=alpha, nu=resolved.nu), (alpha, xi)
-    if resolved.preset == "custom":
-        data = load_regression_csv(resolved.data_csv, link=resolved.link,
-                                   link_nu=resolved.link_nu,
-                                   prior_nu=resolved.prior_nu)
+        return skew_t(xi=xi, alpha_skew=alpha, nu=cfg.nu), (alpha, xi)
+    if cfg.preset == "custom":
+        data = load_regression_csv(cfg.data_csv, link=cfg.link,
+                                   link_nu=cfg.link_nu,
+                                   prior_nu=cfg.prior_nu)
         return binary_regression_posterior(data), None
-    rng = np.random.default_rng(derive_chain_seed(resolved.seed, 999))
-    data = generate_separable_data(resolved.n_obs, d, rng, link=resolved.link,
-                                   link_nu=resolved.link_nu,
-                                   prior_nu=resolved.prior_nu)
+    rng = np.random.default_rng(derive_chain_seed(cfg.seed, 999))
+    data = generate_separable_data(cfg.n_obs, d, rng, link=cfg.link,
+                                   link_nu=cfg.link_nu,
+                                   prior_nu=cfg.prior_nu)
     return binary_regression_posterior(data), None
 
 
-def sync_dimension(resolved: ResolvedExperiment, target) -> ResolvedExperiment:
-    """Adopt the target's dimension (custom data may differ from preset)."""
-    resolved.dimension = target.dim
-    return resolved
+def _setup(config: ExperimentConfig, subdir: str = ""):
+    """Resolve, create ``out/subdir`` and build the target.
+
+    Returns ``(cfg, out_dir, target, alignment_ref)``; ``cfg`` carries
+    the target's dimension, which a custom data set sets.
+    """
+    cfg = resolve(config)
+    out_dir = Path(cfg.out) / subdir
+    out_dir.mkdir(parents=True, exist_ok=True)
+    target, alignment_ref = build_target(cfg)
+    return replace(cfg, dimension=target.dim), out_dir, target, alignment_ref
 
 
-def tuned_projection(resolved: ResolvedExperiment, target,
-                     alignment_ref=None):
-    """Projection parameters for the sphere kernels, tuned when enabled."""
-    d = resolved.dimension
-    report = None
-    if resolved.tuner_enabled:
-        opts = TuneOptions(mc_batch=resolved.tuner_batch,
-                           steps=resolved.tuner_steps,
-                           learning_rate=resolved.tuner_lr,
-                           seed=derive_chain_seed(resolved.seed, 777))
-        report = tune(target, resolved.ell_o, opts, alignment_ref=alignment_ref)
-        h_o, mu, R = report.theta_bar
-        params = make_params(d, h_o=h_o, ell_o=resolved.ell_o, mu=mu, R=R)
-    else:
-        params = make_params(d, ell_o=resolved.ell_o)
+def _tune(cfg: ExperimentConfig, target, alignment_ref) -> TuneReport:
+    """The tuner run shared by ``run_experiment`` and ``run_tune``."""
+    opts = TuneOptions(mc_batch=cfg.tuner_batch, steps=cfg.tuner_steps,
+                       learning_rate=cfg.tuner_lr,
+                       seed=derive_chain_seed(cfg.seed, 777))
+    return tune(target, cfg.ell_o, opts, alignment_ref=alignment_ref)
+
+
+def tuned_projection(cfg: ExperimentConfig, target, alignment_ref=None):
+    """Projection parameters for the sphere kernels, tuned when enabled.
+
+    Returns ``(params, report)``; ``report`` is None without the tuner.
+    """
+    if not cfg.tuner_enabled:
+        return make_params(cfg.dimension, ell_o=cfg.ell_o), None
+    report = _tune(cfg, target, alignment_ref)
+    h_o, mu, R = report.theta_bar
+    params = make_params(cfg.dimension, h_o=h_o, ell_o=cfg.ell_o, mu=mu, R=R)
     return params, report
 
 
-def default_init(resolved: ResolvedExperiment) -> np.ndarray:
-    if resolved.preset in ("logistic", "robit", "custom"):
-        return np.zeros(resolved.dimension)
-    return np.ones(resolved.dimension)
+def default_init(cfg: ExperimentConfig) -> np.ndarray:
+    if cfg.preset in ("logistic", "robit", "custom"):
+        return np.zeros(cfg.dimension)
+    return np.ones(cfg.dimension)
 
 
-def kernel_settings(resolved: ResolvedExperiment, method: str):
+def kernel_settings(cfg: ExperimentConfig, method: str) -> KernelConfig:
     """KernelConfig for one method under the preset's protocol."""
+    fixed_step = _preset_row(cfg)["fixed_step"]
     if method == "hmc":
-        h = resolved.h if resolved.h is not None else 0.1
-        target_accept = (resolved.target_accept
-                         if resolved.target_accept is not None
-                         else HMC_TARGET_ACCEPT)
+        h, target_accept = 0.1, HMC_TARGET_ACCEPT
     else:
-        h = resolved.h if resolved.h is not None else (
-            0.1 if resolved.fixed_step else 0.5
-        )
-        target_accept = (resolved.target_accept
-                         if resolved.target_accept is not None
-                         else WALK_TARGET_ACCEPT)
-    adapt = 0 if resolved.fixed_step else None
-    return KernelConfig(kind=method, h=h,
-                        leapfrog_steps=resolved.leapfrog_steps,
-                        target_accept=target_accept, adapt_burnin=adapt)
+        h, target_accept = (0.1 if fixed_step else 0.5), WALK_TARGET_ACCEPT
+    return KernelConfig(
+        kind=method, h=h if cfg.h is None else cfg.h,
+        leapfrog_steps=cfg.leapfrog_steps,
+        target_accept=(target_accept if cfg.target_accept is None
+                       else cfg.target_accept),
+        adapt_burnin=0 if fixed_step else None)
 
 
-def sphere_params_for(method: str, resolved: ResolvedExperiment,
+def sphere_params_for(method: str, cfg: ExperimentConfig,
                       tuned: ProjectionParams | None):
     if method == "scs":
         return tuned
     if method == "sps":
-        d = resolved.dimension
+        d = cfg.dimension
         return make_params(d, ell_o=2.0, R=math.sqrt(d) / 2.0)
     return None
 
 
-def reference_quantiles(resolved: ResolvedExperiment, target, coords, spec,
-                        tuned_params):
+def reference_quantiles(cfg: ExperimentConfig, target, coords, spec,
+                        tuned: ProjectionParams):
     """Reference marginal quantiles per coordinate plus a description.
 
     Analytic for the Cauchy preset, exact-sampler draws for skew-t, and
-    a ten-times-longer chain (with a second-seed agreement statistic)
-    for the regression posteriors.
+    a ``reference_size``-times-longer scs chain on the ``tuned``
+    projection (with a second-seed agreement statistic) for the
+    regression posteriors.
     """
     probs = np.asarray(spec.probs)
-    if resolved.preset == "cauchy":
+    if cfg.preset == "cauchy":
         q = np.tan(math.pi * (probs - 0.5))
         return {j: q for j in coords}, {"kind": "analytic", "size": 0}
-    if resolved.preset == "skewt":
-        rng = np.random.default_rng(derive_chain_seed(resolved.seed, 555))
-        draws = target.exact_sample(rng, size=resolved.reference_size)
+    if cfg.preset == "skewt":
+        rng = np.random.default_rng(derive_chain_seed(cfg.seed, 555))
+        draws = target.exact_sample(rng, size=cfg.reference_size)
         refs = {j: np.quantile(draws[:, j], probs) for j in coords}
-        return refs, {"kind": "exact_sampler", "size": resolved.reference_size}
+        return refs, {"kind": "exact_sampler", "size": cfg.reference_size}
     # regression: long-chain reference with a second-seed agreement check
-    factor = max(int(resolved.reference_size), 2)
-    params, _ = tuned_params
-    iters = resolved.iterations * factor
-    cfg = kernel_settings(resolved, "scs")
-    refs = {}
-    agreement = 0.0
+    iters = cfg.iterations * max(int(cfg.reference_size), 2)
+    kernel = kernel_settings(cfg, "scs")
     chains = [
-        run_chain(cfg, params, target, default_init(resolved), iters,
-                  burnin=resolved.burnin, thinning=resolved.thinning,
-                  seed=derive_chain_seed(resolved.seed, 111 + k))
+        run_chain(kernel, tuned, target, default_init(cfg), iters,
+                  burnin=cfg.burnin, thinning=cfg.thinning,
+                  seed=derive_chain_seed(cfg.seed, 111 + k))
         for k in range(2)
     ]
+    refs = {}
+    agreement = 0.0
     for j in coords:
         qa = empirical_quantiles(chains[0].samples[:, j], spec)
         qb = empirical_quantiles(chains[1].samples[:, j], spec)
@@ -358,47 +337,44 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """Run every method of the preset and write QQ reports plus a summary.
 
     Returns the summary dictionary; artifacts land in ``out/<preset>/``.
+    ``summary.json`` is written only once the summary validates.
     """
-    resolved = resolve(config)
-    out_dir = resolved.out / resolved.preset
-    out_dir.mkdir(parents=True, exist_ok=True)
-    target, alignment_ref = build_target(resolved)
-    sync_dimension(resolved, target)
-    tuned, tune_rep = tuned_projection(resolved, target, alignment_ref)
+    cfg, out_dir, target, alignment_ref = _setup(config, config.preset)
+    row = _preset_row(cfg)
+    tuned, tune_rep = tuned_projection(cfg, target, alignment_ref)
     spec = QuantileSpec()
-    coords = tuple(range(min(4, resolved.dimension)))
-    refs, ref_info = reference_quantiles(resolved, target, coords, spec,
-                                         (tuned, tune_rep))
+    coords = tuple(range(min(4, cfg.dimension)))
+    refs, ref_info = reference_quantiles(cfg, target, coords, spec, tuned)
 
     summary = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
-        "preset": resolved.preset,
-        "seed": resolved.seed,
-        "dimension": resolved.dimension,
-        "iterations": resolved.iterations,
-        "burnin": resolved.burnin,
-        "thinning": resolved.thinning,
-        "replicates": resolved.replicates,
-        "ell_o": resolved.ell_o,
-        "paper_scale": resolved.paper_scale,
+        "preset": cfg.preset,
+        "seed": cfg.seed,
+        "dimension": cfg.dimension,
+        "iterations": cfg.iterations,
+        "burnin": cfg.burnin,
+        "thinning": cfg.thinning,
+        "replicates": cfg.replicates,
+        "ell_o": cfg.ell_o,
+        "paper_scale": cfg.paper_scale,
         "reference": ref_info,
         "methods": {},
     }
     failures = []
-    for m_idx, method in enumerate(resolved.methods):
+    for m_idx, method in enumerate(row["methods"]):
         if method == "hmc" and not target.has_gradient:
             failures.append(method)
             continue
-        cfg = kernel_settings(resolved, method)
-        params = sphere_params_for(method, resolved, tuned)
-        iters = (resolved.hmc_iterations if method == "hmc"
-                 else resolved.iterations)
+        iters = cfg.iterations
+        if method == "hmc" and row["hmc_iterations"] is not None:
+            iters = row["hmc_iterations"]
         t0 = time.perf_counter()
-        chains = run_chains(cfg, params, target, default_init(resolved),
-                            iters, burnin=resolved.burnin,
-                            thinning=resolved.thinning,
-                            seed=derive_chain_seed(resolved.seed, m_idx),
-                            n_chains=resolved.replicates)
+        chains = run_chains(kernel_settings(cfg, method),
+                            sphere_params_for(method, cfg, tuned), target,
+                            default_init(cfg), iters, burnin=cfg.burnin,
+                            thinning=cfg.thinning,
+                            seed=derive_chain_seed(cfg.seed, m_idx),
+                            n_chains=cfg.replicates)
         wall = time.perf_counter() - t0
         reports = {j: qq_report(chains, j, refs[j], spec) for j in coords}
         qq_path = out_dir / f"{method}_qq.csv"
@@ -417,15 +393,30 @@ def run_experiment(config: ExperimentConfig) -> dict:
         }
     summary["failed_methods"] = failures
     if tune_rep is not None:
-        summary["tuner"] = _tune_report_dict(tune_rep, resolved)
+        summary["tuner"] = _tune_report_dict(tune_rep, cfg)
+    validate_summary(summary)
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
-    validate_summary(summary)
     return summary
 
 
 def validate_summary(summary: dict):
-    """Schema check for experiment summaries (see README for the schema)."""
+    """Check an experiment summary against the schema; return it.
+
+    Schema version ``SUMMARY_SCHEMA_VERSION`` (1).  Required top-level
+    keys: ``schema_version``, ``seed``, ``dimension``, ``iterations``,
+    ``burnin``, ``thinning`` and ``replicates`` (int); ``preset`` (str);
+    ``ell_o`` (float); ``paper_scale`` (bool); ``failed_methods`` (list
+    of methods that could not run, e.g. hmc on a target without a
+    gradient); ``reference`` (dict whose ``kind`` is ``analytic``,
+    ``exact_sampler`` or ``long_chain``, next to its ``size``); and
+    ``methods`` (dict keyed by method name, each entry holding
+    ``acceptance_mean``, ``max_rel_err``, ``tail_rel_err``,
+    ``ess_median``, ``wall_time_total`` in seconds and ``qq_csv``, the
+    file name of its QQ table).  A tuned run adds ``tuner``, the
+    ``tune.json`` fields without ``seed`` and ``preset``.  Raises
+    ``ValueError`` on the first violation.
+    """
     required = {
         "schema_version": int, "preset": str, "seed": int, "dimension": int,
         "iterations": int, "burnin": int, "thinning": int, "replicates": int,
@@ -457,29 +448,24 @@ def validate_summary(summary: dict):
 
 def run_sample(config: ExperimentConfig) -> dict:
     """One chain of ``config.kernel``; writes samples.csv and report.json."""
-    resolved = resolve(config)
-    out_dir = resolved.out
-    out_dir.mkdir(parents=True, exist_ok=True)
-    target, alignment_ref = build_target(resolved)
-    if config.kernel in ("scs", "sps"):
-        tuned, _ = tuned_projection(resolved, target, alignment_ref)
-        params = sphere_params_for(config.kernel, resolved, tuned)
-    else:
-        params = None
-    cfg = kernel_settings(resolved, config.kernel)
-    out = run_chain(cfg, params, target, default_init(resolved),
-                    resolved.iterations, burnin=resolved.burnin,
-                    thinning=resolved.thinning, seed=resolved.seed)
+    cfg, out_dir, target, alignment_ref = _setup(config)
+    tuned = None
+    if cfg.kernel == "scs":
+        tuned, _ = tuned_projection(cfg, target, alignment_ref)
+    out = run_chain(kernel_settings(cfg, cfg.kernel),
+                    sphere_params_for(cfg.kernel, cfg, tuned), target,
+                    default_init(cfg), cfg.iterations, burnin=cfg.burnin,
+                    thinning=cfg.thinning, seed=cfg.seed)
     write_samples_csv(out_dir / "samples.csv", out.samples,
-                      burnin=resolved.burnin, thinning=resolved.thinning)
+                      burnin=cfg.burnin, thinning=cfg.thinning)
     report = {
-        "kernel": config.kernel,
-        "preset": resolved.preset,
-        "dimension": resolved.dimension,
-        "iterations": resolved.iterations,
-        "burnin": resolved.burnin,
-        "thinning": resolved.thinning,
-        "seed": resolved.seed,
+        "kernel": cfg.kernel,
+        "preset": cfg.preset,
+        "dimension": cfg.dimension,
+        "iterations": cfg.iterations,
+        "burnin": cfg.burnin,
+        "thinning": cfg.thinning,
+        "seed": cfg.seed,
         "acceptance_rate": out.acceptance_rate,
         "step_size_final": float(out.step_size_trace[-1]),
         "ess": [float(ess(out.samples[:, j]))
@@ -519,15 +505,10 @@ def load_samples_csv(path):
     return iters, samples
 
 
-def load_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
 # --- tuning artifacts --------------------------------------------------------
 
 
-def _tune_report_dict(report, resolved) -> dict:
+def _tune_report_dict(report: TuneReport, cfg: ExperimentConfig) -> dict:
     h_o, mu, R = report.theta_bar
     data = {
         "theta_bar": {
@@ -535,7 +516,7 @@ def _tune_report_dict(report, resolved) -> dict:
             "mu": [float(v) for v in mu],
             "R": float(R),
         },
-        "ell_o": resolved.ell_o,
+        "ell_o": cfg.ell_o,
         "steps": int(report.objective_trace.size),
         "objective_trace": [float(v) for v in report.objective_trace],
         "grad_norm_trace": [float(v) for v in report.grad_norm_trace],
@@ -551,19 +532,15 @@ def _tune_report_dict(report, resolved) -> dict:
 
 
 def run_tune(config: ExperimentConfig) -> dict:
-    """Tune the projection for the preset's target; writes tune.json."""
-    resolved = resolve(config)
-    out_dir = resolved.out
-    out_dir.mkdir(parents=True, exist_ok=True)
-    target, alignment_ref = build_target(resolved)
-    opts = TuneOptions(mc_batch=resolved.tuner_batch,
-                       steps=resolved.tuner_steps,
-                       learning_rate=resolved.tuner_lr,
-                       seed=resolved.seed)
-    report = tune(target, resolved.ell_o, opts, alignment_ref=alignment_ref)
-    data = _tune_report_dict(report, resolved)
-    data["seed"] = resolved.seed
-    data["preset"] = resolved.preset
+    """Tune the projection for the preset's target; writes tune.json.
+
+    The tuner runs as it does inside ``run_experiment`` (same seed), so
+    both report the same ``theta_bar`` for one config.
+    """
+    cfg, out_dir, target, alignment_ref = _setup(config)
+    data = _tune_report_dict(_tune(cfg, target, alignment_ref), cfg)
+    data["seed"] = cfg.seed
+    data["preset"] = cfg.preset
     with open(out_dir / "tune.json", "w") as fh:
         json.dump(data, fh, indent=2)
     return data

@@ -368,10 +368,6 @@ _BETA_MAXIT = 500
 _BETA_SMALL_BATCH = 128
 
 
-def _lbeta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
 def _betacf_scalar(x, a, b):
     """Continued fraction for the incomplete beta (modified Lentz), one point.
 
@@ -459,16 +455,16 @@ def _betacf(x, a, b):
     raise DomainError("incomplete beta continued fraction failed to converge")
 
 
-def _incomplete_beta_scalar(x, a, b, log):
+def _incomplete_beta_scalar(x, a, b, lbeta, log):
     """Plain-float twin of ``_incomplete_beta`` for one point.
 
+    ``lbeta`` is log B(a, b), which the caller computes once per batch.
     log, log1p and exp are numpy's rather than ``math``'s: on SIMD
     builds the two differ in the last bit on up to a few arguments in a
     hundred, and numpy's give a point the bits it gets inside a batch.
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError("x must lie in [0, 1]")
-    lbeta = _lbeta(a, b)
     swap = x > (a + 1.0) / (a + b + 2.0)
     xs, ar, br = (1.0 - x, b, a) if swap else (x, a, b)
     if not 0.0 < xs < 1.0:
@@ -505,12 +501,13 @@ def _incomplete_beta(x, a, b, log):
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
         raise DomainError(f"shape parameters must be positive, got a={a}, b={b}")
+    lbeta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
-        return _incomplete_beta_scalar(float(x), a, b, bool(log))
+        return _incomplete_beta_scalar(float(x), a, b, lbeta, bool(log))
     log = np.broadcast_to(np.asarray(log, dtype=bool), x.shape)
     if x.size <= _BETA_SMALL_BATCH:
-        values = [_incomplete_beta_scalar(xv, a, b, lv)
+        values = [_incomplete_beta_scalar(xv, a, b, lbeta, lv)
                   for xv, lv in zip(x.ravel().tolist(), log.ravel().tolist())]
         return np.array(values, dtype=float).reshape(x.shape)
     if not np.all((x >= 0.0) & (x <= 1.0)):
@@ -527,7 +524,7 @@ def _incomplete_beta(x, a, b, log):
     li = log[inner]
     ai = np.where(si, b, a)
     bi = np.where(si, a, b)
-    lfront = ai * np.log(xi) + bi * np.log1p(-xi) - _lbeta(a, b)
+    lfront = ai * np.log(xi) + bi * np.log1p(-xi) - lbeta
     cf = _betacf(xi, ai, bi)
     value = np.clip(np.exp(lfront) * cf / ai, 0.0, 1.0)
     res = np.where(si, 1.0 - value, value)
