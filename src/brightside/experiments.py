@@ -107,7 +107,18 @@ _PRESET_TABLE = {
 }
 PRESETS = tuple(_PRESET_TABLE)
 SUMMARY_SCHEMA_VERSION = 1
-_FLOAT_FIELDS = ("ell_o", "tuner_lr", "link_nu", "prior_nu", "h", "nu")
+_BOOLS = (bool, np.bool_)
+# (fields, accepted values, stored type, what the error asks for)
+_TYPED_FIELDS = (
+    (("ell_o", "tuner_lr", "link_nu", "prior_nu", "h", "nu"),
+     lambda v: isinstance(v, numbers.Real), float, "a real number"),
+    (("dimension", "iterations", "burnin", "thinning", "replicates", "seed",
+      "n_obs", "tuner_steps", "tuner_batch", "leapfrog_steps", "reference_size"),
+     lambda v: isinstance(v, numbers.Integral) and not isinstance(v, _BOOLS),
+     int, "an integer"),
+    (("tuner_enabled", "paper_scale"),
+     lambda v: isinstance(v, _BOOLS), bool, "true or false"),
+)
 
 
 class ConfigError(ValueError):
@@ -120,7 +131,10 @@ class ExperimentConfig:
 
     The real-valued fields (``ell_o``, ``tuner_lr``, ``link_nu``,
     ``prior_nu``, ``h``, ``nu``) are stored as floats, so ``ell_o=1``
-    means 1.0 everywhere downstream, the summary included.
+    means 1.0 everywhere downstream, the summary included.  The integer
+    fields are stored as ``int`` (a numpy integer is converted) and the
+    boolean fields as ``bool``; a value of another type raises
+    ``ConfigError``.
     """
 
     preset: str = "cauchy"
@@ -150,13 +164,14 @@ class ExperimentConfig:
     paper_scale: bool = False
 
     def __post_init__(self):
-        for name in _FLOAT_FIELDS:
-            v = getattr(self, name)
-            if v is None:
-                continue
-            if not isinstance(v, numbers.Real):
-                raise ConfigError(f"{name} must be a real number")
-            object.__setattr__(self, name, float(v))
+        for names, accepts, stored, expected in _TYPED_FIELDS:
+            for name in names:
+                v = getattr(self, name)
+                if v is None:
+                    continue
+                if not accepts(v):
+                    raise ConfigError(f"{name} must be {expected}")
+                object.__setattr__(self, name, stored(v))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

@@ -8,18 +8,22 @@ the usual accept/reject uses the target density times the projection
 Jacobian from ``geometry.cap_forward``.  The stereographic sampler is
 the same kernel at latitude 2 (where the dark side is a single point
 and stepping-out never fires); plain random-walk Metropolis and
-Hamiltonian Monte Carlo baselines run directly in target space.  The
-transitions are written once, in the chain loop behind ``run_chain``
-(HMC's in ``hmc_step``), so ``run_chain`` and ``run_chains`` are the
-way to step a chain.
+Hamiltonian Monte Carlo baselines run directly in target space.  Each
+transition is written once: ``sphere_step`` (scs, sps), ``hmc_step``
+and the rwm step in the chain loop behind ``run_chain`` and
+``run_chains``, which are the way to step a chain.
 
-``hmc_step`` and ``leapfrog`` work over a leading chain axis: a state
-of shape (d,) is one chain, a state of shape (n, d) is n chains with
-their own generators and step sizes, stepped with one batched gradient
-call per leapfrog step.  ``run_chains`` runs HMC replicas that way; the
-scs, sps and rwm replicas run one after another, since a masked batch
-of the sphere transition is slower than this loop for one chain.
-Replica i depends only on ``(seed, i)``.
+``sphere_step`` and ``hmc_step``, and the geometry under them
+(``propose_tangent``, ``great_circle_frame``, ``stepping_out``,
+``leapfrog``), work over a leading chain axis: a state of shape (d,)
+(d+1 on the sphere) is one chain, a state of shape (n, d) is n chains
+with their own generators and step sizes, stepped with one batched
+density call per transition.  ``run_chains``
+runs scs, sps and hmc replicas that way and rwm replicas one after
+another; its ``workers`` argument is still accepted, for callers such
+as the benchmark, and ignored.  Replica i depends only on
+``(seed, i)`` and its start, and matches ``run_chain`` with its
+derived seed to round-off.
 """
 
 from __future__ import annotations
@@ -100,34 +104,79 @@ class GreatCircleFrame(NamedTuple):
 
 
 def propose_tangent(x, h, rng) -> np.ndarray:
-    """Gaussian tangent-space step projected back onto the sphere."""
-    delta = h * rng.standard_normal(x.shape[0])
-    delta -= (x @ delta) * x
+    """Gaussian tangent-space step projected back onto the sphere.
+
+    One point ``x`` of shape (d+1,) with a scalar ``h`` and one
+    generator, or n points of shape (n, d+1) with ``h`` of shape (n,)
+    and n generators, row i drawing its d+1 normals from ``rng[i]``.
+    """
+    if x.ndim == 1:
+        delta = h * rng.standard_normal(x.shape[0])
+        delta -= (x @ delta) * x
+        w = x + delta
+        return w / math.sqrt(w @ w)
+    delta = np.empty_like(x)
+    for gen, row in zip(rng, delta):
+        gen.standard_normal(out=row)
+    delta *= h[:, None]
+    delta -= np.vecdot(x, delta)[:, None] * x
     w = x + delta
-    return w / math.sqrt(w @ w)
+    return w / np.sqrt(np.vecdot(w, w))[:, None]
 
 
 def great_circle_frame(x, x_prime, ell_o) -> GreatCircleFrame:
-    """Frame of the unique great circle through a bright/dark point pair."""
+    """Frame of the unique great circle through a bright/dark point pair.
+
+    A 1-d pair runs in plain floats and raises DegenerateProposal when
+    the points are coincident or antipodal (s^2 = 1 - <x, x'>^2 <=
+    1e-14) or the circle has zero latitude amplitude.  Pairs stacked
+    along a leading axis give a frame of arrays; a degenerate row gets
+    NaN fields and K = 0 instead, so the other rows go on.  Raises
+    DarkSidePoint unless every ``x`` is bright and every ``x_prime``
+    dark.
+    """
     lat_threshold = ell_o - 1.0
-    if not x[-1] < lat_threshold:
-        raise DarkSidePoint("current state must be on the bright side")
-    if not x_prime[-1] > lat_threshold:
-        raise DarkSidePoint("proposal must be on the dark side")
-    c = float(x @ x_prime)
+    if x.ndim == 1:
+        if not x[-1] < lat_threshold:
+            raise DarkSidePoint("current state must be on the bright side")
+        if not x_prime[-1] > lat_threshold:
+            raise DarkSidePoint("proposal must be on the dark side")
+        c = float(x @ x_prime)
+        s2 = 1.0 - c * c
+        if s2 <= 1e-14:
+            raise DegenerateProposal("proposal coincident or antipodal with state")
+        u = (x_prime - c * x) / math.sqrt(s2)
+        alpha = math.acos(min(1.0, max(-1.0, c)))
+        amp = math.hypot(x[-1], u[-1])
+        if amp <= 0.0:
+            raise DegenerateProposal("proposal circle has zero latitude amplitude")
+        phi = math.acos(min(1.0, max(-1.0, x[-1] / amp)))
+        gamma = math.acos(min(1.0, max(-1.0, lat_threshold / amp)))
+        K = int((phi + gamma) / alpha) + 1
+        while K * alpha <= phi + gamma:  # float-rounding guard
+            K += 1
+        return GreatCircleFrame(u=u, alpha=alpha, phi=phi, gamma=gamma, K=K)
+    if not (x[:, -1] < lat_threshold).all():
+        raise DarkSidePoint("current states must be on the bright side")
+    if not (x_prime[:, -1] > lat_threshold).all():
+        raise DarkSidePoint("proposals must be on the dark side")
+    c = np.vecdot(x, x_prime)
     s2 = 1.0 - c * c
-    if s2 <= 1e-14:
-        raise DegenerateProposal("proposal coincident or antipodal with state")
-    u = (x_prime - c * x) / math.sqrt(s2)
-    alpha = math.acos(min(1.0, max(-1.0, c)))
-    amp = math.hypot(x[-1], u[-1])
-    if amp <= 0.0:
-        raise DegenerateProposal("proposal circle has zero latitude amplitude")
-    phi = math.acos(min(1.0, max(-1.0, x[-1] / amp)))
-    gamma = math.acos(min(1.0, max(-1.0, lat_threshold / amp)))
-    K = int((phi + gamma) / alpha) + 1
-    while K * alpha <= phi + gamma:  # float-rounding guard
-        K += 1
+    ok = s2 > 1e-14  # so |c| < 1 on the rows that go on
+    if not ok.all():
+        c, s2 = np.where(ok, c, np.nan), np.where(ok, s2, np.nan)
+    u = (x_prime - c[:, None] * x) / np.sqrt(s2)[:, None]
+    alpha = np.arccos(c)
+    amp = np.hypot(x[:, -1], u[:, -1])
+    if not (amp > 0.0).all():
+        ok &= amp > 0.0
+        amp, alpha = np.where(ok, amp, np.nan), np.where(ok, alpha, np.nan)
+    phi = np.arccos(np.maximum(-1.0, np.minimum(1.0, x[:, -1] / amp)))
+    gamma = np.arccos(np.minimum(1.0, lat_threshold / amp))
+    reach = phi + gamma
+    K = np.where(ok, reach / alpha, -1.0).astype(int) + 1
+    while (short := K * alpha <= reach).any():  # float-rounding guard
+        K += short
     return GreatCircleFrame(u=u, alpha=alpha, phi=phi, gamma=gamma, K=K)
 
 
@@ -135,13 +184,71 @@ def stepping_out(x, x_prime, ell_o) -> np.ndarray:
     """Walk K arcs of length alpha along the great circle, landing bright.
 
     K*alpha lies in (phi+gamma, phi+gamma+alpha], past the dark arc but
-    short of re-entering it since alpha <= pi <= 2*pi - 2*gamma.
+    short of re-entering it since alpha <= pi <= 2*pi - 2*gamma.  Takes
+    one pair or pairs along a leading axis, as ``great_circle_frame``;
+    a degenerate row of a batch comes back as NaN.
     """
     frame = great_circle_frame(x, x_prime, ell_o)
-    assert frame.K <= math.ceil(2.0 * math.pi / frame.alpha) + 1
-    angle = frame.K * frame.alpha
-    out = math.cos(angle) * x + math.sin(angle) * frame.u
-    return out / np.linalg.norm(out)
+    if x.ndim == 1:
+        assert frame.K <= math.ceil(2.0 * math.pi / frame.alpha) + 1
+        angle = frame.K * frame.alpha
+        out = math.cos(angle) * x + math.sin(angle) * frame.u
+        return out / np.linalg.norm(out)
+    angle = (frame.K * frame.alpha)[:, None]
+    out = np.cos(angle) * x + np.sin(angle) * frame.u
+    return out / np.sqrt(np.vecdot(out, out))[:, None]
+
+
+def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,
+                rng):
+    """One SCS transition on the bright side of the sphere (SPS at ell_o = 2).
+
+    ``x`` is the sphere state, ``y`` its image in target space and
+    ``logpost`` the log density plus log-Jacobian there.  Steps one
+    chain, ``x`` of shape (d+1,) with a scalar ``h`` and one generator,
+    or n chains, ``x`` of shape (n, d+1) with ``h`` of shape (n,) and n
+    generators.  A proposal on the dark cap steps out along its great
+    circle; then one ``cap_forward`` and one density call serve all
+    the chains.  Each chain draws d+1 normals, then a uniform, except
+    where its proposal is rejected as degenerate (coincident, antipodal
+    or of zero latitude amplitude) or as an exact tie with the dark
+    cap: these are probability-zero, and rejecting them keeps the
+    target invariant.  A non-finite density is rejected after its
+    uniform.  Returns (x, y, logpost, accepted).
+    """
+    ell_o = params.ell_o
+    lat_threshold = ell_o - 1.0
+    x_star = propose_tangent(x, h, rng)
+    if x.ndim == 1:
+        try:
+            if ell_o < 2.0 and x_star[-1] > lat_threshold:
+                x_star = stepping_out(x, x_star, ell_o)
+            y_star, logjac, _, _ = cap_forward(x_star, params)
+        except (DegenerateProposal, DarkSidePoint):
+            return x, y, logpost, False
+        lp_star = logjac + float(target.log_density(y_star))
+        if math.log(rng.random()) < lp_star - logpost:
+            return x_star, y_star, lp_star, True
+        return x, y, logpost, False
+    if ell_o < 2.0:
+        dark = x_star[:, -1] > lat_threshold
+        if dark.any():
+            x_star[dark] = stepping_out(x[dark], x_star[dark], ell_o)
+    # NaN (degenerate) rows and exact ties fail this test; such a row
+    # re-evaluates its own state and is rejected without a uniform
+    live = x_star[:, -1] < lat_threshold
+    if not live.all():
+        x_star[~live] = x[~live]
+    y_star, lp_star, _, _ = cap_forward(x_star, params)
+    lp_star += target.log_density(y_star)
+    # Python floats, as in the one-chain branch: -inf - -inf is a quiet NaN
+    accepted = np.array([ok and math.log(gen.random()) < new - old
+                         for ok, gen, new, old in zip(live.tolist(), rng,
+                                                      lp_star.tolist(),
+                                                      logpost.tolist())])
+    keep = accepted[:, None]
+    return (np.where(keep, x_star, x), np.where(keep, y_star, y),
+            np.where(accepted, lp_star, logpost), accepted)
 
 
 def leapfrog(y, momentum, eps, steps, grad, g):
@@ -201,12 +308,12 @@ def hmc_step(y, logp, g, eps, steps, target: TargetModel, rng):
     energy1 = 0.5 * np.vecdot(m1, m1) - logp1
     ok &= np.isfinite(energy1)
     if not ensemble:
-        if ok and math.log(rng.uniform()) < energy0 - energy1:
+        if ok and math.log(rng.random()) < energy0 - energy1:
             return y1, logp1, g1, True
         return y, logp, g, False
     accept = np.zeros(ok.shape, dtype=bool)
     for i in np.flatnonzero(ok):
-        accept[i] = math.log(rng[i].uniform()) < energy0[i] - energy1[i]
+        accept[i] = math.log(rng[i].random()) < energy0[i] - energy1[i]
     keep = accept[:, None]
     return (np.where(keep, y1, y), np.where(accept, logp1, logp),
             np.where(keep, g1, g), accept)
@@ -261,10 +368,10 @@ def run_chain(kernel: KernelConfig, params: Optional[ProjectionParams],
 def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
     """The chain loop behind ``run_chain`` and ``run_chains``.
 
-    An int ``seed`` runs one chain on a state of shape (d,) and returns
-    its ``ChainOutput``.  A list of seeds runs an HMC ensemble, one
-    chain per seed on a state of shape (n, d), each with its own
-    generator and step size, and returns a list.
+    An int ``seed`` runs one chain from ``init`` of shape (d,) and
+    returns its ``ChainOutput``.  A list of n seeds runs an ensemble
+    (scs, sps or hmc) from ``init`` of shape (n, d), one chain per seed,
+    each with its own generator and step size, and returns a list.
     """
     iterations = int(iterations)
     burnin = int(burnin)
@@ -277,11 +384,11 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
     if kernel.kind == "hmc" and not target.has_gradient:
         raise ValueError("HMC requires a target gradient")
 
-    init = np.atleast_1d(np.asarray(init, dtype=float))
-    if init.shape != (target.dim,):
-        raise ValueError(f"init must have shape ({target.dim},)")
-
     ensemble = isinstance(seed, list)
+    init = np.array(init, dtype=float, ndmin=1)
+    shape = (len(seed), target.dim) if ensemble else (target.dim,)
+    if init.shape != shape:
+        raise ValueError(f"init must have shape {shape}")
     if ensemble:
         rng = [np.random.default_rng(s) for s in seed]
         h = np.full(len(seed), kernel.h)
@@ -300,17 +407,11 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
     on_sphere = kernel.kind in ("scs", "sps")
     if on_sphere:
         x = scp_inverse(init, params)
-        y, logjac, _, _ = cap_forward(x, params)
-        logpost = logjac + float(target.log_density(y))
-        ell_o, lat_thr = params.ell_o, params.ell_o - 1.0
-        logpdf = target.log_density
-        log = math.log
-    elif ensemble:
-        y = np.tile(init, (len(seed), 1))
-        logpost = target.log_density(y)
+        y, logpost, _, _ = cap_forward(x, params)
+        logpost += target.log_density(y) if ensemble else float(target.log_density(y))
     else:
-        y = init.copy()
-        logpost = float(target.log_density(y))
+        y = init
+        logpost = target.log_density(y) if ensemble else float(target.log_density(y))
     if kernel.kind == "hmc":
         grad = target.grad_log_density(y)
     if ensemble:
@@ -337,24 +438,11 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
     try:
         for t in range(1, iterations + 1):
             if on_sphere:
-                x_star = propose_tangent(x, h, rng)
-                acc = False
-                try:
-                    if ell_o < 2.0 and x_star[-1] > lat_thr:
-                        x_star = stepping_out(x, x_star, ell_o)
-                    y_star, logjac, _, _ = cap_forward(x_star, params)
-                    lp_star = logjac + float(logpdf(y_star))
-                    if log(rng.uniform()) < lp_star - logpost:
-                        x, y, logpost, acc = x_star, y_star, lp_star, True
-                except (DegenerateProposal, DarkSidePoint):
-                    # coincident/antipodal proposals and exact boundary
-                    # ties are probability-zero; rejecting them
-                    # preserves invariance
-                    acc = False
+                x, y, logpost, acc = sphere_step(x, y, logpost, h, params, target, rng)
             elif kernel.kind == "rwm":
                 y_prime = y + h * rng.standard_normal(target.dim)
                 lp_prime = float(target.log_density(y_prime))
-                if math.log(rng.uniform()) < lp_prime - logpost:
+                if math.log(rng.random()) < lp_prime - logpost:
                     y, logpost, acc = y_prime, lp_prime, True
                 else:
                     acc = False
@@ -394,19 +482,29 @@ def run_chains(kernel: KernelConfig, params, target, init, iterations,
                burnin=0, thinning=1, seed=0, n_chains=1, workers=None):
     """Run replicate chains, chain i seeded with ``derive_chain_seed(seed, i)``.
 
-    Chain i depends only on ``(seed, i)``: it owns its generator and
-    draws what ``run_chain`` draws with that seed.  HMC chains step
-    together as one ensemble, with one batched gradient call per
-    leapfrog step and one density call per transition for all of them;
-    each has its own step size.  Scs, sps and rwm chains run one after
-    another.  ``workers`` is accepted and ignored.  Results come in
-    chain order.  The chains of an HMC ensemble each report the
-    ensemble's wall time, and an aborted ensemble raises
-    ``ChainAborted`` carrying the list of partial outputs.
+    ``init`` is one start of shape (d,) shared by every chain, or one
+    row per chain, shape (n_chains, d).  Chain i depends only on
+    ``(seed, i)`` and its start: it owns its generator and draws what
+    ``run_chain`` draws with that seed.  Scs, sps and hmc chains step
+    together as one ensemble, each with its own step size, with one
+    batched density call per transition for all of them (hmc adds one
+    batched gradient call per leapfrog step); their samples match
+    ``run_chain``'s to round-off.  Rwm chains run one after another.
+    ``workers`` is accepted, since the benchmark passes it, and
+    ignored.  Results come in chain order.
+    The chains of an ensemble each report the ensemble's wall time,
+    and an aborted ensemble raises ``ChainAborted`` carrying the list
+    of partial outputs.
     """
     seeds = [derive_chain_seed(seed, i) for i in range(n_chains)]
-    if kernel.kind == "hmc" and n_chains > 1:
-        return _drive(kernel, params, target, init, iterations, burnin,
+    inits = np.asarray(init, dtype=float)
+    if inits.ndim < 2:
+        inits = np.tile(np.atleast_1d(inits), (n_chains, 1))
+    if inits.shape != (n_chains, target.dim):
+        raise ValueError(f"init must have shape ({target.dim},) or "
+                         f"({n_chains}, {target.dim})")
+    if kernel.kind != "rwm" and n_chains > 1:
+        return _drive(kernel, params, target, inits, iterations, burnin,
                       thinning, seeds)
-    return [run_chain(kernel, params, target, init, iterations, burnin=burnin,
-                      thinning=thinning, seed=s) for s in seeds]
+    return [run_chain(kernel, params, target, start, iterations, burnin=burnin,
+                      thinning=thinning, seed=s) for start, s in zip(inits, seeds)]

@@ -99,6 +99,20 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="ell_o"):
             ExperimentConfig.from_dict({"ell_o": "wide"})
 
+    def test_non_integer_field(self):
+        with pytest.raises(ConfigError, match="iterations must be an integer"):
+            ExperimentConfig.from_dict({"iterations": "100"})
+        for value in (100.0, True):
+            with pytest.raises(ConfigError, match="iterations"):
+                ExperimentConfig(iterations=value)
+
+    def test_non_boolean_field(self):
+        with pytest.raises(ConfigError, match="paper_scale"):
+            ExperimentConfig.from_dict({"paper_scale": "no"})
+        with pytest.raises(ConfigError, match="tuner_enabled"):
+            ExperimentConfig(tuner_enabled=1)
+        assert ExperimentConfig(paper_scale=np.bool_(True)).paper_scale is True
+
     def test_iterations_must_exceed_burnin(self):
         with pytest.raises(ConfigError, match="exceed burnin"):
             resolve(ExperimentConfig(iterations=10, burnin=10))
@@ -139,12 +153,22 @@ class TestSummaryWrite:
         assert summary["ell_o"] == 1.0 and isinstance(summary["ell_o"], float)
         validate_summary(read_json(tmp_path / "cauchy" / "summary.json"))
 
-    def test_invalid_summary_leaves_no_file(self, tmp_path):
-        # a numpy integer runs the chains but is not an int in the schema
-        config = small_config("cauchy", tmp_path, thinning=np.int64(5))
+    def test_invalid_summary_leaves_no_file(self, tmp_path, monkeypatch):
+        # a summary that fails the schema check is not written
+        def reject(summary):
+            raise ValueError("summary key 'thinning' has wrong type")
+
+        monkeypatch.setattr("brightside.experiments.validate_summary", reject)
         with pytest.raises(ValueError, match="thinning"):
-            run_experiment(config)
+            run_experiment(small_config("cauchy", tmp_path))
         assert not (tmp_path / "cauchy" / "summary.json").exists()
+
+    def test_numpy_integer_field_runs(self, tmp_path):
+        config = small_config("cauchy", tmp_path, thinning=np.int64(5))
+        assert type(config.thinning) is int
+        summary = run_experiment(config)
+        assert summary["thinning"] == 5
+        validate_summary(read_json(tmp_path / "cauchy" / "summary.json"))
 
 
 @pytest.mark.parametrize("kernel", ["scs", "sps", "rwm", "hmc"])

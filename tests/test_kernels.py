@@ -25,6 +25,7 @@ from brightside.kernels import (
     propose_tangent,
     run_chain,
     run_chains,
+    sphere_step,
     stepping_out,
 )
 from brightside.targets import mv_student_t, student_t_cdf, uniform_cap_pullback
@@ -144,6 +145,45 @@ class TestSteppingOut:
             assert x_star[-1] <= ell_o - 1.0 + 1e-12
 
 
+class TestBatchedSphereGeometry:
+    def test_rows_match_the_one_point_branch(self):
+        rng = np.random.default_rng(21)
+        for d, ell_o in ((1, 1.3), (4, 1.1), (9, 1.6)):
+            pairs = [random_bright_dark_pair(rng, d, ell_o) for _ in range(50)]
+            x = np.array([a for a, _ in pairs])
+            x_prime = np.array([b for _, b in pairs])
+            frame = great_circle_frame(x, x_prime, ell_o)
+            out = stepping_out(x, x_prime, ell_o)
+            for i, (a, b) in enumerate(pairs):
+                one = great_circle_frame(a, b, ell_o)
+                assert frame.K[i] == one.K
+                assert np.allclose(frame.u[i], one.u, rtol=0.0, atol=1e-12)
+                for name in ("alpha", "phi", "gamma"):
+                    assert abs(getattr(frame, name)[i] - getattr(one, name)) <= 1e-12
+                assert np.allclose(out[i], stepping_out(a, b, ell_o), rtol=0.0,
+                                   atol=1e-12)
+
+    def test_degenerate_row_is_nan_alone(self):
+        ell_o = 1.5
+        x = np.array([[0.0, -1.0], [1.0, 0.0]])
+        ang = math.radians(80.0)
+        x_prime = np.array([[0.0, 1.0], [math.cos(ang), math.sin(ang)]])
+        frame = great_circle_frame(x, x_prime, ell_o)
+        assert frame.K.tolist() == [0, 2]
+        assert np.isnan(frame.alpha[0]) and abs(frame.alpha[1] - ang) < 1e-12
+        out = stepping_out(x, x_prime, ell_o)
+        assert np.all(np.isnan(out[0]))
+        expected = [math.cos(math.radians(160.0)), math.sin(math.radians(160.0))]
+        assert np.allclose(out[1], expected, atol=1e-12)
+
+    def test_precondition_checks(self):
+        x = np.array([[1.0, 0.0], [0.0, 0.9]])
+        with pytest.raises(DarkSidePoint):
+            great_circle_frame(x, np.array([[0.0, 1.0], [0.0, 1.0]]), 1.5)
+        with pytest.raises(DarkSidePoint):
+            great_circle_frame(x[:1], x[:1], 1.5)
+
+
 class TestScsStep:
     def test_uniform_pullback_always_accepts(self):
         p = make_params(2, ell_o=1.4, mu=np.array([0.5, -0.5]), R=1.5)
@@ -225,11 +265,9 @@ class TestScsStep:
         cfg = KernelConfig("scs", h=0.7)
         n_chains, n_steps = 1000, 1000
         inits = target.exact_sample(rng, size=n_chains)
-        finals = np.empty((n_chains, d))
-        for c in range(n_chains):
-            out = run_chain(cfg, p, target, inits[c], n_steps,
-                            seed=derive_chain_seed(8, c))
-            finals[c] = out.samples[-1]
+        outs = run_chains(cfg, p, target, inits, n_steps, seed=8, n_chains=n_chains)
+        assert [o.seed for o in outs[:3]] == [derive_chain_seed(8, c) for c in range(3)]
+        finals = np.array([out.samples[-1] for out in outs])
         for j in range(d):
             s = np.sort(finals[:, j])
             F = student_t_cdf(s, 1.0)
@@ -262,6 +300,146 @@ class TestScsStep:
             n_eff = ess(ind)
             se = math.sqrt(expected * (1.0 - expected) / n_eff)
             assert abs(observed - expected) <= 3.0 * se
+
+
+class TestSphereEnsemble:
+    @pytest.mark.parametrize("kind", ["scs", "sps"])
+    def test_ensemble_matches_single_chains(self, kind, monkeypatch):
+        # run_chains steps the four chains as one batch; chain i must
+        # follow run_chain with the derived seed, step sizes included,
+        # and at ell_o = 1.1 stepping-out must fire in the batch
+        d = 3
+        if kind == "scs":
+            p = make_params(d, h_o=np.array([0.3, -0.2, 0.0]), ell_o=1.1, mu=0.3,
+                            R=1.5)
+        else:
+            p = make_params(d, ell_o=2.0, R=math.sqrt(d) / 2.0)
+        target = mv_student_t(d, nu=2.0)
+        cfg = KernelConfig(kind, h=1.5)
+        stepped = []
+
+        def counting(x, x_prime, ell_o):
+            stepped.append(x.shape[0] if x.ndim == 2 else 0)
+            return stepping_out(x, x_prime, ell_o)
+
+        monkeypatch.setattr("brightside.kernels.stepping_out", counting)
+        outs = run_chains(cfg, p, target, np.ones(d), 400, burnin=200, seed=22,
+                          n_chains=4)
+        assert (sum(stepped) > 50) == (kind == "scs")
+        assert len({o.step_size_trace[-1] for o in outs}) == 4
+        for i, ens in enumerate(outs):
+            one = run_chain(cfg, p, target, np.ones(d), 400, burnin=200,
+                            seed=derive_chain_seed(22, i))
+            assert ens.seed == one.seed
+            assert ens.samples.shape == one.samples.shape == (200, d)
+            assert np.allclose(ens.samples, one.samples, rtol=0.0, atol=1e-10)
+            assert np.allclose(ens.step_size_trace, one.step_size_trace,
+                               rtol=1e-10, atol=0.0)
+            assert ens.acceptance_rate == one.acceptance_rate
+
+    def test_per_chain_inits(self):
+        p = make_params(2, ell_o=1.1)
+        target = mv_student_t(2, nu=1.0)
+        cfg = KernelConfig("scs", h=0.5)
+        inits = np.array([[0.0, 0.0], [3.0, -1.0], [-2.0, 5.0]])
+        outs = run_chains(cfg, p, target, inits, 50, seed=23, n_chains=3)
+        for i, ens in enumerate(outs):
+            one = run_chain(cfg, p, target, inits[i], 50,
+                            seed=derive_chain_seed(23, i))
+            # Cauchy draws reach 1e3 and beyond: round-off is relative
+            assert np.allclose(ens.samples, one.samples, rtol=1e-10, atol=1e-10)
+        with pytest.raises(ValueError, match="init must have shape"):
+            run_chains(cfg, p, target, inits[:2], 50, seed=23, n_chains=3)
+
+    def test_nonfinite_density_row_rejected_alone(self):
+        # the density is NaN in the half-space y_0 > 5, where row 1
+        # stands: that row is rejected after drawing its uniform, as
+        # the one-chain branch does, while the other rows move
+        class NanPatch(Gauss):
+            dim = 2
+
+            def log_density(self, y):
+                y = np.asarray(y)
+                return np.where(y[..., 0] > 5.0, np.nan, -0.5 * np.sum(y * y, axis=-1))
+
+        target = NanPatch()
+        p = make_params(2, ell_o=1.1)
+        y = np.array([[0.0, 0.0], [10.0, 0.0], [0.5, 0.5]])
+        x = scp_inverse(y, p)
+        y, logjac, _, _ = cap_forward(x, p)
+        logpost = logjac + np.nan_to_num(target.log_density(y))
+        rngs = [np.random.default_rng(s) for s in (24, 25, 26)]
+        x_new, y_new, lp_new, accepted = sphere_step(
+            x, y, logpost, np.full(3, 1e-3), p, target, rngs)
+        assert accepted.tolist() == [True, False, True]
+        assert np.array_equal(x_new[1], x[1]) and np.array_equal(y_new[1], y[1])
+        assert lp_new[1] == logpost[1]
+        assert np.all(y_new[[0, 2]] != y[[0, 2]])
+        one_rng = np.random.default_rng(25)
+        one = sphere_step(x[1], y[1], float(logpost[1]), 1e-3, p, target, one_rng)
+        assert one[3] is False
+        probe = np.random.default_rng(25)
+        probe.standard_normal(3)
+        probe.random()
+        assert rngs[1].random() == one_rng.random() == probe.random()
+
+    def test_degenerate_row_rejected_without_uniform(self):
+        # row 0 stands 1e-9 below the dark cap and steps 1e-8 up along
+        # its tangent: the proposal is dark but coincident with the
+        # state (s^2 ~ 1e-16), so the row is rejected before drawing a
+        # uniform, in the batch as in the one-chain branch
+        class Scripted:
+            def __init__(self, normals):
+                self.normals = np.asarray(normals)
+                self.uniforms = 0
+
+            def standard_normal(self, size=None, out=None):
+                if out is None:
+                    return self.normals.copy()
+                out[...] = self.normals
+                return out
+
+            def random(self):
+                self.uniforms += 1
+                return 0.5
+
+        p = make_params(1, ell_o=1.5)
+        target = uniform_cap_pullback(p)
+        theta = math.asin(0.5 - 1e-9)
+        x = np.array([[math.cos(theta), math.sin(theta)], [1.0, 0.0]])
+        steps = [1e-8 * np.array([-math.sin(theta), math.cos(theta)]), [0.0, 0.1]]
+        y, logjac, _, _ = cap_forward(x, p)
+        logpost = logjac + target.log_density(y)
+        rngs = [Scripted(s) for s in steps]
+        x_new, _, _, accepted = sphere_step(x, y, logpost, np.ones(2), p, target, rngs)
+        assert accepted.tolist() == [False, True]
+        assert np.array_equal(x_new[0], x[0]) and not np.array_equal(x_new[1], x[1])
+        assert [r.uniforms for r in rngs] == [0, 1]
+        one_rng = Scripted(steps[0])
+        one = sphere_step(x[0], y[0], float(logpost[0]), 1.0, p, target, one_rng)
+        assert one[3] is False and one_rng.uniforms == 0
+
+    def test_ensemble_abort_carries_partial_chains(self):
+        # one density call at the start and one per transition: call 7
+        # falls in transition 6, after five kept samples
+        class Fails:
+            dim = 4
+            has_gradient = False
+            calls = 0
+
+            def log_density(self, y):
+                self.calls += 1
+                if self.calls > 6:
+                    raise FloatingPointError("density blew up")
+                return -0.5 * np.sum(np.asarray(y) ** 2, axis=-1)
+
+        with pytest.raises(ChainAborted) as info:
+            run_chains(KernelConfig("scs", h=0.5), make_params(4, ell_o=1.1), Fails(),
+                       np.ones(4), 20, seed=27, n_chains=3)
+        partial = info.value.partial
+        assert [o.seed for o in partial] == [derive_chain_seed(27, i) for i in range(3)]
+        for o in partial:
+            assert not o.valid and o.samples.shape == (5, 4)
 
 
 class TestRwmStep:
