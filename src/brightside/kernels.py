@@ -18,9 +18,10 @@ and the rwm step in the chain loop behind ``run_chain`` and
 ``leapfrog``), work over a leading chain axis: a state of shape (d,)
 (d+1 on the sphere) is one chain, a state of shape (n, d) is n chains
 with their own generators and step sizes, stepped with one batched
-density call per transition.  ``run_chains``
-runs scs, sps and hmc replicas that way and rwm replicas one after
-another; its ``workers`` argument is still accepted, for callers such
+density call per transition.  ``run_chains`` runs hmc replicas that
+way, and scs and sps replicas from ``SPHERE_ENSEMBLE_MIN_CHAINS``
+chains up; fewer sphere chains, and rwm replicas, run one after
+another.  Its ``workers`` argument is still accepted, for callers such
 as the benchmark, and ignored.  Replica i depends only on
 ``(seed, i)`` and its start, and matches ``run_chain`` with its
 derived seed to round-off.
@@ -45,6 +46,13 @@ KERNEL_KINDS = ("scs", "sps", "rwm", "hmc")
 # kernels, 0.8 for HMC
 WALK_TARGET_ACCEPT = 0.234
 HMC_TARGET_ACCEPT = 0.8
+
+# The masked sphere transition has a fixed cost per step (~120 us at
+# d = 10, most of it batched stepping-out and cap_forward) that the
+# shared density call pays back only from about four chains: timed on
+# Cauchy and skew-t targets at d = 10, 2 and 3 scs chains ran slower as
+# an ensemble than one after another, 4 broke even and 5 ran faster.
+SPHERE_ENSEMBLE_MIN_CHAINS = 4
 
 
 @dataclass(frozen=True)
@@ -93,14 +101,17 @@ class GreatCircleFrame(NamedTuple):
     ``u`` is the unit tangent at ``x`` toward ``x_prime``; ``alpha`` the
     arc from x to x'; the circle's latitude is A*cos(theta - phi) with
     A = hypot(x_lat, u_lat), and the dark arc is |theta - phi| < gamma.
-    ``K`` is the smallest integer with K*alpha > phi + gamma.
+    ``K`` is the smallest integer with K*alpha > phi + gamma.  For one
+    pair the angles are floats and K an int; for pairs along a leading
+    axis each field is an array over the rows, and a degenerate row has
+    NaN angles and K = 0.
     """
 
     u: np.ndarray
-    alpha: float
-    phi: float
-    gamma: float
-    K: int
+    alpha: float | np.ndarray
+    phi: float | np.ndarray
+    gamma: float | np.ndarray
+    K: int | np.ndarray
 
 
 def propose_tangent(x, h, rng) -> np.ndarray:
@@ -370,8 +381,9 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
 
     An int ``seed`` runs one chain from ``init`` of shape (d,) and
     returns its ``ChainOutput``.  A list of n seeds runs an ensemble
-    (scs, sps or hmc) from ``init`` of shape (n, d), one chain per seed,
-    each with its own generator and step size, and returns a list.
+    (scs, sps or hmc) from ``init`` of shape (n, d), checked by
+    ``run_chains``, one chain per seed, each with its own generator and
+    step size, and returns a list.
     """
     iterations = int(iterations)
     burnin = int(burnin)
@@ -386,9 +398,8 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
 
     ensemble = isinstance(seed, list)
     init = np.array(init, dtype=float, ndmin=1)
-    shape = (len(seed), target.dim) if ensemble else (target.dim,)
-    if init.shape != shape:
-        raise ValueError(f"init must have shape {shape}")
+    if not ensemble and init.shape != (target.dim,):
+        raise ValueError(f"init must have shape ({target.dim},)")
     if ensemble:
         rng = [np.random.default_rng(s) for s in seed]
         h = np.full(len(seed), kernel.h)
@@ -485,25 +496,30 @@ def run_chains(kernel: KernelConfig, params, target, init, iterations,
     ``init`` is one start of shape (d,) shared by every chain, or one
     row per chain, shape (n_chains, d).  Chain i depends only on
     ``(seed, i)`` and its start: it owns its generator and draws what
-    ``run_chain`` draws with that seed.  Scs, sps and hmc chains step
-    together as one ensemble, each with its own step size, with one
-    batched density call per transition for all of them (hmc adds one
-    batched gradient call per leapfrog step); their samples match
-    ``run_chain``'s to round-off.  Rwm chains run one after another.
-    ``workers`` is accepted, since the benchmark passes it, and
-    ignored.  Results come in chain order.
+    ``run_chain`` draws with that seed.  Hmc chains, and scs and sps
+    chains from ``SPHERE_ENSEMBLE_MIN_CHAINS`` up, step together as one
+    ensemble, each with its own step size, with one batched density
+    call per transition for all of them (hmc adds one batched gradient
+    call per leapfrog step); their samples match ``run_chain``'s to
+    round-off.  Fewer scs or sps chains, and rwm chains, run one after
+    another through ``run_chain``.  ``workers`` is accepted, since the
+    benchmark passes it, and ignored.  Results come in chain order.
     The chains of an ensemble each report the ensemble's wall time,
     and an aborted ensemble raises ``ChainAborted`` carrying the list
     of partial outputs.
     """
     seeds = [derive_chain_seed(seed, i) for i in range(n_chains)]
-    inits = np.asarray(init, dtype=float)
-    if inits.ndim < 2:
-        inits = np.tile(np.atleast_1d(inits), (n_chains, 1))
+    inits = np.array(init, dtype=float, ndmin=1)
+    if inits.ndim == 1:
+        inits = np.tile(inits, (n_chains, 1))
     if inits.shape != (n_chains, target.dim):
         raise ValueError(f"init must have shape ({target.dim},) or "
                          f"({n_chains}, {target.dim})")
-    if kernel.kind != "rwm" and n_chains > 1:
+    if kernel.kind in ("scs", "sps"):
+        ensemble = n_chains >= SPHERE_ENSEMBLE_MIN_CHAINS
+    else:
+        ensemble = kernel.kind == "hmc" and n_chains > 1
+    if ensemble:
         return _drive(kernel, params, target, inits, iterations, burnin,
                       thinning, seeds)
     return [run_chain(kernel, params, target, start, iterations, burnin=burnin,

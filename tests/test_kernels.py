@@ -22,6 +22,7 @@ from brightside.kernels import (
     great_circle_frame,
     hmc_step,
     leapfrog,
+    SPHERE_ENSEMBLE_MIN_CHAINS,
     propose_tangent,
     run_chain,
     run_chains,
@@ -337,19 +338,45 @@ class TestSphereEnsemble:
                                rtol=1e-10, atol=0.0)
             assert ens.acceptance_rate == one.acceptance_rate
 
+    @pytest.mark.parametrize("kind", ["scs", "sps"])
+    def test_ensemble_only_from_min_chains(self, kind, monkeypatch):
+        # below the threshold each chain runs alone, as run_chain does;
+        # from it on every transition steps all the chains together
+        d = 2
+        p = (make_params(d, ell_o=1.1) if kind == "scs"
+             else make_params(d, ell_o=2.0, R=1.0))
+        batch = []
+
+        def recording(x, *args):
+            batch.append(x.shape[0] if x.ndim == 2 else 1)
+            return sphere_step(x, *args)
+
+        monkeypatch.setattr("brightside.kernels.sphere_step", recording)
+        n = SPHERE_ENSEMBLE_MIN_CHAINS
+        for n_chains, width in ((n - 1, 1), (n, n)):
+            batch.clear()
+            run_chains(KernelConfig(kind, h=0.5), p, mv_student_t(d, nu=1.0),
+                       np.ones(d), 30, seed=31, n_chains=n_chains)
+            assert set(batch) == {width}
+            assert len(batch) == 30 * n_chains // width
+
     def test_per_chain_inits(self):
         p = make_params(2, ell_o=1.1)
         target = mv_student_t(2, nu=1.0)
         cfg = KernelConfig("scs", h=0.5)
-        inits = np.array([[0.0, 0.0], [3.0, -1.0], [-2.0, 5.0]])
-        outs = run_chains(cfg, p, target, inits, 50, seed=23, n_chains=3)
-        for i, ens in enumerate(outs):
-            one = run_chain(cfg, p, target, inits[i], 50,
-                            seed=derive_chain_seed(23, i))
-            # Cauchy draws reach 1e3 and beyond: round-off is relative
-            assert np.allclose(ens.samples, one.samples, rtol=1e-10, atol=1e-10)
-        with pytest.raises(ValueError, match="init must have shape"):
-            run_chains(cfg, p, target, inits[:2], 50, seed=23, n_chains=3)
+        inits = np.array([[0.0, 0.0], [3.0, -1.0], [-2.0, 5.0], [1.0, 1.0]])
+        for n_chains in (3, 4):  # one after another, then one ensemble
+            outs = run_chains(cfg, p, target, inits[:n_chains], 50, seed=23,
+                              n_chains=n_chains)
+            for i, ens in enumerate(outs):
+                one = run_chain(cfg, p, target, inits[i], 50,
+                                seed=derive_chain_seed(23, i))
+                # Cauchy draws reach 1e3 and beyond: round-off is relative
+                assert np.allclose(ens.samples, one.samples, rtol=1e-10,
+                                   atol=1e-10)
+        for bad in (inits[:2], inits[:, :1], np.ones(3)):
+            with pytest.raises(ValueError, match="init must have shape"):
+                run_chains(cfg, p, target, bad, 50, seed=23, n_chains=3)
 
     def test_nonfinite_density_row_rejected_alone(self):
         # the density is NaN in the half-space y_0 > 5, where row 1
@@ -435,9 +462,9 @@ class TestSphereEnsemble:
 
         with pytest.raises(ChainAborted) as info:
             run_chains(KernelConfig("scs", h=0.5), make_params(4, ell_o=1.1), Fails(),
-                       np.ones(4), 20, seed=27, n_chains=3)
+                       np.ones(4), 20, seed=27, n_chains=4)
         partial = info.value.partial
-        assert [o.seed for o in partial] == [derive_chain_seed(27, i) for i in range(3)]
+        assert [o.seed for o in partial] == [derive_chain_seed(27, i) for i in range(4)]
         for o in partial:
             assert not o.valid and o.samples.shape == (5, 4)
 
