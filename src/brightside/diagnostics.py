@@ -5,7 +5,6 @@ and quantile-quantile comparison reports against a reference law.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,22 +214,3 @@ def read_qq_csv(path) -> dict:
             envelope_hi=arr[:, 5],
         )
     return reports
-
-
-def qq_report_to_dict(coord, report: QQReport) -> dict:
-    """JSON-ready representation of one coordinate's QQ report."""
-    return {
-        "coord": int(coord),
-        "prob": [float(v) for v in report.probs],
-        "sample_q": [float(v) for v in report.sample_quantiles],
-        "ref_q": [float(v) for v in report.reference_quantiles],
-        "rel_err": [float(v) for v in report.relative_errors],
-        "env_lo": [float(v) for v in report.envelope_lo],
-        "env_hi": [float(v) for v in report.envelope_hi],
-    }
-
-
-def write_qq_json(path, reports: dict):
-    with open(path, "w") as fh:
-        json.dump([qq_report_to_dict(c, reports[c]) for c in sorted(reports)],
-                  fh, indent=2)

@@ -191,11 +191,14 @@ class ExperimentConfig:
             raise ConfigError(f"unknown preset {self.preset!r}")
         if self.kernel not in _ALL_KERNELS:
             raise ConfigError(f"unknown kernel {self.kernel!r}")
-        for name in ("dimension", "iterations", "burnin", "thinning",
-                     "replicates", "n_obs", "reference_size"):
-            v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ConfigError(f"{name} must be nonnegative")
+        for names, least in ((("dimension", "iterations", "burnin", "seed",
+                               "n_obs", "reference_size"), 0),
+                             (("thinning", "replicates", "tuner_steps",
+                               "tuner_batch", "leapfrog_steps"), 1)):
+            for name in names:
+                v = getattr(self, name)
+                if v is not None and v < least:
+                    raise ConfigError(f"{name} must be at least {least}")
         if not 1.0 <= self.ell_o <= 2.0:
             raise ConfigError("ell_o must lie in [1, 2]")
         if self.preset == "custom" and self.data_csv is None:

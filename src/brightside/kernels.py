@@ -14,17 +14,19 @@ and the rwm step in the chain loop behind ``run_chain`` and
 ``run_chains``, which are the way to step a chain.
 
 ``sphere_step`` and ``hmc_step``, and the geometry under them
-(``propose_tangent``, ``great_circle_frame``, ``stepping_out``,
-``leapfrog``), work over a leading chain axis: a state of shape (d,)
-(d+1 on the sphere) is one chain, a state of shape (n, d) is n chains
-with their own generators and step sizes, stepped with one batched
-density call per transition.  ``run_chains`` runs hmc replicas that
-way, and scs and sps replicas from ``SPHERE_ENSEMBLE_MIN_CHAINS``
-chains up; fewer sphere chains, and rwm replicas, run one after
-another.  Its ``workers`` argument is still accepted, for callers such
-as the benchmark, and ignored.  Replica i depends only on
-``(seed, i)`` and its start, and matches ``run_chain`` with its
-derived seed to round-off.
+(``propose_tangent``, ``leapfrog``), work over a leading chain axis: a
+state of shape (d,) (d+1 on the sphere) is one chain, a state of shape
+(n, d) is n chains with their own generators and step sizes, stepped
+with one batched density call per transition.  Stepping-out is written
+for one pair only (``great_circle_frame``, ``stepping_out``): an
+ensemble steps its dark rows out one at a time through it, as one
+chain does.  ``run_chains`` runs hmc replicas as an ensemble, and scs
+and sps replicas from ``SPHERE_ENSEMBLE_MIN_CHAINS`` chains up; fewer
+sphere chains, and rwm replicas, run one after another.  Its
+``workers`` argument is still accepted, for callers such as the
+benchmark, and ignored.  Replica i depends only on ``(seed, i)`` and
+its start, and matches ``run_chain`` with its derived seed to
+round-off.
 """
 
 from __future__ import annotations
@@ -47,11 +49,11 @@ KERNEL_KINDS = ("scs", "sps", "rwm", "hmc")
 WALK_TARGET_ACCEPT = 0.234
 HMC_TARGET_ACCEPT = 0.8
 
-# The masked sphere transition has a fixed cost per step (~120 us at
-# d = 10, most of it batched stepping-out and cap_forward) that the
-# shared density call pays back only from about four chains: timed on
-# Cauchy and skew-t targets at d = 10, 2 and 3 scs chains ran slower as
-# an ensemble than one after another, 4 broke even and 5 ran faster.
+# The batched sphere transition has a fixed cost per step (its largest
+# part the batched cap_forward) that the shared density call pays back
+# only from about four chains: timed on Cauchy and skew-t targets at
+# d = 10, 2 and 3 scs chains ran slower as an ensemble than one after
+# another, 4 broke even and 10 ran faster.
 SPHERE_ENSEMBLE_MIN_CHAINS = 4
 
 
@@ -101,17 +103,14 @@ class GreatCircleFrame(NamedTuple):
     ``u`` is the unit tangent at ``x`` toward ``x_prime``; ``alpha`` the
     arc from x to x'; the circle's latitude is A*cos(theta - phi) with
     A = hypot(x_lat, u_lat), and the dark arc is |theta - phi| < gamma.
-    ``K`` is the smallest integer with K*alpha > phi + gamma.  For one
-    pair the angles are floats and K an int; for pairs along a leading
-    axis each field is an array over the rows, and a degenerate row has
-    NaN angles and K = 0.
+    ``K`` is the smallest integer with K*alpha > phi + gamma.
     """
 
     u: np.ndarray
-    alpha: float | np.ndarray
-    phi: float | np.ndarray
-    gamma: float | np.ndarray
-    K: int | np.ndarray
+    alpha: float
+    phi: float
+    gamma: float
+    K: int
 
 
 def propose_tangent(x, h, rng) -> np.ndarray:
@@ -138,56 +137,31 @@ def propose_tangent(x, h, rng) -> np.ndarray:
 def great_circle_frame(x, x_prime, ell_o) -> GreatCircleFrame:
     """Frame of the unique great circle through a bright/dark point pair.
 
-    A 1-d pair runs in plain floats and raises DegenerateProposal when
-    the points are coincident or antipodal (s^2 = 1 - <x, x'>^2 <=
-    1e-14) or the circle has zero latitude amplitude.  Pairs stacked
-    along a leading axis give a frame of arrays; a degenerate row gets
-    NaN fields and K = 0 instead, so the other rows go on.  Raises
-    DarkSidePoint unless every ``x`` is bright and every ``x_prime``
-    dark.
+    ``x`` and ``x_prime`` are single points of shape (d+1,); the angles
+    are plain floats.  Raises DarkSidePoint unless ``x`` is bright and
+    ``x_prime`` dark, and DegenerateProposal when the points are
+    coincident or antipodal (s^2 = 1 - <x, x'>^2 <= 1e-14) or the
+    circle has zero latitude amplitude.
     """
     lat_threshold = ell_o - 1.0
-    if x.ndim == 1:
-        if not x[-1] < lat_threshold:
-            raise DarkSidePoint("current state must be on the bright side")
-        if not x_prime[-1] > lat_threshold:
-            raise DarkSidePoint("proposal must be on the dark side")
-        c = float(x @ x_prime)
-        s2 = 1.0 - c * c
-        if s2 <= 1e-14:
-            raise DegenerateProposal("proposal coincident or antipodal with state")
-        u = (x_prime - c * x) / math.sqrt(s2)
-        alpha = math.acos(min(1.0, max(-1.0, c)))
-        amp = math.hypot(x[-1], u[-1])
-        if amp <= 0.0:
-            raise DegenerateProposal("proposal circle has zero latitude amplitude")
-        phi = math.acos(min(1.0, max(-1.0, x[-1] / amp)))
-        gamma = math.acos(min(1.0, max(-1.0, lat_threshold / amp)))
-        K = int((phi + gamma) / alpha) + 1
-        while K * alpha <= phi + gamma:  # float-rounding guard
-            K += 1
-        return GreatCircleFrame(u=u, alpha=alpha, phi=phi, gamma=gamma, K=K)
-    if not (x[:, -1] < lat_threshold).all():
-        raise DarkSidePoint("current states must be on the bright side")
-    if not (x_prime[:, -1] > lat_threshold).all():
-        raise DarkSidePoint("proposals must be on the dark side")
-    c = np.vecdot(x, x_prime)
+    if not x[-1] < lat_threshold:
+        raise DarkSidePoint("current state must be on the bright side")
+    if not x_prime[-1] > lat_threshold:
+        raise DarkSidePoint("proposal must be on the dark side")
+    c = float(x @ x_prime)
     s2 = 1.0 - c * c
-    ok = s2 > 1e-14  # so |c| < 1 on the rows that go on
-    if not ok.all():
-        c, s2 = np.where(ok, c, np.nan), np.where(ok, s2, np.nan)
-    u = (x_prime - c[:, None] * x) / np.sqrt(s2)[:, None]
-    alpha = np.arccos(c)
-    amp = np.hypot(x[:, -1], u[:, -1])
-    if not (amp > 0.0).all():
-        ok &= amp > 0.0
-        amp, alpha = np.where(ok, amp, np.nan), np.where(ok, alpha, np.nan)
-    phi = np.arccos(np.maximum(-1.0, np.minimum(1.0, x[:, -1] / amp)))
-    gamma = np.arccos(np.minimum(1.0, lat_threshold / amp))
-    reach = phi + gamma
-    K = np.where(ok, reach / alpha, -1.0).astype(int) + 1
-    while (short := K * alpha <= reach).any():  # float-rounding guard
-        K += short
+    if s2 <= 1e-14:
+        raise DegenerateProposal("proposal coincident or antipodal with state")
+    u = (x_prime - c * x) / math.sqrt(s2)
+    alpha = math.acos(min(1.0, max(-1.0, c)))
+    amp = math.hypot(x[-1], u[-1])
+    if amp <= 0.0:
+        raise DegenerateProposal("proposal circle has zero latitude amplitude")
+    phi = math.acos(min(1.0, max(-1.0, x[-1] / amp)))
+    gamma = math.acos(min(1.0, max(-1.0, lat_threshold / amp)))
+    K = int((phi + gamma) / alpha) + 1
+    while K * alpha <= phi + gamma:  # float-rounding guard
+        K += 1
     return GreatCircleFrame(u=u, alpha=alpha, phi=phi, gamma=gamma, K=K)
 
 
@@ -196,18 +170,13 @@ def stepping_out(x, x_prime, ell_o) -> np.ndarray:
 
     K*alpha lies in (phi+gamma, phi+gamma+alpha], past the dark arc but
     short of re-entering it since alpha <= pi <= 2*pi - 2*gamma.  Takes
-    one pair or pairs along a leading axis, as ``great_circle_frame``;
-    a degenerate row of a batch comes back as NaN.
+    one pair and raises what ``great_circle_frame`` raises.
     """
     frame = great_circle_frame(x, x_prime, ell_o)
-    if x.ndim == 1:
-        assert frame.K <= math.ceil(2.0 * math.pi / frame.alpha) + 1
-        angle = frame.K * frame.alpha
-        out = math.cos(angle) * x + math.sin(angle) * frame.u
-        return out / np.linalg.norm(out)
-    angle = (frame.K * frame.alpha)[:, None]
-    out = np.cos(angle) * x + np.sin(angle) * frame.u
-    return out / np.sqrt(np.vecdot(out, out))[:, None]
+    assert frame.K <= math.ceil(2.0 * math.pi / frame.alpha) + 1
+    angle = frame.K * frame.alpha
+    out = math.cos(angle) * x + math.sin(angle) * frame.u
+    return out / np.linalg.norm(out)
 
 
 def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,
@@ -219,13 +188,14 @@ def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,
     chain, ``x`` of shape (d+1,) with a scalar ``h`` and one generator,
     or n chains, ``x`` of shape (n, d+1) with ``h`` of shape (n,) and n
     generators.  A proposal on the dark cap steps out along its great
-    circle; then one ``cap_forward`` and one density call serve all
-    the chains.  Each chain draws d+1 normals, then a uniform, except
-    where its proposal is rejected as degenerate (coincident, antipodal
-    or of zero latitude amplitude) or as an exact tie with the dark
-    cap: these are probability-zero, and rejecting them keeps the
-    target invariant.  A non-finite density is rejected after its
-    uniform.  Returns (x, y, logpost, accepted).
+    circle, one chain at a time through ``stepping_out``; then one
+    ``cap_forward`` and one density call serve all the chains.  Each
+    chain draws d+1 normals, then a uniform, except where its proposal
+    is rejected as degenerate (coincident, antipodal or of zero
+    latitude amplitude) or as an exact tie with the dark cap: these are
+    probability-zero, and rejecting them keeps the target invariant.  A
+    non-finite density is rejected after its uniform.  Returns (x, y,
+    logpost, accepted).
     """
     ell_o = params.ell_o
     lat_threshold = ell_o - 1.0
@@ -242,10 +212,12 @@ def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,
             return x_star, y_star, lp_star, True
         return x, y, logpost, False
     if ell_o < 2.0:
-        dark = x_star[:, -1] > lat_threshold
-        if dark.any():
-            x_star[dark] = stepping_out(x[dark], x_star[dark], ell_o)
-    # NaN (degenerate) rows and exact ties fail this test; such a row
+        for i in np.flatnonzero(x_star[:, -1] > lat_threshold):
+            try:
+                x_star[i] = stepping_out(x[i], x_star[i], ell_o)
+            except DegenerateProposal:
+                pass  # the proposal stays dark and fails the test below
+    # degenerate rows and exact ties fail this test; such a row
     # re-evaluates its own state and is rejected without a uniform
     live = x_star[:, -1] < lat_threshold
     if not live.all():

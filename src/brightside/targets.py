@@ -48,17 +48,6 @@ class TargetModel:
     def has_exact_sampler(self) -> bool:
         return self.exact_sample is not None
 
-    def is_sub_cauchy(self, seed=0) -> bool:
-        """Numerical tail probe for bounded density * (1+|y|^2)^{(d+1)/2}.
-
-        Heuristic witness, not a proof: scans random rays out to radius
-        1e6 and checks that the log of the product does not increase
-        over the last decade of radii.
-        """
-        if getattr(self, "_sub_cauchy_flag", None) is None:
-            self._sub_cauchy_flag = sub_cauchy_probe(self, seed=seed)
-        return self._sub_cauchy_flag
-
 
 def sub_cauchy_probe(target: TargetModel, seed=0, n_rays=1000, r_max=1e6,
                      n_radii=31) -> bool:

@@ -34,6 +34,11 @@ from .geometry import (
 )
 from .targets import TargetModel
 
+# Adam moment decay rates and denominator guard (Kingma & Ba defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TuneOptions:
@@ -43,9 +48,6 @@ class TuneOptions:
     mc_batch: int = 2000
     steps: int = 2000
     learning_rate: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     init: Optional[tuple] = None  # (h_o, mu, R)
 
@@ -239,7 +241,6 @@ def tune(target: TargetModel, ell_o, opts: TuneOptions | None = None,
     n_par = 2 * d + 1
     m = np.zeros(n_par)
     v = np.zeros(n_par)
-    b1, b2, eps = opts.adam_beta1, opts.adam_beta2, opts.adam_eps
     lr = opts.learning_rate
 
     objective_trace = np.empty(opts.steps)
@@ -283,12 +284,12 @@ def tune(target: TargetModel, ell_o, opts: TuneOptions | None = None,
 
         grad = np.concatenate([g_ho, g_mu, [g_R * R]])  # d/d(rho) = R d/dR
         grad_norm_trace[step] = float(np.linalg.norm(grad))
-        m = b1 * m + (1.0 - b1) * grad
-        v = b2 * v + (1.0 - b2) * grad * grad
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
         t = step + 1
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        update = lr * m_hat / (np.sqrt(v_hat) + eps)
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        update = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         h_o = h_o - update[:d]
         mu = mu - update[d:2 * d]
         rho = rho - update[2 * d]

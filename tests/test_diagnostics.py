@@ -13,7 +13,6 @@ from brightside.diagnostics import (
     read_qq_csv,
     relative_quantile_errors,
     write_qq_csv,
-    write_qq_json,
 )
 from brightside.errors import EmptyInput
 
@@ -184,8 +183,3 @@ class TestQQReport:
                                   reports[j].sample_quantiles)
             assert np.array_equal(back[j].relative_errors,
                                   reports[j].relative_errors)
-        write_qq_json(tmp_path / "qq.json", reports)
-        import json
-
-        data = json.loads((tmp_path / "qq.json").read_text())
-        assert {entry["coord"] for entry in data} == {0, 1}

@@ -113,6 +113,17 @@ class TestConfigErrors:
             ExperimentConfig(tuner_enabled=1)
         assert ExperimentConfig(paper_scale=np.bool_(True)).paper_scale is True
 
+    @pytest.mark.parametrize("name, value", [
+        ("seed", -1), ("thinning", 0), ("replicates", 0), ("tuner_steps", 0),
+        ("tuner_batch", 0), ("leapfrog_steps", 0)])
+    def test_out_of_range_field(self, name, value, tmp_path):
+        # rejected up front, before the target is built or a chain runs
+        with pytest.raises(ConfigError, match=name):
+            ExperimentConfig.from_dict({name: value})
+        with pytest.raises(ConfigError, match=name):
+            run_experiment(ExperimentConfig(preset="skewt", iterations=300, burnin=50,
+                                            out=str(tmp_path), **{name: value}))
+
     def test_iterations_must_exceed_burnin(self):
         with pytest.raises(ConfigError, match="exceed burnin"):
             resolve(ExperimentConfig(iterations=10, burnin=10))

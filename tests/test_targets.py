@@ -347,16 +347,16 @@ class TestBinaryRegression:
 
 class TestSubCauchyProbe:
     def test_cauchy_passes(self):
-        assert mv_student_t(3, nu=1.0).is_sub_cauchy()
+        assert sub_cauchy_probe(mv_student_t(3, nu=1.0))
 
     def test_student_t_heavier_and_lighter(self):
-        assert mv_student_t(2, nu=2.0).is_sub_cauchy()
-        assert mv_student_t(2, nu=30.0).is_sub_cauchy()
-        assert not mv_student_t(2, nu=0.5).is_sub_cauchy()
+        assert sub_cauchy_probe(mv_student_t(2, nu=2.0))
+        assert sub_cauchy_probe(mv_student_t(2, nu=30.0))
+        assert not sub_cauchy_probe(mv_student_t(2, nu=0.5))
 
     def test_skew_cauchy_passes(self):
         st = skew_t(xi=np.zeros(3), alpha_skew=np.array([5.0, -5.0, 0.0]), nu=1.0)
-        assert st.is_sub_cauchy()
+        assert sub_cauchy_probe(st)
 
     def test_regression_posterior_probe_runs(self):
         # the flag depends on whether the standardized data admits a
@@ -364,7 +364,7 @@ class TestSubCauchyProbe:
         # type and determinism are asserted here
         data = generate_separable_data(30, 5, np.random.default_rng(16))
         post = binary_regression_posterior(data)
-        flag = post.is_sub_cauchy()
+        flag = sub_cauchy_probe(post)
         assert isinstance(flag, (bool, np.bool_))
         assert flag == sub_cauchy_probe(post, seed=0)
 
