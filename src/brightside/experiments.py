@@ -191,10 +191,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown preset {self.preset!r}")
         if self.kernel not in _ALL_KERNELS:
             raise ConfigError(f"unknown kernel {self.kernel!r}")
-        for names, least in ((("dimension", "iterations", "burnin", "seed",
-                               "n_obs", "reference_size"), 0),
-                             (("thinning", "replicates", "tuner_steps",
-                               "tuner_batch", "leapfrog_steps"), 1)):
+        for names, least in ((("iterations", "burnin", "seed",
+                               "reference_size"), 0),
+                             (("dimension", "thinning", "replicates",
+                               "tuner_steps", "tuner_batch",
+                               "leapfrog_steps"), 1),
+                             (("n_obs",), 2)):
             for name in names:
                 v = getattr(self, name)
                 if v is not None and v < least:
@@ -538,6 +540,8 @@ def _tune_report_dict(report: TuneReport, cfg: ExperimentConfig) -> dict:
         "steps": int(report.objective_trace.size),
         "objective_trace": [float(v) for v in report.objective_trace],
         "grad_norm_trace": [float(v) for v in report.grad_norm_trace],
+        "h_o_rescaled": report.h_o_rescaled,
+        "final_margin": report.final_margin,
     }
     if report.alignment is not None:
         data["alignment"] = {

@@ -17,7 +17,10 @@ and the rwm step in the chain loop behind ``run_chain`` and
 (``propose_tangent``, ``leapfrog``), work over a leading chain axis: a
 state of shape (d,) (d+1 on the sphere) is one chain, a state of shape
 (n, d) is n chains with their own generators and step sizes, stepped
-with one batched density call per transition.  Stepping-out is written
+with one batched density call per transition.  An HMC transition with
+L leapfrog steps makes L - 1 gradient calls and, at the proposal, one
+fused ``log_density_and_grad`` call, which serves both the acceptance
+test and the next trajectory's first kick.  Stepping-out is written
 for one pair only (``great_circle_frame``, ``stepping_out``): an
 ensemble steps its dark rows out one at a time through it, as one
 chain does.  ``run_chains`` runs hmc replicas as an ensemble, and scs
@@ -234,26 +237,28 @@ def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,
             np.where(accepted, lp_star, logpost), accepted)
 
 
-def leapfrog(y, momentum, eps, steps, grad, g):
+def leapfrog(y, momentum, eps, steps, target: TargetModel, g):
     """Leapfrog integration of (y, momentum) under potential -log pi.
 
     ``y`` is one state of shape (d,) or chains along a leading axis,
     with ``eps`` a scalar or one step size per chain broadcast as
     (n, 1); ``g`` is the gradient at ``y``.  Adjacent half-kicks are
-    fused into one full kick, so the trajectory takes ``steps``
-    gradient calls and steps + 1 kicks.  Returns the end point, its
-    momentum and its gradient; the inputs are not modified.
+    fused into one full kick, so the trajectory takes steps - 1
+    ``grad_log_density`` calls and, at its end point, one
+    ``log_density_and_grad`` call, with steps + 1 kicks.  Returns the
+    end point, its momentum, its log density and its gradient; the
+    inputs are not modified.
     """
     half = 0.5 * eps
     momentum = momentum + half * g
     y = y + eps * momentum
     for _ in range(steps - 1):
-        g = grad(y)
+        g = target.grad_log_density(y)
         momentum += eps * g
         y += eps * momentum
-    g = grad(y)
+    logp, g = target.log_density_and_grad(y)
     momentum += half * g
-    return y, momentum, g
+    return y, momentum, logp, g
 
 
 def hmc_step(y, logp, g, eps, steps, target: TargetModel, rng):
@@ -264,8 +269,8 @@ def hmc_step(y, logp, g, eps, steps, target: TargetModel, rng):
     ``eps`` of shape (n,) and a sequence of n generators.  ``logp`` and
     ``g`` are the log density and gradient at ``y``; they are returned
     with the new state, so a chain evaluates them once per transition,
-    at the proposal: one gradient call per leapfrog step and one density
-    call over the rows whose trajectory is finite.  Each chain draws a
+    at the proposal: steps - 1 gradient calls inside the trajectory and
+    one ``log_density_and_grad`` call at its end.  Each chain draws a
     momentum from its own generator, then a uniform only where its
     trajectory and energy are finite; a non-finite row is rejected on
     its own.  Returns (y, logp, g, accepted).
@@ -275,25 +280,29 @@ def hmc_step(y, logp, g, eps, steps, target: TargetModel, rng):
         momentum = np.empty_like(y)
         for gen, row in zip(rng, momentum):
             gen.standard_normal(out=row)
-        y1, m1, g1 = leapfrog(y, momentum, eps[:, None], steps,
-                              target.grad_log_density, g)
+        y1, m1, logp1, g1 = leapfrog(y, momentum, eps[:, None], steps,
+                                     target, g)
     else:
         momentum = rng.standard_normal(y.shape[0])
-        y1, m1, g1 = leapfrog(y, momentum, eps, steps, target.grad_log_density, g)
+        y1, m1, logp1, g1 = leapfrog(y, momentum, eps, steps, target, g)
     energy0 = 0.5 * np.vecdot(momentum, momentum) - logp
     ok = np.isfinite(y1).all(axis=-1) & np.isfinite(m1).all(axis=-1)
-    if ok.all():
-        logp1 = target.log_density(y1)
-    else:
-        logp1 = np.full(ok.shape, -np.inf)
-        if ok.any():
-            logp1[ok] = target.log_density(y1[ok])
-    energy1 = 0.5 * np.vecdot(m1, m1) - logp1
-    ok &= np.isfinite(energy1)
     if not ensemble:
-        if ok and math.log(rng.random()) < energy0 - energy1:
+        # no np.where here: logp stays the scalar the target returned,
+        # as a 0-d array would slow every later step of the chain
+        if not ok:
+            return y, logp, g, False
+        energy1 = 0.5 * np.vecdot(m1, m1) - logp1
+        if (math.isfinite(energy1)
+                and math.log(rng.random()) < energy0 - energy1):
             return y1, logp1, g1, True
         return y, logp, g, False
+    if not ok.all():
+        # the target's value at a non-finite row may be inf or NaN; -inf
+        # gives that row an energy without an invalid-value warning
+        logp1 = np.where(ok, logp1, -np.inf)
+    energy1 = 0.5 * np.vecdot(m1, m1) - logp1
+    ok &= np.isfinite(energy1)
     accept = np.zeros(ok.shape, dtype=bool)
     for i in np.flatnonzero(ok):
         accept[i] = math.log(rng[i].random()) < energy0[i] - energy1[i]
@@ -471,14 +480,15 @@ def run_chains(kernel: KernelConfig, params, target, init, iterations,
     ``run_chain`` draws with that seed.  Hmc chains, and scs and sps
     chains from ``SPHERE_ENSEMBLE_MIN_CHAINS`` up, step together as one
     ensemble, each with its own step size, with one batched density
-    call per transition for all of them (hmc adds one batched gradient
-    call per leapfrog step); their samples match ``run_chain``'s to
-    round-off.  Fewer scs or sps chains, and rwm chains, run one after
-    another through ``run_chain``.  ``workers`` is accepted, since the
-    benchmark passes it, and ignored.  Results come in chain order.
-    The chains of an ensemble each report the ensemble's wall time,
-    and an aborted ensemble raises ``ChainAborted`` carrying the list
-    of partial outputs.
+    call per transition for all of them (for hmc, the fused
+    ``log_density_and_grad`` at the proposal, after one batched
+    gradient call per leapfrog step but the last); their samples match
+    ``run_chain``'s to round-off.  Fewer scs or sps chains, and rwm
+    chains, run one after another through ``run_chain``.  ``workers``
+    is accepted, since the benchmark passes it, and ignored.  Results
+    come in chain order.  The chains of an ensemble each report the
+    ensemble's wall time, and an aborted ensemble raises
+    ``ChainAborted`` carrying the list of partial outputs.
     """
     seeds = [derive_chain_seed(seed, i) for i in range(n_chains)]
     inits = np.array(init, dtype=float, ndmin=1)

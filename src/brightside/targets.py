@@ -6,6 +6,13 @@ and an ``exact_sample`` where a direct sampler is available.  Densities
 accept arrays of shape (..., d) and return (...); normalizing constants
 are dropped throughout since Metropolis ratios and KL objectives only
 need densities up to a constant.
+
+A target with a gradient also answers ``log_density_and_grad``, the
+value and the gradient at the same points from one call, for the
+callers that need both (the tuner's step, the end of an HMC
+trajectory).  By default it makes the two separate calls; the skew t
+overrides it so the t log-CDF serves both, with results bit-identical
+to the separate calls.
 """
 
 from __future__ import annotations
@@ -30,7 +37,9 @@ class TargetModel:
 
     Subclasses set ``dim`` and implement ``log_density``; they may
     implement ``grad_log_density`` and ``exact_sample``.  All methods
-    must be pure and re-entrant.
+    must be pure and re-entrant.  ``log_density_and_grad(y)`` returns
+    ``(log_density(y), grad_log_density(y))``; the default makes those
+    two calls, and an override must return the same values bit for bit.
     """
 
     dim: int
@@ -39,6 +48,9 @@ class TargetModel:
 
     def log_density(self, y):
         raise NotImplementedError
+
+    def log_density_and_grad(self, y):
+        return self.log_density(y), self.grad_log_density(y)
 
     @property
     def has_gradient(self) -> bool:
@@ -85,7 +97,7 @@ def student_t_cdf(t, nu):
     and a 0-d ``t`` there runs in plain Python floats.  Monotone in t
     and exact at t = 0 for every nu.
     """
-    if nu <= 0:
+    if not nu > 0:
         raise DomainError(f"degrees of freedom must be positive, got {nu}")
     t_arr = np.asarray(t, dtype=float)
     if nu == 1:
@@ -114,7 +126,7 @@ def student_t_log_cdf(t, nu):
     a 0-d ``t`` runs in plain Python floats, so a point gets the same
     value alone as inside a batch.
     """
-    if nu <= 0:
+    if not nu > 0:
         raise DomainError(f"degrees of freedom must be positive, got {nu}")
     t_arr = np.asarray(t, dtype=float)
     if nu != 1 and nu != 2:
@@ -150,6 +162,8 @@ def student_t_log_cdf(t, nu):
 
 def student_t_log_pdf(t, nu):
     """Normalized log density of the univariate Student t."""
+    if not nu > 0:
+        raise DomainError(f"degrees of freedom must be positive, got {nu}")
     t_arr = np.asarray(t, dtype=float)
     const = (math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0)
              - 0.5 * math.log(nu * math.pi))
@@ -163,9 +177,9 @@ class MultivariateStudentT(TargetModel):
     """Isotropic multivariate Student t; nu = 1 is the Cauchy."""
 
     def __init__(self, d, nu, loc=0.0, scale=1.0):
-        if nu <= 0:
+        if not nu > 0:
             raise DomainError(f"degrees of freedom must be positive, got {nu}")
-        if scale <= 0:
+        if not scale > 0:
             raise DomainError(f"scale must be positive, got {scale}")
         self.dim = int(d)
         self.nu = float(nu)
@@ -212,7 +226,7 @@ class SkewTParams:
         alpha = np.atleast_1d(np.asarray(self.alpha_skew, dtype=float))
         if xi.shape != alpha.shape:
             raise ValueError("xi and alpha_skew must share a shape")
-        if self.nu <= 0:
+        if not self.nu > 0:
             raise DomainError(f"degrees of freedom must be positive, got {self.nu}")
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "alpha_skew", alpha)
@@ -240,21 +254,34 @@ def skew_t_log_density(y, params: SkewTParams):
             + student_t_log_cdf(s, nu + d))
 
 
-def skew_t_grad_log_density(y, params: SkewTParams):
-    """Analytic gradient of ``skew_t_log_density``."""
+def skew_t_log_density_and_grad(y, params: SkewTParams):
+    """``skew_t_log_density`` and its analytic gradient from one pass.
+
+    The t log-CDF at the skewing argument serves both the value and the
+    pdf/CDF ratio of the gradient, so the incomplete beta runs once;
+    the value repeats ``skew_t_log_density``'s operations in its order.
+    """
     d = params.dim
     nu = params.nu
     m = nu + d
     z = np.asarray(y, dtype=float) - params.xi
     q = np.sum(z * z, axis=-1)
     g = np.sqrt(m / (nu + q))
-    s = (z @ params.alpha_skew) * g
+    za = z @ params.alpha_skew
+    s = za * g
+    log_cdf = student_t_log_cdf(s, m)
     # hazard-style ratio pdf/CDF of the t with m degrees of freedom
-    ratio = np.exp(student_t_log_pdf(s, m) - student_t_log_cdf(s, m))
+    ratio = np.exp(student_t_log_pdf(s, m) - log_cdf)
     grad_kernel = -(m / (nu + q))[..., None] * z
     grad_s = g[..., None] * (params.alpha_skew
-                             - ((z @ params.alpha_skew) / (nu + q))[..., None] * z)
-    return grad_kernel + ratio[..., None] * grad_s
+                             - (za / (nu + q))[..., None] * z)
+    return (-m / 2.0 * np.log1p(q / nu) + log_cdf,
+            grad_kernel + ratio[..., None] * grad_s)
+
+
+def skew_t_grad_log_density(y, params: SkewTParams):
+    """Analytic gradient of ``skew_t_log_density``."""
+    return skew_t_log_density_and_grad(y, params)[1]
 
 
 def skew_t_exact_sample(params: SkewTParams, rng, size=None):
@@ -286,6 +313,9 @@ class SkewT(TargetModel):
 
     def grad_log_density(self, y):
         return skew_t_grad_log_density(y, self.params)
+
+    def log_density_and_grad(self, y):
+        return skew_t_log_density_and_grad(y, self.params)
 
     def exact_sample(self, rng, size=None):
         return skew_t_exact_sample(self.params, rng, size=size)

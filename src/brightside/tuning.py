@@ -10,10 +10,13 @@ average over uniform cap samples of
 which equals the divergence up to an additive constant (cap area and
 target normalizer).  Gradients are reparameterized: the cap samples are
 held fixed while the forward map and Jacobian move with the
-parameters, so every term is differentiated in closed form; targets
-without gradients fall back to central finite differences.  The scale
-is optimized as log R to stay positive, and the longitude is radially
-projected back into the observer ball after every update.
+parameters, so every term is differentiated in closed form, from one
+``log_density_and_grad`` call per step that gives the objective and the
+target gradient on the batch together; targets without gradients fall
+back to central finite differences.  The scale is optimized as log R to
+stay positive, and the longitude is radially projected back into the
+observer ball after every update; the report counts those projections
+and gives the final observer's margin to the ball's edge.
 """
 
 from __future__ import annotations
@@ -64,6 +67,10 @@ class TuneOptions:
 class TuneReport:
     """Optimized parameters with per-step traces.
 
+    ``h_o_rescaled`` counts the steps whose update ``project_params``
+    pulled back into the observer ball; ``final_margin`` is
+    1 - |h_o|^2 - (ell_o - 1)^2 at the final observer, near
+    ``INTERIOR_MARGIN`` when the tuner drove it to the ball's edge.
     ``alignment`` is present when a skewness/location reference was
     supplied: a dict with per-step cosine and relative-distance traces
     plus their final values.
@@ -72,6 +79,8 @@ class TuneReport:
     theta_bar: tuple
     objective_trace: np.ndarray
     grad_norm_trace: np.ndarray
+    h_o_rescaled: int
+    final_margin: float
     alignment: Optional[dict] = None
 
 
@@ -106,7 +115,8 @@ def _analytic_gradient(theta_bar, ell_o, target, cap_samples):
     y, log_jac, tt, bracket = cap_forward(cap_samples, p)
     hx = cap_samples[:, :-1]
     lx = cap_samples[:, -1] + 1.0
-    glp = np.asarray(target.grad_log_density(y), dtype=float)
+    logp, glp = target.log_density_and_grad(y)
+    glp = np.asarray(glp, dtype=float)
     if not np.all(np.isfinite(glp)):
         raise NonfiniteGradient("target gradient is not finite on the batch")
     yhat = (y - p.mu) / p.R
@@ -115,7 +125,7 @@ def _analytic_gradient(theta_bar, ell_o, target, cap_samples):
     # d(logJ)/d(h_o) = -hx/bracket; d(y)/d(h_o) = -R lx/tt per sample
     g_ho = (np.mean(hx / bracket[:, None], axis=0)
             + p.R * np.mean((lx / tt)[:, None] * glp, axis=0))
-    objective = float(np.mean(-log_jac - target.log_density(y)))
+    objective = float(np.mean(-log_jac - logp))
     return objective, (g_ho, g_mu, g_R)
 
 
@@ -249,6 +259,7 @@ def tune(target: TargetModel, ell_o, opts: TuneOptions | None = None,
     mu_rel_trace = np.empty(opts.steps) if alignment_ref is not None else None
 
     bad_streak = 0
+    h_o_rescaled = 0
     analytic = target.has_gradient
     for step in range(opts.steps):
         cap = sample_uniform_cap(d, ell_o, rng, size=opts.mc_batch)
@@ -294,7 +305,9 @@ def tune(target: TargetModel, ell_o, opts: TuneOptions | None = None,
         mu = mu - update[d:2 * d]
         rho = rho - update[2 * d]
         R = math.exp(rho)
+        h_step = h_o
         h_o, mu, R = project_params((h_o, mu, R), ell_o)
+        h_o_rescaled += not np.array_equal(h_o, h_step)
 
         if cosine_trace is not None:
             cos, rel = alignment_metrics((h_o, mu, R), *alignment_ref)
@@ -313,5 +326,7 @@ def tune(target: TargetModel, ell_o, opts: TuneOptions | None = None,
         theta_bar=(h_o, mu, R),
         objective_trace=objective_trace,
         grad_norm_trace=grad_norm_trace,
+        h_o_rescaled=h_o_rescaled,
+        final_margin=1.0 - float(h_o @ h_o) - (ell_o - 1.0) ** 2,
         alignment=alignment,
     )

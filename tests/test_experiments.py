@@ -115,7 +115,8 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("name, value", [
         ("seed", -1), ("thinning", 0), ("replicates", 0), ("tuner_steps", 0),
-        ("tuner_batch", 0), ("leapfrog_steps", 0)])
+        ("tuner_batch", 0), ("leapfrog_steps", 0), ("dimension", 0),
+        ("n_obs", 1)])
     def test_out_of_range_field(self, name, value, tmp_path):
         # rejected up front, before the target is built or a chain runs
         with pytest.raises(ConfigError, match=name):
@@ -217,6 +218,17 @@ class TestRunTune:
             written = json.load(fh)
         assert written["alignment"]["final_mu_rel"] == data["alignment"]["final_mu_rel"]
         assert math.isfinite(written["alignment"]["final_mu_rel"])
+
+    def test_records_rescales_and_final_margin(self, tmp_path):
+        config = ExperimentConfig(preset="skewt", tuner_steps=3, tuner_batch=50,
+                                  out=str(tmp_path))
+        data = run_tune(config)
+        written = read_json(tmp_path / "tune.json")
+        assert isinstance(written["h_o_rescaled"], int)
+        assert written["h_o_rescaled"] == data["h_o_rescaled"]
+        h_o = np.asarray(written["theta_bar"]["h_o"])
+        margin = 1.0 - float(h_o @ h_o) - (config.ell_o - 1.0) ** 2
+        assert written["final_margin"] == margin
 
     @pytest.mark.parametrize("preset", ["skewt", "custom"])
     def test_theta_bar_matches_run_experiment(self, preset, tmp_path):

@@ -29,7 +29,14 @@ from brightside.kernels import (
     sphere_step,
     stepping_out,
 )
-from brightside.targets import mv_student_t, student_t_cdf, uniform_cap_pullback
+from brightside.targets import (
+    SkewT,
+    TargetModel,
+    mv_student_t,
+    skew_t,
+    student_t_cdf,
+    uniform_cap_pullback,
+)
 
 
 class FixedNormals:
@@ -468,11 +475,10 @@ class TestRwmStep:
         assert np.all(out.samples == 0.0)
 
 
-class Gauss:
+class Gauss(TargetModel):
     """Standard normal target in four dimensions."""
 
     dim = 4
-    has_gradient = True
 
     def log_density(self, y):
         y = np.asarray(y)
@@ -489,9 +495,10 @@ class TestHmc:
         rng = np.random.default_rng(13)
         y = rng.standard_normal(3)
         mom = rng.standard_normal(3)
-        y1, m1, g1 = leapfrog(y, mom, 0.05, 20, grad, grad(y))
+        y1, m1, logp1, g1 = leapfrog(y, mom, 0.05, 20, target, grad(y))
         assert np.array_equal(g1, grad(y1))
-        y2, m2, _ = leapfrog(y1, -m1, 0.05, 20, grad, g1)
+        assert logp1 == target.log_density(y1)
+        y2, m2, _, _ = leapfrog(y1, -m1, 0.05, 20, target, g1)
         assert np.allclose(y2, y, atol=1e-10)
         assert np.allclose(-m2, mom, atol=1e-10)
 
@@ -506,7 +513,7 @@ class TestHmc:
         for _ in range(1000):
             mom = rng.standard_normal(4)
             h0 = -float(target.log_density(y)) + 0.5 * float(mom @ mom)
-            y1, m1, _ = leapfrog(y, mom, 0.01, 10, grad, g)
+            y1, m1, _, _ = leapfrog(y, mom, 0.01, 10, target, g)
             h1 = -float(target.log_density(y1)) + 0.5 * float(m1 @ m1)
             errors.append(abs(h1 - h0))
             y, logp, g, acc = hmc_step(y, logp, g, 0.01, 10, target, rng)
@@ -515,7 +522,7 @@ class TestHmc:
         assert accepted / 1000 > 0.99
 
     def test_nonfinite_gradient_rejects(self):
-        class Bad:
+        class Bad(TargetModel):
             dim = 1
 
             def log_density(self, y):
@@ -523,8 +530,6 @@ class TestHmc:
 
             def grad_log_density(self, y):
                 return np.array([np.nan])
-
-            has_gradient = True
 
         rng = np.random.default_rng(15)
         y = np.zeros(1)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,10 +7,13 @@ from scipy import integrate
 
 from brightside.errors import DomainError
 from brightside.geometry import make_params
+from brightside.kernels import KernelConfig, hmc_step, run_chains
 from brightside.targets import (
     MultivariateStudentT,
     RegressionData,
+    SkewT,
     SkewTParams,
+    TargetModel,
     binary_regression_posterior,
     generate_separable_data,
     load_regression_csv,
@@ -25,6 +29,7 @@ from brightside.targets import (
     sub_cauchy_probe,
     uniform_cap_pullback,
 )
+from brightside.tuning import TuneOptions, tune
 
 
 def fd_gradient(f, y, eps=1e-6):
@@ -121,6 +126,11 @@ class TestStudentTCdf:
     def test_domain(self):
         with pytest.raises(DomainError):
             student_t_cdf(0.0, -1.0)
+        # NaN degrees of freedom fail the same check
+        for f in (student_t_cdf, student_t_log_cdf, student_t_log_pdf):
+            for nu in (0.0, -1.0, math.nan):
+                with pytest.raises(DomainError):
+                    f(0.5, nu)
         for f in (student_t_cdf, student_t_log_cdf):
             with pytest.raises(DomainError):
                 f(math.nan, 3.0)
@@ -141,6 +151,12 @@ class TestStudentTCdf:
 
 
 class TestMultivariateStudentT:
+    def test_rejects_bad_parameters(self):
+        for kwargs in ({"nu": 0.0}, {"nu": math.nan}, {"nu": 1.0, "scale": 0.0},
+                       {"nu": 1.0, "scale": math.nan}):
+            with pytest.raises(DomainError):
+                mv_student_t(3, **kwargs)
+
     def test_peak_and_unit_values(self):
         t = mv_student_t(1, nu=1.0)
         assert float(t.log_density(np.zeros(1))) == 0.0
@@ -179,6 +195,11 @@ class TestMultivariateStudentT:
 
 
 class TestSkewT:
+    def test_rejects_bad_degrees_of_freedom(self):
+        for nu in (0.0, -2.0, math.nan):
+            with pytest.raises(DomainError):
+                SkewTParams(xi=np.zeros(2), alpha_skew=np.ones(2), nu=nu)
+
     def test_zero_skew_is_constant_shift(self):
         rng = np.random.default_rng(4)
         d = 4
@@ -343,6 +364,125 @@ class TestBinaryRegression:
     def test_standardize_rejects_constant_column(self):
         with pytest.raises(ValueError):
             standardize_columns(np.ones((5, 2)))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class ComposedSkewT(SkewT):
+    """Skew t whose fused call is the base class's two separate calls."""
+
+    log_density_and_grad = TargetModel.log_density_and_grad
+
+
+class CountingTarget(TargetModel):
+    """Forwards every call to ``inner`` and counts it by method name."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self.calls = Counter()
+
+    def log_density(self, y):
+        self.calls["log_density"] += 1
+        return self.inner.log_density(y)
+
+    def grad_log_density(self, y):
+        self.calls["grad_log_density"] += 1
+        return self.inner.grad_log_density(y)
+
+    def log_density_and_grad(self, y):
+        self.calls["log_density_and_grad"] += 1
+        return self.inner.log_density_and_grad(y)
+
+
+def _paper_skew_t(d):
+    alpha = np.zeros(d)
+    alpha[0], alpha[1] = 100.0, -100.0
+    return skew_t(xi=np.zeros(d), alpha_skew=alpha, nu=2.0)
+
+
+class TestLogDensityAndGrad:
+    @staticmethod
+    def assert_fused_matches(target, y):
+        value, grad = target.log_density_and_grad(y)
+        assert _bits(value) == _bits(target.log_density(y))
+        assert _bits(grad) == _bits(target.grad_log_density(y))
+        assert np.shape(value) == np.shape(target.log_density(y))
+
+    @pytest.mark.parametrize("d", [10, 100])
+    def test_skew_t_bit_identical(self, d):
+        xi = np.linspace(-1.0, 1.0, d)
+        xi[1] = xi[0]
+        target = skew_t(xi=xi, alpha_skew=_paper_skew_t(d).params.alpha_skew,
+                        nu=2.0)
+        rng = np.random.default_rng(40)
+        ys = target.params.xi + 3.0 * rng.standard_cauchy((1000, d))
+        # alpha . z = 0 on these rows: z = 0 and z orthogonal to alpha
+        ys[0] = target.params.xi
+        ys[1, :2] = target.params.xi[:2] + 7.0
+        assert (ys[1] - target.params.xi) @ target.params.alpha_skew == 0.0
+        # one point and 10 points loop the plain-float incomplete beta,
+        # 1000 points take its array path
+        for y in (ys[0], ys[1], ys[2], ys[:10], ys):
+            self.assert_fused_matches(target, y)
+
+    @pytest.mark.parametrize("link", ["logit", "robit"])
+    def test_regression_bit_identical(self, link):
+        rng = np.random.default_rng(41)
+        target = binary_regression_posterior(
+            generate_separable_data(30, 5, rng, link=link))
+        betas = 2.0 * rng.standard_cauchy((1000, 5))
+        betas[0] = 0.0
+        for beta in (betas[0], betas[1], betas[:10], betas):
+            self.assert_fused_matches(target, beta)
+
+    def test_default_composes_the_two_calls(self):
+        target = CountingTarget(mv_student_t(3, nu=2.0))
+        value, grad = TargetModel.log_density_and_grad(target, np.ones(3))
+        assert target.calls == Counter(log_density=1, grad_log_density=1)
+        assert value == target.inner.log_density(np.ones(3))
+
+    def test_tune_default_matches_override(self):
+        opts = TuneOptions(mc_batch=1000, steps=20, seed=5)
+        fused = tune(_paper_skew_t(10), 1.1, opts)
+        composed = tune(ComposedSkewT(_paper_skew_t(10).params), 1.1, opts)
+        for a, b in zip(fused.theta_bar, composed.theta_bar):
+            assert _bits(a) == _bits(b)
+        assert _bits(fused.objective_trace) == _bits(composed.objective_trace)
+        assert _bits(fused.grad_norm_trace) == _bits(composed.grad_norm_trace)
+
+    def test_hmc_ensemble_default_matches_override(self):
+        cfg = KernelConfig("hmc", h=0.1, leapfrog_steps=10, target_accept=0.8)
+        runs = [run_chains(cfg, None, target, np.zeros(10), 120, burnin=60,
+                           seed=9, n_chains=10)
+                for target in (_paper_skew_t(10),
+                               ComposedSkewT(_paper_skew_t(10).params))]
+        for fused, composed in zip(*runs):
+            assert _bits(fused.samples) == _bits(composed.samples)
+            assert (_bits(fused.step_size_trace)
+                    == _bits(composed.step_size_trace))
+
+    def test_tune_step_makes_one_fused_call(self):
+        target = CountingTarget(_paper_skew_t(10))
+        tune(target, 1.1, TuneOptions(mc_batch=50, steps=1, seed=0))
+        assert target.calls == Counter(log_density_and_grad=1)
+        tune(target, 1.1, TuneOptions(mc_batch=50, steps=3, seed=0))
+        assert target.calls == Counter(log_density_and_grad=4)
+
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_hmc_transition_call_counts(self, steps):
+        target = CountingTarget(_paper_skew_t(10))
+        for y, eps, rng in ((np.zeros(10), 0.1, np.random.default_rng(1)),
+                            (np.zeros((3, 10)), np.full(3, 0.1),
+                             [np.random.default_rng(s) for s in range(3)])):
+            logp, g = target.inner.log_density_and_grad(y)
+            target.calls.clear()
+            hmc_step(y, logp, g, eps, steps, target, rng)
+            expected = Counter(grad_log_density=steps - 1,
+                               log_density_and_grad=1)
+            assert target.calls == +expected
 
 
 class TestSubCauchyProbe:

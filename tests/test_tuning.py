@@ -255,6 +255,19 @@ class TestTune:
         assert rep.alignment["cosine_trace"].shape == (40,)
         assert rep.alignment["final_cosine"] == rep.alignment["cosine_trace"][-1]
 
+    def test_reports_rescales_and_final_margin(self):
+        d = 3
+        target = skew_t(xi=np.zeros(d), alpha_skew=np.full(d, 5.0), nu=1.0)
+        opts = TuneOptions(mc_batch=200, steps=300, learning_rate=0.05, seed=3)
+        rep = tune(target, 1.4, opts)
+        h_o = rep.theta_bar[0]
+        assert 0 < rep.h_o_rescaled <= 300
+        assert rep.final_margin == 1.0 - float(h_o @ h_o) - (1.4 - 1.0) ** 2
+        assert rep.final_margin >= INTERIOR_MARGIN
+        interior = tune(mv_student_t(4, nu=1.0), 1.1,
+                        TuneOptions(mc_batch=100, steps=50, seed=3))
+        assert interior.h_o_rescaled == 0
+
     def test_nonfinite_objective_aborts(self):
         class Broken(TargetModel):
             dim = 2
