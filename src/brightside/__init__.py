@@ -36,7 +36,6 @@ from .geometry import (
     scp_forward,
     scp_inverse,
     solve_chord_scale,
-    validate_params,
 )
 
 __version__ = "0.1.0"

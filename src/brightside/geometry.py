@@ -24,6 +24,9 @@ the observer to ``(yhat, 0)`` is controlled by the chord scale ``M``,
 the positive root of a quadratic; all Jacobians are evaluated in log
 space so that dimensions in the hundreds remain representable.
 
+``ProjectionParams`` is valid by construction (see its docstring for
+what building one raises), so no function that takes one checks it.
+
 ``cap_forward`` is the one evaluation of the forward map and its
 log-Jacobian from sphere points, for single states and for batches.
 
@@ -62,6 +65,14 @@ DISCRIMINANT_SLACK = 1e-12
 class ProjectionParams:
     """Observer, shift and scale defining one sub-Cauchy projection.
 
+    Valid by construction, whether built directly, by ``make_params``
+    or by ``dataclasses.replace``; ``h_o`` and ``mu`` are read-only
+    copies.  Construction raises ValueError if h_o or mu does not
+    broadcast to shape (d,), NonfiniteInput on NaN or infinity,
+    NonpositiveScale if R <= 0, BoundaryWithoutSymmetry if ell_o = 2
+    with h_o != 0, and ObserverOutsideBall unless 1 <= ell_o < 2 and
+    |h_o|^2 + (ell_o-1)^2 <= 1 - INTERIOR_MARGIN.
+
     Attributes
     ----------
     h_o : ndarray, shape (d,)
@@ -83,8 +94,8 @@ class ProjectionParams:
     d: int = field(default=0)
 
     def __post_init__(self):
-        h_o = np.atleast_1d(np.asarray(self.h_o, dtype=float))
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
+        h_o = np.array(self.h_o, dtype=float, ndmin=1)
+        mu = np.array(self.mu, dtype=float, ndmin=1)
         d = self.d if self.d else h_o.shape[0]
         if h_o.shape[0] == 1 and d > 1:
             h_o = np.full(d, h_o[0])
@@ -94,10 +105,31 @@ class ProjectionParams:
             raise ValueError(
                 f"h_o and mu must have shape ({d},); got {h_o.shape} and {mu.shape}"
             )
+        ell_o, R = float(self.ell_o), float(self.R)
+        if not (np.all(np.isfinite(h_o)) and np.all(np.isfinite(mu))
+                and math.isfinite(ell_o) and math.isfinite(R)):
+            raise NonfiniteInput("projection parameters must be finite")
+        if R <= 0.0:
+            raise NonpositiveScale(f"scale R must be positive, got {R}")
+        s = float(np.dot(h_o, h_o)) + (ell_o - 1.0) ** 2
+        if ell_o == 2.0:
+            if np.any(h_o != 0.0):
+                raise BoundaryWithoutSymmetry(
+                    "ell_o = 2 is admissible only with h_o = 0"
+                )
+        elif not 1.0 <= ell_o < 2.0:
+            raise ObserverOutsideBall(
+                f"observer latitude must lie in [1, 2], got {ell_o}"
+            )
+        elif s > 1.0 - INTERIOR_MARGIN:
+            raise ObserverOutsideBall(
+                f"|h_o|^2 + (ell_o-1)^2 = {s:.12g} exceeds 1 - {INTERIOR_MARGIN}"
+            )
+        h_o.flags.writeable = mu.flags.writeable = False
         object.__setattr__(self, "h_o", h_o)
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "ell_o", float(self.ell_o))
-        object.__setattr__(self, "R", float(self.R))
+        object.__setattr__(self, "ell_o", ell_o)
+        object.__setattr__(self, "R", R)
         object.__setattr__(self, "d", int(d))
 
     @cached_property
@@ -107,8 +139,8 @@ class ProjectionParams:
 
 
 def make_params(d, h_o=0.0, ell_o=1.0, mu=0.0, R=1.0) -> ProjectionParams:
-    """Build validated projection parameters, broadcasting scalars to dimension d."""
-    return validate_params(ProjectionParams(h_o=h_o, ell_o=ell_o, mu=mu, R=R, d=d))
+    """Keyword constructor of ``ProjectionParams``, broadcasting scalars to dimension d."""
+    return ProjectionParams(h_o=h_o, ell_o=ell_o, mu=mu, R=R, d=d)
 
 
 class ChordScale(NamedTuple):
@@ -134,36 +166,6 @@ def sphere_point(z) -> np.ndarray:
     if np.any(norm == 0.0) or not np.all(np.isfinite(norm)):
         raise NonfiniteInput("cannot normalize zero or non-finite vector")
     return z / norm
-
-
-def validate_params(p: ProjectionParams) -> ProjectionParams:
-    """Check the observer-ball constraint, scale positivity and finiteness.
-
-    The observer must satisfy |h_o|^2 + (ell_o-1)^2 <= 1 - INTERIOR_MARGIN,
-    except for the single boundary case ell_o = 2 with h_o = 0 (classical
-    stereographic projection).
-    """
-    if not (np.all(np.isfinite(p.h_o)) and np.all(np.isfinite(p.mu))
-            and math.isfinite(p.ell_o) and math.isfinite(p.R)):
-        raise NonfiniteInput("projection parameters must be finite")
-    if p.R <= 0.0:
-        raise NonpositiveScale(f"scale R must be positive, got {p.R}")
-    if p.ell_o == 2.0:
-        if np.any(p.h_o != 0.0):
-            raise BoundaryWithoutSymmetry(
-                "ell_o = 2 is admissible only with h_o = 0"
-            )
-        return p
-    if not 1.0 <= p.ell_o < 2.0:
-        raise ObserverOutsideBall(
-            f"observer latitude must lie in [1, 2], got {p.ell_o}"
-        )
-    s = float(np.dot(p.h_o, p.h_o)) + (p.ell_o - 1.0) ** 2
-    if s > 1.0 - INTERIOR_MARGIN:
-        raise ObserverOutsideBall(
-            f"|h_o|^2 + (ell_o-1)^2 = {s:.12g} exceeds 1 - {INTERIOR_MARGIN}"
-        )
-    return p
 
 
 def cap_forward(x, p: ProjectionParams):

@@ -42,7 +42,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ChainAborted, DarkSidePoint, DegenerateProposal
-from .geometry import ProjectionParams, cap_forward, scp_inverse, validate_params
+from .geometry import ProjectionParams, cap_forward, scp_inverse
 from .targets import TargetModel
 
 KERNEL_KINDS = ("scs", "sps", "rwm", "hmc")
@@ -80,7 +80,7 @@ class KernelConfig:
         if kind not in KERNEL_KINDS:
             raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}")
         object.__setattr__(self, "kind", kind)
-        if self.h <= 0:
+        if not self.h > 0:
             raise ValueError(f"step size must be positive, got {self.h}")
         if kind == "hmc" and self.leapfrog_steps < 1:
             raise ValueError("HMC needs at least one leapfrog step")
@@ -331,7 +331,6 @@ def _expected_params(kernel: KernelConfig, params):
     if kernel.kind in ("scs", "sps"):
         if params is None:
             raise ValueError(f"{kernel.kind} requires projection parameters")
-        validate_params(params)
         if kernel.kind == "sps":
             if params.ell_o != 2.0 or np.any(params.h_o != 0.0):
                 raise ValueError(

@@ -24,12 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyInput
-from .geometry import (
-    ProjectionParams,
-    _incomplete_beta,
-    log_jacobian,
-    validate_params,
-)
+from .geometry import ProjectionParams, _incomplete_beta, log_jacobian
 
 
 class TargetModel:
@@ -335,7 +330,8 @@ class RegressionData:
     ``link`` is "logit" or "robit"; ``link_nu`` is the degrees of
     freedom of the robit link's t CDF.  The prior is independent
     Student t on each coefficient with the given scale and degrees of
-    freedom.
+    freedom.  The scale and the two degrees of freedom must be finite
+    and positive, or construction raises ``DomainError``.
     """
 
     X: np.ndarray
@@ -354,6 +350,10 @@ class RegressionData:
             raise ValueError("responses must be binary 0/1")
         if self.link not in ("logit", "robit"):
             raise ValueError(f"unknown link {self.link!r}")
+        for name in ("link_nu", "prior_scale", "prior_nu"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be finite and positive, got {value}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 
@@ -481,7 +481,7 @@ class UniformCapPullback(TargetModel):
     """
 
     def __init__(self, params: ProjectionParams):
-        self.params = validate_params(params)
+        self.params = params
         self.dim = params.d
 
     def log_density(self, y):

@@ -13,10 +13,11 @@ held fixed while the forward map and Jacobian move with the
 parameters, so every term is differentiated in closed form, from one
 ``log_density_and_grad`` call per step that gives the objective and the
 target gradient on the batch together; targets without gradients fall
-back to central finite differences.  The scale is optimized as log R to
-stay positive, and the longitude is radially projected back into the
-observer ball after every update; the report counts those projections
-and gives the final observer's margin to the ball's edge.
+back to central finite differences.  ``kl_gradient`` and every step of
+``tune`` make that choice in one place.  The scale is optimized as
+log R to stay positive, and the longitude is radially projected back
+into the observer ball after every update; the report counts those
+projections and gives the final observer's margin to the ball's edge.
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonfiniteGradient, ObserverOutsideBall, TuningFailed
-from .geometry import (
-    INTERIOR_MARGIN,
-    ProjectionParams,
-    cap_forward,
-    sample_uniform_cap,
-    validate_params,
-)
+from .geometry import INTERIOR_MARGIN, cap_forward, make_params, sample_uniform_cap
 from .targets import TargetModel
 
 # Adam moment decay rates and denominator guard (Kingma & Ba defaults)
@@ -59,7 +54,7 @@ class TuneOptions:
             raise ValueError("mc_batch must be >= 1")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
 
 
@@ -84,14 +79,6 @@ class TuneReport:
     alignment: Optional[dict] = None
 
 
-def _params_from(theta_bar, ell_o, d) -> ProjectionParams:
-    h_o, mu, R = theta_bar
-    return validate_params(
-        ProjectionParams(h_o=np.asarray(h_o, dtype=float), ell_o=ell_o,
-                         mu=np.asarray(mu, dtype=float), R=float(R), d=d)
-    )
-
-
 def kl_objective(theta_bar, ell_o, target: TargetModel, cap_samples) -> float:
     """Monte Carlo KL divergence (up to a constant) of the pushforward.
 
@@ -104,14 +91,16 @@ def kl_objective(theta_bar, ell_o, target: TargetModel, cap_samples) -> float:
 def kl_integrand(theta_bar, ell_o, target: TargetModel, cap_samples) -> np.ndarray:
     """Per-sample values whose mean is ``kl_objective``."""
     cap_samples = np.asarray(cap_samples, dtype=float)
-    p = _params_from(theta_bar, ell_o, cap_samples.shape[-1] - 1)
+    h_o, mu, R = theta_bar
+    p = make_params(cap_samples.shape[-1] - 1, h_o=h_o, ell_o=ell_o, mu=mu, R=R)
     y, log_jac, _, _ = cap_forward(cap_samples, p)
     return -log_jac - np.asarray(target.log_density(y), dtype=float)
 
 
 def _analytic_gradient(theta_bar, ell_o, target, cap_samples):
     cap_samples = np.asarray(cap_samples, dtype=float)
-    p = _params_from(theta_bar, ell_o, cap_samples.shape[-1] - 1)
+    h_o, mu, R = theta_bar
+    p = make_params(cap_samples.shape[-1] - 1, h_o=h_o, ell_o=ell_o, mu=mu, R=R)
     y, log_jac, tt, bracket = cap_forward(cap_samples, p)
     hx = cap_samples[:, :-1]
     lx = cap_samples[:, -1] + 1.0
@@ -131,49 +120,42 @@ def _analytic_gradient(theta_bar, ell_o, target, cap_samples):
 
 def _fd_gradient(theta_bar, ell_o, target, cap_samples, rel_step=1e-5):
     """Central differences on all 2d+1 coordinates, common cap samples."""
-    h_o, mu, R = (np.asarray(theta_bar[0], dtype=float),
-                  np.asarray(theta_bar[1], dtype=float), float(theta_bar[2]))
-    d = h_o.shape[0]
+    theta = np.concatenate([np.asarray(theta_bar[0], dtype=float),
+                            np.asarray(theta_bar[1], dtype=float),
+                            [float(theta_bar[2])]])
+    d = theta.size // 2
 
-    def evaluate(ho_v, mu_v, R_v):
-        try:
-            return kl_objective((ho_v, mu_v, R_v), ell_o, target, cap_samples)
-        except ObserverOutsideBall:
-            ho_v = project_params((ho_v, mu_v, R_v), ell_o)[0]
-            return kl_objective((ho_v, mu_v, R_v), ell_o, target, cap_samples)
+    def evaluate(th):
+        # a perturbed h_o may leave the observer ball (at ell_o = 2, any h_o != 0)
+        h_o, mu, R = project_params((th[:d], th[d:2 * d], th[-1]), ell_o)
+        return kl_objective((h_o, mu, R), ell_o, target, cap_samples)
 
-    def central(setter, value):
+    grad = np.empty_like(theta)
+    for j, value in enumerate(theta):
         eps = rel_step * (1.0 + abs(value))
-        return (setter(value + eps) - setter(value - eps)) / (2.0 * eps)
+        up, down = theta.copy(), theta.copy()
+        up[j], down[j] = value + eps, value - eps
+        grad[j] = (evaluate(up) - evaluate(down)) / (2.0 * eps)
+    return evaluate(theta), (grad[:d], grad[d:2 * d], float(grad[-1]))
 
-    g_ho = np.zeros(d)
-    for j in range(d):
-        def at(v, j=j):
-            ho_v = h_o.copy()
-            ho_v[j] = v
-            return evaluate(ho_v, mu, R)
-        g_ho[j] = central(at, h_o[j])
-    g_mu = np.zeros(d)
-    for j in range(d):
-        def at(v, j=j):
-            mu_v = mu.copy()
-            mu_v[j] = v
-            return evaluate(h_o, mu_v, R)
-        g_mu[j] = central(at, mu[j])
-    g_R = central(lambda v: evaluate(h_o, mu, v), R)
-    objective = evaluate(h_o, mu, R)
-    return objective, (g_ho, g_mu, g_R)
+
+def _objective_and_gradient(theta_bar, ell_o, target, cap_samples):
+    """(objective, (g_ho, g_mu, g_R)) by the closed-form chain rule when
+    the target has a gradient, else by central finite differences."""
+    if target.has_gradient:
+        return _analytic_gradient(theta_bar, ell_o, target, cap_samples)
+    return _fd_gradient(theta_bar, ell_o, target, cap_samples)
 
 
 def kl_gradient(theta_bar, ell_o, target: TargetModel, cap_samples):
     """Gradient of the Monte Carlo objective over (h_o, mu, R).
 
     Uses the closed-form chain rule when the target has a gradient,
-    else central finite differences on the same batch.
+    else central finite differences on the same batch.  Raises
+    ``NonfiniteGradient`` where the target's gradient is not finite on
+    the batch.
     """
-    if target.has_gradient:
-        return _analytic_gradient(theta_bar, ell_o, target, cap_samples)[1]
-    return _fd_gradient(theta_bar, ell_o, target, cap_samples)[1]
+    return _objective_and_gradient(theta_bar, ell_o, target, cap_samples)[1]
 
 
 def project_params(theta_bar, ell_o):
@@ -183,11 +165,11 @@ def project_params(theta_bar, ell_o):
     even after the rescaling round-off, or onto h_o = 0 where that
     margin leaves no room.  At the stereographic latitude ell_o = 2 the
     only admissible longitude is h_o = 0; where no longitude is
-    admissible it raises ``ObserverOutsideBall``.
+    admissible it raises ``ObserverOutsideBall``.  The arrays returned
+    are new, never the caller's.
     """
     h_o, mu, R = theta_bar
-    h_o = np.asarray(h_o, dtype=float)
-    mu, R = np.asarray(mu, dtype=float), float(R)
+    h_o, mu, R = np.array(h_o, dtype=float), np.array(mu, dtype=float), float(R)
     if ell_o == 2.0:
         return np.zeros_like(h_o), mu, R
     limit = 1.0 - (ell_o - 1.0) ** 2 - INTERIOR_MARGIN
@@ -236,16 +218,9 @@ def tune(target: TargetModel, ell_o, opts: TuneOptions | None = None,
     opts = opts or TuneOptions()
     rng = np.random.default_rng(opts.seed)
     d = target.dim
-    if opts.init is not None:
-        h_o = np.asarray(opts.init[0], dtype=float).copy()
-        mu = np.asarray(opts.init[1], dtype=float).copy()
-        R = float(opts.init[2])
-    else:
-        h_o = np.zeros(d)
-        mu = np.zeros(d)
-        R = 1.0
-    h_o, mu, R = project_params((h_o, mu, R), ell_o)
-    _params_from((h_o, mu, R), ell_o, d)
+    start = opts.init if opts.init is not None else (np.zeros(d), np.zeros(d), 1.0)
+    h_o, mu, R = project_params(start, ell_o)
+    make_params(d, h_o=h_o, ell_o=ell_o, mu=mu, R=R)  # a bad start raises here
     rho = math.log(R)
 
     n_par = 2 * d + 1
@@ -260,25 +235,30 @@ def tune(target: TargetModel, ell_o, opts: TuneOptions | None = None,
 
     bad_streak = 0
     h_o_rescaled = 0
-    analytic = target.has_gradient
     for step in range(opts.steps):
         cap = sample_uniform_cap(d, ell_o, rng, size=opts.mc_batch)
-        theta = (h_o, mu, R)
         try:
-            if analytic:
-                obj, (g_ho, g_mu, g_R) = _analytic_gradient(
-                    theta, ell_o, target, cap
-                )
-            else:
-                obj, (g_ho, g_mu, g_R) = _fd_gradient(theta, ell_o, target, cap)
+            obj, (g_ho, g_mu, g_R) = _objective_and_gradient(
+                (h_o, mu, R), ell_o, target, cap)
+            grad = np.concatenate([g_ho, g_mu, [g_R * R]])  # d/d(rho) = R d/dR
         except NonfiniteGradient:
-            obj = math.nan
-            g_ho = g_mu = None
+            obj, grad = math.nan, None
         objective_trace[step] = obj
-        if not math.isfinite(obj) or g_ho is None or not (
-            np.all(np.isfinite(g_ho)) and np.all(np.isfinite(g_mu))
-            and math.isfinite(g_R)
-        ):
+        if math.isfinite(obj) and np.all(np.isfinite(grad)):
+            bad_streak = 0
+            grad_norm_trace[step] = float(np.linalg.norm(grad))
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+            t = step + 1
+            m_hat = m / (1.0 - ADAM_BETA1**t)
+            v_hat = v / (1.0 - ADAM_BETA2**t)
+            update = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            rho = rho - update[2 * d]
+            h_step = h_o - update[:d]
+            h_o, mu, R = project_params(
+                (h_step, mu - update[d:2 * d], math.exp(rho)), ell_o)
+            h_o_rescaled += not np.array_equal(h_o, h_step)
+        else:
             bad_streak += 1
             grad_norm_trace[step] = math.nan
             if bad_streak >= 10:
@@ -286,33 +266,9 @@ def tune(target: TargetModel, ell_o, opts: TuneOptions | None = None,
                     f"objective non-finite for {bad_streak} consecutive steps "
                     f"(last finite parameters: R={R:.4g})"
                 )
-            if cosine_trace is not None:
-                cos, rel = alignment_metrics(theta, *alignment_ref)
-                cosine_trace[step] = cos
-                mu_rel_trace[step] = rel
-            continue
-        bad_streak = 0
-
-        grad = np.concatenate([g_ho, g_mu, [g_R * R]])  # d/d(rho) = R d/dR
-        grad_norm_trace[step] = float(np.linalg.norm(grad))
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-        t = step + 1
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        update = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        h_o = h_o - update[:d]
-        mu = mu - update[d:2 * d]
-        rho = rho - update[2 * d]
-        R = math.exp(rho)
-        h_step = h_o
-        h_o, mu, R = project_params((h_o, mu, R), ell_o)
-        h_o_rescaled += not np.array_equal(h_o, h_step)
-
         if cosine_trace is not None:
-            cos, rel = alignment_metrics((h_o, mu, R), *alignment_ref)
-            cosine_trace[step] = cos
-            mu_rel_trace[step] = rel
+            cosine_trace[step], mu_rel_trace[step] = alignment_metrics(
+                (h_o, mu, R), *alignment_ref)
 
     alignment = None
     if alignment_ref is not None:

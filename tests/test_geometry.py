@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from brightside.errors import (
     BoundaryWithoutSymmetry,
     DarkSidePoint,
     DomainError,
+    NonfiniteInput,
     NonpositiveScale,
     ObserverOutsideBall,
 )
@@ -26,7 +28,6 @@ from brightside.geometry import (
     scp_forward,
     scp_inverse,
     solve_chord_scale,
-    validate_params,
 )
 
 
@@ -56,25 +57,45 @@ def line_plane_projection(x, p):
 
 
 class TestValidateParams:
+    """ProjectionParams checks itself when it is built."""
+
     def test_center_observer_ok(self):
         p = ProjectionParams(h_o=np.zeros(2), ell_o=1.0, mu=np.zeros(2), R=1.0)
-        assert validate_params(p) is p
+        assert p.d == 2 and p.ell_o == 1.0
 
     def test_stereographic_boundary_ok(self):
         p = ProjectionParams(h_o=np.zeros(3), ell_o=2.0, mu=np.zeros(3), R=1.0)
-        assert validate_params(p) is p
+        assert p.d == 3 and p.ell_o == 2.0
 
     def test_observer_outside_ball(self):
-        p = ProjectionParams(h_o=np.array([0.9, 0.0]), ell_o=1.5,
-                             mu=np.zeros(2), R=1.0)
         with pytest.raises(ObserverOutsideBall):
-            validate_params(p)
+            ProjectionParams(h_o=np.array([0.9, 0.0]), ell_o=1.5,
+                             mu=np.zeros(2), R=1.0)
 
     def test_boundary_without_symmetry(self):
-        p = ProjectionParams(h_o=np.array([1e-8, 0.0]), ell_o=2.0,
-                             mu=np.zeros(2), R=1.0)
         with pytest.raises(BoundaryWithoutSymmetry):
-            validate_params(p)
+            ProjectionParams(h_o=np.array([1e-8, 0.0]), ell_o=2.0,
+                             mu=np.zeros(2), R=1.0)
+
+    def test_nonfinite_rejected(self):
+        with pytest.raises(NonfiniteInput):
+            ProjectionParams(h_o=np.array([np.nan, 0.0]), ell_o=1.2,
+                             mu=np.zeros(2), R=1.0)
+        with pytest.raises(NonfiniteInput):
+            make_params(2, ell_o=1.2, R=math.inf)
+
+    def test_replace_is_checked(self):
+        p = make_params(2, ell_o=1.2)
+        with pytest.raises(ObserverOutsideBall):
+            dataclasses.replace(p, ell_o=2.5)
+
+    def test_arrays_are_read_only_copies(self):
+        h_o = np.array([0.1, 0.2])
+        p = make_params(2, h_o=h_o, ell_o=1.2)
+        h_o[0] = 5.0
+        assert p.h_o[0] == 0.1
+        with pytest.raises(ValueError):
+            p.h_o[0] = 5.0
 
     def test_nonpositive_scale(self):
         with pytest.raises(NonpositiveScale):

@@ -652,6 +652,10 @@ class TestRunChain:
             assert 0.0 <= out.acceptance_rate <= 1.0
             assert out.valid
 
+    def test_nan_step_size_rejected(self):
+        with pytest.raises(ValueError):
+            KernelConfig("rwm", h=math.nan)
+
     def test_sps_requires_boundary_params(self):
         target = mv_student_t(2, nu=2.0)
         p = make_params(2, ell_o=1.1)

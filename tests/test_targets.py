@@ -361,6 +361,14 @@ class TestBinaryRegression:
         with pytest.raises(ValueError):
             RegressionData(X=np.ones((3, 2)), y=np.array([0.0, 2.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [
+        {"prior_nu": 0.0}, {"prior_scale": 0.0}, {"prior_nu": math.nan},
+        {"prior_scale": -1.0}, {"link": "robit", "link_nu": math.nan},
+    ])
+    def test_rejects_bad_prior_or_link(self, bad):
+        with pytest.raises(DomainError):
+            RegressionData(X=np.ones((2, 1)), y=np.array([0.0, 1.0]), **bad)
+
     def test_standardize_rejects_constant_column(self):
         with pytest.raises(ValueError):
             standardize_columns(np.ones((5, 2)))

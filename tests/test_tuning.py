@@ -1,16 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from brightside.errors import ObserverOutsideBall, TuningFailed
+from brightside.errors import NonfiniteGradient, ObserverOutsideBall, TuningFailed
 from brightside.geometry import (
     INTERIOR_MARGIN,
     ProjectionParams,
     cap_forward,
     make_params,
     sample_uniform_cap,
-    validate_params,
 )
 from brightside.targets import TargetModel, mv_student_t, skew_t
 from brightside.tuning import (
@@ -96,6 +96,23 @@ class TestKlGradient:
             gf = flat_grad(_fd_gradient(theta, ell_o, target, cap)[1])
             assert np.linalg.norm(ga - gf) <= 1e-5 * max(1.0, np.linalg.norm(gf))
 
+    def test_infinite_gradient_raises_typed(self):
+        class InfiniteGradient(TargetModel):
+            dim = 2
+
+            def log_density(self, y):
+                return mv_student_t(2, nu=1.0).log_density(y)
+
+            def grad_log_density(self, y):
+                return np.full(np.shape(y), np.inf)
+
+        cap = sample_uniform_cap(2, 1.1, np.random.default_rng(0), size=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonfiniteGradient):
+                kl_gradient((np.zeros(2), np.zeros(2), 1.0), 1.1,
+                            InfiniteGradient(), cap)
+
     def test_mu_gradient_structure(self):
         # the Jacobian does not depend on mu, so the mu gradient is just
         # the negative batch mean of the target score at the pushforward
@@ -154,15 +171,15 @@ class TestProjectParams:
             ell_o = rng.uniform(1.0, 1.9)
             raw = rng.standard_normal(d) * 3.0
             h_o, mu, R = project_params((raw, np.zeros(d), 1.0), ell_o)
-            validate_params(ProjectionParams(h_o=h_o, ell_o=ell_o,
-                                             mu=mu, R=R, d=d))
+            ProjectionParams(h_o=h_o, ell_o=ell_o, mu=mu, R=R, d=d)
 
 
     def test_stereographic_latitude_pins_h_o_at_zero(self):
         h_o, _, _ = project_params((np.array([0.3, -0.1]), np.zeros(2), 1.0), 2.0)
         assert np.array_equal(h_o, [0.0, 0.0])
-        rep = tune(mv_student_t(3, nu=1), 2.0, TuneOptions(mc_batch=50, steps=2))
-        assert np.array_equal(rep.theta_bar[0], np.zeros(3))
+        for target in (mv_student_t(3, nu=1), GradFreeWrapper(mv_student_t(3, nu=1))):
+            rep = tune(target, 2.0, TuneOptions(mc_batch=50, steps=2))
+            assert np.array_equal(rep.theta_bar[0], np.zeros(3))
 
     def test_no_admissible_longitude_raises(self):
         for ell_o in (0.5, 2.0 - 1e-12, 2.5):
@@ -230,7 +247,7 @@ class TestTune:
         opts = TuneOptions(mc_batch=200, steps=300, learning_rate=0.05, seed=3)
         rep = tune(target, 1.4, opts)
         h_o, mu, R = rep.theta_bar
-        validate_params(ProjectionParams(h_o=h_o, ell_o=1.4, mu=mu, R=R, d=d))
+        ProjectionParams(h_o=h_o, ell_o=1.4, mu=mu, R=R, d=d)
         assert R > 0
 
     def test_seed_determinism(self):
@@ -267,6 +284,45 @@ class TestTune:
         interior = tune(mv_student_t(4, nu=1.0), 1.1,
                         TuneOptions(mc_batch=100, steps=50, seed=3))
         assert interior.h_o_rescaled == 0
+
+    def test_nan_learning_rate_rejected(self):
+        with pytest.raises(ValueError):
+            TuneOptions(learning_rate=math.nan)
+
+    def test_nonfinite_gradient_steps_hold_parameters(self):
+        class FlakyGradient(TargetModel):
+            """Cauchy whose gradient is NaN on its first three calls."""
+
+            dim = 3
+            calls = 0
+            inner = mv_student_t(3, nu=1.0)
+
+            def log_density(self, y):
+                return self.inner.log_density(y)
+
+            def grad_log_density(self, y):
+                self.calls += 1
+                g = self.inner.grad_log_density(y)
+                return np.full_like(g, np.nan) if self.calls <= 3 else g
+
+        alpha, xi = np.array([1.0, -1.0, 0.5]), np.zeros(3)
+        init = (np.full(3, 0.1), np.ones(3), 2.0)
+        ref = (alpha, xi)
+        held = tune(FlakyGradient(), 1.1,
+                    TuneOptions(mc_batch=50, steps=3, seed=7, init=init), ref)
+        assert np.all(np.isnan(held.grad_norm_trace))
+        assert np.all(np.isnan(held.objective_trace))
+        for got, want in zip(held.theta_bar, init):
+            assert np.array_equal(got, want)
+            assert not np.shares_memory(got, want)
+        rep = tune(FlakyGradient(), 1.1,
+                   TuneOptions(mc_batch=50, steps=6, seed=7, init=init), ref)
+        assert np.all(np.isnan(rep.grad_norm_trace[:3]))
+        assert np.all(np.isfinite(rep.grad_norm_trace[3:]))
+        cos0, rel0 = alignment_metrics(init, alpha, xi)
+        assert np.all(rep.alignment["cosine_trace"][:3] == cos0)
+        assert np.all(rep.alignment["mu_rel_trace"][:3] == rel0)
+        assert rep.alignment["mu_rel_trace"][3] != rel0
 
     def test_nonfinite_objective_aborts(self):
         class Broken(TargetModel):
