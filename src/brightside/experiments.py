@@ -110,7 +110,7 @@ SUMMARY_SCHEMA_VERSION = 1
 _BOOLS = (bool, np.bool_)
 # (fields, accepted values, stored type, what the error asks for)
 _TYPED_FIELDS = (
-    (("ell_o", "tuner_lr", "link_nu", "prior_nu", "h", "nu"),
+    (("ell_o", "tuner_lr", "link_nu", "prior_nu", "h", "nu", "target_accept"),
      lambda v: isinstance(v, numbers.Real), float, "a real number"),
     (("dimension", "iterations", "burnin", "thinning", "replicates", "seed",
       "n_obs", "tuner_steps", "tuner_batch", "leapfrog_steps", "reference_size"),
@@ -130,11 +130,13 @@ class ExperimentConfig:
     """User-facing knobs; ``None`` means "use the preset default".
 
     The real-valued fields (``ell_o``, ``tuner_lr``, ``link_nu``,
-    ``prior_nu``, ``h``, ``nu``) are stored as floats, so ``ell_o=1``
-    means 1.0 everywhere downstream, the summary included.  The integer
-    fields are stored as ``int`` (a numpy integer is converted) and the
-    boolean fields as ``bool``; a value of another type raises
-    ``ConfigError``.
+    ``prior_nu``, ``h``, ``nu``, ``target_accept``) are stored as
+    floats, so ``ell_o=1`` means 1.0 everywhere downstream, the summary
+    included.  The integer fields are stored as ``int`` (a numpy integer
+    is converted) and the boolean fields as ``bool``; a value of another
+    type raises ``ConfigError``.  ``validate`` checks the ranges: step
+    size, tuner learning rate and the three degrees of freedom must be
+    finite and positive, and ``target_accept`` must lie in (0, 1).
     """
 
     preset: str = "cauchy"
@@ -203,6 +205,12 @@ class ExperimentConfig:
                     raise ConfigError(f"{name} must be at least {least}")
         if not 1.0 <= self.ell_o <= 2.0:
             raise ConfigError("ell_o must lie in [1, 2]")
+        for name in ("h", "tuner_lr", "nu", "prior_nu", "link_nu"):
+            v = getattr(self, name)
+            if v is not None and not (math.isfinite(v) and v > 0.0):
+                raise ConfigError(f"{name} must be finite and positive")
+        if self.target_accept is not None and not 0.0 < self.target_accept < 1.0:
+            raise ConfigError("target_accept must lie in (0, 1)")
         if self.preset == "custom" and self.data_csv is None:
             raise ConfigError("custom preset requires data_csv")
         if self.link is not None and self.link not in ("logit", "robit"):

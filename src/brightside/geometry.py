@@ -366,26 +366,32 @@ _BETA_FPMIN = 1e-300
 _BETA_MAXIT = 500
 # Up to this many points the plain-float loop beats the array path: ten
 # skew-t densities cost ~70 us looped against ~400 us as arrays, and the
-# array path wins from a few hundred points (measured, numpy 2.4).
+# array path wins from a few hundred points (measured, numpy 2.4).  The
+# array path itself hands its last ``_BETA_HANDOFF`` live elements to the
+# plain-float loop: most elements converge in two or three steps, and
+# each array step costs a few dozen numpy calls however few are left.
 _BETA_SMALL_BATCH = 128
+_BETA_HANDOFF = 24
 
 
-def _betacf_scalar(x, a, b):
+def _betacf_scalar(x, a, b, m=1, c=1.0, dd=None, h=None):
     """Continued fraction for the incomplete beta (modified Lentz), one point.
 
     Plain-float twin of ``_betacf``: the same operations in the same
-    order, so a point gets the same bits here as in a batch.
+    order, so a point gets the same bits here as in a batch.  Starts at
+    step m = 1 by default; ``_betacf`` hands over an element at step
+    ``m`` with the state (c, dd, h) its array steps left.
     """
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = 1.0
-    dd = 1.0 - qab * x / qap
-    if abs(dd) < _BETA_FPMIN:
-        dd = _BETA_FPMIN
-    dd = 1.0 / dd
-    h = dd
-    for m in range(1, _BETA_MAXIT + 1):
+    if dd is None:
+        dd = 1.0 - qab * x / qap
+        if abs(dd) < _BETA_FPMIN:
+            dd = _BETA_FPMIN
+        dd = 1.0 / dd
+        h = dd
+    for m in range(m, _BETA_MAXIT + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         dd = 1.0 + aa * dd
@@ -411,13 +417,33 @@ def _betacf_scalar(x, a, b):
     raise DomainError("incomplete beta continued fraction failed to converge")
 
 
+def _lentz_half_step(x, num, den, c, dd):
+    """One term aa = num * x / den of the array fraction, in place.
+
+    dd = 1 / (1 + aa * dd) and c = 1 + aa / c, each clamped away from 0
+    before use, as in ``_betacf_scalar``.
+    """
+    aa = num * x
+    aa /= den
+    dd *= aa
+    dd += 1.0
+    np.copyto(dd, _BETA_FPMIN, where=np.abs(dd) < _BETA_FPMIN)
+    np.divide(aa, c, out=c)
+    c += 1.0
+    np.copyto(c, _BETA_FPMIN, where=np.abs(c) < _BETA_FPMIN)
+    np.divide(1.0, dd, out=dd)
+
+
 def _betacf(x, a, b):
     """Continued fraction for the incomplete beta (modified Lentz).
 
-    Elementwise over 1-d arrays, with a and b per element; converges
-    for x < (a+1)/(a+b+2).  Each element stops at its own convergence
-    and leaves the working arrays, so its value does not depend on the
-    rest of the batch.
+    Elementwise over a 1-d array ``x`` with scalar a and b (one swap
+    group); converges for x < (a+1)/(a+b+2).  Each element stops at its
+    own convergence and leaves the working arrays.  The array steps run
+    only while more than ``_BETA_HANDOFF`` elements are live; each
+    element left then finishes in ``_betacf_scalar`` from its step and
+    state.  Both forms make the same operations in the same order, so an
+    element's value does not depend on the rest of the batch.
     """
     out = np.empty_like(x)
     idx = np.arange(x.shape[0])
@@ -426,35 +452,30 @@ def _betacf(x, a, b):
     qam = a - 1.0
     c = np.ones_like(x)
     dd = 1.0 - qab * x / qap
-    dd = np.where(np.abs(dd) < _BETA_FPMIN, _BETA_FPMIN, dd)
+    np.copyto(dd, _BETA_FPMIN, where=np.abs(dd) < _BETA_FPMIN)
     dd = 1.0 / dd
     h = dd.copy()
-    for m in range(1, _BETA_MAXIT + 1):
+    m = 1
+    while idx.size > _BETA_HANDOFF and m <= _BETA_MAXIT:
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        dd = 1.0 + aa * dd
-        dd = np.where(np.abs(dd) < _BETA_FPMIN, _BETA_FPMIN, dd)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _BETA_FPMIN, _BETA_FPMIN, c)
-        dd = 1.0 / dd
-        h = h * dd * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        dd = 1.0 + aa * dd
-        dd = np.where(np.abs(dd) < _BETA_FPMIN, _BETA_FPMIN, dd)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _BETA_FPMIN, _BETA_FPMIN, c)
-        dd = 1.0 / dd
+        _lentz_half_step(x, m * (b - m), (qam + m2) * (a + m2), c, dd)
+        h *= dd
+        h *= c
+        _lentz_half_step(x, -(a + m) * (qab + m), (a + m2) * (qap + m2), c, dd)
         delta = dd * c
-        h = h * delta
-        done = np.abs(delta - 1.0) < _BETA_EPS
+        h *= delta
+        delta -= 1.0
+        done = np.abs(delta, out=delta) < _BETA_EPS
         if done.any():
             out[idx[done]] = h[done]
             live = ~done
-            if not live.any():
-                return out
-            idx, x, a, b, qab, qap, qam, c, dd, h = (
-                v[live] for v in (idx, x, a, b, qab, qap, qam, c, dd, h))
-    raise DomainError("incomplete beta continued fraction failed to converge")
+            idx, x, c, dd, h = (v[live] for v in (idx, x, c, dd, h))
+        m += 1
+    # past _BETA_MAXIT the plain-float loop raises on the first element
+    for i, xv, cv, dv, hv in zip(idx.tolist(), x.tolist(), c.tolist(),
+                                 dd.tolist(), h.tolist()):
+        out[i] = _betacf_scalar(xv, a, b, m, cv, dv, hv)
+    return out
 
 
 def _incomplete_beta_scalar(x, a, b, lbeta, log):
@@ -497,7 +518,9 @@ def _incomplete_beta(x, a, b, log):
     which stays finite far below double-precision range.  Batches of
     up to ``_BETA_SMALL_BATCH`` points loop the plain-float twin, which
     gives each element the bits the array path gives it and costs less
-    there than the array setup; a 0-d ``x`` returns a float.
+    there than the array setup; larger batches run the array fraction
+    once per swap group, with scalar shape parameters, and finish its
+    last few elements in plain floats.  A 0-d ``x`` returns a float.
     """
     a = float(a)
     b = float(b)
@@ -527,7 +550,10 @@ def _incomplete_beta(x, a, b, log):
     ai = np.where(si, b, a)
     bi = np.where(si, a, b)
     lfront = ai * np.log(xi) + bi * np.log1p(-xi) - lbeta
-    cf = _betacf(xi, ai, bi)
+    cf = np.empty_like(xi)
+    for group, (ag, bg) in ((~si, (a, b)), (si, (b, a))):
+        if group.any():
+            cf[group] = _betacf(xi[group], ag, bg)
     value = np.clip(np.exp(lfront) * cf / ai, 0.0, 1.0)
     res = np.where(si, 1.0 - value, value)
     if li.any():

@@ -209,8 +209,11 @@ def tune(target: TargetModel, ell_o, opts: TuneOptions | None = None,
 
     Each step draws a fresh uniform cap batch (stochastic gradients),
     updates (h_o, mu, log R) with Adam, and projects the longitude back
-    into the observer ball.  Deterministic given ``opts.seed``.  Aborts
-    after ten consecutive non-finite objective values.
+    into the observer ball.  Deterministic given ``opts.seed``.  A step
+    whose objective or gradient is not finite is skipped: the
+    parameters and Adam's moments stay as they are, and Adam's bias
+    correction counts applied updates only.  Aborts after ten
+    consecutive non-finite objective values.
 
     ``alignment_ref``, when given as (skewness vector, location
     vector), adds per-step alignment traces to the report.
@@ -235,6 +238,7 @@ def tune(target: TargetModel, ell_o, opts: TuneOptions | None = None,
 
     bad_streak = 0
     h_o_rescaled = 0
+    applied = 0  # Adam's bias-correction step counts applied updates only
     for step in range(opts.steps):
         cap = sample_uniform_cap(d, ell_o, rng, size=opts.mc_batch)
         try:
@@ -249,9 +253,9 @@ def tune(target: TargetModel, ell_o, opts: TuneOptions | None = None,
             grad_norm_trace[step] = float(np.linalg.norm(grad))
             m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
             v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-            t = step + 1
-            m_hat = m / (1.0 - ADAM_BETA1**t)
-            v_hat = v / (1.0 - ADAM_BETA2**t)
+            applied += 1
+            m_hat = m / (1.0 - ADAM_BETA1**applied)
+            v_hat = v / (1.0 - ADAM_BETA2**applied)
             update = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             rho = rho - update[2 * d]
             h_step = h_o - update[:d]

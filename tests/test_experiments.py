@@ -125,6 +125,20 @@ class TestConfigErrors:
             run_experiment(ExperimentConfig(preset="skewt", iterations=300, burnin=50,
                                             out=str(tmp_path), **{name: value}))
 
+    @pytest.mark.parametrize("name, value", [
+        ("h", math.nan), ("h", 0.0), ("tuner_lr", math.nan), ("tuner_lr", -0.01),
+        ("nu", 0.0), ("nu", math.inf), ("prior_nu", -2.0), ("prior_nu", math.nan),
+        ("link_nu", math.nan), ("link_nu", 0.0), ("target_accept", 0.0),
+        ("target_accept", 1.0), ("target_accept", math.nan)])
+    def test_out_of_range_real_field(self, name, value, tmp_path):
+        # rejected up front, before the target is built or a chain runs
+        with pytest.raises(ConfigError, match=name):
+            ExperimentConfig.from_dict({name: value})
+        with pytest.raises(ConfigError, match=name):
+            run_experiment(ExperimentConfig(preset="robit", iterations=300, burnin=50,
+                                            out=str(tmp_path), **{name: value}))
+        assert not any(tmp_path.iterdir())
+
     def test_iterations_must_exceed_burnin(self):
         with pytest.raises(ConfigError, match="exceed burnin"):
             resolve(ExperimentConfig(iterations=10, burnin=10))

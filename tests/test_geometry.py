@@ -549,6 +549,29 @@ class TestIncompleteBetaPaths:
                 assert f(np.array(batch), 5.5, 0.5)[0] == alone
             assert f(0.3, 5.5, 0.5) == alone
 
+    def test_batch_independence_across_the_handoff(self):
+        # on the array path a swap group steps as arrays while more than
+        # _BETA_HANDOFF elements are live, then finishes in plain floats
+        rng = np.random.default_rng(32)
+        a, b = 5.5, 0.5
+        edge = (a + 1.0) / (a + b + 2.0)
+        handoff = geometry._BETA_HANDOFF
+        n = geometry._BETA_SMALL_BATCH + 1
+        for f in self.FUNCS:
+            for n_direct in (handoff - 1, handoff, handoff + 1, 2 * handoff, n):
+                # n_direct points below the symmetry edge, the rest above
+                xs = np.concatenate([rng.uniform(0.0, edge, n_direct),
+                                     rng.uniform(edge, 1.0, n - n_direct)])
+                batch = f(xs, a, b)
+                assert np.array_equal(batch, [f(np.array([x]), a, b)[0] for x in xs])
+            # one slow element (next to the edge, ~17 steps) among fast ones
+            # (x near 0, 2 steps): it finishes alone in plain floats
+            slow = np.nextafter(edge, 0.0)
+            alone = f(np.array([slow]), a, b)[0]
+            for n_fast in (handoff, n, 4 * n):
+                xs = np.concatenate([[slow], rng.uniform(0.0, 1e-6, n_fast)])
+                assert f(xs, a, b)[0] == alone
+
     def test_scalar_matches_array(self):
         rng = np.random.default_rng(31)
         for nu in (3.0, 11.0, 101.0):

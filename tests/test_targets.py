@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from brightside import targets
 from brightside.errors import DomainError
 from brightside.geometry import make_params
 from brightside.kernels import KernelConfig, hmc_step, run_chains
@@ -436,15 +437,55 @@ class TestLogDensityAndGrad:
         for y in (ys[0], ys[1], ys[2], ys[:10], ys):
             self.assert_fused_matches(target, y)
 
-    @pytest.mark.parametrize("link", ["logit", "robit"])
-    def test_regression_bit_identical(self, link):
+    @pytest.mark.parametrize("d", [10, 100])
+    def test_student_t_bit_identical(self, d):
+        target = mv_student_t(d, nu=1.0, loc=np.linspace(-1.0, 1.0, d), scale=1.5)
+        ys = target.loc + 3.0 * np.random.default_rng(42).standard_cauchy((1000, d))
+        ys[0] = target.loc
+        for y in (ys[0], ys[1], ys[:10], ys):
+            self.assert_fused_matches(target, y)
+
+    # link_nu = 3 runs the incomplete beta; 1 and 2 are closed forms
+    @pytest.mark.parametrize("link, link_nu", [
+        pytest.param("logit", 2.0, id="logit"), pytest.param("robit", 2.0, id="robit"),
+        pytest.param("robit", 3.0, id="robit-nu3")])
+    def test_regression_bit_identical(self, link, link_nu):
         rng = np.random.default_rng(41)
         target = binary_regression_posterior(
-            generate_separable_data(30, 5, rng, link=link))
+            generate_separable_data(30, 5, rng, link=link, link_nu=link_nu))
         betas = 2.0 * rng.standard_cauchy((1000, 5))
         betas[0] = 0.0
         for beta in (betas[0], betas[1], betas[:10], betas):
             self.assert_fused_matches(target, beta)
+
+    @pytest.mark.parametrize("link", ["logit", "robit"])
+    def test_regression_fused_call_evaluates_the_link_once(self, link,
+                                                           monkeypatch):
+        target = binary_regression_posterior(generate_separable_data(
+            30, 5, np.random.default_rng(43), link=link, link_nu=3.0))
+        calls = Counter()
+        link_terms = target._log_lik_terms
+        t_log_cdf = targets.student_t_log_cdf
+
+        def counted_link_terms(u):
+            calls["link"] += 1
+            return link_terms(u)
+
+        def counted_t_log_cdf(t, nu):
+            calls["t_log_cdf"] += 1
+            return t_log_cdf(t, nu)
+
+        monkeypatch.setattr(target, "_log_lik_terms", counted_link_terms)
+        monkeypatch.setattr(targets, "student_t_log_cdf", counted_t_log_cdf)
+        for beta in (np.ones(5), np.ones((10, 5))):
+            calls.clear()
+            target.log_density_and_grad(beta)
+            assert calls == Counter(link=1, t_log_cdf=link == "robit")
+            calls.clear()
+            target.grad_log_density(beta)
+            # the logit gradient needs no link value
+            assert calls == Counter(link=link == "robit",
+                                    t_log_cdf=link == "robit")
 
     def test_default_composes_the_two_calls(self):
         target = CountingTarget(mv_student_t(3, nu=2.0))
@@ -491,6 +532,40 @@ class TestLogDensityAndGrad:
             expected = Counter(grad_log_density=steps - 1,
                                log_density_and_grad=1)
             assert target.calls == +expected
+
+
+class TestExactSamplersInPlace:
+    """The in-place draws equal the textbook out-of-place formulas."""
+
+    @pytest.mark.parametrize("size", [None, 1, 1000])
+    def test_student_t(self, size):
+        target = mv_student_t(4, nu=2.5, loc=np.array([0.5, -1.0, 0.0, 2.0]),
+                              scale=1.5)
+        got = target.exact_sample(np.random.default_rng(50), size=size)
+        rng = np.random.default_rng(50)
+        n = 1 if size is None else size
+        g = rng.standard_normal((n, 4))
+        v = rng.chisquare(2.5, size=n) / 2.5
+        want = target.loc + target.scale * g / np.sqrt(v)[:, None]
+        assert _bits(got) == _bits(want[0] if size is None else want)
+        assert got.shape == ((4,) if size is None else (size, 4))
+
+    @pytest.mark.parametrize("size", [None, 1, 1000])
+    def test_skew_t(self, size):
+        params = SkewTParams(xi=np.array([1.0, -2.0, 0.5]),
+                             alpha_skew=np.array([3.0, -1.0, 0.0]), nu=3.0)
+        got = skew_t_exact_sample(params, np.random.default_rng(51), size=size)
+        rng = np.random.default_rng(51)
+        n = 1 if size is None else size
+        v = rng.chisquare(3.0, size=n) / 3.0
+        u = rng.standard_normal((n, 3))
+        w = rng.standard_normal(n)
+        keep = w <= u @ params.alpha_skew
+        if n > 1:  # both signs drawn
+            assert keep.any() and not keep.all()
+        want = params.xi + np.where(keep[:, None], u, -u) / np.sqrt(v)[:, None]
+        assert _bits(got) == _bits(want[0] if size is None else want)
+        assert got.shape == ((3,) if size is None else (size, 3))
 
 
 class TestSubCauchyProbe:

@@ -41,6 +41,22 @@ class GradFreeWrapper(TargetModel):
         return self.inner.log_density(y)
 
 
+class FlakyGradient(TargetModel):
+    """Cauchy whose gradient is NaN on its first three calls."""
+
+    dim = 3
+    calls = 0
+    inner = mv_student_t(3, nu=1.0)
+
+    def log_density(self, y):
+        return self.inner.log_density(y)
+
+    def grad_log_density(self, y):
+        self.calls += 1
+        g = self.inner.grad_log_density(y)
+        return np.full_like(g, np.nan) if self.calls <= 3 else g
+
+
 class TestKlObjective:
     def test_matched_cauchy_integrand_is_zero(self):
         rng = np.random.default_rng(0)
@@ -290,21 +306,6 @@ class TestTune:
             TuneOptions(learning_rate=math.nan)
 
     def test_nonfinite_gradient_steps_hold_parameters(self):
-        class FlakyGradient(TargetModel):
-            """Cauchy whose gradient is NaN on its first three calls."""
-
-            dim = 3
-            calls = 0
-            inner = mv_student_t(3, nu=1.0)
-
-            def log_density(self, y):
-                return self.inner.log_density(y)
-
-            def grad_log_density(self, y):
-                self.calls += 1
-                g = self.inner.grad_log_density(y)
-                return np.full_like(g, np.nan) if self.calls <= 3 else g
-
         alpha, xi = np.array([1.0, -1.0, 0.5]), np.zeros(3)
         init = (np.full(3, 0.1), np.ones(3), 2.0)
         ref = (alpha, xi)
@@ -323,6 +324,18 @@ class TestTune:
         assert np.all(rep.alignment["cosine_trace"][:3] == cos0)
         assert np.all(rep.alignment["mu_rel_trace"][:3] == rel0)
         assert rep.alignment["mu_rel_trace"][3] != rel0
+
+    def test_first_applied_update_is_not_underscaled(self):
+        # Adam's first applied update moves each coordinate by about the
+        # learning rate, however many non-finite steps were skipped first
+        init = (np.full(3, 0.1), np.ones(3), 2.0)
+        lr = 0.01
+        for target, steps in ((mv_student_t(3, nu=1.0), 1), (FlakyGradient(), 4)):
+            rep = tune(target, 1.1, TuneOptions(mc_batch=50, steps=steps, seed=7,
+                                                learning_rate=lr, init=init))
+            assert np.all(np.isfinite(rep.grad_norm_trace[-1:]))
+            moved = np.abs(rep.theta_bar[1] - init[1])
+            np.testing.assert_allclose(moved, lr, rtol=1e-6)
 
     def test_nonfinite_objective_aborts(self):
         class Broken(TargetModel):
