@@ -550,6 +550,7 @@ def _tune_report_dict(report: TuneReport, cfg: ExperimentConfig) -> dict:
         "grad_norm_trace": [float(v) for v in report.grad_norm_trace],
         "h_o_rescaled": report.h_o_rescaled,
         "final_margin": report.final_margin,
+        "converged": report.converged,
     }
     if report.alignment is not None:
         data["alignment"] = {
@@ -565,7 +566,19 @@ def run_tune(config: ExperimentConfig) -> dict:
     """Tune the projection for the preset's target; writes tune.json.
 
     The tuner runs as it does inside ``run_experiment`` (same seed), so
-    both report the same ``theta_bar`` for one config.
+    both report the same ``theta_bar`` for one config.  ``tune.json``
+    holds:
+
+    - ``theta_bar``: the tuned ``h_o`` and ``mu`` (lists) and ``R``;
+    - ``ell_o``, ``seed`` and ``preset``;
+    - ``steps``: the number of steps run, at most ``tuner_steps``, and
+      the length of every trace;
+    - ``objective_trace`` and ``grad_norm_trace``, one value per step;
+    - ``h_o_rescaled`` and ``final_margin`` (see ``TuneReport``);
+    - ``converged``: True when the tuner stopped because its objective
+      had stopped falling, False when it ran all ``tuner_steps``;
+    - ``alignment`` on the skew-t preset: the cosine and location
+      traces and their final values.
     """
     cfg, out_dir, target, alignment_ref = _setup(config)
     data = _tune_report_dict(_tune(cfg, target, alignment_ref), cfg)

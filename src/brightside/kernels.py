@@ -351,6 +351,13 @@ def run_chain(kernel: KernelConfig, params: Optional[ProjectionParams],
     afterwards.  Samples are recorded in target space.  Deterministic
     given ``seed``; the reported acceptance rate covers the post
     burn-in iterations (all iterations when ``burnin = 0``).
+
+    A sphere-kernel start whose inverse projection rounds onto the
+    observer latitude raises ``DarkSidePoint`` from ``cap_forward``
+    before the first step.  At the stereographic latitude (sps,
+    ``ell_o = 2``) that latitude is the north pole: at d = 10 with
+    R = sqrt(d)/2, a start at |y| = 1e12 rounds onto it, while 1e8
+    still runs.
     """
     return _drive(kernel, params, target, init, iterations, burnin,
                   thinning, seed)
@@ -487,7 +494,9 @@ def run_chains(kernel: KernelConfig, params, target, init, iterations,
     is accepted, since the benchmark passes it, and ignored.  Results
     come in chain order.  The chains of an ensemble each report the
     ensemble's wall time, and an aborted ensemble raises
-    ``ChainAborted`` carrying the list of partial outputs.
+    ``ChainAborted`` carrying the list of partial outputs.  A start
+    that rounds onto the observer latitude raises ``DarkSidePoint``
+    before the first step, as in ``run_chain``.
     """
     seeds = [derive_chain_seed(seed, i) for i in range(n_chains)]
     inits = np.array(init, dtype=float, ndmin=1)

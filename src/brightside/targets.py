@@ -182,11 +182,16 @@ class MultivariateStudentT(TargetModel):
         self.dim = int(d)
         self.nu = float(nu)
         self.loc = np.broadcast_to(np.asarray(loc, dtype=float), (self.dim,)).copy()
+        self.loc.flags.writeable = False  # so _identity cannot go stale
         self.scale = float(scale)
+        # (y - 0) / 1 is y bit for bit, so the standard target skips both
+        self._identity = not np.any(self.loc) and self.scale == 1.0
 
     def _standardized(self, y):
         """z = (y - loc) / scale and its squared norm q = |z|^2."""
-        z = (np.asarray(y, dtype=float) - self.loc) / self.scale
+        z = np.asarray(y, dtype=float)
+        if not self._identity:
+            z = (z - self.loc) / self.scale
         return z, np.vecdot(z, z)
 
     def _value(self, q):

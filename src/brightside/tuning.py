@@ -18,6 +18,17 @@ back to central finite differences.  ``kl_gradient`` and every step of
 log R to stay positive, and the longitude is radially projected back
 into the observer ball after every update; the report counts those
 projections and gives the final observer's margin to the ball's edge.
+
+``TuneOptions.steps`` is a maximum: the tuner stops once its objective
+has stopped falling.  After every ``STOP_WINDOW`` steps, from step
+``2 * STOP_WINDOW`` on, it compares the mean objective of the last
+window with the mean of the window before it, and stops when the drop
+is no more than ``STOP_Z`` standard errors of the difference of the two
+means.  A window pair that holds a non-finite value never stops the
+run.  The rule only reads the recorded objective values and draws
+nothing, so a run stopped at step k returns exactly the first k steps
+of the run without the rule, and ``TuneReport.converged`` says which
+way it ended.
 """
 
 from __future__ import annotations
@@ -37,11 +48,27 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# Stopping rule.  A window of 25 steps averages the per-step Monte Carlo
+# noise of the objective down to a fifth of its spread, yet is short
+# enough that the first check (step 50) comes soon after Adam's early
+# transient and a flat stretch is caught within 25 steps.  One standard
+# error is a lenient bar: where the objective is flat, noise alone
+# clears it at one check in six, so a flat run stops within a few
+# checks; where the expected drop per window is two standard errors or
+# more, a check stops the run about one time in six.
+STOP_WINDOW = 25
+STOP_Z = 1.0
+
 
 @dataclass(frozen=True)
 class TuneOptions:
     """Optimizer settings; batch size and learning rate follow the
-    defaults that work well for targets in the hundreds of dimensions."""
+    defaults that work well for targets in the hundreds of dimensions.
+
+    ``steps`` is at most the number of steps run: the tuner stops
+    earlier once its objective has stopped falling (see the module
+    docstring).
+    """
 
     mc_batch: int = 2000
     steps: int = 2000
@@ -62,6 +89,11 @@ class TuneOptions:
 class TuneReport:
     """Optimized parameters with per-step traces.
 
+    ``converged`` is True when the stopping rule ended the run and
+    False when it ran all ``TuneOptions.steps`` steps.  Every trace,
+    the alignment traces included, has one entry per step run, so its
+    length is the number of steps the run took.
+
     ``h_o_rescaled`` counts the steps whose update ``project_params``
     pulled back into the observer ball; ``final_margin`` is
     1 - |h_o|^2 - (ell_o - 1)^2 at the final observer, near
@@ -76,6 +108,7 @@ class TuneReport:
     grad_norm_trace: np.ndarray
     h_o_rescaled: int
     final_margin: float
+    converged: bool
     alignment: Optional[dict] = None
 
 
@@ -158,6 +191,19 @@ def kl_gradient(theta_bar, ell_o, target: TargetModel, cap_samples):
     return _objective_and_gradient(theta_bar, ell_o, target, cap_samples)[1]
 
 
+def _objective_flat(trace) -> bool:
+    """True when the mean of the last ``STOP_WINDOW`` values of ``trace``
+    is no more than ``STOP_Z`` standard errors of the difference below
+    the mean of the window before; False while either holds a
+    non-finite value."""
+    prev, last = trace[-2 * STOP_WINDOW:-STOP_WINDOW], trace[-STOP_WINDOW:]
+    if not (np.all(np.isfinite(prev)) and np.all(np.isfinite(last))):
+        return False
+    drop = float(prev.mean() - last.mean())
+    se = math.sqrt((prev.var(ddof=1) + last.var(ddof=1)) / STOP_WINDOW)
+    return drop <= STOP_Z * se
+
+
 def project_params(theta_bar, ell_o):
     """Radially rescale the longitude back inside the observer ball.
 
@@ -213,7 +259,9 @@ def tune(target: TargetModel, ell_o, opts: TuneOptions | None = None,
     whose objective or gradient is not finite is skipped: the
     parameters and Adam's moments stay as they are, and Adam's bias
     correction counts applied updates only.  Aborts after ten
-    consecutive non-finite objective values.
+    consecutive non-finite objective values.  Stops before
+    ``opts.steps`` once the objective has stopped falling (see the
+    module docstring); the traces then end at the last step run.
 
     ``alignment_ref``, when given as (skewness vector, location
     vector), adds per-step alignment traces to the report.
@@ -239,6 +287,7 @@ def tune(target: TargetModel, ell_o, opts: TuneOptions | None = None,
     bad_streak = 0
     h_o_rescaled = 0
     applied = 0  # Adam's bias-correction step counts applied updates only
+    converged = False
     for step in range(opts.steps):
         cap = sample_uniform_cap(d, ell_o, rng, size=opts.mc_batch)
         try:
@@ -273,9 +322,18 @@ def tune(target: TargetModel, ell_o, opts: TuneOptions | None = None,
         if cosine_trace is not None:
             cosine_trace[step], mu_rel_trace[step] = alignment_metrics(
                 (h_o, mu, R), *alignment_ref)
+        n = step + 1
+        if (n % STOP_WINDOW == 0 and n >= 2 * STOP_WINDOW
+                and _objective_flat(objective_trace[:n])):
+            converged = True
+            break
 
+    # n: the steps run, all of them unless the rule stopped the run
+    objective_trace = objective_trace[:n]
+    grad_norm_trace = grad_norm_trace[:n]
     alignment = None
     if alignment_ref is not None:
+        cosine_trace, mu_rel_trace = cosine_trace[:n], mu_rel_trace[:n]
         alignment = {
             "cosine_trace": cosine_trace,
             "mu_rel_trace": mu_rel_trace,
@@ -288,5 +346,6 @@ def tune(target: TargetModel, ell_o, opts: TuneOptions | None = None,
         grad_norm_trace=grad_norm_trace,
         h_o_rescaled=h_o_rescaled,
         final_margin=1.0 - float(h_o @ h_o) - (ell_o - 1.0) ** 2,
+        converged=converged,
         alignment=alignment,
     )

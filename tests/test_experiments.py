@@ -244,6 +244,15 @@ class TestRunTune:
         margin = 1.0 - float(h_o @ h_o) - (config.ell_o - 1.0) ** 2
         assert written["final_margin"] == margin
 
+    def test_records_convergence(self, tmp_path):
+        config = ExperimentConfig(preset="skewt", tuner_steps=3, tuner_batch=50,
+                                  out=str(tmp_path))
+        data = run_tune(config)
+        written = read_json(tmp_path / "tune.json")
+        assert written["converged"] is False  # 3 steps are too few to stop
+        assert written["converged"] == data["converged"]
+        assert written["steps"] == len(written["objective_trace"]) == 3
+
     @pytest.mark.parametrize("preset", ["skewt", "custom"])
     def test_theta_bar_matches_run_experiment(self, preset, tmp_path):
         config = small_config(preset, tmp_path, tuner_steps=5,
@@ -251,4 +260,5 @@ class TestRunTune:
         tuned = run_tune(config)
         summary = run_experiment(config)
         assert tuned["theta_bar"] == summary["tuner"]["theta_bar"]
+        assert tuned["converged"] == summary["tuner"]["converged"]
         assert read_json(tmp_path / "tune.json") == tuned

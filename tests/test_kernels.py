@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from brightside.diagnostics import ess
+from brightside.diagnostics import ess, ks_statistic
 from brightside.errors import ChainAborted, DarkSidePoint, DegenerateProposal
 from brightside.geometry import (
     cap_forward,
@@ -656,6 +656,21 @@ class TestRunChain:
         with pytest.raises(ValueError):
             KernelConfig("rwm", h=math.nan)
 
+    def test_sps_start_rounding_onto_north_pole_raises(self):
+        # at the stereographic latitude the observer sits at the north
+        # pole; a start at 1e12 inverts onto it, one at 1e8 does not
+        d = 10
+        target = mv_student_t(d, nu=1.0)
+        p = make_params(d, ell_o=2.0, R=math.sqrt(d) / 2.0)
+        cfg = KernelConfig(kind="sps", h=0.5)
+        direction = np.ones(d) / math.sqrt(d)
+        for run in (lambda y: run_chain(cfg, p, target, y, 5, seed=1),
+                    lambda y: run_chains(cfg, p, target, y, 5, seed=1,
+                                         n_chains=SPHERE_ENSEMBLE_MIN_CHAINS)):
+            with pytest.raises(DarkSidePoint):
+                run(1e12 * direction)
+            run(1e8 * direction)
+
     def test_sps_requires_boundary_params(self):
         target = mv_student_t(2, nu=2.0)
         p = make_params(2, ell_o=1.1)
@@ -690,3 +705,37 @@ class TestRunChain:
         seeds = {o.seed for o in outs1}
         assert len(seeds) == 4
         assert derive_chain_seed(9, 0) in seeds
+
+
+class TestUniformErgodicity:
+    """SCS forgets its start at a rate that does not depend on it.
+
+    1000 chains on a d = 10 Student t with nu = 2 start at radius r on
+    random directions; coordinate 0 across chains after a fixed number
+    of steps is compared with the t_2 CDF.  Exact draws give KS 0.02 to
+    0.035 over seeds 0-9, against the 5% critical value 0.043.
+    """
+
+    d, n_chains = 10, 1000
+    critical = 1.358 / math.sqrt(n_chains)
+
+    def ks_after(self, kind, h, params, r, steps):
+        target = mv_student_t(self.d, nu=2.0)
+        rng = np.random.default_rng(0)
+        directions = rng.standard_normal((self.n_chains, self.d))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        outs = run_chains(KernelConfig(kind, h=h, adapt_burnin=0), params, target,
+                          r * directions, steps, burnin=steps - 1, seed=0,
+                          n_chains=self.n_chains)
+        last = np.array([o.samples[-1, 0] for o in outs])
+        return ks_statistic(last, lambda t: student_t_cdf(t, 2.0))
+
+    def test_scs_forgets_far_starts(self):
+        params = make_params(self.d, ell_o=1.1)
+        for r in (1.0, 1e4, 1e8):
+            assert self.ks_after("scs", 0.5, params, r, 20) < self.critical
+
+    def test_rwm_does_not(self):
+        # negative control: three times as many steps leave rwm far out
+        for r in (1e4, 1e8):
+            assert self.ks_after("rwm", 1.0, None, r, 60) > self.critical

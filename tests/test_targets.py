@@ -187,6 +187,30 @@ class TestMultivariateStudentT:
         ks = max(np.max(grid - F), np.max(F - (grid - 1.0 / n)))
         assert ks < 1.63 / math.sqrt(n)
 
+    @pytest.mark.parametrize("loc, scale", [
+        pytest.param(0.0, 1.0, id="identity"),
+        pytest.param(np.linspace(-1.0, 1.0, 10), 1.5, id="shifted-scaled")])
+    def test_values_match_textbook_formula_bitwise(self, loc, scale):
+        # the identity target skips (y - loc) / scale; every target still
+        # returns the formula's bits
+        d, nu = 10, 1.0
+        t = mv_student_t(d, nu=nu, loc=loc, scale=scale)
+        ys = 3.0 * np.random.default_rng(4).standard_cauchy((100, d))
+        ys[0] = -0.0
+        for y in (ys[0], ys[1], ys):
+            z = (y - t.loc) / t.scale
+            q = np.vecdot(z, z)
+            value = -(nu + d) / 2.0 * np.log1p(q / nu)
+            grad = (-(nu + d) / (scale * (nu + q)))[..., None] * z
+            fused = t.log_density_and_grad(y)
+            assert _bits(t.log_density(y)) == _bits(fused[0]) == _bits(value)
+            assert _bits(t.grad_log_density(y)) == _bits(fused[1]) == _bits(grad)
+
+    def test_loc_is_read_only(self):
+        t = mv_student_t(3, nu=1.0)
+        with pytest.raises(ValueError):
+            t.loc[0] = 1.0
+
     def test_batch_matches_single(self):
         t = mv_student_t(3, nu=2.0, loc=0.5)
         ys = np.random.default_rng(3).standard_normal((7, 3))

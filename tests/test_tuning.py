@@ -13,7 +13,9 @@ from brightside.geometry import (
     sample_uniform_cap,
 )
 from brightside.targets import TargetModel, mv_student_t, skew_t
+from brightside import tuning
 from brightside.tuning import (
+    STOP_WINDOW,
     TuneOptions,
     alignment_metrics,
     kl_gradient,
@@ -22,6 +24,7 @@ from brightside.tuning import (
     project_params,
     tune,
     _fd_gradient,
+    _objective_flat,
 )
 
 
@@ -250,10 +253,12 @@ class TestTune:
         opts = TuneOptions(mc_batch=500, steps=600, learning_rate=0.01,
                            seed=2, init=(np.zeros(d), np.full(d, 2.0), 3.0))
         rep = tune(target, 1.1, opts)
-        window = 100
-        means = rep.objective_trace.reshape(-1, window).mean(axis=1)
-        stds = rep.objective_trace.reshape(-1, window).std(axis=1)
-        ses = stds / math.sqrt(window)
+        # a run stopped by the rule has a whole number of windows
+        window = STOP_WINDOW
+        windows = rep.objective_trace.reshape(-1, window)
+        assert windows.shape[0] >= 4
+        means = windows.mean(axis=1)
+        ses = windows.std(axis=1) / math.sqrt(window)
         for k in range(len(means) - 1):
             assert means[k + 1] <= means[k] + ses[k]
 
@@ -352,3 +357,74 @@ class TestTune:
         opts = TuneOptions(mc_batch=20, steps=50, seed=5)
         with pytest.raises(TuningFailed):
             tune(Broken(), 1.1, opts)
+
+
+class TestStoppingRule:
+    def test_rule_on_given_traces(self):
+        w = STOP_WINDOW
+        falling = -np.arange(2.0 * w)
+        assert _objective_flat(np.full(2 * w, 3.0))
+        assert _objective_flat(-falling)
+        assert not _objective_flat(falling)
+        for i in (0, w - 1, w, 2 * w - 1):  # a non-finite value in either window
+            flat = np.full(2 * w, 3.0)
+            flat[i] = math.nan
+            assert not _objective_flat(flat)
+        # only the last two windows are read
+        earlier_nan = np.concatenate([[math.nan], np.full(2 * w, 3.0)])
+        assert _objective_flat(earlier_nan)
+
+    def test_flat_objective_stops_early(self):
+        rep = tune(mv_student_t(3, nu=1.0), 1.1,
+                   TuneOptions(mc_batch=100, steps=600, seed=5))
+        n = rep.objective_trace.size
+        assert rep.converged
+        assert 2 * STOP_WINDOW <= n < 600 and n % STOP_WINDOW == 0
+        assert rep.grad_norm_trace.size == n
+
+    def test_short_or_falling_run_uses_every_step(self):
+        d = 4
+        short = tune(mv_student_t(3, nu=1.0), 1.1,
+                     TuneOptions(mc_batch=100, steps=2 * STOP_WINDOW - 1, seed=5))
+        falling = tune(mv_student_t(d, nu=1.0), 1.1,
+                       TuneOptions(mc_batch=500, steps=150, seed=2,
+                                   init=(np.zeros(d), np.full(d, 2.0), 3.0)))
+        for rep, steps in ((short, 2 * STOP_WINDOW - 1), (falling, 150)):
+            assert not rep.converged
+            assert rep.objective_trace.size == rep.grad_norm_trace.size == steps
+
+    def test_nonfinite_window_does_not_stop(self):
+        # the first three objective values are NaN, so the check at step
+        # 2 * STOP_WINDOW cannot stop the run; the one after it may
+        rep = tune(FlakyGradient(), 1.1,
+                   TuneOptions(mc_batch=100, steps=300, seed=7,
+                               init=(np.full(3, 0.1), np.ones(3), 2.0)))
+        assert np.all(np.isnan(rep.objective_trace[:3]))
+        assert rep.converged
+        assert rep.objective_trace.size > 2 * STOP_WINDOW
+
+    def test_stopped_run_is_prefix_of_full_run(self, monkeypatch):
+        d = 3
+        alpha, xi = np.array([4.0, -4.0, 0.0]), np.array([1.0, 2.0, -1.0])
+        target = skew_t(xi=xi, alpha_skew=alpha, nu=2.0)
+        opts = TuneOptions(mc_batch=100, steps=300, seed=4)
+        stopped = tune(target, 1.1, opts, alignment_ref=(alpha, xi))
+        k = stopped.objective_trace.size
+        assert stopped.converged and k < opts.steps
+        monkeypatch.setattr(tuning, "STOP_WINDOW", opts.steps + 1)  # never checks
+        full = tune(target, 1.1, opts, alignment_ref=(alpha, xi))
+        assert not full.converged and full.objective_trace.size == opts.steps
+        for got, want in ((stopped.objective_trace, full.objective_trace),
+                          (stopped.grad_norm_trace, full.grad_norm_trace),
+                          (stopped.alignment["cosine_trace"],
+                           full.alignment["cosine_trace"]),
+                          (stopped.alignment["mu_rel_trace"],
+                           full.alignment["mu_rel_trace"])):
+            assert got.shape == (k,)
+            assert np.array_equal(got, want[:k])
+        assert stopped.alignment["final_cosine"] == full.alignment["cosine_trace"][k - 1]
+        at_k = tune(target, 1.1, TuneOptions(mc_batch=100, steps=k, seed=4))
+        for got, want in zip(stopped.theta_bar, at_k.theta_bar):
+            assert np.array_equal(got, want)
+        assert stopped.h_o_rescaled == at_k.h_o_rescaled
+        assert stopped.final_margin == at_k.final_margin
