@@ -16,7 +16,6 @@ from .errors import (
     DegenerateProposal,
     DomainError,
     EmptyInput,
-    NegativeDiscriminant,
     NonfiniteGradient,
     NonfiniteInput,
     NonpositiveScale,

@@ -5,7 +5,7 @@ and quantile-quantile comparison reports against a reference law.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class QQReport:
     relative_errors: np.ndarray        # scale-aware, see relative_quantile_errors
     envelope_lo: np.ndarray            # min across replicates
     envelope_hi: np.ndarray            # max across replicates
-    per_replicate: np.ndarray = field(repr=False, default=None)
 
 
 def empirical_quantiles(samples, spec: QuantileSpec | None = None) -> np.ndarray:
@@ -162,7 +161,6 @@ def qq_report(chains, coordinate, reference_quantiles,
         relative_errors=relative_quantile_errors(pooled, reference_quantiles),
         envelope_lo=per_rep.min(axis=0),
         envelope_hi=per_rep.max(axis=0),
-        per_replicate=per_rep,
     )
 
 

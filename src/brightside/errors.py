@@ -25,10 +25,6 @@ class DarkSidePoint(GeometryError):
     """Sphere point at or above the observer latitude; projection undefined."""
 
 
-class NegativeDiscriminant(GeometryError):
-    """Chord-scale quadratic has no real root; observer configuration invalid."""
-
-
 class NonfiniteInput(GeometryError):
     """Input contains NaN or infinity."""
 

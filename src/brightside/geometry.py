@@ -37,7 +37,7 @@ an explicit ``numpy.random.Generator``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -47,7 +47,6 @@ from .errors import (
     BoundaryWithoutSymmetry,
     DarkSidePoint,
     DomainError,
-    NegativeDiscriminant,
     NonfiniteInput,
     NonpositiveScale,
     ObserverOutsideBall,
@@ -57,9 +56,6 @@ from .errors import (
 # quadratic's constant term stays strictly negative.
 INTERIOR_MARGIN = 1e-9
 
-# Round-off slack below which a negative discriminant is clamped to 0.
-DISCRIMINANT_SLACK = 1e-12
-
 
 @dataclass(frozen=True)
 class ProjectionParams:
@@ -68,7 +64,7 @@ class ProjectionParams:
     Valid by construction, whether built directly, by ``make_params``
     or by ``dataclasses.replace``; ``h_o`` and ``mu`` are read-only
     copies.  Construction raises ValueError if h_o or mu does not
-    broadcast to shape (d,), NonfiniteInput on NaN or infinity,
+    broadcast to shape (d,) or d < 1, NonfiniteInput on NaN or infinity,
     NonpositiveScale if R <= 0, BoundaryWithoutSymmetry if ell_o = 2
     with h_o != 0, and ObserverOutsideBall unless 1 <= ell_o < 2 and
     |h_o|^2 + (ell_o-1)^2 <= 1 - INTERIOR_MARGIN.
@@ -84,19 +80,22 @@ class ProjectionParams:
     R : float
         Positive scale applied in target space.
     d : int
-        Ambient dimension of the target space.
+        Ambient dimension of the target space; inferred from ``h_o``
+        when not given.
     """
 
     h_o: np.ndarray
     ell_o: float
     mu: np.ndarray
     R: float
-    d: int = field(default=0)
+    d: int | None = None
 
     def __post_init__(self):
         h_o = np.array(self.h_o, dtype=float, ndmin=1)
         mu = np.array(self.mu, dtype=float, ndmin=1)
-        d = self.d if self.d else h_o.shape[0]
+        d = h_o.shape[0] if self.d is None else int(self.d)
+        if d < 1:
+            raise ValueError(f"dimension d must be >= 1, got {d}")
         if h_o.shape[0] == 1 and d > 1:
             h_o = np.full(d, h_o[0])
         if mu.shape[0] == 1 and d > 1:
@@ -220,8 +219,9 @@ def solve_chord_scale(y, p: ProjectionParams) -> ChordScale:
 
     Uses the conjugate root form M = -C / (B + sqrt(B^2 - A*C)) when
     B > 0, which avoids the catastrophic cancellation of the textbook
-    (-B + sqrt(...)) / A form; discriminants within DISCRIMINANT_SLACK
-    below zero are clamped to zero.
+    (-B + sqrt(...)) / A form.  A valid ``ProjectionParams`` gives
+    C = |h_o|^2 + (ell_o-1)^2 - 1 <= 0 < A, so the discriminant
+    B^2 - A*C is at least B^2 >= 0, in floating point too.
     """
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
@@ -231,12 +231,7 @@ def solve_chord_scale(y, p: ProjectionParams) -> ChordScale:
     A = np.sum(w * w, axis=-1) + p.ell_o**2
     B = w @ p.h_o - p.ell_o * (p.ell_o - 1.0)
     C = float(np.dot(p.h_o, p.h_o)) + p.ell_o**2 - 2.0 * p.ell_o
-    disc = B * B - A * C
-    if np.any(disc < -DISCRIMINANT_SLACK):
-        raise NegativeDiscriminant(
-            "chord-scale quadratic has complex roots; observer invalid"
-        )
-    root = np.sqrt(np.maximum(disc, 0.0))
+    root = np.sqrt(B * B - A * C)
     denom = B + root
     # np.where evaluates both branches; at ell_o = 2, h_o = 0 (C = 0,
     # B = -2) denom is 0 on the discarded one and -C/denom would be 0/0
@@ -306,8 +301,10 @@ def sample_uniform_cap(d, ell_o, rng, size=None, with_rejection_stats=False):
     if not 1.0 <= ell_o <= 2.0:
         raise ObserverOutsideBall(f"ell_o must lie in [1, 2], got {ell_o}")
     n = 1 if size is None else int(size)
+    if n < 0:
+        raise ValueError(f"size must be non-negative, got {size}")
     threshold = ell_o - 1.0
-    chunks = []
+    chunks = [np.empty((0, d + 1))]
     got = 0
     raw = 0
     while got < n:

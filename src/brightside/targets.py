@@ -16,6 +16,10 @@ the work of both (the squared radius, the t log-CDF, the regression's
 linear predictor and link), with results bit-identical to the separate
 calls.  Row reductions are ``np.vecdot``, which costs a fraction of
 ``np.sum`` over a product at the sizes the kernels use.
+
+The skew t is the multivariate t at ``loc = xi`` and unit scale times
+a skewing factor of at most 2, so for nu >= 1 it is sub-Cauchy;
+``SkewT`` subclasses ``MultivariateStudentT`` and adds only that factor.
 """
 
 from __future__ import annotations
@@ -172,9 +176,14 @@ def student_t_log_pdf(t, nu):
 
 
 class MultivariateStudentT(TargetModel):
-    """Isotropic multivariate Student t; nu = 1 is the Cauchy."""
+    """Isotropic multivariate Student t; nu = 1 is the Cauchy.
+
+    Raises DomainError unless d >= 1, nu > 0 and scale > 0.
+    """
 
     def __init__(self, d, nu, loc=0.0, scale=1.0):
+        if not d >= 1:
+            raise DomainError(f"dimension must be >= 1, got {d}")
         if not nu > 0:
             raise DomainError(f"degrees of freedom must be positive, got {nu}")
         if not scale > 0:
@@ -230,117 +239,70 @@ def mv_student_t(d, nu, loc=0.0, scale=1.0) -> MultivariateStudentT:
 # --- multivariate skew t ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SkewTParams:
-    """Location, skewness and degrees of freedom; identity scale matrix."""
+class SkewT(MultivariateStudentT):
+    """Multivariate skew t with identity scale matrix (Azzalini & Capitanio).
 
-    xi: np.ndarray
-    alpha_skew: np.ndarray
-    nu: float
+    The density is 2 t_nu(z) T_{nu+d}(a'z sqrt((nu+d)/(nu+|z|^2))) with
+    z = y - xi: the base class's t kernel at ``loc = xi`` and unit scale
+    times a skewing factor in (0, 2), so for nu >= 1 it is sub-Cauchy.
+    The factor's T is the normalized t CDF, so a zero skewness vector
+    shifts the t log density by exactly log(1/2).  ``alpha_skew`` must
+    share the shape (d,) of ``xi``.
+    """
 
-    def __post_init__(self):
-        xi = np.atleast_1d(np.asarray(self.xi, dtype=float))
-        alpha = np.atleast_1d(np.asarray(self.alpha_skew, dtype=float))
-        if xi.shape != alpha.shape:
+    def __init__(self, xi, alpha_skew, nu):
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        super().__init__(xi.shape[0], nu, loc=xi)
+        alpha = np.atleast_1d(np.asarray(alpha_skew, dtype=float))
+        if alpha.shape != self.loc.shape:
             raise ValueError("xi and alpha_skew must share a shape")
-        if not self.nu > 0:
-            raise DomainError(f"degrees of freedom must be positive, got {self.nu}")
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "alpha_skew", alpha)
-        object.__setattr__(self, "nu", float(self.nu))
-
-    @property
-    def dim(self) -> int:
-        return self.xi.shape[0]
-
-
-def skew_t_log_density(y, params: SkewTParams):
-    """Unnormalized log density of the skew t with identity scale.
-
-    log t-kernel(z) + log T_{nu+d}(a' z * sqrt((nu+d)/(nu+|z|^2))) with
-    z = y - xi; the CDF factor is the normalized Student t CDF, so a
-    zero skewness vector shifts the symmetric t log density by exactly
-    log(1/2).
-    """
-    d = params.dim
-    nu = params.nu
-    z = np.asarray(y, dtype=float) - params.xi
-    q = np.vecdot(z, z)
-    s = (z @ params.alpha_skew) * np.sqrt((nu + d) / (nu + q))
-    return (-(nu + d) / 2.0 * np.log1p(q / nu)
-            + student_t_log_cdf(s, nu + d))
-
-
-def skew_t_log_density_and_grad(y, params: SkewTParams):
-    """``skew_t_log_density`` and its analytic gradient from one pass.
-
-    The t log-CDF at the skewing argument serves both the value and the
-    pdf/CDF ratio of the gradient, so the incomplete beta runs once;
-    the value repeats ``skew_t_log_density``'s operations in its order.
-    """
-    d = params.dim
-    nu = params.nu
-    m = nu + d
-    z = np.asarray(y, dtype=float) - params.xi
-    q = np.vecdot(z, z)
-    g = np.sqrt(m / (nu + q))
-    za = z @ params.alpha_skew
-    s = za * g
-    log_cdf = student_t_log_cdf(s, m)
-    # hazard-style ratio pdf/CDF of the t with m degrees of freedom
-    ratio = np.exp(student_t_log_pdf(s, m) - log_cdf)
-    grad_kernel = -(m / (nu + q))[..., None] * z
-    grad_s = g[..., None] * (params.alpha_skew
-                             - (za / (nu + q))[..., None] * z)
-    return (-m / 2.0 * np.log1p(q / nu) + log_cdf,
-            grad_kernel + ratio[..., None] * grad_s)
-
-
-def skew_t_grad_log_density(y, params: SkewTParams):
-    """Analytic gradient of ``skew_t_log_density``."""
-    return skew_t_log_density_and_grad(y, params)[1]
-
-
-def skew_t_exact_sample(params: SkewTParams, rng, size=None):
-    """Draw from the skew t via its chi-square / selection representation.
-
-    V ~ chi2_nu / nu; U ~ N(0, I); W ~ N(0, 1); Z = U when W <= a'U,
-    else -U; returns xi + Z / sqrt(V), built in place in U's array.
-    """
-    n = 1 if size is None else int(size)
-    d = params.dim
-    v = rng.chisquare(params.nu, size=n) / params.nu
-    u = rng.standard_normal((n, d))
-    w = rng.standard_normal(n)
-    keep = w <= u @ params.alpha_skew
-    np.negative(u, out=u, where=~keep[:, None])
-    u /= np.sqrt(v)[:, None]
-    u += params.xi
-    return u[0] if size is None else u
-
-
-class SkewT(TargetModel):
-    """Multivariate skew t target with identity scale matrix."""
-
-    def __init__(self, params: SkewTParams):
-        self.params = params
-        self.dim = params.dim
+        self.alpha_skew = alpha
 
     def log_density(self, y):
-        return skew_t_log_density(y, self.params)
-
-    def grad_log_density(self, y):
-        return skew_t_grad_log_density(y, self.params)
+        m = self.nu + self.dim
+        z, q = self._standardized(y)
+        s = (z @ self.alpha_skew) * np.sqrt(m / (self.nu + q))
+        return self._value(q) + student_t_log_cdf(s, m)
 
     def log_density_and_grad(self, y):
-        return skew_t_log_density_and_grad(y, self.params)
+        """The t log-CDF at the skewing argument serves both the value and
+        the pdf/CDF ratio of the gradient, so the incomplete beta runs once."""
+        m = self.nu + self.dim
+        z, q = self._standardized(y)
+        g = np.sqrt(m / (self.nu + q))
+        za = z @ self.alpha_skew
+        s = za * g
+        log_cdf = student_t_log_cdf(s, m)
+        ratio = np.exp(student_t_log_pdf(s, m) - log_cdf)
+        grad_s = g[..., None] * (self.alpha_skew
+                                 - (za / (self.nu + q))[..., None] * z)
+        return (self._value(q) + log_cdf,
+                self._grad(z, q) + ratio[..., None] * grad_s)
+
+    def grad_log_density(self, y):
+        # not self.log_density_and_grad: a subclass may build that from this
+        return SkewT.log_density_and_grad(self, y)[1]
 
     def exact_sample(self, rng, size=None):
-        return skew_t_exact_sample(self.params, rng, size=size)
+        """Draw via the chi-square / selection representation.
+
+        V ~ chi2_nu / nu; U ~ N(0, I); W ~ N(0, 1); Z = U when W <= a'U,
+        else -U; returns xi + Z / sqrt(V), built in place in U's array.
+        """
+        n = 1 if size is None else int(size)
+        v = rng.chisquare(self.nu, size=n) / self.nu
+        u = rng.standard_normal((n, self.dim))
+        w = rng.standard_normal(n)
+        keep = w <= u @ self.alpha_skew
+        np.negative(u, out=u, where=~keep[:, None])
+        u /= np.sqrt(v)[:, None]
+        u += self.loc
+        return u[0] if size is None else u
 
 
 def skew_t(xi, alpha_skew, nu) -> SkewT:
-    return SkewT(SkewTParams(xi=xi, alpha_skew=alpha_skew, nu=nu))
+    """Multivariate skew t target at location ``xi`` with skewness ``alpha_skew``."""
+    return SkewT(xi, alpha_skew, nu)
 
 
 # --- binary regression ------------------------------------------------------

@@ -173,7 +173,38 @@ class TestRunExperiment:
             assert rewritten.read_bytes() == qq_a.read_bytes()
 
 
+def valid_summary():
+    """A minimal summary that passes ``validate_summary``."""
+    return {
+        "schema_version": 1, "preset": "cauchy", "seed": 4, "dimension": 10,
+        "iterations": 300, "burnin": 50, "thinning": 5, "replicates": 2,
+        "ell_o": 1.1, "paper_scale": False, "failed_methods": [],
+        "reference": {"kind": "analytic", "size": None},
+        "methods": {"scs": {"acceptance_mean": 0.5, "max_rel_err": 0.1,
+                            "tail_rel_err": 0.2, "ess_median": 100.0,
+                            "wall_time_total": 0.1, "qq_csv": "qq_scs.csv"}},
+    }
+
+
 class TestSummaryWrite:
+    @pytest.mark.parametrize("corrupt, message", [
+        pytest.param(lambda s: s.pop("seed"), "missing key 'seed'", id="missing-key"),
+        pytest.param(lambda s: s.update(thinning=5.0), "'thinning' has wrong type",
+                     id="wrong-type"),
+        pytest.param(lambda s: s.update(schema_version=2), "schema version",
+                     id="schema-version"),
+        pytest.param(lambda s: s["reference"].update(kind="bootstrap"),
+                     "invalid reference", id="reference-kind"),
+        pytest.param(lambda s: s["methods"]["scs"].pop("qq_csv"),
+                     "method 'scs' summary missing", id="method-key"),
+    ])
+    def test_validate_summary_rejects(self, corrupt, message):
+        summary = valid_summary()
+        assert validate_summary(summary) is summary
+        corrupt(summary)
+        with pytest.raises(ValueError, match=message):
+            validate_summary(summary)
+
     def test_integer_ell_o_runs(self, tmp_path):
         summary = run_experiment(small_config("cauchy", tmp_path, ell_o=1))
         assert summary["ell_o"] == 1.0 and isinstance(summary["ell_o"], float)

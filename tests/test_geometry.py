@@ -105,6 +105,14 @@ class TestValidateParams:
         with pytest.raises(ObserverOutsideBall):
             make_params(2, ell_o=0.8)
 
+    def test_dimension_below_one_rejected(self):
+        # d = 0 is rejected, not read as "infer d from h_o"
+        for d in (0, -1):
+            with pytest.raises(ValueError, match="dimension"):
+                make_params(d)
+        with pytest.raises(ValueError, match="dimension"):
+            ProjectionParams(h_o=np.zeros(0), ell_o=1.0, mu=np.zeros(0), R=1.0)
+
 
 class TestForward:
     def test_south_pole_maps_to_mu(self):
@@ -393,6 +401,15 @@ class TestUniformCap:
         rng = np.random.default_rng(19)
         z = sample_uniform_cap(2, 1.3, rng)
         assert z.shape == (3,)
+
+    def test_empty_and_negative_size(self):
+        rng = np.random.default_rng(19)
+        assert sample_uniform_cap(3, 1.1, rng, size=0).shape == (0, 4)
+        z, raw, accepted = sample_uniform_cap(3, 1.1, rng, size=0,
+                                              with_rejection_stats=True)
+        assert z.shape == (0, 4) and (raw, accepted) == (0, 0)
+        with pytest.raises(ValueError, match="size"):
+            sample_uniform_cap(3, 1.1, rng, size=-1)
 
     def test_hemisphere_mean_negative(self):
         rng = np.random.default_rng(20)

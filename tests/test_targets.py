@@ -13,7 +13,6 @@ from brightside.targets import (
     MultivariateStudentT,
     RegressionData,
     SkewT,
-    SkewTParams,
     TargetModel,
     binary_regression_posterior,
     generate_separable_data,
@@ -21,8 +20,6 @@ from brightside.targets import (
     mv_student_t,
     save_regression_csv,
     skew_t,
-    skew_t_exact_sample,
-    skew_t_log_density,
     standardize_columns,
     student_t_cdf,
     student_t_log_cdf,
@@ -157,6 +154,9 @@ class TestMultivariateStudentT:
                        {"nu": 1.0, "scale": math.nan}):
             with pytest.raises(DomainError):
                 mv_student_t(3, **kwargs)
+        for d in (0, -1):
+            with pytest.raises(DomainError, match="dimension"):
+                mv_student_t(d, nu=1.0)
 
     def test_peak_and_unit_values(self):
         t = mv_student_t(1, nu=1.0)
@@ -223,7 +223,16 @@ class TestSkewT:
     def test_rejects_bad_degrees_of_freedom(self):
         for nu in (0.0, -2.0, math.nan):
             with pytest.raises(DomainError):
-                SkewTParams(xi=np.zeros(2), alpha_skew=np.ones(2), nu=nu)
+                skew_t(xi=np.zeros(2), alpha_skew=np.ones(2), nu=nu)
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(DomainError, match="dimension"):
+            skew_t(xi=np.zeros(0), alpha_skew=np.zeros(0), nu=1.0)
+        with pytest.raises(ValueError, match="share a shape"):
+            skew_t(xi=np.zeros(3), alpha_skew=np.ones(2), nu=1.0)
+        # a 2-d location is rejected, not read as a dim-1 target
+        with pytest.raises(ValueError):
+            skew_t(xi=np.zeros((1, 2)), alpha_skew=np.ones((1, 2)), nu=1.0)
 
     def test_zero_skew_is_constant_shift(self):
         rng = np.random.default_rng(4)
@@ -279,8 +288,8 @@ class TestSkewT:
 
     def test_exact_sampler_zero_skew_marginals(self):
         rng = np.random.default_rng(7)
-        params = SkewTParams(xi=np.zeros(2), alpha_skew=np.zeros(2), nu=3.0)
-        draws = skew_t_exact_sample(params, rng, size=50_000)
+        target = skew_t(xi=np.zeros(2), alpha_skew=np.zeros(2), nu=3.0)
+        draws = target.exact_sample(rng, size=50_000)
         x = np.sort(draws[:, 0])
         n = x.size
         F = student_t_cdf(x, 3.0)
@@ -290,40 +299,39 @@ class TestSkewT:
 
     def test_strong_skew_sign_probability(self):
         rng = np.random.default_rng(8)
-        params = SkewTParams(xi=np.full(3, 2.0),
-                             alpha_skew=np.array([100.0, 0.0, 0.0]), nu=2.0)
-        draws = skew_t_exact_sample(params, rng, size=100_000)
+        target = skew_t(xi=np.full(3, 2.0),
+                        alpha_skew=np.array([100.0, 0.0, 0.0]), nu=2.0)
+        draws = target.exact_sample(rng, size=100_000)
         assert np.mean(draws[:, 0] - 2.0 > 0.0) >= 0.95
 
     def test_large_nu_kurtosis_gaussian(self):
         rng = np.random.default_rng(9)
-        params = SkewTParams(xi=np.zeros(2), alpha_skew=np.zeros(2), nu=1000.0)
-        draws = skew_t_exact_sample(params, rng, size=100_000)
+        target = skew_t(xi=np.zeros(2), alpha_skew=np.zeros(2), nu=1000.0)
+        draws = target.exact_sample(rng, size=100_000)
         x = draws[:, 0]
         kurt = np.mean((x - x.mean()) ** 4) / np.var(x) ** 2
         assert abs(kurt - 3.0) <= 3.0 * math.sqrt(24.0 / x.size) + 6.0 / (1000.0 - 4.0)
 
     def test_seed_determinism(self):
-        params = SkewTParams(xi=np.zeros(3), alpha_skew=np.ones(3), nu=2.0)
-        a = skew_t_exact_sample(params, np.random.default_rng(11), size=100)
-        b = skew_t_exact_sample(params, np.random.default_rng(11), size=100)
+        target = skew_t(xi=np.zeros(3), alpha_skew=np.ones(3), nu=2.0)
+        a = target.exact_sample(np.random.default_rng(11), size=100)
+        b = target.exact_sample(np.random.default_rng(11), size=100)
         assert np.array_equal(a, b)
 
     def test_density_consistent_with_sampler_ks(self):
         # 1-d check of the density formula against the stochastic
         # representation: quadrature CDF of the density vs exact draws.
-        params = SkewTParams(xi=np.array([0.5]), alpha_skew=np.array([3.0]),
-                             nu=2.0)
+        target = skew_t(xi=np.array([0.5]), alpha_skew=np.array([3.0]), nu=2.0)
         theta = np.linspace(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9, 40_001)
         c = 5.0
         ygrid = c * np.tan(theta)
-        dens = np.exp(skew_t_log_density(ygrid[:, None], params))
+        dens = np.exp(target.log_density(ygrid[:, None]))
         w = dens * c / np.cos(theta) ** 2
         cdf = np.concatenate([[0.0], np.cumsum((w[1:] + w[:-1]) / 2.0
                                                * np.diff(theta))])
         cdf /= cdf[-1]
         rng = np.random.default_rng(12)
-        draws = np.sort(skew_t_exact_sample(params, rng, size=20_000)[:, 0])
+        draws = np.sort(target.exact_sample(rng, size=20_000)[:, 0])
         F = np.interp(np.arctan(draws / c), theta, cdf)
         n = draws.size
         grid = np.arange(1, n + 1) / n
@@ -430,10 +438,10 @@ class CountingTarget(TargetModel):
         return self.inner.log_density_and_grad(y)
 
 
-def _paper_skew_t(d):
+def _paper_skew_t(d, cls=SkewT):
     alpha = np.zeros(d)
     alpha[0], alpha[1] = 100.0, -100.0
-    return skew_t(xi=np.zeros(d), alpha_skew=alpha, nu=2.0)
+    return cls(xi=np.zeros(d), alpha_skew=alpha, nu=2.0)
 
 
 class TestLogDensityAndGrad:
@@ -448,14 +456,14 @@ class TestLogDensityAndGrad:
     def test_skew_t_bit_identical(self, d):
         xi = np.linspace(-1.0, 1.0, d)
         xi[1] = xi[0]
-        target = skew_t(xi=xi, alpha_skew=_paper_skew_t(d).params.alpha_skew,
+        target = skew_t(xi=xi, alpha_skew=_paper_skew_t(d).alpha_skew,
                         nu=2.0)
         rng = np.random.default_rng(40)
-        ys = target.params.xi + 3.0 * rng.standard_cauchy((1000, d))
+        ys = target.loc + 3.0 * rng.standard_cauchy((1000, d))
         # alpha . z = 0 on these rows: z = 0 and z orthogonal to alpha
-        ys[0] = target.params.xi
-        ys[1, :2] = target.params.xi[:2] + 7.0
-        assert (ys[1] - target.params.xi) @ target.params.alpha_skew == 0.0
+        ys[0] = target.loc
+        ys[1, :2] = target.loc[:2] + 7.0
+        assert (ys[1] - target.loc) @ target.alpha_skew == 0.0
         # one point and 10 points loop the plain-float incomplete beta,
         # 1000 points take its array path
         for y in (ys[0], ys[1], ys[2], ys[:10], ys):
@@ -520,7 +528,7 @@ class TestLogDensityAndGrad:
     def test_tune_default_matches_override(self):
         opts = TuneOptions(mc_batch=1000, steps=20, seed=5)
         fused = tune(_paper_skew_t(10), 1.1, opts)
-        composed = tune(ComposedSkewT(_paper_skew_t(10).params), 1.1, opts)
+        composed = tune(_paper_skew_t(10, ComposedSkewT), 1.1, opts)
         for a, b in zip(fused.theta_bar, composed.theta_bar):
             assert _bits(a) == _bits(b)
         assert _bits(fused.objective_trace) == _bits(composed.objective_trace)
@@ -531,7 +539,7 @@ class TestLogDensityAndGrad:
         runs = [run_chains(cfg, None, target, np.zeros(10), 120, burnin=60,
                            seed=9, n_chains=10)
                 for target in (_paper_skew_t(10),
-                               ComposedSkewT(_paper_skew_t(10).params))]
+                               _paper_skew_t(10, ComposedSkewT))]
         for fused, composed in zip(*runs):
             assert _bits(fused.samples) == _bits(composed.samples)
             assert (_bits(fused.step_size_trace)
@@ -576,18 +584,18 @@ class TestExactSamplersInPlace:
 
     @pytest.mark.parametrize("size", [None, 1, 1000])
     def test_skew_t(self, size):
-        params = SkewTParams(xi=np.array([1.0, -2.0, 0.5]),
-                             alpha_skew=np.array([3.0, -1.0, 0.0]), nu=3.0)
-        got = skew_t_exact_sample(params, np.random.default_rng(51), size=size)
+        target = skew_t(xi=np.array([1.0, -2.0, 0.5]),
+                        alpha_skew=np.array([3.0, -1.0, 0.0]), nu=3.0)
+        got = target.exact_sample(np.random.default_rng(51), size=size)
         rng = np.random.default_rng(51)
         n = 1 if size is None else size
         v = rng.chisquare(3.0, size=n) / 3.0
         u = rng.standard_normal((n, 3))
         w = rng.standard_normal(n)
-        keep = w <= u @ params.alpha_skew
+        keep = w <= u @ target.alpha_skew
         if n > 1:  # both signs drawn
             assert keep.any() and not keep.all()
-        want = params.xi + np.where(keep[:, None], u, -u) / np.sqrt(v)[:, None]
+        want = target.loc + np.where(keep[:, None], u, -u) / np.sqrt(v)[:, None]
         assert _bits(got) == _bits(want[0] if size is None else want)
         assert got.shape == ((3,) if size is None else (size, 3))
 
