@@ -122,7 +122,7 @@ _TYPED_FIELDS = (
 
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration (maps to exit code 2)."""
+    """Invalid experiment configuration, from ``from_dict`` or ``validate``."""
 
 
 @dataclass(frozen=True)

@@ -298,6 +298,8 @@ def sample_uniform_cap(d, ell_o, rng, size=None, with_rejection_stats=False):
     draw counts (before truncating the final chunk), so the empirical
     rejection fraction is 1 - accepted/raw.
     """
+    if not d >= 1:
+        raise DomainError(f"dimension must be >= 1, got {d}")
     if not 1.0 <= ell_o <= 2.0:
         raise ObserverOutsideBall(f"ell_o must lie in [1, 2], got {ell_o}")
     n = 1 if size is None else int(size)

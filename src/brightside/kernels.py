@@ -9,32 +9,40 @@ Jacobian from ``geometry.cap_forward``.  The stereographic sampler is
 the same kernel at latitude 2 (where the dark side is a single point
 and stepping-out never fires); plain random-walk Metropolis and
 Hamiltonian Monte Carlo baselines run directly in target space.  Each
-transition is written once: ``sphere_step`` (scs, sps), ``hmc_step``
-and the rwm step in the chain loop behind ``run_chain`` and
-``run_chains``, which are the way to step a chain.
+transition is written once, as a function of the state and that
+step's draws: ``sphere_step`` (scs, sps), ``hmc_step`` and the rwm
+step in the chain loop behind ``run_chain`` and ``run_chains``.
+
+The draws are ``z``, standard normals shaped like the state (the
+tangent step, the rwm step or the HMC momentum), and ``u``, one
+uniform per chain for the Metropolis test.  The chain loop owns the
+randomness: chain seed s spawns a normal and a uniform generator
+(``SeedSequence(s).spawn(2)``), and every step consumes one normal row
+and one uniform, used or not.  Both are read ``_DRAW_BLOCK`` steps per
+call; numpy's generators give the same draws however a stream is
+chunked, so output does not depend on the block size.
 
 ``sphere_step`` and ``hmc_step``, and the geometry under them
 (``propose_tangent``, ``leapfrog``), work over a leading chain axis: a
-state of shape (d,) (d+1 on the sphere) is one chain, a state of shape
-(n, d) is n chains with their own generators and step sizes, stepped
-with one batched density call per transition.  An HMC transition with
-L leapfrog steps makes L - 1 gradient calls and, at the proposal, one
-fused ``log_density_and_grad`` call, which serves both the acceptance
-test and the next trajectory's first kick.  Stepping-out is written
-for one pair only (``great_circle_frame``, ``stepping_out``): an
-ensemble steps its dark rows out one at a time through it, as one
-chain does.  ``run_chains`` runs hmc replicas as an ensemble, and scs
-and sps replicas from ``SPHERE_ENSEMBLE_MIN_CHAINS`` chains up; fewer
-sphere chains, and rwm replicas, run one after another.  Its
-``workers`` argument is still accepted, for callers such as the
-benchmark, and ignored.  Replica i depends only on ``(seed, i)`` and
-its start, and matches ``run_chain`` with its derived seed to
-round-off.
+state of shape (d,) (d+1 on the sphere) is one chain, (n, d) is n
+chains with their own draws and step sizes, stepped with one batched
+density call per transition.  An HMC transition with L leapfrog steps
+makes L - 1 gradient calls and, at the proposal, one fused
+``log_density_and_grad`` call, which serves both the acceptance test
+and the next trajectory's first kick.  Stepping-out is written for one
+pair only (``great_circle_frame``, ``stepping_out``); an ensemble steps
+its dark rows out one at a time through it.  ``run_chains`` runs hmc
+replicas, and scs and sps replicas from ``SPHERE_ENSEMBLE_MIN_CHAINS``
+up, as one ensemble; other replicas run one after another.  A chain
+reads the same draws alone as in an ensemble, so replica i depends only
+on ``(seed, i)`` and its start and matches ``run_chain`` with its
+derived seed to round-off.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -54,10 +62,13 @@ HMC_TARGET_ACCEPT = 0.8
 
 # The batched sphere transition has a fixed cost per step (its largest
 # part the batched cap_forward) that the shared density call pays back
-# only from about four chains: timed on Cauchy and skew-t targets at
-# d = 10, 2 and 3 scs chains ran slower as an ensemble than one after
-# another, 4 broke even and 10 ran faster.
+# only from about four chains: on Cauchy and skew-t targets at d = 10,
+# 2 scs chains ran 1.5-1.9x and 3 chains 1.0-1.4x slower as an ensemble
+# than one after another, with the draws read in blocks.
 SPHERE_ENSEMBLE_MIN_CHAINS = 4
+
+# steps of draws read per generator call; output does not depend on it
+_DRAW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -80,12 +91,16 @@ class KernelConfig:
         if kind not in KERNEL_KINDS:
             raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}")
         object.__setattr__(self, "kind", kind)
-        if not self.h > 0:
-            raise ValueError(f"step size must be positive, got {self.h}")
+        if not (self.h > 0 and math.isfinite(self.h)):
+            raise ValueError(f"h must be a positive finite step size, got {self.h}")
         if kind == "hmc" and self.leapfrog_steps < 1:
             raise ValueError("HMC needs at least one leapfrog step")
         if not 0.0 < self.target_accept < 1.0:
             raise ValueError("target acceptance must lie in (0, 1)")
+        burn = self.adapt_burnin
+        if burn is not None and (isinstance(burn, bool)
+                                 or not isinstance(burn, numbers.Integral) or burn < 0):
+            raise ValueError(f"adapt_burnin must be None or an integer >= 0, got {burn!r}")
 
 
 @dataclass
@@ -116,22 +131,19 @@ class GreatCircleFrame(NamedTuple):
     K: int
 
 
-def propose_tangent(x, h, rng) -> np.ndarray:
+def propose_tangent(x, h, z) -> np.ndarray:
     """Gaussian tangent-space step projected back onto the sphere.
 
-    One point ``x`` of shape (d+1,) with a scalar ``h`` and one
-    generator, or n points of shape (n, d+1) with ``h`` of shape (n,)
-    and n generators, row i drawing its d+1 normals from ``rng[i]``.
+    One point ``x`` of shape (d+1,) with a scalar ``h``, or n points of
+    shape (n, d+1) with ``h`` of shape (n,); ``z`` holds standard
+    normals shaped like ``x``.
     """
     if x.ndim == 1:
-        delta = h * rng.standard_normal(x.shape[0])
+        delta = h * z
         delta -= (x @ delta) * x
         w = x + delta
         return w / math.sqrt(w @ w)
-    delta = np.empty_like(x)
-    for gen, row in zip(rng, delta):
-        gen.standard_normal(out=row)
-    delta *= h[:, None]
+    delta = h[:, None] * z
     delta -= np.vecdot(x, delta)[:, None] * x
     w = x + delta
     return w / np.sqrt(np.vecdot(w, w))[:, None]
@@ -183,26 +195,24 @@ def stepping_out(x, x_prime, ell_o) -> np.ndarray:
 
 
 def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,
-                rng):
+                z, u):
     """One SCS transition on the bright side of the sphere (SPS at ell_o = 2).
 
     ``x`` is the sphere state, ``y`` its image in target space and
     ``logpost`` the log density plus log-Jacobian there.  Steps one
-    chain, ``x`` of shape (d+1,) with a scalar ``h`` and one generator,
-    or n chains, ``x`` of shape (n, d+1) with ``h`` of shape (n,) and n
-    generators.  A proposal on the dark cap steps out along its great
-    circle, one chain at a time through ``stepping_out``; then one
-    ``cap_forward`` and one density call serve all the chains.  Each
-    chain draws d+1 normals, then a uniform, except where its proposal
-    is rejected as degenerate (coincident, antipodal or of zero
-    latitude amplitude) or as an exact tie with the dark cap: these are
-    probability-zero, and rejecting them keeps the target invariant.  A
-    non-finite density is rejected after its uniform.  Returns (x, y,
-    logpost, accepted).
+    chain, ``x`` of shape (d+1,) with scalars ``h`` and ``u``, or n
+    chains, ``x`` of shape (n, d+1) with ``h`` and ``u`` of shape (n,);
+    ``z`` holds the tangent step's normals, shaped like ``x``.  A dark
+    proposal steps out along its great circle, one chain at a time
+    through ``stepping_out``; then one ``cap_forward`` and one density
+    call serve all the chains.  A degenerate proposal (coincident,
+    antipodal or of zero latitude amplitude), an exact tie with the dark
+    cap and a non-finite density are rejected; the first two have
+    probability zero.  Returns (x, y, logpost, accepted).
     """
     ell_o = params.ell_o
     lat_threshold = ell_o - 1.0
-    x_star = propose_tangent(x, h, rng)
+    x_star = propose_tangent(x, h, z)
     if x.ndim == 1:
         try:
             if ell_o < 2.0 and x_star[-1] > lat_threshold:
@@ -211,7 +221,7 @@ def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,
         except (DegenerateProposal, DarkSidePoint):
             return x, y, logpost, False
         lp_star = logjac + float(target.log_density(y_star))
-        if math.log(rng.random()) < lp_star - logpost:
+        if math.log(u) < lp_star - logpost:
             return x_star, y_star, lp_star, True
         return x, y, logpost, False
     if ell_o < 2.0:
@@ -220,18 +230,14 @@ def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,
                 x_star[i] = stepping_out(x[i], x_star[i], ell_o)
             except DegenerateProposal:
                 pass  # the proposal stays dark and fails the test below
-    # degenerate rows and exact ties fail this test; such a row
-    # re-evaluates its own state and is rejected without a uniform
+    # degenerate rows and exact ties fail this test and re-evaluate their state
     live = x_star[:, -1] < lat_threshold
     if not live.all():
         x_star[~live] = x[~live]
     y_star, lp_star, _, _ = cap_forward(x_star, params)
     lp_star += target.log_density(y_star)
-    # Python floats, as in the one-chain branch: -inf - -inf is a quiet NaN
-    accepted = np.array([ok and math.log(gen.random()) < new - old
-                         for ok, gen, new, old in zip(live.tolist(), rng,
-                                                      lp_star.tolist(),
-                                                      logpost.tolist())])
+    with np.errstate(invalid="ignore"):  # -inf - -inf is NaN: a rejection
+        accepted = live & (np.log(u) < lp_star - logpost)
     keep = accepted[:, None]
     return (np.where(keep, x_star, x), np.where(keep, y_star, y),
             np.where(accepted, lp_star, logpost), accepted)
@@ -261,51 +267,30 @@ def leapfrog(y, momentum, eps, steps, target: TargetModel, g):
     return y, momentum, logp, g
 
 
-def hmc_step(y, logp, g, eps, steps, target: TargetModel, rng):
+def hmc_step(y, logp, g, eps, steps, target: TargetModel, z, u):
     """One Hamiltonian Monte Carlo transition with identity mass matrix.
 
-    Steps one chain, ``y`` of shape (d,) with a scalar ``eps`` and one
-    generator ``rng``, or n chains at once, ``y`` of shape (n, d) with
-    ``eps`` of shape (n,) and a sequence of n generators.  ``logp`` and
+    Steps one chain, ``y`` of shape (d,) with scalars ``eps`` and ``u``,
+    or n chains at once, ``y`` of shape (n, d) with ``eps`` and ``u`` of
+    shape (n,); ``z`` is the momentum, shaped like ``y``.  ``logp`` and
     ``g`` are the log density and gradient at ``y``; they are returned
     with the new state, so a chain evaluates them once per transition,
     at the proposal: steps - 1 gradient calls inside the trajectory and
-    one ``log_density_and_grad`` call at its end.  Each chain draws a
-    momentum from its own generator, then a uniform only where its
-    trajectory and energy are finite; a non-finite row is rejected on
-    its own.  Returns (y, logp, g, accepted).
+    one ``log_density_and_grad`` call at its end.  A row whose
+    trajectory or energy is not finite is rejected on its own.  Returns
+    (y, logp, g, accepted).
     """
     ensemble = y.ndim == 2
-    if ensemble:
-        momentum = np.empty_like(y)
-        for gen, row in zip(rng, momentum):
-            gen.standard_normal(out=row)
-        y1, m1, logp1, g1 = leapfrog(y, momentum, eps[:, None], steps,
-                                     target, g)
-    else:
-        momentum = rng.standard_normal(y.shape[0])
-        y1, m1, logp1, g1 = leapfrog(y, momentum, eps, steps, target, g)
-    energy0 = 0.5 * np.vecdot(momentum, momentum) - logp
-    ok = np.isfinite(y1).all(axis=-1) & np.isfinite(m1).all(axis=-1)
+    y1, m1, logp1, g1 = leapfrog(y, z, eps[:, None] if ensemble else eps,
+                                 steps, target, g)
+    with np.errstate(invalid="ignore"):  # a non-finite row may give inf - inf
+        energy1 = 0.5 * np.vecdot(m1, m1) - logp1
+        accept = (np.isfinite(y1).all(axis=-1) & np.isfinite(energy1)
+                  & (np.log(u) < 0.5 * np.vecdot(z, z) - logp - energy1))
     if not ensemble:
         # no np.where here: logp stays the scalar the target returned,
         # as a 0-d array would slow every later step of the chain
-        if not ok:
-            return y, logp, g, False
-        energy1 = 0.5 * np.vecdot(m1, m1) - logp1
-        if (math.isfinite(energy1)
-                and math.log(rng.random()) < energy0 - energy1):
-            return y1, logp1, g1, True
-        return y, logp, g, False
-    if not ok.all():
-        # the target's value at a non-finite row may be inf or NaN; -inf
-        # gives that row an energy without an invalid-value warning
-        logp1 = np.where(ok, logp1, -np.inf)
-    energy1 = 0.5 * np.vecdot(m1, m1) - logp1
-    ok &= np.isfinite(energy1)
-    accept = np.zeros(ok.shape, dtype=bool)
-    for i in np.flatnonzero(ok):
-        accept[i] = math.log(rng[i].random()) < energy0[i] - energy1[i]
+        return (y1, logp1, g1, True) if accept else (y, logp, g, False)
     keep = accept[:, None]
     return (np.where(keep, y1, y), np.where(accept, logp1, logp),
             np.where(keep, g1, g), accept)
@@ -325,19 +310,6 @@ def adapt_step_size(h, accepted, t, target_accept):
 # acceptance rate is unattainable, the recursion diverges; the runner
 # clamps the step size to keep the chain numerically sane.
 _STEP_SIZE_CLAMP = (1e-10, 1e10)
-
-
-def _expected_params(kernel: KernelConfig, params):
-    if kernel.kind in ("scs", "sps"):
-        if params is None:
-            raise ValueError(f"{kernel.kind} requires projection parameters")
-        if kernel.kind == "sps":
-            if params.ell_o != 2.0 or np.any(params.h_o != 0.0):
-                raise ValueError(
-                    "the stereographic kernel requires ell_o = 2 and h_o = 0"
-                )
-        return params
-    return None
 
 
 def run_chain(kernel: KernelConfig, params: Optional[ProjectionParams],
@@ -363,14 +335,42 @@ def run_chain(kernel: KernelConfig, params: Optional[ProjectionParams],
                   thinning, seed)
 
 
+def _draws(seed, width):
+    """Each step's draws (z, u): ``width`` normals and one uniform a chain.
+
+    An int ``seed`` yields z of shape (width,) and a float u, a list of
+    n seeds z of shape (n, width) and u of shape (n,).  Chain seed s
+    reads its normal and uniform generators, ``SeedSequence(s).spawn(2)``,
+    ``_DRAW_BLOCK`` steps at a time.
+    """
+    ensemble = isinstance(seed, list)
+    # made before the first step, so a bad seed raises here, not mid-chain
+    streams = [[np.random.default_rng(s) for s in np.random.SeedSequence(c).spawn(2)]
+               for c in (seed if ensemble else [seed])]
+
+    def steps():
+        while True:
+            z = np.empty((len(streams), _DRAW_BLOCK, width))
+            u = np.empty((len(streams), _DRAW_BLOCK))
+            for (normals, uniforms), z_i, u_i in zip(streams, z, u):
+                normals.standard_normal(out=z_i)
+                uniforms.random(out=u_i)
+            if ensemble:
+                yield from zip(z.transpose(1, 0, 2), u.T)
+            else:
+                yield from zip(z[0], u[0].tolist())
+    return steps()
+
+
 def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
     """The chain loop behind ``run_chain`` and ``run_chains``.
 
     An int ``seed`` runs one chain from ``init`` of shape (d,) and
     returns its ``ChainOutput``.  A list of n seeds runs an ensemble
     (scs, sps or hmc) from ``init`` of shape (n, d), checked by
-    ``run_chains``, one chain per seed, each with its own generator and
-    step size, and returns a list.
+    ``run_chains``, one chain per seed, each with its own step size,
+    and returns a list.  Each step hands the kernel its draws from
+    ``_draws``, whatever the kernel makes of them.
     """
     iterations = int(iterations)
     burnin = int(burnin)
@@ -379,7 +379,11 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
         raise ValueError("iterations must exceed burnin")
     if burnin < 0 or thinning < 1:
         raise ValueError("burnin must be >= 0 and thinning >= 1")
-    params = _expected_params(kernel, params)
+    on_sphere = kernel.kind in ("scs", "sps")
+    if on_sphere and params is None:
+        raise ValueError(f"{kernel.kind} requires projection parameters")
+    if kernel.kind == "sps" and params.ell_o != 2.0:
+        raise ValueError("the stereographic kernel requires ell_o = 2")
     if kernel.kind == "hmc" and not target.has_gradient:
         raise ValueError("HMC requires a target gradient")
 
@@ -387,12 +391,7 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
     init = np.array(init, dtype=float, ndmin=1)
     if not ensemble and init.shape != (target.dim,):
         raise ValueError(f"init must have shape ({target.dim},)")
-    if ensemble:
-        rng = [np.random.default_rng(s) for s in seed]
-        h = np.full(len(seed), kernel.h)
-    else:
-        rng = np.random.default_rng(seed)
-        h = kernel.h
+    h = np.full(len(seed), kernel.h) if ensemble else kernel.h
     adapt_until = kernel.adapt_burnin if kernel.adapt_burnin is not None else burnin
     adapt_until = min(adapt_until, burnin)
     n_keep = (iterations - burnin) // thinning
@@ -402,7 +401,6 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
     kept = 0
     start = time.perf_counter()
 
-    on_sphere = kernel.kind in ("scs", "sps")
     if on_sphere:
         x = scp_inverse(init, params)
         y, logpost, _, _ = cap_forward(x, params)
@@ -433,20 +431,21 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
                             wall_time=wall, valid=valid)
                 for i, s in enumerate(seed)]
 
+    draws = _draws(seed, target.dim + 1 if on_sphere else target.dim)
     try:
-        for t in range(1, iterations + 1):
+        for t, (z, u) in zip(range(1, iterations + 1), draws):
             if on_sphere:
-                x, y, logpost, acc = sphere_step(x, y, logpost, h, params, target, rng)
+                x, y, logpost, acc = sphere_step(x, y, logpost, h, params, target, z, u)
             elif kernel.kind == "rwm":
-                y_prime = y + h * rng.standard_normal(target.dim)
+                y_prime = y + h * z
                 lp_prime = float(target.log_density(y_prime))
-                if math.log(rng.random()) < lp_prime - logpost:
+                if math.log(u) < lp_prime - logpost:
                     y, logpost, acc = y_prime, lp_prime, True
                 else:
                     acc = False
             else:
                 y, logpost, grad, acc = hmc_step(y, logpost, grad, h,
-                                                 kernel.leapfrog_steps, target, rng)
+                                                 kernel.leapfrog_steps, target, z, u)
             if t <= adapt_until:
                 h = adapt_step_size(h, acc, t, kernel.target_accept)
                 if ensemble:
@@ -481,22 +480,18 @@ def run_chains(kernel: KernelConfig, params, target, init, iterations,
     """Run replicate chains, chain i seeded with ``derive_chain_seed(seed, i)``.
 
     ``init`` is one start of shape (d,) shared by every chain, or one
-    row per chain, shape (n_chains, d).  Chain i depends only on
-    ``(seed, i)`` and its start: it owns its generator and draws what
-    ``run_chain`` draws with that seed.  Hmc chains, and scs and sps
+    row per chain, shape (n_chains, d).  Chain i reads the normal and
+    uniform streams of its seed, as ``run_chain`` does, so it depends
+    only on ``(seed, i)`` and its start.  Hmc chains, and scs and sps
     chains from ``SPHERE_ENSEMBLE_MIN_CHAINS`` up, step together as one
-    ensemble, each with its own step size, with one batched density
-    call per transition for all of them (for hmc, the fused
-    ``log_density_and_grad`` at the proposal, after one batched
-    gradient call per leapfrog step but the last); their samples match
-    ``run_chain``'s to round-off.  Fewer scs or sps chains, and rwm
-    chains, run one after another through ``run_chain``.  ``workers``
-    is accepted, since the benchmark passes it, and ignored.  Results
-    come in chain order.  The chains of an ensemble each report the
-    ensemble's wall time, and an aborted ensemble raises
-    ``ChainAborted`` carrying the list of partial outputs.  A start
-    that rounds onto the observer latitude raises ``DarkSidePoint``
-    before the first step, as in ``run_chain``.
+    ensemble with one batched density call per transition; their samples
+    match ``run_chain``'s to round-off.  Other chains run one after
+    another through ``run_chain``.  ``workers`` is accepted, since the
+    benchmark passes it, and ignored.  Results come in chain order; the
+    chains of an ensemble each report its wall time, and an aborted
+    ensemble raises ``ChainAborted`` carrying the list of partial
+    outputs.  A start that rounds onto the observer latitude raises
+    ``DarkSidePoint`` before the first step, as in ``run_chain``.
     """
     seeds = [derive_chain_seed(seed, i) for i in range(n_chains)]
     inits = np.array(init, dtype=float, ndmin=1)

@@ -178,7 +178,7 @@ def student_t_log_pdf(t, nu):
 class MultivariateStudentT(TargetModel):
     """Isotropic multivariate Student t; nu = 1 is the Cauchy.
 
-    Raises DomainError unless d >= 1, nu > 0 and scale > 0.
+    Raises DomainError unless d >= 1, nu > 0, scale > 0 and loc is 0-d or 1-d.
     """
 
     def __init__(self, d, nu, loc=0.0, scale=1.0):
@@ -188,6 +188,8 @@ class MultivariateStudentT(TargetModel):
             raise DomainError(f"degrees of freedom must be positive, got {nu}")
         if not scale > 0:
             raise DomainError(f"scale must be positive, got {scale}")
+        if np.ndim(loc) > 1:
+            raise DomainError(f"loc must be a scalar or a vector, got shape {np.shape(loc)}")
         self.dim = int(d)
         self.nu = float(nu)
         self.loc = np.broadcast_to(np.asarray(loc, dtype=float), (self.dim,)).copy()

@@ -411,6 +411,12 @@ class TestUniformCap:
         with pytest.raises(ValueError, match="size"):
             sample_uniform_cap(3, 1.1, rng, size=-1)
 
+    def test_dimension_below_one_rejected(self):
+        rng = np.random.default_rng(19)
+        for d in (0, -1):
+            with pytest.raises(DomainError, match="dimension"):
+                sample_uniform_cap(d, 1.1, rng, size=3)
+
     def test_hemisphere_mean_negative(self):
         rng = np.random.default_rng(20)
         z = sample_uniform_cap(1, 1.0, rng, size=20000)

@@ -23,6 +23,7 @@ from brightside.kernels import (
     hmc_step,
     leapfrog,
     SPHERE_ENSEMBLE_MIN_CHAINS,
+    _draws,
     propose_tangent,
     run_chain,
     run_chains,
@@ -39,22 +40,11 @@ from brightside.targets import (
 )
 
 
-class FixedNormals:
-    """rng stub feeding predetermined standard normals."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-
-    def standard_normal(self, size):
-        assert size == self.values.shape[0]
-        return self.values.copy()
-
-
 def random_bright_dark_pair(rng, d, ell_o, h=1.5):
     """Sample a bright state and a dark proposal from the actual kernel."""
     while True:
         x = sample_uniform_cap(d, ell_o, rng)
-        x_prime = propose_tangent(x, h, rng)
+        x_prime = propose_tangent(x, h, rng.standard_normal(d + 1))
         if x_prime[-1] > ell_o - 1.0:
             return x, x_prime
 
@@ -62,8 +52,7 @@ def random_bright_dark_pair(rng, d, ell_o, h=1.5):
 class TestProposeTangent:
     def test_hand_example(self):
         x = np.array([1.0, 0.0])
-        rng = FixedNormals([0.3, 0.4])
-        x_prime = propose_tangent(x, 1.0, rng)
+        x_prime = propose_tangent(x, 1.0, np.array([0.3, 0.4]))
         norm = math.sqrt(1.16)
         assert np.allclose(x_prime, [1.0 / norm, 0.4 / norm], atol=1e-12)
 
@@ -72,7 +61,7 @@ class TestProposeTangent:
         for _ in range(200):
             d = int(rng.integers(1, 8))
             x = sample_uniform_cap(d, 1.0, rng)
-            x_prime = propose_tangent(x, 0.7, rng)
+            x_prime = propose_tangent(x, 0.7, rng.standard_normal(d + 1))
             assert abs(np.linalg.norm(x_prime) - 1.0) <= 1e-12
             # reconstruct the tangent displacement: delta = x'/<x,x'> - x
             delta = x_prime / float(x @ x_prime) - x
@@ -81,7 +70,7 @@ class TestProposeTangent:
     def test_small_h_stays_close(self):
         rng = np.random.default_rng(1)
         x = sample_uniform_cap(3, 1.0, rng)
-        dists = [np.linalg.norm(propose_tangent(x, 1e-6, rng) - x)
+        dists = [np.linalg.norm(propose_tangent(x, 1e-6, rng.standard_normal(4)) - x)
                  for _ in range(1000)]
         assert np.median(dists) < 1e-5
 
@@ -206,7 +195,7 @@ class TestScsStep:
         target = mv_student_t(d, nu=2.0)
         x = scp_inverse(np.ones(d), p)
         for _ in range(500):
-            x_prime = propose_tangent(x, 0.6, rng)
+            x_prime = propose_tangent(x, 0.6, rng.standard_normal(d + 1))
             assert not x_prime[-1] > 1.0  # stepping-out can never trigger
             y = scp_forward(x, p)
             y_star = scp_forward(x_prime, p)
@@ -349,8 +338,9 @@ class TestSphereEnsemble:
 
     def test_nonfinite_density_row_rejected_alone(self):
         # the density is NaN in the half-space y_0 > 5, where row 1
-        # stands: that row is rejected after drawing its uniform, as
-        # the one-chain branch does, while the other rows move
+        # stands: each row is handed one uniform, row 1 the smallest
+        # positive one, and that row alone is rejected, as in the
+        # one-chain branch, while the other rows move
         class NanPatch(Gauss):
             dim = 2
 
@@ -364,56 +354,37 @@ class TestSphereEnsemble:
         x = scp_inverse(y, p)
         y, logjac, _, _ = cap_forward(x, p)
         logpost = logjac + np.nan_to_num(target.log_density(y))
-        rngs = [np.random.default_rng(s) for s in (24, 25, 26)]
+        rng = np.random.default_rng(24)
+        z = rng.standard_normal((3, 3))
+        u = np.array([rng.random(), 5e-324, rng.random()])
         x_new, y_new, lp_new, accepted = sphere_step(
-            x, y, logpost, np.full(3, 1e-3), p, target, rngs)
+            x, y, logpost, np.full(3, 1e-3), p, target, z, u)
         assert accepted.tolist() == [True, False, True]
         assert np.array_equal(x_new[1], x[1]) and np.array_equal(y_new[1], y[1])
         assert lp_new[1] == logpost[1]
         assert np.all(y_new[[0, 2]] != y[[0, 2]])
-        one_rng = np.random.default_rng(25)
-        one = sphere_step(x[1], y[1], float(logpost[1]), 1e-3, p, target, one_rng)
+        one = sphere_step(x[1], y[1], float(logpost[1]), 1e-3, p, target, z[1], u[1])
         assert one[3] is False
-        probe = np.random.default_rng(25)
-        probe.standard_normal(3)
-        probe.random()
-        assert rngs[1].random() == one_rng.random() == probe.random()
 
-    def test_degenerate_row_rejected_without_uniform(self):
+    def test_degenerate_row_rejected_alone(self):
         # row 0 stands 1e-9 below the dark cap and steps 1e-8 up along
         # its tangent: the proposal is dark but coincident with the
-        # state (s^2 ~ 1e-16), so the row is rejected before drawing a
-        # uniform, in the batch as in the one-chain branch
-        class Scripted:
-            def __init__(self, normals):
-                self.normals = np.asarray(normals)
-                self.uniforms = 0
-
-            def standard_normal(self, size=None, out=None):
-                if out is None:
-                    return self.normals.copy()
-                out[...] = self.normals
-                return out
-
-            def random(self):
-                self.uniforms += 1
-                return 0.5
-
+        # state (s^2 ~ 1e-16); each row is handed one uniform, row 0
+        # the smallest positive one, and that row alone is rejected, in
+        # the batch as in the one-chain branch
         p = make_params(1, ell_o=1.5)
         target = uniform_cap_pullback(p)
         theta = math.asin(0.5 - 1e-9)
         x = np.array([[math.cos(theta), math.sin(theta)], [1.0, 0.0]])
-        steps = [1e-8 * np.array([-math.sin(theta), math.cos(theta)]), [0.0, 0.1]]
+        z = np.array([1e-8 * np.array([-math.sin(theta), math.cos(theta)]), [0.0, 0.1]])
+        u = np.array([5e-324, 0.5])
         y, logjac, _, _ = cap_forward(x, p)
         logpost = logjac + target.log_density(y)
-        rngs = [Scripted(s) for s in steps]
-        x_new, _, _, accepted = sphere_step(x, y, logpost, np.ones(2), p, target, rngs)
+        x_new, _, _, accepted = sphere_step(x, y, logpost, np.ones(2), p, target, z, u)
         assert accepted.tolist() == [False, True]
         assert np.array_equal(x_new[0], x[0]) and not np.array_equal(x_new[1], x[1])
-        assert [r.uniforms for r in rngs] == [0, 1]
-        one_rng = Scripted(steps[0])
-        one = sphere_step(x[0], y[0], float(logpost[0]), 1.0, p, target, one_rng)
-        assert one[3] is False and one_rng.uniforms == 0
+        one = sphere_step(x[0], y[0], float(logpost[0]), 1.0, p, target, z[0], u[0])
+        assert one[3] is False
 
     def test_ensemble_abort_carries_partial_chains(self):
         # one density call at the start and one per transition: call 7
@@ -516,7 +487,8 @@ class TestHmc:
             y1, m1, _, _ = leapfrog(y, mom, 0.01, 10, target, g)
             h1 = -float(target.log_density(y1)) + 0.5 * float(m1 @ m1)
             errors.append(abs(h1 - h0))
-            y, logp, g, acc = hmc_step(y, logp, g, 0.01, 10, target, rng)
+            y, logp, g, acc = hmc_step(y, logp, g, 0.01, 10, target,
+                                       rng.standard_normal(4), rng.random())
             accepted += acc
         assert np.median(errors) < 1e-3
         assert accepted / 1000 > 0.99
@@ -535,7 +507,7 @@ class TestHmc:
         y = np.zeros(1)
         bad = Bad()
         y_new, _, _, accepted = hmc_step(y, bad.log_density(y), bad.grad_log_density(y),
-                                         0.1, 5, bad, rng)
+                                         0.1, 5, bad, rng.standard_normal(1), rng.random())
         assert not accepted and np.array_equal(y_new, y)
 
     def test_ensemble_matches_single_chains(self):
@@ -558,8 +530,9 @@ class TestHmc:
 
     def test_nonfinite_row_rejected_alone(self):
         # the gradient is NaN in the half-space y_0 > 5, where row 1
-        # starts: that row is rejected without drawing a uniform, while
-        # the other rows move
+        # starts: each row is handed one uniform, row 1 the smallest
+        # positive one, and that row alone is rejected, as in the
+        # one-chain branch, while the other rows move
         class NanPatch(Gauss):
             def grad_log_density(self, y):
                 y = np.asarray(y)
@@ -568,20 +541,20 @@ class TestHmc:
         target = NanPatch()
         y = np.zeros((3, 4))
         y[1, 0] = 10.0
-        rngs = [np.random.default_rng(s) for s in (17, 18, 19)]
+        rng = np.random.default_rng(17)
+        z = rng.standard_normal((3, 4))
+        u = np.array([rng.random(), 5e-324, rng.random()])
         y_new, logp, g, accepted = hmc_step(
             y, target.log_density(y), target.grad_log_density(y),
-            np.full(3, 0.1), 5, target, rngs)
+            np.full(3, 0.1), 5, target, z, u)
         assert accepted.tolist() == [True, False, True]
         assert np.array_equal(y_new[1], y[1])
         assert np.all(y_new[[0, 2]] != 0.0)
         assert logp[1] == target.log_density(y[1])
         assert np.all(np.isnan(g[1]))
-        # row 1 drew its momentum and nothing else
-        probe = np.random.default_rng(18)
-        probe.standard_normal(4)
-        assert rngs[1].uniform() == probe.uniform()
-
+        one = hmc_step(y[1], target.log_density(y[1]), target.grad_log_density(y[1]),
+                       0.1, 5, target, z[1], u[1])
+        assert one[3] is False
 
     def test_ensemble_abort_carries_partial_chains(self):
         # one gradient call at the start and five per transition: call
@@ -656,6 +629,17 @@ class TestRunChain:
         with pytest.raises(ValueError):
             KernelConfig("rwm", h=math.nan)
 
+    @pytest.mark.parametrize("field, value", [
+        ("h", math.inf), ("h", -math.inf), ("adapt_burnin", -5),
+        ("adapt_burnin", 2.5), ("adapt_burnin", math.nan), ("adapt_burnin", True)])
+    def test_bad_step_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            KernelConfig("scs", **{field: value})
+
+    def test_step_settings_callers_pass_accepted(self):
+        for burn in (None, 0, 5, np.int64(5)):
+            assert KernelConfig("hmc", h=0.1, adapt_burnin=burn).adapt_burnin == burn
+
     def test_sps_start_rounding_onto_north_pole_raises(self):
         # at the stereographic latitude the observer sits at the north
         # pole; a start at 1e12 inverts onto it, one at 1e8 does not
@@ -705,6 +689,45 @@ class TestRunChain:
         seeds = {o.seed for o in outs1}
         assert len(seeds) == 4
         assert derive_chain_seed(9, 0) in seeds
+
+
+class TestDraws:
+    """A chain reads one normal row and one uniform a step, in blocks."""
+
+    @staticmethod
+    def runs():
+        d = 3
+        target = mv_student_t(d, nu=2.0)
+        p = make_params(d, ell_o=1.1)
+        outs = [run_chain(KernelConfig(kind, h=h), prm, target, np.ones(d), 150,
+                          burnin=50, seed=5)
+                for kind, prm, h in (("scs", p, 1.0), ("rwm", None, 1.0),
+                                     ("hmc", None, 0.3))]
+        return outs + run_chains(KernelConfig("scs", h=1.0), p, target, np.ones(d),
+                                 150, burnin=50, seed=5, n_chains=4)
+
+    def test_block_size_never_changes_output(self, monkeypatch):
+        results = []
+        for block in (1, 7, 64):
+            monkeypatch.setattr("brightside.kernels._DRAW_BLOCK", block)
+            results.append(self.runs())
+        for other in results[1:]:
+            for a, b in zip(results[0], other):
+                assert np.array_equal(a.samples, b.samples)
+                assert np.array_equal(a.step_size_trace, b.step_size_trace)
+
+    def test_chain_draws_the_same_alone_and_in_an_ensemble(self, monkeypatch):
+        monkeypatch.setattr("brightside.kernels._DRAW_BLOCK", 7)
+        seeds = [derive_chain_seed(5, i) for i in range(3)]
+        together = _draws(seeds, 4)
+        alone = [_draws(s, 4) for s in seeds]
+        for _ in range(30):
+            z, u = next(together)
+            assert z.shape == (3, 4) and u.shape == (3,)
+            for i, draws in enumerate(alone):
+                z_i, u_i = next(draws)
+                assert np.array_equal(z[i], z_i) and u[i] == u_i
+                assert isinstance(u_i, float)
 
 
 class TestUniformErgodicity:

@@ -157,6 +157,8 @@ class TestMultivariateStudentT:
         for d in (0, -1):
             with pytest.raises(DomainError, match="dimension"):
                 mv_student_t(d, nu=1.0)
+        with pytest.raises(DomainError, match="loc"):
+            mv_student_t(3, 1.0, loc=np.zeros((1, 3)))
 
     def test_peak_and_unit_values(self):
         t = mv_student_t(1, nu=1.0)
@@ -233,6 +235,8 @@ class TestSkewT:
         # a 2-d location is rejected, not read as a dim-1 target
         with pytest.raises(ValueError):
             skew_t(xi=np.zeros((1, 2)), alpha_skew=np.ones((1, 2)), nu=1.0)
+        with pytest.raises(DomainError, match="loc"):
+            skew_t(xi=np.zeros((2, 2)), alpha_skew=np.ones((2, 2)), nu=1.0)
 
     def test_zero_skew_is_constant_shift(self):
         rng = np.random.default_rng(4)
@@ -555,12 +559,12 @@ class TestLogDensityAndGrad:
     @pytest.mark.parametrize("steps", [1, 5])
     def test_hmc_transition_call_counts(self, steps):
         target = CountingTarget(_paper_skew_t(10))
-        for y, eps, rng in ((np.zeros(10), 0.1, np.random.default_rng(1)),
-                            (np.zeros((3, 10)), np.full(3, 0.1),
-                             [np.random.default_rng(s) for s in range(3)])):
+        rng = np.random.default_rng(1)
+        for y, eps, u in ((np.zeros(10), 0.1, rng.random()),
+                          (np.zeros((3, 10)), np.full(3, 0.1), rng.random(3))):
             logp, g = target.inner.log_density_and_grad(y)
             target.calls.clear()
-            hmc_step(y, logp, g, eps, steps, target, rng)
+            hmc_step(y, logp, g, eps, steps, target, rng.standard_normal(y.shape), u)
             expected = Counter(grad_log_density=steps - 1,
                                log_density_and_grad=1)
             assert target.calls == +expected
