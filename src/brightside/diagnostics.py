@@ -71,6 +71,24 @@ def ks_statistic(samples, cdf) -> float:
     return float(max(np.max(grid - F), np.max(F - (grid - 1.0 / n))))
 
 
+def _fft_length(n) -> int:
+    """Smallest 2^i 3^j 5^k >= n, a length numpy's FFT transforms fast.
+
+    For the 18 000-draw chains of a d = 100 Cauchy run that is 36 000
+    points in place of the next power of two, 65 536.
+    """
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power of two that takes p35 to n or beyond
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def ess(samples) -> float:
     """Effective sample size via the initial-positive-pair truncation.
 
@@ -86,7 +104,9 @@ def ess(samples) -> float:
     var = float(x @ x)
     if var == 0.0:
         return 1.0
-    nfft = 1 << (2 * n - 1).bit_length()
+    # zero-padding to 2n - 1 or more keeps the circular autocovariance
+    # free of wrap-around
+    nfft = _fft_length(2 * n - 1)
     f = np.fft.rfft(x, nfft)
     acov = np.fft.irfft(f * np.conjugate(f), nfft)[:n].real
     rho = acov / acov[0]

@@ -30,6 +30,13 @@ what building one raises), so no function that takes one checks it.
 ``cap_forward`` is the one evaluation of the forward map and its
 log-Jacobian from sphere points, for single states and for batches.
 
+The regularized incomplete beta I_x(a, b) behind ``cap_ratio_exact``
+and the Student t CDFs of ``targets`` sums a fixed 12-term power series
+near x = 0, up to an edge per (a, b) where the dropped terms are proven
+below half an ulp, and a continued fraction above it.  The fraction's
+coefficients, the series coefficients, the edge and log B(a, b) are
+computed once per pair and cached.
+
 All functions broadcast over leading axes and are pure; sampling takes
 an explicit ``numpy.random.Generator``.
 """
@@ -38,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -363,17 +370,118 @@ def cap_ratio_bound(d, ell_o) -> float:
 _BETA_EPS = 1e-15
 _BETA_FPMIN = 1e-300
 _BETA_MAXIT = 500
-# Up to this many points the plain-float loop beats the array path: ten
-# skew-t densities cost ~70 us looped against ~400 us as arrays, and the
-# array path wins from a few hundred points (measured, numpy 2.4).  The
-# array path itself hands its last ``_BETA_HANDOFF`` live elements to the
-# plain-float loop: most elements converge in two or three steps, and
+# Up to this many points the plain-float loop beats the array path.  On
+# the t log-CDF of skew-t batches drawn from the target (m = 11 and 101,
+# numpy 2.4, median over 20 batches, one 2-core x86-64 VM), loop against
+# array: 10 points 43-46 against 108-112 us, 32 points 113-126 against
+# 120-142 us, 40 points 139-159 against 119-150 us, 64 points 212-303
+# against 136-206 us and 128 points 423-425 against 176-253 us.
+# The array path itself hands its last ``_BETA_HANDOFF`` live elements to
+# the plain-float loop: most elements converge in two or three steps, and
 # each array step costs a few dozen numpy calls however few are left.
-_BETA_SMALL_BATCH = 128
+_BETA_SMALL_BATCH = 32
 _BETA_HANDOFF = 24
+# Terms of the power series summed at or below a pair's series edge.
+_BETA_SERIES_TERMS = 12
 
 
-def _betacf_scalar(x, a, b, m=1, c=1.0, dd=None, h=None):
+class _BetaTerms(NamedTuple):
+    """What I_x(a, b) needs of one ordered shape pair, computed once.
+
+    ``num1[m] * x / den1[m]`` and ``num2[m] * x / den2[m]`` are the odd
+    and even coefficients of the continued fraction's step m (index 0
+    unused), up to the ``_BETA_MAXIT`` the tables were built for.
+    ``coefs`` are the series coefficients (a+b)_k / (a+1)_k for
+    k < ``_BETA_SERIES_TERMS``, highest degree first, and ``edge`` is the
+    largest x at which the truncated series is used.
+    """
+
+    a: float
+    b: float
+    lbeta: float
+    num1: tuple
+    den1: tuple
+    num2: tuple
+    den2: tuple
+    coefs: tuple
+    edge: float
+
+
+@lru_cache(maxsize=16)
+def _beta_terms(a, b, maxit):
+    """The ``_BetaTerms`` of (a, b), with fraction tables up to step ``maxit``.
+
+    I_x(a, b) = x^a (1-x)^b / (a B(a, b)) * sum_k (a+b)_k / (a+1)_k x^k
+    (DLMF 8.17.8).  The term ratio is x (a+b+k) / (a+1+k), which for
+    k >= K is at most r x with r = max(1, (a+b+K) / (a+1+K)), so the terms
+    dropped after the first K sum to at most c_K x^K / (1 - r x).  The
+    edge is the largest x where that bound is below half an ulp of 1 (the
+    sum is at least 1), less a relative 1e-12 for the rounding of c_K and
+    of the test itself; found by bisection over the doubles.
+    """
+    m = np.arange(1.0, maxit + 1.0)
+    m2 = 2.0 * m
+    qab = a + b
+    qap = a + 1.0
+    # the same operations, in the same order, as the fraction's formulas
+    # m (b - m) x / ((a - 1 + 2m)(a + 2m)) and
+    # -(a + m)(a + b + m) x / ((a + 2m)(a + 1 + 2m))
+    tables = [(0.0, *v.tolist()) for v in (
+        m * (b - m), ((a - 1.0) + m2) * (a + m2),
+        -(a + m) * (qab + m), (a + m2) * (qap + m2))]
+    k_terms = _BETA_SERIES_TERMS
+    coefs = [1.0]
+    for k in range(k_terms):
+        coefs.append(coefs[-1] * (qab + k) / (qap + k))
+    c_k = coefs.pop()
+    r = max(1.0, (qab + k_terms) / (qap + k_terms))
+    bound = 0.5 * math.ulp(1.0) * (1.0 - 1e-12)
+    lo, hi = 0.0, 1.0 / r
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if c_k * mid**k_terms <= bound * (1.0 - r * mid):
+            lo = mid
+        else:
+            hi = mid
+    return _BetaTerms(a, b, _log_beta(a, b), *tables, tuple(reversed(coefs)), lo)
+
+
+def _log_beta(a, b):
+    """log B(a, b), symmetric in its arguments bit for bit.
+
+    While Gamma(a + b) is finite, the log of the gamma quotient: the
+    difference lgamma(a) - lgamma(a + b) of two large logs cancels, and
+    costs I_x a relative 2.6e-14 at (50.5, 1/2), where the quotient's
+    log is off by 1e-16.
+    """
+    lo, hi = min(a, b), max(a, b)
+    if a + b < 171.0 and lo > 1e-300:
+        beta = math.gamma(hi) / math.gamma(a + b) * math.gamma(lo)
+        if 0.0 < beta < math.inf:
+            return math.log(beta)
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+def _beta_series_scalar(x, coefs):
+    """The truncated series sum at one point, by Horner's rule."""
+    s = 0.0
+    for c in coefs:
+        s = s * x + c
+    return s
+
+
+def _beta_series(x, coefs):
+    """``_beta_series_scalar`` elementwise, with the same operations."""
+    s = np.zeros_like(x)
+    for c in coefs:
+        s *= x
+        s += c
+    return s
+
+
+def _betacf_scalar(x, t, m=1, c=1.0, dd=None, h=None):
     """Continued fraction for the incomplete beta (modified Lentz), one point.
 
     Plain-float twin of ``_betacf``: the same operations in the same
@@ -381,18 +489,15 @@ def _betacf_scalar(x, a, b, m=1, c=1.0, dd=None, h=None):
     step m = 1 by default; ``_betacf`` hands over an element at step
     ``m`` with the state (c, dd, h) its array steps left.
     """
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
     if dd is None:
-        dd = 1.0 - qab * x / qap
+        dd = 1.0 - (t.a + t.b) * x / (t.a + 1.0)
         if abs(dd) < _BETA_FPMIN:
             dd = _BETA_FPMIN
         dd = 1.0 / dd
         h = dd
+    num1, den1, num2, den2 = t.num1, t.den1, t.num2, t.den2
     for m in range(m, _BETA_MAXIT + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        aa = num1[m] * x / den1[m]
         dd = 1.0 + aa * dd
         if abs(dd) < _BETA_FPMIN:
             dd = _BETA_FPMIN
@@ -401,7 +506,7 @@ def _betacf_scalar(x, a, b, m=1, c=1.0, dd=None, h=None):
             c = _BETA_FPMIN
         dd = 1.0 / dd
         h = h * dd * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        aa = num2[m] * x / den2[m]
         dd = 1.0 + aa * dd
         if abs(dd) < _BETA_FPMIN:
             dd = _BETA_FPMIN
@@ -433,34 +538,30 @@ def _lentz_half_step(x, num, den, c, dd):
     np.divide(1.0, dd, out=dd)
 
 
-def _betacf(x, a, b):
+def _betacf(x, t):
     """Continued fraction for the incomplete beta (modified Lentz).
 
-    Elementwise over a 1-d array ``x`` with scalar a and b (one swap
-    group); converges for x < (a+1)/(a+b+2).  Each element stops at its
-    own convergence and leaves the working arrays.  The array steps run
-    only while more than ``_BETA_HANDOFF`` elements are live; each
-    element left then finishes in ``_betacf_scalar`` from its step and
-    state.  Both forms make the same operations in the same order, so an
-    element's value does not depend on the rest of the batch.
+    Elementwise over a 1-d array ``x`` for one ordered pair's terms ``t``
+    (one swap group); converges for x < (a+1)/(a+b+2).  Each element
+    stops at its own convergence and leaves the working arrays.  The
+    array steps run only while more than ``_BETA_HANDOFF`` elements are
+    live; each element left then finishes in ``_betacf_scalar`` from its
+    step and state.  Both forms make the same operations in the same
+    order, so an element's value does not depend on the rest of the batch.
     """
     out = np.empty_like(x)
     idx = np.arange(x.shape[0])
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
     c = np.ones_like(x)
-    dd = 1.0 - qab * x / qap
+    dd = 1.0 - (t.a + t.b) * x / (t.a + 1.0)
     np.copyto(dd, _BETA_FPMIN, where=np.abs(dd) < _BETA_FPMIN)
     dd = 1.0 / dd
     h = dd.copy()
     m = 1
     while idx.size > _BETA_HANDOFF and m <= _BETA_MAXIT:
-        m2 = 2 * m
-        _lentz_half_step(x, m * (b - m), (qam + m2) * (a + m2), c, dd)
+        _lentz_half_step(x, t.num1[m], t.den1[m], c, dd)
         h *= dd
         h *= c
-        _lentz_half_step(x, -(a + m) * (qab + m), (a + m2) * (qap + m2), c, dd)
+        _lentz_half_step(x, t.num2[m], t.den2[m], c, dd)
         delta = dd * c
         h *= delta
         delta -= 1.0
@@ -473,14 +574,27 @@ def _betacf(x, a, b):
     # past _BETA_MAXIT the plain-float loop raises on the first element
     for i, xv, cv, dv, hv in zip(idx.tolist(), x.tolist(), c.tolist(),
                                  dd.tolist(), h.tolist()):
-        out[i] = _betacf_scalar(xv, a, b, m, cv, dv, hv)
+        out[i] = _betacf_scalar(xv, t, m, cv, dv, hv)
     return out
 
 
-def _incomplete_beta_scalar(x, a, b, lbeta, log):
+def _beta_sum(x, t):
+    """The series or fraction factor S of I_x = x^a (1-x)^b S / (a B(a, b)).
+
+    Elementwise over a 1-d array ``x`` of one swap group: the series at
+    or below ``t.edge``, the fraction above it.
+    """
+    series = x <= t.edge
+    out = np.empty_like(x)
+    out[series] = _beta_series(x[series], t.coefs)
+    frac = ~series
+    out[frac] = _betacf(x[frac], t)
+    return out
+
+
+def _incomplete_beta_scalar(x, a, b, log):
     """Plain-float twin of ``_incomplete_beta`` for one point.
 
-    ``lbeta`` is log B(a, b), which the caller computes once per batch.
     log, log1p and exp are numpy's rather than ``math``'s: on SIMD
     builds the two differ in the last bit on up to a few arguments in a
     hundred, and numpy's give a point the bits it gets inside a batch.
@@ -494,8 +608,12 @@ def _incomplete_beta_scalar(x, a, b, lbeta, log):
         if log:
             return 0.0 if x == 1.0 else -math.inf
         return x
-    lfront = ar * float(np.log(xs)) + br * float(np.log1p(-xs)) - lbeta
-    cf = _betacf_scalar(xs, ar, br)
+    t = _beta_terms(ar, br, _BETA_MAXIT)
+    lfront = ar * float(np.log(xs)) + br * float(np.log1p(-xs)) - t.lbeta
+    if xs <= t.edge:
+        cf = _beta_series_scalar(xs, t.coefs)
+    else:
+        cf = _betacf_scalar(xs, t)
     if log and not swap:
         return lfront + float(np.log(cf)) - math.log(a)
     value = min(max(float(np.exp(lfront)) * cf / ar, 0.0), 1.0)
@@ -510,28 +628,37 @@ def _incomplete_beta(x, a, b, log):
     ``log`` broadcasts against ``x``, so one call can return the value
     for some elements and its log for others.  The symmetry reduction
     I_x(a, b) = 1 - I_{1-x}(b, a) is applied where x > (a+1)/(a+b+2),
-    so the continued fraction runs once, in its rapidly convergent
-    region, over every interior element.  Where the reduction applies
-    the reflected value is small, so its log1p complement is accurate;
-    elsewhere the log is taken of the continued-fraction form directly,
-    which stays finite far below double-precision range.  Batches of
-    up to ``_BETA_SMALL_BATCH`` points loop the plain-float twin, which
-    gives each element the bits the array path gives it and costs less
-    there than the array setup; larger batches run the array fraction
-    once per swap group, with scalar shape parameters, and finish its
-    last few elements in plain floats.  A 0-d ``x`` returns a float.
+    so the sum below runs once, in its rapidly convergent region, over
+    every interior element.  Where the reduction applies the reflected
+    value is small, so its log1p complement is accurate; elsewhere the
+    log is taken of the series or fraction form directly, which stays
+    finite far below double-precision range.
+
+    The reduced x meets one of two forms of the same factor.  At or
+    below the pair's series edge (0.005 to 0.05 for the pairs
+    (nu/2, 1/2) and (1/2, nu/2) of the Student t) it is a fixed
+    ``_BETA_SERIES_TERMS``-term power series, whose dropped tail is
+    proven below half an ulp; above it, the continued fraction.
+    Everything that depends only on (a, b) is computed once per pair
+    (``_beta_terms``).
+
+    Batches of up to ``_BETA_SMALL_BATCH`` points loop the plain-float
+    twin, which gives each element the bits the array path gives it and
+    costs less there than the array setup; larger batches run the array
+    forms once per swap group and finish the fraction's last few
+    elements in plain floats.  A 0-d ``x`` returns a float.
     """
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
         raise DomainError(f"shape parameters must be positive, got a={a}, b={b}")
-    lbeta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
-        return _incomplete_beta_scalar(float(x), a, b, lbeta, bool(log))
-    log = np.broadcast_to(np.asarray(log, dtype=bool), x.shape)
+        return _incomplete_beta_scalar(float(x), a, b, bool(log))
+    if np.shape(log) != x.shape:
+        log = np.broadcast_to(np.asarray(log, dtype=bool), x.shape)
     if x.size <= _BETA_SMALL_BATCH:
-        values = [_incomplete_beta_scalar(xv, a, b, lbeta, lv)
+        values = [_incomplete_beta_scalar(xv, a, b, lv)
                   for xv, lv in zip(x.ravel().tolist(), log.ravel().tolist())]
         return np.array(values, dtype=float).reshape(x.shape)
     if not np.all((x >= 0.0) & (x <= 1.0)):
@@ -548,11 +675,12 @@ def _incomplete_beta(x, a, b, log):
     li = log[inner]
     ai = np.where(si, b, a)
     bi = np.where(si, a, b)
+    lbeta = _beta_terms(a, b, _BETA_MAXIT).lbeta
     lfront = ai * np.log(xi) + bi * np.log1p(-xi) - lbeta
     cf = np.empty_like(xi)
     for group, (ag, bg) in ((~si, (a, b)), (si, (b, a))):
         if group.any():
-            cf[group] = _betacf(xi[group], ag, bg)
+            cf[group] = _beta_sum(xi[group], _beta_terms(ag, bg, _BETA_MAXIT))
     value = np.clip(np.exp(lfront) * cf / ai, 0.0, 1.0)
     res = np.where(si, 1.0 - value, value)
     if li.any():
@@ -567,14 +695,16 @@ def _incomplete_beta(x, a, b, log):
 def regularized_incomplete_beta(x, a, b):
     """Regularized incomplete beta function I_x(a, b).
 
-    Continued-fraction evaluation with the symmetry reduction
-    I_x(a, b) = 1 - I_{1-x}(b, a) applied when x > (a+1)/(a+b+2), so
-    the fraction is always used in its rapidly convergent region.
-    Accepts scalar or array x; a and b are positive scalars.  Small
-    batches run in plain Python floats, and a 0-d x returns a float.
-    Each element's fraction stops when its own |delta - 1| < 1e-15, so
-    an element gets the same value alone, on the plain-float path and
-    in any batch.
+    The symmetry reduction I_x(a, b) = 1 - I_{1-x}(b, a) is applied when
+    x > (a+1)/(a+b+2).  The reduced x then takes a 12-term power series
+    near 0 (at or below an edge computed per (a, b), where the dropped
+    terms are proven below half an ulp) and the continued fraction
+    elsewhere, in its rapidly convergent region.  Accepts scalar or
+    array x; a and b are positive scalars.  Small batches run in plain
+    Python floats, and a 0-d x returns a float.  The series is a fixed
+    sum and each element's fraction stops when its own
+    |delta - 1| < 1e-15, so an element gets the same value alone, on the
+    plain-float path and in any batch.
     """
     return _incomplete_beta(x, a, b, False)
 
@@ -582,12 +712,11 @@ def regularized_incomplete_beta(x, a, b):
 def log_regularized_incomplete_beta(x, a, b):
     """log I_x(a, b), stable for values far below double-precision range.
 
-    Uses the log of the continued-fraction form directly when x is in
-    the convergent region, else the log1p complement of the reflected
-    value.  Intended for deep lower tails (e.g. heavy-tail CDF logs).
-    Small batches run in plain Python floats, and a 0-d x returns a
-    float.  Each element's fraction stops when its own
-    |delta - 1| < 1e-15, so an element gets the same value alone, on
-    the plain-float path and in any batch.
+    Uses the log of the series or continued-fraction form directly when
+    x is in the convergent region, else the log1p complement of the
+    reflected value.  Intended for deep lower tails (e.g. heavy-tail CDF
+    logs), which is where the 12-term series serves.  Small batches run
+    in plain Python floats, and a 0-d x returns a float.  An element
+    gets the same value alone, on the plain-float path and in any batch.
     """
     return _incomplete_beta(x, a, b, True)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,6 +92,12 @@ def sub_cauchy_probe(target: TargetModel, seed=0, n_rays=1000, r_max=1e6,
 # --- student t --------------------------------------------------------------
 
 
+def _check_dof(nu):
+    # NaN and infinity fail too; the t at nu = inf is the normal, not a t
+    if not 0.0 < nu < math.inf:
+        raise DomainError(f"degrees of freedom must be finite and positive, got {nu}")
+
+
 def student_t_cdf(t, nu):
     """CDF of the univariate Student t with ``nu`` degrees of freedom.
 
@@ -99,8 +106,7 @@ def student_t_cdf(t, nu):
     and a 0-d ``t`` there runs in plain Python floats.  Monotone in t
     and exact at t = 0 for every nu.
     """
-    if not nu > 0:
-        raise DomainError(f"degrees of freedom must be positive, got {nu}")
+    _check_dof(nu)
     t_arr = np.asarray(t, dtype=float)
     if nu == 1:
         out = 0.5 + np.arctan(t_arr) / math.pi
@@ -128,8 +134,7 @@ def student_t_log_cdf(t, nu):
     a 0-d ``t`` runs in plain Python floats, so a point gets the same
     value alone as inside a batch.
     """
-    if not nu > 0:
-        raise DomainError(f"degrees of freedom must be positive, got {nu}")
+    _check_dof(nu)
     t_arr = np.asarray(t, dtype=float)
     if nu != 1 and nu != 2:
         if t_arr.ndim == 0:
@@ -164,12 +169,16 @@ def student_t_log_cdf(t, nu):
 
 def student_t_log_pdf(t, nu):
     """Normalized log density of the univariate Student t."""
-    if not nu > 0:
-        raise DomainError(f"degrees of freedom must be positive, got {nu}")
+    _check_dof(nu)
     t_arr = np.asarray(t, dtype=float)
-    const = (math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0)
-             - 0.5 * math.log(nu * math.pi))
-    return const - (nu + 1.0) / 2.0 * np.log1p(t_arr * t_arr / nu)
+    return _t_log_pdf_const(nu) - (nu + 1.0) / 2.0 * np.log1p(t_arr * t_arr / nu)
+
+
+@lru_cache(maxsize=16)
+def _t_log_pdf_const(nu):
+    """log of the t density's normalizing constant, once per nu."""
+    return (math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0)
+            - 0.5 * math.log(nu * math.pi))
 
 
 # --- multivariate student t / Cauchy ----------------------------------------
@@ -178,14 +187,14 @@ def student_t_log_pdf(t, nu):
 class MultivariateStudentT(TargetModel):
     """Isotropic multivariate Student t; nu = 1 is the Cauchy.
 
-    Raises DomainError unless d >= 1, nu > 0, scale > 0 and loc is 0-d or 1-d.
+    Raises DomainError unless d >= 1, nu is finite and positive,
+    scale > 0 and loc is 0-d or 1-d.
     """
 
     def __init__(self, d, nu, loc=0.0, scale=1.0):
         if not d >= 1:
             raise DomainError(f"dimension must be >= 1, got {d}")
-        if not nu > 0:
-            raise DomainError(f"degrees of freedom must be positive, got {nu}")
+        _check_dof(nu)
         if not scale > 0:
             raise DomainError(f"scale must be positive, got {scale}")
         if np.ndim(loc) > 1:
@@ -259,27 +268,31 @@ class SkewT(MultivariateStudentT):
         if alpha.shape != self.loc.shape:
             raise ValueError("xi and alpha_skew must share a shape")
         self.alpha_skew = alpha
+        self._m = self.nu + self.dim
+
+    def _skewing(self, y):
+        """z, q = |z|^2, nu + q, g = sqrt(m / (nu + q)), the skewing
+        argument s = a'z g and log T_m(s), with m = nu + d."""
+        z, q = self._standardized(y)
+        nq = self.nu + q
+        g = np.sqrt(self._m / nq)
+        s = (z @ self.alpha_skew) * g
+        return z, q, nq, g, s, student_t_log_cdf(s, self._m)
 
     def log_density(self, y):
-        m = self.nu + self.dim
-        z, q = self._standardized(y)
-        s = (z @ self.alpha_skew) * np.sqrt(m / (self.nu + q))
-        return self._value(q) + student_t_log_cdf(s, m)
+        z, q, _, _, _, log_cdf = self._skewing(y)
+        return self._value(q) + log_cdf
 
     def log_density_and_grad(self, y):
         """The t log-CDF at the skewing argument serves both the value and
-        the pdf/CDF ratio of the gradient, so the incomplete beta runs once."""
-        m = self.nu + self.dim
-        z, q = self._standardized(y)
-        g = np.sqrt(m / (self.nu + q))
-        za = z @ self.alpha_skew
-        s = za * g
-        log_cdf = student_t_log_cdf(s, m)
-        ratio = np.exp(student_t_log_pdf(s, m) - log_cdf)
-        grad_s = g[..., None] * (self.alpha_skew
-                                 - (za / (self.nu + q))[..., None] * z)
-        return (self._value(q) + log_cdf,
-                self._grad(z, q) + ratio[..., None] * grad_s)
+        the pdf/CDF ratio r of the gradient, so the incomplete beta runs
+        once.  The gradient is -(nu + d + r s) / (nu + q) z + r g a: the t
+        kernel's and the skewing factor's terms along z gathered first."""
+        z, q, nq, g, s, log_cdf = self._skewing(y)
+        ratio = np.exp(student_t_log_pdf(s, self._m) - log_cdf)
+        grad = ((-(self.nu + self.dim) - ratio * s) / nq)[..., None] * z
+        grad += (ratio * g)[..., None] * self.alpha_skew
+        return self._value(q) + log_cdf, grad
 
     def grad_log_density(self, y):
         # not self.log_density_and_grad: a subclass may build that from this

@@ -579,7 +579,8 @@ class TestIncompleteBetaPaths:
         a, b = 5.5, 0.5
         edge = (a + 1.0) / (a + b + 2.0)
         handoff = geometry._BETA_HANDOFF
-        n = geometry._BETA_SMALL_BATCH + 1
+        # more than the small-batch limit, and room for every split below
+        n = max(geometry._BETA_SMALL_BATCH + 1, 2 * handoff)
         for f in self.FUNCS:
             for n_direct in (handoff - 1, handoff, handoff + 1, 2 * handoff, n):
                 # n_direct points below the symmetry edge, the rest above
@@ -640,3 +641,62 @@ class TestIncompleteBetaPaths:
                 f(np.array([0.3, 0.8]), 5.5, 0.5)
             with pytest.raises(DomainError):
                 f(np.full(self.SIZES[1], 0.8), 5.5, 0.5)
+
+
+class TestSeriesRegion:
+    """The power series near 0 and the fraction above its edge agree."""
+
+    # (m/2, 1/2) and (1/2, m/2) for the t log-CDFs at m = 11 and m = 101
+    SHAPES = ((5.5, 0.5), (0.5, 5.5), (50.5, 0.5), (0.5, 50.5))
+
+    @staticmethod
+    def edge(a, b):
+        return geometry._beta_terms(a, b, geometry._BETA_MAXIT).edge
+
+    def test_against_mpmath_at_the_edge(self):
+        import mpmath
+
+        with mpmath.workdps(40):
+            for a, b in self.SHAPES:
+                edge = self.edge(a, b)
+                # the series serves below the symmetry edge, unreflected
+                assert 0.0 < edge < (a + 1.0) / (a + b + 2.0)
+                for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+                    ref = mpmath.betainc(a, b, 0, mpmath.mpf(x), regularized=True)
+                    log_ref = float(mpmath.log(ref))
+                    got_log = log_regularized_incomplete_beta(x, a, b)
+                    assert abs(got_log - log_ref) <= 1e-14 * abs(log_ref)
+                    # the value is the exp of a front factor's log, which
+                    # carries half an ulp of |log I| (1.4e-14 at m = 101)
+                    tol = 1e-14 + abs(log_ref) * 2.0**-53
+                    got = regularized_incomplete_beta(x, a, b)
+                    assert abs(got - float(ref)) <= tol * float(ref)
+
+    def test_batch_across_the_edge_matches_plain_floats(self):
+        rng = np.random.default_rng(34)
+        n = geometry._BETA_SMALL_BATCH + 1
+        for a, b in self.SHAPES:
+            edge = self.edge(a, b)
+            xs = np.concatenate([
+                [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)],
+                rng.uniform(0.0, edge, n // 2), rng.uniform(edge, 1.0, n // 2)])
+            for f in TestIncompleteBetaPaths.FUNCS:
+                single = [f(float(x), a, b) for x in xs]
+                assert np.array_equal(f(xs, a, b), single)
+
+    def test_dropped_terms_below_half_an_ulp(self):
+        # the terms after the first K, summed in 40 digits at the edge,
+        # stay below half an ulp of the K-term sum
+        import mpmath
+
+        rng = np.random.default_rng(35)
+        k_terms = geometry._BETA_SERIES_TERMS
+        with mpmath.workdps(40):
+            for a, b in rng.uniform(0.05, 120.0, (60, 2)):
+                t = geometry._beta_terms(a, b, geometry._BETA_MAXIT)
+                x = mpmath.mpf(t.edge)
+                total = mpmath.hyp2f1(a + b, 1, a + 1, x)
+                head = mpmath.fsum(mpmath.rf(a + b, k) / mpmath.rf(a + 1, k) * x**k
+                                   for k in range(k_terms))
+                s = geometry._beta_series_scalar(t.edge, t.coefs)
+                assert total - head < math.ulp(s) / 2

@@ -124,10 +124,10 @@ class TestStudentTCdf:
     def test_domain(self):
         with pytest.raises(DomainError):
             student_t_cdf(0.0, -1.0)
-        # NaN degrees of freedom fail the same check
+        # NaN and infinite degrees of freedom fail the same check
         for f in (student_t_cdf, student_t_log_cdf, student_t_log_pdf):
-            for nu in (0.0, -1.0, math.nan):
-                with pytest.raises(DomainError):
+            for nu in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(DomainError, match="degrees of freedom"):
                     f(0.5, nu)
         for f in (student_t_cdf, student_t_log_cdf):
             with pytest.raises(DomainError):
@@ -150,8 +150,8 @@ class TestStudentTCdf:
 
 class TestMultivariateStudentT:
     def test_rejects_bad_parameters(self):
-        for kwargs in ({"nu": 0.0}, {"nu": math.nan}, {"nu": 1.0, "scale": 0.0},
-                       {"nu": 1.0, "scale": math.nan}):
+        for kwargs in ({"nu": 0.0}, {"nu": math.nan}, {"nu": math.inf},
+                       {"nu": 1.0, "scale": 0.0}, {"nu": 1.0, "scale": math.nan}):
             with pytest.raises(DomainError):
                 mv_student_t(3, **kwargs)
         for d in (0, -1):
@@ -223,8 +223,8 @@ class TestMultivariateStudentT:
 
 class TestSkewT:
     def test_rejects_bad_degrees_of_freedom(self):
-        for nu in (0.0, -2.0, math.nan):
-            with pytest.raises(DomainError):
+        for nu in (0.0, -2.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="degrees of freedom"):
                 skew_t(xi=np.zeros(2), alpha_skew=np.ones(2), nu=nu)
 
     def test_rejects_bad_shapes(self):
