@@ -371,9 +371,10 @@ _BETA_EPS = 1e-15
 _BETA_FPMIN = 1e-300
 _BETA_MAXIT = 500
 # Up to this many points the plain-float loop beats the array path.  On
-# the t log-CDF of skew-t batches drawn from the target (m = 11 and 101,
-# numpy 2.4, median over 20 batches, one 2-core x86-64 VM), loop against
-# array: 10 points 43-46 against 108-112 us, 32 points 113-126 against
+# the t log-CDF of skew-t batches drawn from the target (d = 10 and 100,
+# so m = 11 and 101; numpy 2.4, median over 20 batches, one run on a
+# 2-core x86-64 VM; each range spans the two d), loop against array:
+# 10 points 43-46 against 108-112 us, 32 points 113-126 against
 # 120-142 us, 40 points 139-159 against 119-150 us, 64 points 212-303
 # against 136-206 us and 128 points 423-425 against 176-253 us.
 # The array path itself hands its last ``_BETA_HANDOFF`` live elements to

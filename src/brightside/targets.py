@@ -286,13 +286,13 @@ class SkewT(MultivariateStudentT):
     def log_density_and_grad(self, y):
         """The t log-CDF at the skewing argument serves both the value and
         the pdf/CDF ratio r of the gradient, so the incomplete beta runs
-        once.  The gradient is -(nu + d + r s) / (nu + q) z + r g a: the t
-        kernel's and the skewing factor's terms along z gathered first."""
+        once.  The gradient is the t kernel's plus r times that of s,
+        g a - s / (nu + q) z."""
         z, q, nq, g, s, log_cdf = self._skewing(y)
         ratio = np.exp(student_t_log_pdf(s, self._m) - log_cdf)
-        grad = ((-(self.nu + self.dim) - ratio * s) / nq)[..., None] * z
-        grad += (ratio * g)[..., None] * self.alpha_skew
-        return self._value(q) + log_cdf, grad
+        grad_s = g[..., None] * self.alpha_skew - (s / nq)[..., None] * z
+        return (self._value(q) + log_cdf,
+                self._grad(z, q) + ratio[..., None] * grad_s)
 
     def grad_log_density(self, y):
         # not self.log_density_and_grad: a subclass may build that from this

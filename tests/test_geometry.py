@@ -572,29 +572,55 @@ class TestIncompleteBetaPaths:
                 assert f(np.array(batch), 5.5, 0.5)[0] == alone
             assert f(0.3, 5.5, 0.5) == alone
 
-    def test_batch_independence_across_the_handoff(self):
-        # on the array path a swap group steps as arrays while more than
-        # _BETA_HANDOFF elements are live, then finishes in plain floats
+    def test_batch_independence_across_the_handoff(self, monkeypatch):
+        # on the array path a swap group's fraction steps as arrays while
+        # more than _BETA_HANDOFF elements are live, then finishes in plain
+        # floats; the points below avoid the series, so each fraction
+        # group holds exactly the elements a case asks for
         rng = np.random.default_rng(32)
         a, b = 5.5, 0.5
         edge = (a + 1.0) / (a + b + 2.0)
+        direct_lo = geometry._beta_terms(a, b, geometry._BETA_MAXIT).edge
+        reflected_hi = 1.0 - geometry._beta_terms(b, a, geometry._BETA_MAXIT).edge
         handoff = geometry._BETA_HANDOFF
         # more than the small-batch limit, and room for every split below
-        n = max(geometry._BETA_SMALL_BATCH + 1, 2 * handoff)
+        n = max(geometry._BETA_SMALL_BATCH + 1, 4 * handoff)
+        # the sizes of the fraction groups and the array steps taken
+        sizes, steps = [], []
+        betacf, half_step = geometry._betacf, geometry._lentz_half_step
+
+        def counted_betacf(x, t):
+            sizes.append(x.size)
+            return betacf(x, t)
+
+        def counted_half_step(*args):
+            steps.append(1)
+            half_step(*args)
+
+        monkeypatch.setattr(geometry, "_betacf", counted_betacf)
+        monkeypatch.setattr(geometry, "_lentz_half_step", counted_half_step)
         for f in self.FUNCS:
             for n_direct in (handoff - 1, handoff, handoff + 1, 2 * handoff, n):
                 # n_direct points below the symmetry edge, the rest above
-                xs = np.concatenate([rng.uniform(0.0, edge, n_direct),
-                                     rng.uniform(edge, 1.0, n - n_direct)])
+                xs = np.concatenate([rng.uniform(direct_lo, edge, n_direct),
+                                     rng.uniform(edge, reflected_hi, n - n_direct)])
+                sizes.clear()
                 batch = f(xs, a, b)
+                assert [s for s in sizes if s] == [s for s in (n_direct, n - n_direct) if s]
                 assert np.array_equal(batch, [f(np.array([x]), a, b)[0] for x in xs])
             # one slow element (next to the edge, ~17 steps) among fast ones
-            # (x near 0, 2 steps): it finishes alone in plain floats
+            # (just above the series edge, a few steps): it finishes alone
+            # in plain floats after the array steps
             slow = np.nextafter(edge, 0.0)
             alone = f(np.array([slow]), a, b)[0]
-            for n_fast in (handoff, n, 4 * n):
-                xs = np.concatenate([[slow], rng.uniform(0.0, 1e-6, n_fast)])
+            # the smallest batch on the array path, then larger ones
+            for n_fast in (max(handoff, geometry._BETA_SMALL_BATCH), n, 4 * n):
+                xs = np.concatenate([[slow],
+                                     rng.uniform(direct_lo, 1.25 * direct_lo, n_fast)])
+                sizes.clear()
+                steps.clear()
                 assert f(xs, a, b)[0] == alone
+                assert sizes == [n_fast + 1] and steps
 
     def test_scalar_matches_array(self):
         rng = np.random.default_rng(31)
@@ -667,8 +693,11 @@ class TestSeriesRegion:
                     got_log = log_regularized_incomplete_beta(x, a, b)
                     assert abs(got_log - log_ref) <= 1e-14 * abs(log_ref)
                     # the value is the exp of a front factor's log, which
-                    # carries half an ulp of |log I| (1.4e-14 at m = 101)
-                    tol = 1e-14 + abs(log_ref) * 2.0**-53
+                    # carries half an ulp of |log I|: 1.7e-14 at
+                    # (50.5, 1/2), where log I is -157
+                    tol = 1e-14
+                    if (a, b) == (50.5, 0.5):
+                        tol += abs(log_ref) * 2.0**-53
                     got = regularized_incomplete_beta(x, a, b)
                     assert abs(got - float(ref)) <= tol * float(ref)
 
