@@ -1,0 +1,36 @@
+"""Smoke run of brightside with numpy as its only third-party dependency.
+
+scipy, mpmath and pytest are blocked from import first, so an import of
+any of them from the package fails here even where they are installed.
+Then every module is imported, a 100-point Student t log-CDF evaluated
+and a 50-step chain run.  From the repository root, with the package
+installed (or ``PYTHONPATH=src``):
+
+    python .github/numpy_only_smoke.py
+"""
+
+import importlib
+import pkgutil
+import sys
+
+for name in ("scipy", "mpmath", "pytest"):
+    sys.modules[name] = None  # a later import of it raises ImportError
+
+import numpy as np
+
+import brightside
+from brightside.geometry import make_params
+from brightside.kernels import KernelConfig, run_chain
+from brightside.targets import mv_student_t, student_t_log_cdf
+
+for module in pkgutil.iter_modules(brightside.__path__):
+    importlib.import_module(f"brightside.{module.name}")
+
+log_cdf = student_t_log_cdf(np.linspace(-50.0, 50.0, 100), 11.0)
+assert log_cdf.shape == (100,) and np.all(np.isfinite(log_cdf))
+assert np.all(np.diff(log_cdf) > 0.0) and log_cdf[-1] < 0.0
+
+chain = run_chain(KernelConfig("scs", h=0.5), make_params(3, ell_o=1.1),
+                  mv_student_t(3, nu=1.0), np.zeros(3), 50, seed=0)
+assert chain.samples.shape == (50, 3) and np.all(np.isfinite(chain.samples))
+print("numpy-only smoke run passed")

@@ -35,7 +35,9 @@ and the Student t CDFs of ``targets`` sums a fixed 12-term power series
 near x = 0, up to an edge per (a, b) where the dropped terms are proven
 below half an ulp, and a continued fraction above it.  The fraction's
 coefficients, the series coefficients, the edge and log B(a, b) are
-computed once per pair and cached.
+computed once per pair and cached.  Each point has one evaluation, in
+plain floats; a large batch vectorizes only its series side, with the
+same operations, and sends every other point through that evaluation.
 
 All functions broadcast over leading axes and are pure; sampling takes
 an explicit ``numpy.random.Generator``.
@@ -370,18 +372,14 @@ def cap_ratio_bound(d, ell_o) -> float:
 _BETA_EPS = 1e-15
 _BETA_FPMIN = 1e-300
 _BETA_MAXIT = 500
-# Up to this many points the plain-float loop beats the array path.  On
-# the t log-CDF of skew-t batches drawn from the target (d = 10 and 100,
-# so m = 11 and 101; numpy 2.4, median over 20 batches, one run on a
-# 2-core x86-64 VM; each range spans the two d), loop against array:
-# 10 points 43-46 against 108-112 us, 32 points 113-126 against
-# 120-142 us, 40 points 139-159 against 119-150 us, 64 points 212-303
-# against 136-206 us and 128 points 423-425 against 176-253 us.
-# The array path itself hands its last ``_BETA_HANDOFF`` live elements to
-# the plain-float loop: most elements converge in two or three steps, and
-# each array step costs a few dozen numpy calls however few are left.
+# Up to this many points the per-point loop beats vectorizing the series
+# side.  On the t log-CDF of skew-t batches drawn from the target (d = 10
+# and 100, so m = 11 and 101; numpy 2.4, median over 20 batches, two runs
+# on a 2-core x86-64 VM), loop against vectorized, in us:
+#   points        8          24          32          40         128
+#   d = 10   46 vs 107  107 vs 115  132 vs 119  167 vs 126  522 vs 195
+#   d = 100  48 vs 110  119 vs 147  159 vs 169  193 vs 180  564 vs 315
 _BETA_SMALL_BATCH = 32
-_BETA_HANDOFF = 24
 # Terms of the power series summed at or below a pair's series edge.
 _BETA_SERIES_TERMS = 12
 
@@ -449,55 +447,67 @@ def _beta_terms(a, b, maxit):
     return _BetaTerms(a, b, _log_beta(a, b), *tables, tuple(reversed(coefs)), lo)
 
 
+def _stirling_remainder(z):
+    """ln Gamma(z) - [(z - 1/2) ln z - z + ln(2 pi) / 2], four terms.
+
+    The first omitted term, 1 / (1188 z^9), is below 1e-20 for z >= 85.
+    """
+    w = 1.0 / (z * z)
+    return (((-1.0 / 1680.0 * w + 1.0 / 1260.0) * w - 1.0 / 360.0) * w
+            + 1.0 / 12.0) / z
+
+
 def _log_beta(a, b):
     """log B(a, b), symmetric in its arguments bit for bit.
 
     While Gamma(a + b) is finite, the log of the gamma quotient: the
     difference lgamma(a) - lgamma(a + b) of two large logs cancels, and
     costs I_x a relative 2.6e-14 at (50.5, 1/2), where the quotient's
-    log is off by 1e-16.
+    log is off by 1e-16.  From a + b = 171 on, where Gamma(a + b)
+    overflows, lgamma(lo) plus ln Gamma(hi) - ln Gamma(hi + lo) taken as
+    one Stirling difference, so the large logs never meet (the idea of
+    ``algdiv`` in DiDonato & Morris, ACM TOMS 708): within 3e-16
+    relative from (170.5, 1/2) to (5e5, 1/2), where the lgamma
+    difference is off by 2.3e-14 to 1.2e-10.
     """
     lo, hi = min(a, b), max(a, b)
-    if a + b < 171.0 and lo > 1e-300:
+    if a + b >= 171.0:
+        ratio = (-lo * math.log(hi) - (hi + lo - 0.5) * math.log1p(lo / hi) + lo
+                 + _stirling_remainder(hi) - _stirling_remainder(hi + lo))
+        return math.lgamma(lo) + ratio
+    if lo > 1e-300:
         beta = math.gamma(hi) / math.gamma(a + b) * math.gamma(lo)
         if 0.0 < beta < math.inf:
             return math.log(beta)
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-def _beta_series_scalar(x, coefs):
-    """The truncated series sum at one point, by Horner's rule."""
+def _beta_series(x, coefs):
+    """The truncated series sum by Horner's rule, at a float or elementwise.
+
+    Each step is one multiply and one add, so an array element gets the
+    bits its float gets.
+    """
     s = 0.0
     for c in coefs:
         s = s * x + c
     return s
 
 
-def _beta_series(x, coefs):
-    """``_beta_series_scalar`` elementwise, with the same operations."""
-    s = np.zeros_like(x)
-    for c in coefs:
-        s *= x
-        s += c
-    return s
-
-
-def _betacf_scalar(x, t, m=1, c=1.0, dd=None, h=None):
+def _betacf_scalar(x, t):
     """Continued fraction for the incomplete beta (modified Lentz), one point.
 
-    Plain-float twin of ``_betacf``: the same operations in the same
-    order, so a point gets the same bits here as in a batch.  Starts at
-    step m = 1 by default; ``_betacf`` hands over an element at step
-    ``m`` with the state (c, dd, h) its array steps left.
+    For one ordered pair's terms ``t``; converges for x < (a+1)/(a+b+2),
+    and stops at step m once |delta - 1| < ``_BETA_EPS``.
     """
-    if dd is None:
-        dd = 1.0 - (t.a + t.b) * x / (t.a + 1.0)
-        if abs(dd) < _BETA_FPMIN:
-            dd = _BETA_FPMIN
-        dd = 1.0 / dd
-        h = dd
+    dd = 1.0 - (t.a + t.b) * x / (t.a + 1.0)
+    if abs(dd) < _BETA_FPMIN:
+        dd = _BETA_FPMIN
+    dd = 1.0 / dd
+    h = dd
+    c = 1.0
     num1, den1, num2, den2 = t.num1, t.den1, t.num2, t.den2
-    for m in range(m, _BETA_MAXIT + 1):
+    for m in range(1, _BETA_MAXIT + 1):
         aa = num1[m] * x / den1[m]
         dd = 1.0 + aa * dd
         if abs(dd) < _BETA_FPMIN:
@@ -522,83 +532,14 @@ def _betacf_scalar(x, t, m=1, c=1.0, dd=None, h=None):
     raise DomainError("incomplete beta continued fraction failed to converge")
 
 
-def _lentz_half_step(x, num, den, c, dd):
-    """One term aa = num * x / den of the array fraction, in place.
-
-    dd = 1 / (1 + aa * dd) and c = 1 + aa / c, each clamped away from 0
-    before use, as in ``_betacf_scalar``.
-    """
-    aa = num * x
-    aa /= den
-    dd *= aa
-    dd += 1.0
-    np.copyto(dd, _BETA_FPMIN, where=np.abs(dd) < _BETA_FPMIN)
-    np.divide(aa, c, out=c)
-    c += 1.0
-    np.copyto(c, _BETA_FPMIN, where=np.abs(c) < _BETA_FPMIN)
-    np.divide(1.0, dd, out=dd)
-
-
-def _betacf(x, t):
-    """Continued fraction for the incomplete beta (modified Lentz).
-
-    Elementwise over a 1-d array ``x`` for one ordered pair's terms ``t``
-    (one swap group); converges for x < (a+1)/(a+b+2).  Each element
-    stops at its own convergence and leaves the working arrays.  The
-    array steps run only while more than ``_BETA_HANDOFF`` elements are
-    live; each element left then finishes in ``_betacf_scalar`` from its
-    step and state.  Both forms make the same operations in the same
-    order, so an element's value does not depend on the rest of the batch.
-    """
-    out = np.empty_like(x)
-    idx = np.arange(x.shape[0])
-    c = np.ones_like(x)
-    dd = 1.0 - (t.a + t.b) * x / (t.a + 1.0)
-    np.copyto(dd, _BETA_FPMIN, where=np.abs(dd) < _BETA_FPMIN)
-    dd = 1.0 / dd
-    h = dd.copy()
-    m = 1
-    while idx.size > _BETA_HANDOFF and m <= _BETA_MAXIT:
-        _lentz_half_step(x, t.num1[m], t.den1[m], c, dd)
-        h *= dd
-        h *= c
-        _lentz_half_step(x, t.num2[m], t.den2[m], c, dd)
-        delta = dd * c
-        h *= delta
-        delta -= 1.0
-        done = np.abs(delta, out=delta) < _BETA_EPS
-        if done.any():
-            out[idx[done]] = h[done]
-            live = ~done
-            idx, x, c, dd, h = (v[live] for v in (idx, x, c, dd, h))
-        m += 1
-    # past _BETA_MAXIT the plain-float loop raises on the first element
-    for i, xv, cv, dv, hv in zip(idx.tolist(), x.tolist(), c.tolist(),
-                                 dd.tolist(), h.tolist()):
-        out[i] = _betacf_scalar(xv, t, m, cv, dv, hv)
-    return out
-
-
-def _beta_sum(x, t):
-    """The series or fraction factor S of I_x = x^a (1-x)^b S / (a B(a, b)).
-
-    Elementwise over a 1-d array ``x`` of one swap group: the series at
-    or below ``t.edge``, the fraction above it.
-    """
-    series = x <= t.edge
-    out = np.empty_like(x)
-    out[series] = _beta_series(x[series], t.coefs)
-    frac = ~series
-    out[frac] = _betacf(x[frac], t)
-    return out
-
-
 def _incomplete_beta_scalar(x, a, b, log):
-    """Plain-float twin of ``_incomplete_beta`` for one point.
+    """I_x(a, b), or its log where ``log`` is true, at one float x.
 
-    log, log1p and exp are numpy's rather than ``math``'s: on SIMD
-    builds the two differ in the last bit on up to a few arguments in a
-    hundred, and numpy's give a point the bits it gets inside a batch.
+    The one evaluation of a point: every point of every batch that is
+    not on the vectorized series side comes here.  log, log1p and exp
+    are numpy's rather than ``math``'s: on SIMD builds the two differ in
+    the last bit on up to a few arguments in a hundred, and numpy's give
+    the series side of a batch the bits a point gets here.
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError("x must lie in [0, 1]")
@@ -612,7 +553,7 @@ def _incomplete_beta_scalar(x, a, b, log):
     t = _beta_terms(ar, br, _BETA_MAXIT)
     lfront = ar * float(np.log(xs)) + br * float(np.log1p(-xs)) - t.lbeta
     if xs <= t.edge:
-        cf = _beta_series_scalar(xs, t.coefs)
+        cf = _beta_series(xs, t.coefs)
     else:
         cf = _betacf_scalar(xs, t)
     if log and not swap:
@@ -629,11 +570,11 @@ def _incomplete_beta(x, a, b, log):
     ``log`` broadcasts against ``x``, so one call can return the value
     for some elements and its log for others.  The symmetry reduction
     I_x(a, b) = 1 - I_{1-x}(b, a) is applied where x > (a+1)/(a+b+2),
-    so the sum below runs once, in its rapidly convergent region, over
-    every interior element.  Where the reduction applies the reflected
-    value is small, so its log1p complement is accurate; elsewhere the
-    log is taken of the series or fraction form directly, which stays
-    finite far below double-precision range.
+    so the sum below runs in its rapidly convergent region.  Where the
+    reduction applies the reflected value is small, so its log1p
+    complement is accurate; elsewhere the log is taken of the series or
+    fraction form directly, which stays finite far below
+    double-precision range.
 
     The reduced x meets one of two forms of the same factor.  At or
     below the pair's series edge (0.005 to 0.05 for the pairs
@@ -643,11 +584,14 @@ def _incomplete_beta(x, a, b, log):
     Everything that depends only on (a, b) is computed once per pair
     (``_beta_terms``).
 
-    Batches of up to ``_BETA_SMALL_BATCH`` points loop the plain-float
-    twin, which gives each element the bits the array path gives it and
-    costs less there than the array setup; larger batches run the array
-    forms once per swap group and finish the fraction's last few
-    elements in plain floats.  A 0-d ``x`` returns a float.
+    There is one per-point path, ``_incomplete_beta_scalar``, in plain
+    floats.  A 0-d ``x`` returns its float, and batches of up to
+    ``_BETA_SMALL_BATCH`` points loop it.  A larger batch vectorizes
+    only the series side: the front factor and the series of interior
+    points at or below their swap group's edge, with the operations of
+    the per-point path in the same order.  Every other point (x = 0 or
+    1, and the fraction side) goes through the per-point path.  So a
+    point gets the same bits alone and in any batch.
     """
     a = float(a)
     b = float(b)
@@ -664,24 +608,24 @@ def _incomplete_beta(x, a, b, log):
         return np.array(values, dtype=float).reshape(x.shape)
     if not np.all((x >= 0.0) & (x <= 1.0)):
         raise DomainError("x must lie in [0, 1]")
+    t_ab, t_ba = _beta_terms(a, b, _BETA_MAXIT), _beta_terms(b, a, _BETA_MAXIT)
     swap = x > (a + 1.0) / (a + b + 2.0)
     xs = np.where(swap, 1.0 - x, x)
-    # x is 0 or 1 off the interior, where I is exact
-    out = np.where(log, np.where(x == 1.0, 0.0, -np.inf), x)
-    inner = (xs > 0.0) & (xs < 1.0)
-    if not inner.any():
+    series = (xs > 0.0) & (xs <= np.where(swap, t_ba.edge, t_ab.edge))
+    out = np.empty_like(x)
+    rest = ~series
+    out[rest] = [_incomplete_beta_scalar(xv, a, b, lv)
+                 for xv, lv in zip(x[rest].tolist(), log[rest].tolist())]
+    if not series.any():
         return out
-    xi = xs[inner]
-    si = swap[inner]
-    li = log[inner]
+    xi = xs[series]
+    si = swap[series]
+    li = log[series]
     ai = np.where(si, b, a)
     bi = np.where(si, a, b)
-    lbeta = _beta_terms(a, b, _BETA_MAXIT).lbeta
-    lfront = ai * np.log(xi) + bi * np.log1p(-xi) - lbeta
-    cf = np.empty_like(xi)
-    for group, (ag, bg) in ((~si, (a, b)), (si, (b, a))):
-        if group.any():
-            cf[group] = _beta_sum(xi[group], _beta_terms(ag, bg, _BETA_MAXIT))
+    lfront = ai * np.log(xi) + bi * np.log1p(-xi) - t_ab.lbeta
+    # each element's coefficients, those of its swap group
+    cf = _beta_series(xi, np.where(si[:, None], t_ba.coefs, t_ab.coefs).T)
     value = np.clip(np.exp(lfront) * cf / ai, 0.0, 1.0)
     res = np.where(si, 1.0 - value, value)
     if li.any():
@@ -689,7 +633,7 @@ def _incomplete_beta(x, a, b, log):
         res[reflected] = np.log1p(-value[reflected])
         direct = li & ~si
         res[direct] = lfront[direct] + np.log(cf[direct]) - math.log(a)
-    out[inner] = res
+    out[series] = res
     return out
 
 
@@ -701,11 +645,12 @@ def regularized_incomplete_beta(x, a, b):
     near 0 (at or below an edge computed per (a, b), where the dropped
     terms are proven below half an ulp) and the continued fraction
     elsewhere, in its rapidly convergent region.  Accepts scalar or
-    array x; a and b are positive scalars.  Small batches run in plain
-    Python floats, and a 0-d x returns a float.  The series is a fixed
-    sum and each element's fraction stops when its own
-    |delta - 1| < 1e-15, so an element gets the same value alone, on the
-    plain-float path and in any batch.
+    array x; a and b are positive scalars, and a 0-d x returns a float.
+    Each point is computed by one plain-float path; a large batch
+    vectorizes only its series side, with the same operations.  The
+    series is a fixed sum and each point's fraction stops when its own
+    |delta - 1| < 1e-15, so a point gets the same value alone and in
+    any batch.
     """
     return _incomplete_beta(x, a, b, False)
 
@@ -716,8 +661,9 @@ def log_regularized_incomplete_beta(x, a, b):
     Uses the log of the series or continued-fraction form directly when
     x is in the convergent region, else the log1p complement of the
     reflected value.  Intended for deep lower tails (e.g. heavy-tail CDF
-    logs), which is where the 12-term series serves.  Small batches run
-    in plain Python floats, and a 0-d x returns a float.  An element
-    gets the same value alone, on the plain-float path and in any batch.
+    logs), which is where the 12-term series serves.  Evaluated as
+    ``regularized_incomplete_beta`` is: one plain-float path per point,
+    with a large batch vectorizing only its series side; a 0-d x
+    returns a float.  A point gets the same value alone and in any batch.
     """
     return _incomplete_beta(x, a, b, True)

@@ -130,9 +130,10 @@ def student_t_log_cdf(t, nu):
     precision as 1 - F vanishes.  Outside the nu = 1 and nu = 2 closed
     forms, one incomplete-beta call serves both signs: it returns
     log I_x for t < 0 and I_x for t >= 0, with x = nu / (nu + t^2) and
-    F(-|t|) = I_x / 2.  Each element stops at its own convergence, and
-    a 0-d ``t`` runs in plain Python floats, so a point gets the same
-    value alone as inside a batch.
+    F(-|t|) = I_x / 2.  Each point takes either the fixed series or a
+    continued fraction run to its own convergence in plain floats (a
+    batch vectorizes only its series points, with the same operations),
+    so a point gets the same value alone as inside a batch.
     """
     _check_dof(nu)
     t_arr = np.asarray(t, dtype=float)
