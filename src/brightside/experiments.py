@@ -106,6 +106,11 @@ _PRESET_TABLE = {
     "custom": _LOGISTIC,
 }
 PRESETS = tuple(_PRESET_TABLE)
+# Bytes of exact draws ``reference_quantiles`` holds at once.  The paper
+# skew-t row asks for 1e7 draws at d = 100, 8 GB as one array; in blocks
+# it keeps only the checked coordinates, 320 MB.  The desk row's
+# 1e6 x 10 draws fit in one block.
+_REFERENCE_BLOCK_BYTES = 128 * 2**20
 SUMMARY_SCHEMA_VERSION = 1
 _BOOLS = (bool, np.bool_)
 # (fields, accepted values, stored type, what the error asks for)
@@ -329,7 +334,9 @@ def reference_quantiles(cfg: ExperimentConfig, target, coords, spec,
     Analytic for the Cauchy preset, exact-sampler draws for skew-t, and
     a ``reference_size``-times-longer scs chain on the ``tuned``
     projection (with a second-seed agreement statistic) for the
-    regression posteriors.
+    regression posteriors.  The exact draws come in blocks of at most
+    ``_REFERENCE_BLOCK_BYTES``, of which only the ``coords`` columns are
+    kept; a reference that fits in one block is the one-shot draw's.
     """
     probs = np.asarray(spec.probs)
     if cfg.preset == "cauchy":
@@ -337,8 +344,14 @@ def reference_quantiles(cfg: ExperimentConfig, target, coords, spec,
         return {j: q for j in coords}, {"kind": "analytic", "size": 0}
     if cfg.preset == "skewt":
         rng = np.random.default_rng(derive_chain_seed(cfg.seed, 555))
-        draws = target.exact_sample(rng, size=cfg.reference_size)
-        refs = {j: np.quantile(draws[:, j], probs) for j in coords}
+        n = cfg.reference_size
+        block = max(1, _REFERENCE_BLOCK_BYTES // (8 * target.dim))
+        kept = np.empty((len(coords), n))
+        for start in range(0, n, block):
+            stop = min(start + block, n)
+            kept[:, start:stop] = target.exact_sample(
+                rng, size=stop - start)[:, list(coords)].T
+        refs = {j: np.quantile(column, probs) for j, column in zip(coords, kept)}
         return refs, {"kind": "exact_sampler", "size": cfg.reference_size}
     # regression: long-chain reference with a second-seed agreement check
     iters = cfg.iterations * max(int(cfg.reference_size), 2)

@@ -2,10 +2,12 @@
 
 Conventions
 -----------
-Sphere points live on the unit sphere S^d in R^{d+1}, centered at the
-origin and stored as plain numpy arrays of shape (..., d+1).  The
-projection plane is tangent to the sphere at the south pole
-(0, ..., 0, -1); plane points have shape (..., d).
+Sphere points are unit vectors: they live on the unit sphere S^d in
+R^{d+1}, centered at the origin, and are stored as plain numpy arrays of
+shape (..., d+1).  Functions that take sphere points rely on |x| = 1
+(to rounding); ``sphere_point`` renormalizes.  The projection plane is
+tangent to the sphere at the south pole (0, ..., 0, -1); plane points
+have shape (..., d).
 
 The observer sits inside the sphere and is split into a longitude
 ``h_o`` (first d coordinates) and a latitude ``ell_o``, measured so
@@ -29,6 +31,10 @@ what building one raises), so no function that takes one checks it.
 
 ``cap_forward`` is the one evaluation of the forward map and its
 log-Jacobian from sphere points, for single states and for batches.
+Its log-Jacobian bracket is 1 - <o, x>, with o = (h_o, ell_o - 1) the
+observer: the unit-sphere form of <h_x - h_o, h_x> - t z_d, one dot
+product per point and at least 1 - |o| > 0.  A centered projection
+(h_o = 0, mu = 0) skips the shift terms of the map.
 
 The regularized incomplete beta I_x(a, b) behind ``cap_ratio_exact``
 and the Student t CDFs of ``targets`` sums a fixed 12-term power series
@@ -145,6 +151,21 @@ class ProjectionParams:
         """d*log R + d*log ell_o, the state-free part of the cap log-Jacobian."""
         return self.d * math.log(self.R) + self.d * math.log(self.ell_o)
 
+    @cached_property
+    def _observer(self) -> np.ndarray:
+        """The observer o = (h_o, ell_o - 1) in origin-centered coordinates."""
+        return np.append(self.h_o, self.ell_o - 1.0)
+
+    @cached_property
+    def _centered(self) -> bool:
+        """h_o = 0 and mu = 0, so ``cap_forward`` skips both terms.
+
+        Their products are +0.0 and subtracting +0.0 is exact, so the skip
+        changes no bits except that a -0.0 coordinate of y keeps its sign,
+        where adding mu = +0.0 would make it +0.0.
+        """
+        return not (np.any(self.h_o) or np.any(self.mu))
+
 
 def make_params(d, h_o=0.0, ell_o=1.0, mu=0.0, R=1.0) -> ProjectionParams:
     """Keyword constructor of ``ProjectionParams``, broadcasting scalars to dimension d."""
@@ -177,40 +198,54 @@ def sphere_point(z) -> np.ndarray:
 
 
 def cap_forward(x, p: ProjectionParams):
-    """Forward map and log-Jacobian at bright-side sphere points.
+    """Forward map and log-Jacobian at bright-side unit sphere points.
 
     Returns the tuple (y, log_jac, t, bracket), with h_x = x[..., :d],
-    z_d = x[..., d] and t = ell_o - 1 - z_d:
+    z_d = x[..., d], t = ell_o - 1 - z_d and s = R / t:
 
-        y = R * (ell_o * h_x - (z_d + 1) * h_o) / t + mu,
-        bracket = <h_x - h_o, h_x> - t * z_d,
+        y = h_x * (ell_o s) - h_o * ((z_d + 1) s) + mu,
+        bracket = 1 - <o, x>,  o = (h_o, ell_o - 1) the observer,
         log_jac = d*log R + d*log ell_o + log(bracket) - (d+1)*log t,
 
     which is ``log_jacobian(y, p)`` free of the root solve (M = t/ell_o).
-    t and bracket feed the tuner's closed-form gradient in h_o.  A 1-d
-    ``x`` is one point and runs in plain floats; otherwise the leading
-    axes are a batch.  Raises DarkSidePoint if any point is at or above
+    The bracket is <h_x - h_o, h_x> - t z_d rewritten by |h_x|^2 =
+    1 - z_d^2, so it is at least 1 - |o| > 0 and takes one dot product.
+    t and bracket feed the tuner's closed-form gradient in h_o.  A
+    centered projection (h_o = 0, mu = 0, see ``ProjectionParams._centered``)
+    skips the h_o and mu terms.  A 1-d ``x`` is one point with t and
+    bracket plain floats; otherwise the leading axes are a batch.  Both
+    take the same elementwise steps, so a batch row's y has the bits of
+    its single point.  Raises DarkSidePoint if any point is at or above
     the observer latitude, where the chord never reaches the plane.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        zd = x[-1]
+        zd = float(x[-1])
         t = (p.ell_o - 1.0) - zd
         if t <= 0.0:
             raise DarkSidePoint("point at or above observer latitude")
-        hx = x[:-1]
-        y = (p.ell_o * hx - (zd + 1.0) * p.h_o) * (p.R / t) + p.mu
-        bracket = (hx - p.h_o) @ hx - t * zd
+        s = p.R / t
+        y = x[:-1] * (p.ell_o * s)
+        if p._centered:
+            bracket = 1.0 - (p.ell_o - 1.0) * zd
+        else:
+            y -= p.h_o * ((zd + 1.0) * s)
+            y += p.mu
+            bracket = 1.0 - float(x @ p._observer)
         log_jac = p._log_jac_const + math.log(bracket) - (p.d + 1.0) * math.log(t)
         return y, log_jac, t, bracket
-    hx = x[..., :-1]
     zd = x[..., -1]
     t = (p.ell_o - 1.0) - zd
     if np.any(t <= 0.0):
         raise DarkSidePoint("point at or above observer latitude")
-    y = ((p.ell_o * hx - (zd + 1.0)[..., None] * p.h_o) * (p.R / t)[..., None]
-         + p.mu)
-    bracket = np.sum((hx - p.h_o) * hx, axis=-1) - t * zd
+    s = p.R / t
+    y = x[..., :-1] * (p.ell_o * s)[..., None]
+    if p._centered:
+        bracket = 1.0 - (p.ell_o - 1.0) * zd
+    else:
+        y -= p.h_o * ((zd + 1.0) * s)[..., None]
+        y += p.mu
+        bracket = 1.0 - x @ p._observer
     log_jac = p._log_jac_const + np.log(bracket) - (p.d + 1.0) * np.log(t)
     return y, log_jac, t, bracket
 
@@ -269,19 +304,15 @@ def log_jacobian(y, p: ProjectionParams) -> np.ndarray:
     """Log Jacobian determinant of the forward projection at ``y``.
 
     log J = d*log R + log(M*|w|^2 + <w, h_o> + ell_o - ell_o^2*(1-M))
-            - d*log M - log ell_o,  with w = yhat - h_o,
-    evaluated without ever forming M**d.
+            - d*log M - log ell_o,  with w = yhat - h_o.
+    The middle bracket is A*M + B, and since M is the root of
+    A*M^2 + 2*B*M + C = 0 taken by ``solve_chord_scale``, A*M + B =
+    sqrt(B^2 - A*C), its discriminant; so log J = d*log R +
+    log sqrt(B^2 - A*C) - d*log M - log ell_o takes no second pass over
+    ``y`` and never forms M**d.
     """
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise NonfiniteInput("plane point must be finite")
-    scale = solve_chord_scale(y, p)
-    M = scale.M
-    yhat = (y - p.mu) / p.R
-    w = yhat - p.h_o
-    inner = (M * np.sum(w * w, axis=-1) + w @ p.h_o
-             + p.ell_o - p.ell_o**2 * (1.0 - M))
-    return (p.d * math.log(p.R) + np.log(inner)
+    M, A, B, C = solve_chord_scale(y, p)
+    return (p.d * math.log(p.R) + 0.5 * np.log(B * B - A * C)
             - p.d * np.log(M) - math.log(p.ell_o))
 
 

@@ -136,17 +136,24 @@ def propose_tangent(x, h, z) -> np.ndarray:
 
     One point ``x`` of shape (d+1,) with a scalar ``h``, or n points of
     shape (n, d+1) with ``h`` of shape (n,); ``z`` holds standard
-    normals shaped like ``x``.
+    normals shaped like ``x``.  Step sizes must be positive, as
+    ``KernelConfig`` and the runner's clamp keep them.  The step moves x
+    by h z less its radial part, to w = (1 - h<x, z>) x + h z.  It is
+    built in place as w / h = (1/h - <x, z>) x + z, which saves the array
+    h z and normalizes to the same point, and divided by its own computed
+    norm.  The closed form sqrt(1 + h^2 (|z|^2 - <x, z>^2)) is not used
+    for that norm: rounding can make its root's argument negative at
+    large h, and over chained steps it lets |x| drift from 1.
     """
     if x.ndim == 1:
-        delta = h * z
-        delta -= (x @ delta) * x
-        w = x + delta
-        return w / math.sqrt(w @ w)
-    delta = h[:, None] * z
-    delta -= np.vecdot(x, delta)[:, None] * x
-    w = x + delta
-    return w / np.sqrt(np.vecdot(w, w))[:, None]
+        w = x * (1.0 / h - float(x @ z))
+        w += z
+        w /= math.sqrt(w @ w)
+        return w
+    w = x * (1.0 / h - np.vecdot(x, z))[:, None]
+    w += z
+    w /= np.sqrt(np.vecdot(w, w))[:, None]
+    return w
 
 
 def great_circle_frame(x, x_prime, ell_o) -> GreatCircleFrame:
@@ -159,20 +166,22 @@ def great_circle_frame(x, x_prime, ell_o) -> GreatCircleFrame:
     circle has zero latitude amplitude.
     """
     lat_threshold = ell_o - 1.0
-    if not x[-1] < lat_threshold:
+    x_lat, x_prime_lat = float(x[-1]), float(x_prime[-1])
+    if not x_lat < lat_threshold:
         raise DarkSidePoint("current state must be on the bright side")
-    if not x_prime[-1] > lat_threshold:
+    if not x_prime_lat > lat_threshold:
         raise DarkSidePoint("proposal must be on the dark side")
     c = float(x @ x_prime)
     s2 = 1.0 - c * c
     if s2 <= 1e-14:
         raise DegenerateProposal("proposal coincident or antipodal with state")
-    u = (x_prime - c * x) / math.sqrt(s2)
+    u = x_prime - c * x
+    u /= math.sqrt(s2)
     alpha = math.acos(min(1.0, max(-1.0, c)))
-    amp = math.hypot(x[-1], u[-1])
+    amp = math.hypot(x_lat, float(u[-1]))
     if amp <= 0.0:
         raise DegenerateProposal("proposal circle has zero latitude amplitude")
-    phi = math.acos(min(1.0, max(-1.0, x[-1] / amp)))
+    phi = math.acos(min(1.0, max(-1.0, x_lat / amp)))
     gamma = math.acos(min(1.0, max(-1.0, lat_threshold / amp)))
     K = int((phi + gamma) / alpha) + 1
     while K * alpha <= phi + gamma:  # float-rounding guard
@@ -190,8 +199,10 @@ def stepping_out(x, x_prime, ell_o) -> np.ndarray:
     frame = great_circle_frame(x, x_prime, ell_o)
     assert frame.K <= math.ceil(2.0 * math.pi / frame.alpha) + 1
     angle = frame.K * frame.alpha
-    out = math.cos(angle) * x + math.sin(angle) * frame.u
-    return out / np.linalg.norm(out)
+    out = math.cos(angle) * x
+    out += math.sin(angle) * frame.u
+    out /= math.sqrt(out @ out)
+    return out
 
 
 def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,

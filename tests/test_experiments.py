@@ -1,15 +1,19 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from brightside import experiments
 from brightside.diagnostics import QuantileSpec, read_qq_csv, write_qq_csv
 from brightside.experiments import (
     PRESETS,
     ConfigError,
     ExperimentConfig,
+    build_target,
     load_samples_csv,
+    reference_quantiles,
     resolve,
     run_experiment,
     run_sample,
@@ -171,6 +175,57 @@ class TestRunExperiment:
             rewritten = tmp_path / f"{method}_again.csv"
             write_qq_csv(rewritten, reports)
             assert rewritten.read_bytes() == qq_a.read_bytes()
+
+
+class TestReferenceQuantiles:
+    """Exact-sampler references are drawn in blocks of a fixed byte size."""
+
+    COORDS = (0, 1, 2, 3)
+
+    def skewt_reference(self, size):
+        cfg = resolve(ExperimentConfig(preset="skewt", seed=4, reference_size=size))
+        target, _ = build_target(cfg)
+        refs, info = reference_quantiles(cfg, target, self.COORDS, QuantileSpec(), None)
+        assert info == {"kind": "exact_sampler", "size": size}
+        return cfg, target, refs
+
+    def one_shot(self, cfg, target, sizes):
+        """Quantiles of the draws taken by hand, one block per entry of ``sizes``."""
+        rng = np.random.default_rng(experiments.derive_chain_seed(cfg.seed, 555))
+        draws = np.concatenate([target.exact_sample(rng, size=n) for n in sizes])
+        probs = np.asarray(QuantileSpec().probs)
+        return {j: np.quantile(draws[:, j], probs) for j in self.COORDS}
+
+    def test_desk_reference_is_the_one_shot_draw(self):
+        desk = resolve(ExperimentConfig(preset="skewt"))
+        # the desk row, 1e6 draws at d = 10, fits in one block ...
+        assert desk.reference_size * desk.dimension * 8 <= experiments._REFERENCE_BLOCK_BYTES
+        # ... and a reference in one block equals the one-shot draw bit for bit
+        cfg, target, refs = self.skewt_reference(5_001)
+        expected = self.one_shot(cfg, target, [5_001])
+        for j in self.COORDS:
+            assert np.array_equal(refs[j].view(np.int64), expected[j].view(np.int64))
+
+    def test_blocks_hold_memory_to_a_few_blocks(self, monkeypatch):
+        d, rows, size = 10, 1_000, 5_001
+        block_bytes = rows * d * 8
+        monkeypatch.setattr(experiments, "_REFERENCE_BLOCK_BYTES", block_bytes)
+        # a first call imports modules (np.quantile loads numpy.ma); keep
+        # those allocations out of the traced peak
+        self.skewt_reference(size)
+        tracemalloc.start()
+        try:
+            cfg, target, refs = self.skewt_reference(size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cfg.dimension == d
+        kept_bytes = len(self.COORDS) * size * 8
+        # the one-shot draw alone would be size * d * 8 = 400 kB
+        assert peak < 3 * block_bytes + kept_bytes
+        expected = self.one_shot(cfg, target, [rows] * 5 + [1])
+        for j in self.COORDS:
+            assert np.array_equal(refs[j], expected[j])
 
 
 def valid_summary():

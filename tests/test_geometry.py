@@ -359,24 +359,83 @@ class TestLogJacobianAtCapPoint:
             log_jacobian_at_cap_point(north, p)
 
 
+def cap_forward_written_out(x, p):
+    """cap_forward's y and log_jac with every h_o and mu term computed.
+
+    One point takes math.log and a dot product, a batch np.log and a
+    matrix-vector product, as ``cap_forward`` does.
+    """
+    zd = x[..., -1]
+    t = (p.ell_o - 1.0) - zd
+    s = p.R / t
+    y = (x[..., :-1] * (p.ell_o * s)[..., None]
+         - p.h_o * ((zd + 1.0) * s)[..., None] + p.mu)
+    bracket = 1.0 - x @ np.append(p.h_o, p.ell_o - 1.0)
+    log = math.log if x.ndim == 1 else np.log
+    const = p.d * math.log(p.R) + p.d * math.log(p.ell_o)
+    return y, const + log(bracket) - (p.d + 1.0) * log(t)
+
+
 class TestCapForward:
     def test_single_point_matches_batch_row(self):
-        # the single point takes @ and math.log where the batch takes
-        # np.sum and np.log, so log_jac may differ in the last bits
+        # y takes the same elementwise steps on both branches; log_jac
+        # takes a dot product and math.log for one point where the batch
+        # takes a matrix-vector product and np.log, so it may differ in
+        # the last bits
         rng = np.random.default_rng(18)
         for d in (1, 10, 100):
-            p = random_params(rng, d)
-            xs = sample_uniform_cap(d, p.ell_o, rng, size=60)
-            y_b, lj_b, t_b, _ = cap_forward(xs, p)
-            for i, x in enumerate(xs):
-                y, lj, t, _ = cap_forward(x, p)
-                assert isinstance(lj, float)
-                assert np.array_equal(y, y_b[i])
-                assert t == t_b[i]
-                assert abs(lj - lj_b[i]) <= 1e-12 * max(1.0, abs(lj_b[i]))
-            y_2, lj_2, _, _ = cap_forward(xs.reshape(3, 20, d + 1), p)
-            assert np.array_equal(y_2.reshape(60, d), y_b)
-            assert np.array_equal(lj_2.reshape(60), lj_b)
+            for p in (random_params(rng, d), make_params(d, ell_o=1.1, R=2.5)):
+                xs = sample_uniform_cap(d, p.ell_o, rng, size=60)
+                y_b, lj_b, t_b, _ = cap_forward(xs, p)
+                for i, x in enumerate(xs):
+                    y, lj, t, bracket = cap_forward(x, p)
+                    assert isinstance(lj, float) and isinstance(bracket, float)
+                    assert np.array_equal(y, y_b[i])
+                    assert t == t_b[i]
+                    assert abs(lj - lj_b[i]) <= 1e-12 * max(1.0, abs(lj_b[i]))
+                y_2, lj_2, _, _ = cap_forward(xs.reshape(3, 20, d + 1), p)
+                assert np.array_equal(y_2.reshape(60, d), y_b)
+                assert np.array_equal(lj_2.reshape(60), lj_b)
+
+    def test_bracket_matches_the_form_before_the_unit_sphere_identity(self):
+        # 1 - <o, x> = <h_x - h_o, h_x> - t z_d on the unit sphere.  Both
+        # forms round terms of size 1, so they agree to a few ulps of 1:
+        # 1e-13 relative while the bracket is not below 1e-2, which it can
+        # only approach near the observer's direction at low d
+        rng = np.random.default_rng(19)
+        for d in (1, 10, 100):
+            u = rng.standard_normal(d)
+            u /= np.linalg.norm(u)
+            at_margin = make_params(d, h_o=u * math.sqrt(1.0 - 0.25**2 - 1e-8),
+                                    ell_o=1.25)
+            assert 0.0 < 1.0 - at_margin.h_o @ at_margin.h_o - 0.25**2 < 2e-8
+            for p in [random_params(rng, d) for _ in range(10)] + [at_margin]:
+                xs = sample_uniform_cap(d, p.ell_o, rng, size=200)
+                _, _, t, bracket = cap_forward(xs, p)
+                hx, zd = xs[:, :-1], xs[:, -1]
+                before = np.sum((hx - p.h_o) * hx, axis=-1) - t * zd
+                assert np.all(bracket > 0.0)
+                err = np.abs(bracket - before)
+                assert np.all(err <= 1e-13 * np.maximum(before, 1e-2))
+
+    def test_centered_skip_gives_the_bits_of_the_written_out_terms(self):
+        rng = np.random.default_rng(20)
+        for d in (1, 2, 10, 100):
+            for ell_o, R in ((1.0, 1.0), (1.1, 0.7), (2.0, math.sqrt(d) / 2.0)):
+                p = make_params(d, ell_o=ell_o, R=R)
+                assert p._centered
+                xs = sample_uniform_cap(d, ell_o, rng, size=50)
+                y_b, lj_b, _, _ = cap_forward(xs, p)
+                y_w, lj_w = cap_forward_written_out(xs, p)
+                assert np.array_equal(y_b, y_w)
+                assert np.array_equal(lj_b, lj_w)
+                for x in xs[:10]:
+                    y, lj, _, _ = cap_forward(x, p)
+                    y_w, lj_w = cap_forward_written_out(x, p)
+                    assert np.array_equal(y, y_w)
+                    assert lj == lj_w
+        assert not make_params(2, h_o=[0.0, 0.1])._centered
+        assert not make_params(2, mu=[-1e-300, 0.0])._centered
 
     def test_dark_side_raises_on_both_branches(self):
         p = make_params(2, ell_o=1.2)
