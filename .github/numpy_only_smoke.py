@@ -2,9 +2,10 @@
 
 scipy, mpmath and pytest are blocked from import first, so an import of
 any of them from the package fails here even where they are installed.
-Then every module is imported, a 100-point Student t log-CDF evaluated
-and a 50-step chain run.  From the repository root, with the package
-installed (or ``PYTHONPATH=src``):
+Then every module is imported, a 100-point Student t log-CDF evaluated,
+a 50-step scs chain run, and HMC run as one chain and as a 3-chain
+ensemble, so both leapfrog shapes run.  From the repository root, with
+the package installed (or ``PYTHONPATH=src``):
 
     python .github/numpy_only_smoke.py
 """
@@ -20,7 +21,7 @@ import numpy as np
 
 import brightside
 from brightside.geometry import make_params
-from brightside.kernels import KernelConfig, run_chain
+from brightside.kernels import KernelConfig, run_chain, run_chains
 from brightside.targets import mv_student_t, student_t_log_cdf
 
 for module in pkgutil.iter_modules(brightside.__path__):
@@ -33,4 +34,12 @@ assert np.all(np.diff(log_cdf) > 0.0) and log_cdf[-1] < 0.0
 chain = run_chain(KernelConfig("scs", h=0.5), make_params(3, ell_o=1.1),
                   mv_student_t(3, nu=1.0), np.zeros(3), 50, seed=0)
 assert chain.samples.shape == (50, 3) and np.all(np.isfinite(chain.samples))
+
+hmc = KernelConfig("hmc", h=0.2, leapfrog_steps=5)
+chain = run_chain(hmc, None, mv_student_t(3, nu=1.0), np.zeros(3), 50, seed=0)
+assert chain.samples.shape == (50, 3) and np.all(np.isfinite(chain.samples))
+chains = run_chains(hmc, None, mv_student_t(3, nu=1.0), np.zeros(3), 50, seed=0,
+                    n_chains=3)
+for chain in chains:
+    assert chain.samples.shape == (50, 3) and np.all(np.isfinite(chain.samples))
 print("numpy-only smoke run passed")

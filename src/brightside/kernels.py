@@ -29,9 +29,14 @@ chains with their own draws and step sizes, stepped with one batched
 density call per transition.  An HMC transition with L leapfrog steps
 makes L - 1 gradient calls and, at the proposal, one fused
 ``log_density_and_grad`` call, which serves both the acceptance test
-and the next trajectory's first kick.  Stepping-out is written for one
-pair only (``great_circle_frame``, ``stepping_out``); an ensemble steps
-its dark rows out one at a time through it.  ``run_chains`` runs hmc
+and the next trajectory's first kick.  The leapfrog carries the
+velocity v = eps p, so a step is a kick v += eps^2 g and a drift
+y += v, one array pass fewer than the momentum form; one chain's
+acceptance test runs in plain floats.  The Metropolis tests take
+log 0 = -inf: a uniform draw of exactly 0 accepts any proposal whose
+log ratio is finite.  Stepping-out is written for one pair only
+(``great_circle_frame``, ``stepping_out``); an ensemble steps its dark
+rows out one at a time through it.  ``run_chains`` runs hmc
 replicas, and scs and sps replicas from ``SPHERE_ENSEMBLE_MIN_CHAINS``
 up, as one ensemble; other replicas run one after another.  A chain
 reads the same draws alone as in an ensemble, so replica i depends only
@@ -62,9 +67,12 @@ HMC_TARGET_ACCEPT = 0.8
 
 # The batched sphere transition has a fixed cost per step (its largest
 # part the batched cap_forward) that the shared density call pays back
-# only from about four chains: on Cauchy and skew-t targets at d = 10,
-# 2 scs chains ran 1.5-1.9x and 3 chains 1.0-1.4x slower as an ensemble
-# than one after another, with the draws read in blocks.
+# only from several chains.  When this was set, on Cauchy and skew-t
+# targets at d = 10, 2 scs chains ran 1.5-1.9x and 3 chains 1.0-1.4x
+# slower as an ensemble than one after another.  Since the single-point
+# transition got cheaper, 4 Cauchy scs chains at d = 10 also run as an
+# ensemble at only 0.90-0.91x the speed of sequential chains; the
+# threshold awaits re-timing against 2-5-chain workloads.
 SPHERE_ENSEMBLE_MIN_CHAINS = 4
 
 # steps of draws read per generator call; output does not depend on it
@@ -205,6 +213,11 @@ def stepping_out(x, x_prime, ell_o) -> np.ndarray:
     return out
 
 
+def _log_uniform(u):
+    """log u for one chain's uniform draw, with log 0 = -inf."""
+    return math.log(u) if u > 0.0 else -math.inf
+
+
 def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,
                 z, u):
     """One SCS transition on the bright side of the sphere (SPS at ell_o = 2).
@@ -232,7 +245,7 @@ def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,
         except (DegenerateProposal, DarkSidePoint):
             return x, y, logpost, False
         lp_star = logjac + float(target.log_density(y_star))
-        if math.log(u) < lp_star - logpost:
+        if _log_uniform(u) < lp_star - logpost:
             return x_star, y_star, lp_star, True
         return x, y, logpost, False
     if ell_o < 2.0:
@@ -247,7 +260,8 @@ def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,
         x_star[~live] = x[~live]
     y_star, lp_star, _, _ = cap_forward(x_star, params)
     lp_star += target.log_density(y_star)
-    with np.errstate(invalid="ignore"):  # -inf - -inf is NaN: a rejection
+    # -inf - -inf is NaN, a rejection; log 0 = -inf accepts a finite ratio
+    with np.errstate(divide="ignore", invalid="ignore"):
         accepted = live & (np.log(u) < lp_star - logpost)
     keep = accepted[:, None]
     return (np.where(keep, x_star, x), np.where(keep, y_star, y),
@@ -259,23 +273,30 @@ def leapfrog(y, momentum, eps, steps, target: TargetModel, g):
 
     ``y`` is one state of shape (d,) or chains along a leading axis,
     with ``eps`` a scalar or one step size per chain broadcast as
-    (n, 1); ``g`` is the gradient at ``y``.  Adjacent half-kicks are
-    fused into one full kick, so the trajectory takes steps - 1
-    ``grad_log_density`` calls and, at its end point, one
-    ``log_density_and_grad`` call, with steps + 1 kicks.  Returns the
-    end point, its momentum, its log density and its gradient; the
-    inputs are not modified.
+    (n, 1); ``g`` is the gradient at ``y``.  The trajectory carries the
+    velocity v = eps p rather than the momentum p: a full kick is
+    v += eps^2 g, the half kicks at either end add eps^2 g / 2, and a
+    drift is y += v, so no step scales the momentum by eps before it
+    moves y.  Adjacent half-kicks are fused into one full kick, so the
+    trajectory takes steps - 1 ``grad_log_density`` calls and, at its
+    end point, one ``log_density_and_grad`` call, with steps + 1 kicks.
+    Returns the end point, its momentum v / eps (the momentum form's to
+    round-off), its log density and its gradient; the inputs are not
+    modified.
     """
-    half = 0.5 * eps
-    momentum = momentum + half * g
-    y = y + eps * momentum
+    eps2 = eps * eps
+    half = 0.5 * eps2
+    v = eps * momentum
+    v += half * g
+    y = y + v
     for _ in range(steps - 1):
         g = target.grad_log_density(y)
-        momentum += eps * g
-        y += eps * momentum
+        v += eps2 * g
+        y += v
     logp, g = target.log_density_and_grad(y)
-    momentum += half * g
-    return y, momentum, logp, g
+    v += half * g
+    v /= eps
+    return y, v, logp, g
 
 
 def hmc_step(y, logp, g, eps, steps, target: TargetModel, z, u):
@@ -287,21 +308,26 @@ def hmc_step(y, logp, g, eps, steps, target: TargetModel, z, u):
     ``g`` are the log density and gradient at ``y``; they are returned
     with the new state, so a chain evaluates them once per transition,
     at the proposal: steps - 1 gradient calls inside the trajectory and
-    one ``log_density_and_grad`` call at its end.  A row whose
-    trajectory or energy is not finite is rejected on its own.  Returns
-    (y, logp, g, accepted).
+    one ``log_density_and_grad`` call at its end.  One chain's energies
+    and test are plain floats, and its accepted log density is returned
+    as a float.  A row whose trajectory or energy is not finite is
+    rejected on its own.  Returns (y, logp, g, accepted).
     """
-    ensemble = y.ndim == 2
-    y1, m1, logp1, g1 = leapfrog(y, z, eps[:, None] if ensemble else eps,
-                                 steps, target, g)
-    with np.errstate(invalid="ignore"):  # a non-finite row may give inf - inf
+    if y.ndim == 1:
+        y1, m1, logp1, g1 = leapfrog(y, z, eps, steps, target, g)
+        logp1 = float(logp1)
+        energy1 = 0.5 * float(m1.dot(m1)) - logp1
+        energy0 = 0.5 * float(z.dot(z)) - float(logp)
+        if (math.isfinite(energy1) and np.isfinite(y1).all()
+                and _log_uniform(u) < energy0 - energy1):
+            return y1, logp1, g1, True
+        return y, logp, g, False
+    y1, m1, logp1, g1 = leapfrog(y, z, eps[:, None], steps, target, g)
+    # a non-finite row may give inf - inf; log 0 = -inf accepts a finite ratio
+    with np.errstate(divide="ignore", invalid="ignore"):
         energy1 = 0.5 * np.vecdot(m1, m1) - logp1
         accept = (np.isfinite(y1).all(axis=-1) & np.isfinite(energy1)
                   & (np.log(u) < 0.5 * np.vecdot(z, z) - logp - energy1))
-    if not ensemble:
-        # no np.where here: logp stays the scalar the target returned,
-        # as a 0-d array would slow every later step of the chain
-        return (y1, logp1, g1, True) if accept else (y, logp, g, False)
     keep = accept[:, None]
     return (np.where(keep, y1, y), np.where(accept, logp1, logp),
             np.where(keep, g1, g), accept)
@@ -450,7 +476,7 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
             elif kernel.kind == "rwm":
                 y_prime = y + h * z
                 lp_prime = float(target.log_density(y_prime))
-                if math.log(u) < lp_prime - logpost:
+                if _log_uniform(u) < lp_prime - logpost:
                     y, logpost, acc = y_prime, lp_prime, True
                 else:
                     acc = False

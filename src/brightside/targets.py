@@ -15,7 +15,12 @@ built-in target with a gradient overrides it with one pass that shares
 the work of both (the squared radius, the t log-CDF, the regression's
 linear predictor and link), with results bit-identical to the separate
 calls.  Row reductions are ``np.vecdot``, which costs a fraction of
-``np.sum`` over a product at the sizes the kernels use.
+``np.sum`` over a product at the sizes the kernels use.  A single
+point of the multivariate t (and so of the skew t) takes its squared
+radius as the plain float ``z.dot(z)``, the same BLAS dot with the
+same bits as ``np.vecdot``, and its gradient coefficient as a float;
+the chains evaluate one point at a time, where numpy-scalar arithmetic
+would cost more than the dot.
 
 The skew t is the multivariate t at ``loc = xi`` and unit scale times
 a skewing factor of at most 2, so for nu >= 1 it is sub-Cauchy;
@@ -209,18 +214,19 @@ class MultivariateStudentT(TargetModel):
         self._identity = not np.any(self.loc) and self.scale == 1.0
 
     def _standardized(self, y):
-        """z = (y - loc) / scale and its squared norm q = |z|^2."""
+        """z = (y - loc) / scale and its squared norm q = |z|^2, a float
+        for one point (``z.dot(z)`` has ``np.vecdot``'s bits)."""
         z = np.asarray(y, dtype=float)
         if not self._identity:
             z = (z - self.loc) / self.scale
-        return z, np.vecdot(z, z)
+        return z, float(z.dot(z)) if z.ndim == 1 else np.vecdot(z, z)
 
     def _value(self, q):
         return -(self.nu + self.dim) / 2.0 * np.log1p(q / self.nu)
 
     def _grad(self, z, q):
         coef = -(self.nu + self.dim) / (self.scale * (self.nu + q))
-        return coef[..., None] * z
+        return coef * z if z.ndim == 1 else coef[..., None] * z
 
     def log_density(self, y):
         return self._value(self._standardized(y)[1])

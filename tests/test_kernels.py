@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from brightside import kernels
 from brightside.diagnostics import ess, ks_statistic
 from brightside.errors import ChainAborted, DarkSidePoint, DegenerateProposal
 from brightside.geometry import (
@@ -548,6 +549,50 @@ class TestHmc:
                                rtol=1e-10, atol=0.0)
             assert ens.acceptance_rate == one.acceptance_rate
 
+    def test_student_t_ensemble_matches_single_chains(self):
+        # one chain's Student t runs in plain floats, an ensemble's rows
+        # through np.vecdot; chain i must still follow run_chain.  The
+        # step size is fixed: adapted, it differs by an ulp between the
+        # two (np.exp against math.exp), and the Cauchy's trajectories
+        # grow that to 6e-6 within 100 steps at this seed
+        target = mv_student_t(10, nu=1.0)
+        cfg = KernelConfig("hmc", h=0.3, leapfrog_steps=5, adapt_burnin=0)
+        outs = run_chains(cfg, None, target, np.ones(10), 200, burnin=100,
+                          seed=18, n_chains=4)
+        for i, ens in enumerate(outs):
+            one = run_chain(cfg, None, target, np.ones(10), 200, burnin=100,
+                            seed=derive_chain_seed(18, i))
+            assert np.allclose(ens.samples, one.samples, rtol=0.0, atol=1e-10)
+            assert ens.acceptance_rate == one.acceptance_rate
+            assert 0.0 < one.acceptance_rate < 1.0
+
+    @pytest.mark.parametrize("target", [mv_student_t(100, nu=1.0), Gauss()],
+                             ids=["cauchy-d100", "gauss"])
+    def test_velocity_form_matches_momentum_form(self, target):
+        # the textbook leapfrog: a half kick, then drifts and full kicks
+        # in turn, and a last half kick, all in the momentum
+        def momentum_leapfrog(y, p, eps, steps):
+            p = p + 0.5 * eps * target.grad_log_density(y)
+            for i in range(steps):
+                y = y + eps * p
+                p = p + (eps if i < steps - 1 else 0.5 * eps) * target.grad_log_density(y)
+            return y, p
+
+        def close(a, b):
+            err = np.linalg.norm(a - b, axis=-1)
+            return np.all(err <= 1e-12 * np.linalg.norm(b, axis=-1))
+
+        rng = np.random.default_rng(19)
+        d = target.dim
+        for y, p, eps in ((rng.standard_normal(d), rng.standard_normal(d), 0.1),
+                          (rng.standard_normal((4, d)), rng.standard_normal((4, d)),
+                           np.array([[0.02], [0.1], [0.3], [0.6]]))):
+            y1, p1, logp1, g1 = leapfrog(y, p, eps, 10, target, target.grad_log_density(y))
+            y_ref, p_ref = momentum_leapfrog(y, p, eps, 10)
+            assert close(y1, y_ref) and close(p1, p_ref)
+            assert np.array_equal(logp1, target.log_density(y1))
+            assert np.array_equal(g1, target.grad_log_density(y1))
+
     def test_nonfinite_row_rejected_alone(self):
         # the gradient is NaN in the half-space y_0 > 5, where row 1
         # starts: each row is handed one uniform, row 1 the smallest
@@ -595,6 +640,84 @@ class TestHmc:
         assert [o.seed for o in partial] == [derive_chain_seed(20, i) for i in range(3)]
         for o in partial:
             assert not o.valid and o.samples.shape == (5, 4)
+
+
+class TestZeroUniform:
+    """A uniform draw of exactly 0 has log -inf: every proposal with a
+    finite log ratio is accepted, and one with ratio -inf is not.
+
+    The current log density is handed in 1e6 above the proposal's, a
+    ratio no positive uniform accepts (log 5e-324 = -744.4).
+    """
+
+    @staticmethod
+    def sphere_states(n=None):
+        p = make_params(3, ell_o=1.1)
+        rng = np.random.default_rng(21)
+        x = scp_inverse(rng.standard_normal((n or 1, 3)), p)
+        z = rng.standard_normal(x.shape)
+        if n is None:
+            return p, x[0], scp_forward(x[0], p), z[0]
+        return p, x, scp_forward(x, p), z
+
+    class Nowhere(TargetModel):
+        dim = 3
+
+        def log_density(self, y):
+            return np.full(np.shape(y)[:-1], -np.inf)
+
+    def test_sphere_step_one_chain(self):
+        p, x, y, z = self.sphere_states()
+        target = mv_student_t(3, nu=1.0)
+        for u, accepted in ((0.0, True), (5e-324, False)):
+            assert sphere_step(x, y, 1e6, 0.5, p, target, z, u)[3] is accepted
+        assert sphere_step(x, y, 0.0, 0.5, p, self.Nowhere(), z, 0.0)[3] is False
+
+    def test_sphere_step_ensemble(self):
+        p, x, y, z = self.sphere_states(4)
+        target = mv_student_t(3, nu=1.0)
+        h, logpost = np.full(4, 0.5), np.full(4, 1e6)
+        for u, accepted in ((0.0, True), (5e-324, False)):
+            out = sphere_step(x, y, logpost, h, p, target, z, np.full(4, u))
+            assert out[3].tolist() == [accepted] * 4
+        out = sphere_step(x, y, np.zeros(4), h, p, self.Nowhere(), z, np.zeros(4))
+        assert not out[3].any()
+
+    def test_hmc_step(self):
+        target = mv_student_t(3, nu=1.0)
+        rng = np.random.default_rng(22)
+        y, z = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+        g = target.grad_log_density(y)
+        for u, accepted in ((0.0, True), (5e-324, False)):
+            assert hmc_step(y[0], 1e6, g[0], 0.1, 5, target, z[0], u)[3] is accepted
+            out = hmc_step(y, np.full(4, 1e6), g, np.full(4, 0.1), 5, target, z,
+                           np.full(4, u))
+            assert out[3].tolist() == [accepted] * 4
+
+    def test_rwm_through_run_chain(self, monkeypatch):
+        # the first step draws u = 0 and moves 1e6 down a steep well; the
+        # later steps keep their draws
+        draws = kernels._draws
+
+        def first_uniform_zero(seed, width):
+            steps = draws(seed, width)
+            z, _ = next(steps)
+            first.append(z)
+            yield z, 0.0
+            yield from steps
+
+        class Well(TargetModel):
+            dim = 2
+
+            def log_density(self, y):
+                y = np.asarray(y)
+                return -1e6 * np.sum(y * y, axis=-1)
+
+        first = []
+        monkeypatch.setattr(kernels, "_draws", first_uniform_zero)
+        out = run_chain(KernelConfig("rwm", h=1.0), None, Well(), np.zeros(2), 5,
+                        seed=23)
+        assert np.array_equal(out.samples[0], first[0])
 
 
 class TestAdaptStepSize:

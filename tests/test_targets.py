@@ -226,11 +226,22 @@ class TestMultivariateStudentT:
             t.loc[0] = 1.0
 
     def test_batch_matches_single(self):
-        t = mv_student_t(3, nu=2.0, loc=0.5)
-        ys = np.random.default_rng(3).standard_normal((7, 3))
-        batch = t.log_density(ys)
-        singles = [float(t.log_density(y)) for y in ys]
-        assert np.allclose(batch, singles, atol=1e-14)
+        # a single point's squared radius and gradient coefficient are
+        # plain floats, a batch's come from np.vecdot: the same bits
+        rng = np.random.default_rng(3)
+        for d in (3, 100):
+            ys = 3.0 * rng.standard_cauchy((7, d))
+            for t in (mv_student_t(d, nu=2.0),
+                      mv_student_t(d, nu=2.0, loc=np.linspace(-1.0, 2.0, d), scale=1.5)):
+                value, grad = t.log_density_and_grad(ys)
+                assert np.array_equal(t.log_density(ys), value)
+                assert np.array_equal(t.grad_log_density(ys), grad)
+                for y, value_row, grad_row in zip(ys, value, grad):
+                    assert _bits(t.log_density(y)) == _bits(value_row)
+                    assert _bits(t.grad_log_density(y)) == _bits(grad_row)
+                    fused = t.log_density_and_grad(y)
+                    assert _bits(fused[0]) == _bits(value_row)
+                    assert _bits(fused[1]) == _bits(grad_row)
 
 
 class TestSkewT:
