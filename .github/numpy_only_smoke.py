@@ -3,8 +3,9 @@
 scipy, mpmath and pytest are blocked from import first, so an import of
 any of them from the package fails here even where they are installed.
 Then every module is imported, a 100-point Student t log-CDF evaluated,
-a 50-step scs chain run, and HMC run as one chain and as a 3-chain
-ensemble, so both leapfrog shapes run.  From the repository root, with
+a 50-step scs chain run, HMC run as one chain and as a 3-chain
+ensemble, so both leapfrog shapes run, a short tune and 1 000 exact
+draws of the d = 10 skew t.  From the repository root, with
 the package installed (or ``PYTHONPATH=src``):
 
     python .github/numpy_only_smoke.py
@@ -22,7 +23,8 @@ import numpy as np
 import brightside
 from brightside.geometry import make_params
 from brightside.kernels import KernelConfig, run_chain, run_chains
-from brightside.targets import mv_student_t, student_t_log_cdf
+from brightside.targets import mv_student_t, skew_t, student_t_log_cdf
+from brightside.tuning import TuneOptions, tune
 
 for module in pkgutil.iter_modules(brightside.__path__):
     importlib.import_module(f"brightside.{module.name}")
@@ -42,4 +44,14 @@ chains = run_chains(hmc, None, mv_student_t(3, nu=1.0), np.zeros(3), 50, seed=0,
                     n_chains=3)
 for chain in chains:
     assert chain.samples.shape == (50, 3) and np.all(np.isfinite(chain.samples))
+
+alpha = np.zeros(10)
+alpha[0], alpha[1] = 100.0, -100.0
+target = skew_t(np.zeros(10), alpha, nu=1.0)
+report = tune(target, 1.1, TuneOptions(mc_batch=200, steps=30, seed=0))
+h_o, mu, R = report.theta_bar
+assert np.all(np.isfinite(h_o)) and np.all(np.isfinite(mu)) and np.isfinite(R)
+assert np.all(np.isfinite(report.objective_trace))
+draws = target.exact_sample(np.random.default_rng(0), size=1000)
+assert draws.shape == (1000, 10) and np.all(np.isfinite(draws))
 print("numpy-only smoke run passed")

@@ -331,7 +331,10 @@ def sample_uniform_cap(d, ell_o, rng, size=None, with_rejection_stats=False):
     A standard (d+1)-dimensional Gaussian is normalized onto the sphere
     and rejected while its last coordinate is at or above ell_o - 1.
     The accepted fraction is at least 1/2 for ell_o >= 1, so the
-    expected number of raw draws per sample is at most 2.
+    expected number of raw draws per sample is at most 2.  Each round
+    draws 2 m + 8 rows for the m samples still missing, takes their
+    norms once, tests the latitude g_d / |g| and divides only the kept
+    rows it returns; one round almost always suffices.
 
     Returns a (d+1,) point for ``size=None``, else a (size, d+1) array.
     With ``with_rejection_stats=True`` also returns the raw and accepted
@@ -346,19 +349,20 @@ def sample_uniform_cap(d, ell_o, rng, size=None, with_rejection_stats=False):
     if n < 0:
         raise ValueError(f"size must be non-negative, got {size}")
     threshold = ell_o - 1.0
-    chunks = [np.empty((0, d + 1))]
+    out = np.empty((0, d + 1))
     got = 0
     raw = 0
     while got < n:
         m = 2 * (n - got) + 8
         g = rng.standard_normal((m, d + 1))
         raw += m
-        z = g / np.linalg.norm(g, axis=1, keepdims=True)
-        keep = z[:, d] < threshold
-        accepted = z[keep]
-        chunks.append(accepted)
-        got += accepted.shape[0]
-    out = np.concatenate(chunks, axis=0)[:n]
+        norm = np.linalg.norm(g, axis=1)
+        kept = np.flatnonzero(g[:, d] / norm < threshold)
+        rows = kept[:n - got]
+        accepted = g[rows]
+        accepted /= norm[rows, None]
+        out = np.concatenate([out, accepted]) if out.size else accepted
+        got += kept.size
     if size is None:
         out = out[0]
     if with_rejection_stats:
@@ -405,11 +409,13 @@ _BETA_FPMIN = 1e-300
 _BETA_MAXIT = 500
 # Up to this many points the per-point loop beats vectorizing the series
 # side.  On the t log-CDF of skew-t batches drawn from the target (d = 10
-# and 100, so m = 11 and 101; numpy 2.4, median over 20 batches, two runs
-# on a 2-core x86-64 VM), loop against vectorized, in us:
-#   points        8          24          32          40         128
-#   d = 10   46 vs 107  107 vs 115  132 vs 119  167 vs 126  522 vs 195
-#   d = 100  48 vs 110  119 vs 147  159 vs 169  193 vs 180  564 vs 315
+# and 100, so m = 11 and 101, skewness 100 and -100 on two coordinates;
+# numpy 2.4, median over 20 batches of the best of 3 x 20 calls, middle
+# of three runs on a 2-core x86-64 VM), loop against vectorized, in us:
+#   points       8         16         24         32         40        128
+#   d = 10   22 vs 43  39 vs 51  55 vs 54  78 vs 63  99 vs 72  282 vs 109
+#   d = 100  27 vs 55  47 vs 64  63 vs 68  82 vs 82 113 vs 104 335 vs 205
+# The two break even near 24 points at d = 10 and 32 at d = 100.
 _BETA_SMALL_BATCH = 32
 # Terms of the power series summed at or below a pair's series edge.
 _BETA_SERIES_TERMS = 12
@@ -514,10 +520,11 @@ def _log_beta(a, b):
 
 
 def _beta_series(x, coefs):
-    """The truncated series sum by Horner's rule, at a float or elementwise.
+    """The truncated series sum by Horner's rule at a float.
 
-    Each step is one multiply and one add, so an array element gets the
-    bits its float gets.
+    Each step is one multiply and one add, the steps that
+    ``_incomplete_beta`` takes in place on a batch's series side, so an
+    array element gets the bits its float gets.
     """
     s = 0.0
     for c in coefs:
@@ -618,8 +625,9 @@ def _incomplete_beta(x, a, b, log):
     There is one per-point path, ``_incomplete_beta_scalar``, in plain
     floats.  A 0-d ``x`` returns its float, and batches of up to
     ``_BETA_SMALL_BATCH`` points loop it.  A larger batch vectorizes
-    only the series side: the front factor and the series of interior
-    points at or below their swap group's edge, with the operations of
+    only the series side: the interior points at or below their swap
+    group's edge, one swap group at a time, each with its pair's scalar
+    coefficients in an in-place Horner loop and the other operations of
     the per-point path in the same order.  Every other point (x = 0 or
     1, and the fraction side) goes through the per-point path.  So a
     point gets the same bits alone and in any batch.
@@ -647,24 +655,29 @@ def _incomplete_beta(x, a, b, log):
     rest = ~series
     out[rest] = [_incomplete_beta_scalar(xv, a, b, lv)
                  for xv, lv in zip(x[rest].tolist(), log[rest].tolist())]
-    if not series.any():
-        return out
-    xi = xs[series]
-    si = swap[series]
-    li = log[series]
-    ai = np.where(si, b, a)
-    bi = np.where(si, a, b)
-    lfront = ai * np.log(xi) + bi * np.log1p(-xi) - t_ab.lbeta
-    # each element's coefficients, those of its swap group
-    cf = _beta_series(xi, np.where(si[:, None], t_ba.coefs, t_ab.coefs).T)
-    value = np.clip(np.exp(lfront) * cf / ai, 0.0, 1.0)
-    res = np.where(si, 1.0 - value, value)
-    if li.any():
-        reflected = li & si
-        res[reflected] = np.log1p(-value[reflected])
-        direct = li & ~si
-        res[direct] = lfront[direct] + np.log(cf[direct]) - math.log(a)
-    out[series] = res
+    for reflected, t, group in ((False, t_ab, series & ~swap),
+                                (True, t_ba, series & swap)):
+        if not group.any():
+            continue
+        xi = xs[group]
+        li = log[group]
+        lfront = t.a * np.log(xi) + t.b * np.log1p(-xi) - t.lbeta
+        # _beta_series in place: its first step, 0 * x + c, is c
+        cf = np.full_like(xi, t.coefs[0])
+        for c in t.coefs[1:]:
+            cf *= xi
+            cf += c
+        value = np.exp(lfront)
+        value *= cf
+        value /= t.a
+        np.clip(value, 0.0, 1.0, out=value)
+        if reflected:
+            res = 1.0 - value
+            res[li] = np.log1p(-value[li])
+        else:
+            res = value
+            res[li] = lfront[li] + np.log(cf[li]) - math.log(a)
+        out[group] = res
     return out
 
 

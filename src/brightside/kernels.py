@@ -336,10 +336,14 @@ def hmc_step(y, logp, g, eps, steps, target: TargetModel, z, u):
 def adapt_step_size(h, accepted, t, target_accept):
     """Robbins-Monro step-size update, log h += t^-0.6 (acc - target).
 
-    ``h`` and ``accepted`` may be per-chain arrays.
+    ``h`` and ``accepted`` may be per-chain arrays.  Acceptance is 0 or
+    1, so a step has two factors; both come from ``math.exp`` and each
+    chain picks its own, which gives an ensemble row its single chain's
+    bits.
     """
     if np.ndim(accepted):
-        return h * np.exp(t**-0.6 * (accepted - target_accept))
+        return h * np.where(accepted, math.exp(t**-0.6 * (1.0 - target_accept)),
+                            math.exp(t**-0.6 * (0.0 - target_accept)))
     return h * math.exp(t**-0.6 * ((1.0 if accepted else 0.0) - target_accept))
 
 

@@ -310,15 +310,19 @@ class SkewT(MultivariateStudentT):
 
         V ~ chi2_nu / nu; U ~ N(0, I); W ~ N(0, 1); Z = U when W <= a'U,
         else -U; returns xi + Z / sqrt(V), built in place in U's array.
+        The sign goes on sqrt(V), so U is divided once ((-u) / r and
+        u / (-r) are the same double), and xi = 0 adds nothing, which
+        changes no bits except that a -0.0 coordinate keeps its sign.
         """
         n = 1 if size is None else int(size)
         v = rng.chisquare(self.nu, size=n) / self.nu
         u = rng.standard_normal((n, self.dim))
         w = rng.standard_normal(n)
-        keep = w <= u @ self.alpha_skew
-        np.negative(u, out=u, where=~keep[:, None])
-        u /= np.sqrt(v)[:, None]
-        u += self.loc
+        root = np.sqrt(v, out=v)
+        np.negative(root, out=root, where=~(w <= u @ self.alpha_skew))
+        u /= root[:, None]
+        if not self._identity:
+            u += self.loc
         return u[0] if size is None else u
 
 

@@ -131,23 +131,38 @@ def kl_integrand(theta_bar, ell_o, target: TargetModel, cap_samples) -> np.ndarr
 
 
 def _analytic_gradient(theta_bar, ell_o, target, cap_samples):
+    """(objective, (g_ho, g_mu, g_R)) by the closed-form chain rule.
+
+    With hx, z_d the cap samples' longitude and latitude, lx = z_d + 1,
+    t and bracket from ``cap_forward``, g = grad log pi(y) and
+    yhat = (y - mu) / R, the batch means are sums over the n samples:
+
+        g_ho = (hx^T (1 / bracket) + R g^T (lx / t)) / n,
+        g_mu = -sum g / n,
+        g_R  = -d / R - <g, yhat> / n   (over all n d entries),
+
+    each one matrix-vector or dot product.  yhat is formed, not expanded
+    as sum <g, y> - <sum g, mu>, which cancels where |mu| >> R.  Raises
+    ``NonfiniteGradient`` where the target's gradient is not finite.
+    """
     cap_samples = np.asarray(cap_samples, dtype=float)
+    n = cap_samples.shape[0]
     h_o, mu, R = theta_bar
     p = make_params(cap_samples.shape[-1] - 1, h_o=h_o, ell_o=ell_o, mu=mu, R=R)
     y, log_jac, tt, bracket = cap_forward(cap_samples, p)
-    hx = cap_samples[:, :-1]
-    lx = cap_samples[:, -1] + 1.0
     logp, glp = target.log_density_and_grad(y)
     glp = np.asarray(glp, dtype=float)
     if not np.all(np.isfinite(glp)):
         raise NonfiniteGradient("target gradient is not finite on the batch")
-    yhat = (y - p.mu) / p.R
-    g_mu = -np.mean(glp, axis=0)
-    g_R = -p.d / p.R - float(np.mean(np.sum(glp * yhat, axis=1)))
-    # d(logJ)/d(h_o) = -hx/bracket; d(y)/d(h_o) = -R lx/tt per sample
-    g_ho = (np.mean(hx / bracket[:, None], axis=0)
-            + p.R * np.mean((lx / tt)[:, None] * glp, axis=0))
-    objective = float(np.mean(-log_jac - logp))
+    yhat = y - p.mu
+    yhat /= p.R
+    g_mu = -glp.sum(axis=0) / n
+    g_R = -p.d / p.R - float(np.vecdot(glp.ravel(), yhat.ravel())) / n
+    # d(logJ)/d(h_o) = -hx/bracket; d(y)/d(h_o) = -R lx/t per sample
+    lx = cap_samples[:, -1] + 1.0
+    lx /= tt
+    g_ho = (cap_samples[:, :-1].T @ (1.0 / bracket) + p.R * (glp.T @ lx)) / n
+    objective = -float((log_jac + logp).sum()) / n
     return objective, (g_ho, g_mu, g_R)
 
 

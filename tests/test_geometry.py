@@ -493,6 +493,37 @@ class TestUniformCap:
         se = math.sqrt((1.0 / 3.0) * (2.0 / 3.0) / raw)
         assert abs(frac_rejected - 1.0 / 3.0) <= 3.0 * se
 
+    @staticmethod
+    def textbook_cap(d, ell_o, rng, size):
+        """Normalize whole rounds of normals, keep the bright rows, cut at n."""
+        n = 1 if size is None else size
+        chunks = [np.empty((0, d + 1))]
+        got = raw = 0
+        while got < n:
+            g = rng.standard_normal((2 * (n - got) + 8, d + 1))
+            raw += g.shape[0]
+            z = g / np.linalg.norm(g, axis=1, keepdims=True)
+            chunks.append(z[z[:, d] < ell_o - 1.0])
+            got += chunks[-1].shape[0]
+        out = np.concatenate(chunks)[:n]
+        return (out[0] if size is None else out), raw, got
+
+    @pytest.mark.parametrize("d, ell_o, size, seed", [
+        (3, 1.3, None, 40), (3, 1.3, 0, 41), (10, 1.1, 1000, 42),
+        (2, 1.0, 3, 55),     # the first round keeps 2 of 3
+        (2, 1.0, 3, 1994),   # the first round keeps none
+    ])
+    def test_matches_textbook_rejection_loop(self, d, ell_o, size, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, raw, accepted = sample_uniform_cap(d, ell_o, rng, size=size,
+                                                with_rejection_stats=True)
+        want, want_raw, want_accepted = self.textbook_cap(d, ell_o, ref_rng, size)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert (raw, accepted) == (want_raw, want_accepted)
+        assert rng.random() == ref_rng.random()
+        if seed in (55, 1994):
+            assert raw > 2 * size + 8
+
 
 class TestCapRatio:
     def test_d1_arc_oracle(self):
@@ -727,6 +758,29 @@ class TestSeriesRegion:
             for f in TestIncompleteBetaPaths.FUNCS:
                 single = [f(float(x), a, b) for x in xs]
                 assert np.array_equal(f(xs, a, b), single)
+
+    def test_both_swap_groups_with_mixed_log_flags(self):
+        # every point on the series side, in both swap groups, each with
+        # value and log flags mixed, batched past the small-batch limit
+        rng = np.random.default_rng(36)
+        n = 4 * geometry._BETA_SMALL_BATCH
+        for a, b in self.SHAPES + ((2.0, 3.0),):
+            xs = np.concatenate([rng.uniform(0.0, 0.9 * self.edge(a, b), n),
+                                 1.0 - rng.uniform(0.0, 0.9 * self.edge(b, a), n)])
+            log = rng.random(xs.size) < 0.5
+            swap = xs > (a + 1.0) / (a + b + 2.0)
+            assert swap.sum() == n and (log & swap).any() and (log & ~swap).any()
+            single = [geometry._incomplete_beta_scalar(float(x), a, b, bool(lv))
+                      for x, lv in zip(xs, log)]
+            assert np.array_equal(geometry._incomplete_beta(xs, a, b, log), single)
+        # the t log-CDF at m = 11: |t| large and small, both signs
+        from brightside.targets import student_t_log_cdf
+        m = 11.0
+        t_far = np.sqrt(m / (0.9 * self.edge(m / 2.0, 0.5)) - m) * rng.uniform(1.0, 3.0, n)
+        t_near = np.sqrt(m * 0.9 * self.edge(0.5, m / 2.0)) * rng.uniform(0.01, 1.0, n)
+        ts = np.concatenate([t_far, t_near]) * rng.choice([-1.0, 1.0], 2 * n)
+        assert np.array_equal(student_t_log_cdf(ts, m),
+                              [student_t_log_cdf(float(t), m) for t in ts])
 
     def test_dropped_terms_below_half_an_ulp(self):
         # the terms after the first K, summed in 40 digits at the edge,

@@ -551,10 +551,7 @@ class TestHmc:
 
     def test_student_t_ensemble_matches_single_chains(self):
         # one chain's Student t runs in plain floats, an ensemble's rows
-        # through np.vecdot; chain i must still follow run_chain.  The
-        # step size is fixed: adapted, it differs by an ulp between the
-        # two (np.exp against math.exp), and the Cauchy's trajectories
-        # grow that to 6e-6 within 100 steps at this seed
+        # through np.vecdot; chain i must still follow run_chain
         target = mv_student_t(10, nu=1.0)
         cfg = KernelConfig("hmc", h=0.3, leapfrog_steps=5, adapt_burnin=0)
         outs = run_chains(cfg, None, target, np.ones(10), 200, burnin=100,
@@ -565,6 +562,22 @@ class TestHmc:
             assert np.allclose(ens.samples, one.samples, rtol=0.0, atol=1e-10)
             assert ens.acceptance_rate == one.acceptance_rate
             assert 0.0 < one.acceptance_rate < 1.0
+
+    def test_adapted_ensemble_matches_single_chains_bit_for_bit(self):
+        # adaptation multiplies each step size by one of two math.exp
+        # factors, so an ensemble row keeps its chain's bits; an ulp
+        # apart, the Cauchy's trajectories drift to 6e-6 within 100 steps
+        # at seed 18
+        target = mv_student_t(10, nu=1.0)
+        cfg = KernelConfig("hmc", h=0.3, leapfrog_steps=5)
+        for seed in range(16, 36):
+            outs = run_chains(cfg, None, target, np.ones(10), 200, burnin=100,
+                              seed=seed, n_chains=4)
+            for i, ens in enumerate(outs):
+                one = run_chain(cfg, None, target, np.ones(10), 200, burnin=100,
+                                seed=derive_chain_seed(seed, i))
+                assert ens.step_size_trace.tobytes() == one.step_size_trace.tobytes()
+                assert ens.samples.tobytes() == one.samples.tobytes()
 
     @pytest.mark.parametrize("target", [mv_student_t(100, nu=1.0), Gauss()],
                              ids=["cauchy-d100", "gauss"])

@@ -611,20 +611,23 @@ class TestExactSamplersInPlace:
 
     @pytest.mark.parametrize("size", [None, 1, 1000])
     def test_skew_t(self, size):
-        target = skew_t(xi=np.array([1.0, -2.0, 0.5]),
-                        alpha_skew=np.array([3.0, -1.0, 0.0]), nu=3.0)
-        got = target.exact_sample(np.random.default_rng(51), size=size)
-        rng = np.random.default_rng(51)
-        n = 1 if size is None else size
-        v = rng.chisquare(3.0, size=n) / 3.0
-        u = rng.standard_normal((n, 3))
-        w = rng.standard_normal(n)
-        keep = w <= u @ target.alpha_skew
-        if n > 1:  # both signs drawn
-            assert keep.any() and not keep.all()
-        want = target.loc + np.where(keep[:, None], u, -u) / np.sqrt(v)[:, None]
-        assert _bits(got) == _bits(want[0] if size is None else want)
-        assert got.shape == ((3,) if size is None else (size, 3))
+        # a shifted target and the zero location, whose shift is skipped
+        for xi in (np.array([1.0, -2.0, 0.5]), np.zeros(3)):
+            target = skew_t(xi=xi, alpha_skew=np.array([3.0, -1.0, 0.0]), nu=3.0)
+            draws = np.random.default_rng(51)
+            got = target.exact_sample(draws, size=size)
+            rng = np.random.default_rng(51)
+            n = 1 if size is None else size
+            v = rng.chisquare(3.0, size=n) / 3.0
+            u = rng.standard_normal((n, 3))
+            w = rng.standard_normal(n)
+            keep = w <= u @ target.alpha_skew
+            if n > 1:  # both signs drawn
+                assert keep.any() and not keep.all()
+            want = target.loc + np.where(keep[:, None], u, -u) / np.sqrt(v)[:, None]
+            assert _bits(got) == _bits(want[0] if size is None else want)
+            assert got.shape == ((3,) if size is None else (size, 3))
+            assert draws.random() == rng.random()
 
 
 class TestSubCauchyProbe:

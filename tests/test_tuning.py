@@ -171,6 +171,67 @@ class TestKlGradient:
         assert np.linalg.norm(ga - gf) <= 1e-5 * max(1.0, np.linalg.norm(ga))
 
 
+def textbook_gradient(theta_bar, ell_o, target, cap_samples):
+    """The closed-form gradient as per-sample terms averaged by np.mean."""
+    h_o, mu, R = theta_bar
+    p = make_params(cap_samples.shape[-1] - 1, h_o=h_o, ell_o=ell_o, mu=mu, R=R)
+    y, log_jac, tt, bracket = cap_forward(cap_samples, p)
+    hx, lx = cap_samples[:, :-1], cap_samples[:, -1] + 1.0
+    logp, glp = target.log_density_and_grad(y)
+    if not np.all(np.isfinite(glp)):
+        raise NonfiniteGradient("target gradient is not finite on the batch")
+    yhat = (y - p.mu) / p.R
+    g_mu = -np.mean(glp, axis=0)
+    g_R = -p.d / p.R - float(np.mean(np.sum(glp * yhat, axis=1)))
+    g_ho = (np.mean(hx / bracket[:, None], axis=0)
+            + p.R * np.mean((lx / tt)[:, None] * glp, axis=0))
+    return float(np.mean(-log_jac - logp)), (g_ho, g_mu, g_R)
+
+
+class TestAnalyticGradientSums:
+    """The gradient's sums and products equal the np.mean forms to round-off."""
+
+    # each target sits near mu, so at |mu| = 1e6 the terms <g, y> and
+    # <g, mu> of an expanded sum cancel to ~1e-6 of their size
+    TARGETS = {
+        "cauchy": lambda mu, rng: mv_student_t(mu.size, nu=1.0, loc=mu),
+        "skewt": lambda mu, rng: skew_t(xi=mu + rng.standard_normal(mu.size),
+                                        alpha_skew=rng.standard_normal(mu.size) * 5.0,
+                                        nu=1.0),
+    }
+
+    @pytest.mark.parametrize("kind", TARGETS)
+    @pytest.mark.parametrize("mu_size, R", [(1.0, 1.3), (1e6, 0.5)])
+    def test_matches_np_mean_forms(self, kind, mu_size, R):
+        rng = np.random.default_rng(7)
+        for d in (1, 10, 100):
+            h_o = rng.standard_normal(d)
+            h_o *= 0.3 / np.linalg.norm(h_o)
+            mu = rng.standard_normal(d)
+            mu *= mu_size / np.linalg.norm(mu)
+            target = self.TARGETS[kind](mu, rng)
+            cap = sample_uniform_cap(d, 1.1, rng, size=1000)
+            obj, grad = tuning._analytic_gradient((h_o, mu, R), 1.1, target, cap)
+            want_obj, want = textbook_gradient((h_o, mu, R), 1.1, target, cap)
+            assert abs(obj - want_obj) <= 1e-12 * abs(want_obj)
+            for got, ref in zip(grad, want):
+                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_tune_stops_where_the_np_mean_forms_stop(self, monkeypatch):
+        d = 10
+        alpha = np.zeros(d)
+        alpha[0], alpha[1] = 100.0, -100.0
+        target = skew_t(xi=np.zeros(d), alpha_skew=alpha, nu=1.0)
+        opts = TuneOptions(mc_batch=200, steps=400, seed=8)
+        rep = tune(target, 1.1, opts)
+        monkeypatch.setattr(tuning, "_analytic_gradient", textbook_gradient)
+        ref = tune(target, 1.1, opts)
+        assert rep.converged and ref.converged
+        assert rep.objective_trace.size == ref.objective_trace.size
+        for got, want in zip(rep.theta_bar, ref.theta_bar):
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
+
+
 class TestProjectParams:
     def test_interior_point_unchanged(self):
         h_o, mu, R = project_params((np.array([0.1, 0.0]), np.zeros(2), 1.0), 1.5)
