@@ -35,13 +35,12 @@ y += v, one array pass fewer than the momentum form; one chain's
 acceptance test runs in plain floats.  The Metropolis tests take
 log 0 = -inf: a uniform draw of exactly 0 accepts any proposal whose
 log ratio is finite.  Stepping-out is written for one pair only
-(``great_circle_frame``, ``stepping_out``); an ensemble steps its dark
-rows out one at a time through it.  ``run_chains`` runs hmc
-replicas, and scs and sps replicas from ``SPHERE_ENSEMBLE_MIN_CHAINS``
-up, as one ensemble; other replicas run one after another.  A chain
-reads the same draws alone as in an ensemble, so replica i depends only
-on ``(seed, i)`` and its start and matches ``run_chain`` with its
-derived seed to round-off.
+(``stepping_out``); an ensemble steps its dark rows out one at a time
+through it.  ``run_chains`` runs hmc replicas, and scs and sps replicas
+from ``SPHERE_ENSEMBLE_MIN_CHAINS`` up, as one ensemble; other replicas
+run one after another.  A chain reads the same draws alone as in an
+ensemble, so replica i depends only on ``(seed, i)`` and its start and
+matches ``run_chain`` with its derived seed to round-off.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -123,22 +122,6 @@ class ChainOutput:
     valid: bool = True
 
 
-class GreatCircleFrame(NamedTuple):
-    """In-plane direction and angles of the proposal great circle.
-
-    ``u`` is the unit tangent at ``x`` toward ``x_prime``; ``alpha`` the
-    arc from x to x'; the circle's latitude is A*cos(theta - phi) with
-    A = hypot(x_lat, u_lat), and the dark arc is |theta - phi| < gamma.
-    ``K`` is the smallest integer with K*alpha > phi + gamma.
-    """
-
-    u: np.ndarray
-    alpha: float
-    phi: float
-    gamma: float
-    K: int
-
-
 def propose_tangent(x, h, z) -> np.ndarray:
     """Gaussian tangent-space step projected back onto the sphere.
 
@@ -164,14 +147,21 @@ def propose_tangent(x, h, z) -> np.ndarray:
     return w
 
 
-def great_circle_frame(x, x_prime, ell_o) -> GreatCircleFrame:
-    """Frame of the unique great circle through a bright/dark point pair.
+def stepping_out(x, x_prime, ell_o) -> np.ndarray:
+    """Walk K arcs of length alpha along the great circle, landing bright.
 
-    ``x`` and ``x_prime`` are single points of shape (d+1,); the angles
-    are plain floats.  Raises DarkSidePoint unless ``x`` is bright and
-    ``x_prime`` dark, and DegenerateProposal when the points are
-    coincident or antipodal (s^2 = 1 - <x, x'>^2 <= 1e-14) or the
-    circle has zero latitude amplitude.
+    Takes one bright ``x`` and one dark ``x_prime``, each of shape (d+1,).
+    With c = <x, x'> and s^2 = 1 - c^2, u = (x' - c x)/s is the unit
+    tangent at x toward x' and alpha = acos(c) the arc to x'.  At the
+    angle theta from x the circle's latitude is A cos(theta - phi), with
+    A = hypot(x_lat, u_lat), and its dark arc is |theta - phi| < gamma,
+    A cos(gamma) = ell_o - 1.  K is the smallest integer with
+    K alpha > phi + gamma, so K alpha lies in (phi + gamma,
+    phi + gamma + alpha]: past the dark arc, and short of re-entering it
+    since alpha <= pi <= 2 pi - 2 gamma.  Lands at cos(K alpha) x +
+    sin(K alpha) u.  Raises DarkSidePoint unless x is bright and x'
+    dark, and DegenerateProposal when s^2 <= 1e-14 (coincident or
+    antipodal points) or A = 0.
     """
     lat_threshold = ell_o - 1.0
     x_lat, x_prime_lat = float(x[-1]), float(x_prime[-1])
@@ -194,21 +184,10 @@ def great_circle_frame(x, x_prime, ell_o) -> GreatCircleFrame:
     K = int((phi + gamma) / alpha) + 1
     while K * alpha <= phi + gamma:  # float-rounding guard
         K += 1
-    return GreatCircleFrame(u=u, alpha=alpha, phi=phi, gamma=gamma, K=K)
-
-
-def stepping_out(x, x_prime, ell_o) -> np.ndarray:
-    """Walk K arcs of length alpha along the great circle, landing bright.
-
-    K*alpha lies in (phi+gamma, phi+gamma+alpha], past the dark arc but
-    short of re-entering it since alpha <= pi <= 2*pi - 2*gamma.  Takes
-    one pair and raises what ``great_circle_frame`` raises.
-    """
-    frame = great_circle_frame(x, x_prime, ell_o)
-    assert frame.K <= math.ceil(2.0 * math.pi / frame.alpha) + 1
-    angle = frame.K * frame.alpha
+    assert K <= math.ceil(2.0 * math.pi / alpha) + 1
+    angle = K * alpha
     out = math.cos(angle) * x
-    out += math.sin(angle) * frame.u
+    out += math.sin(angle) * u
     out /= math.sqrt(out @ out)
     return out
 

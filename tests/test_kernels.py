@@ -20,7 +20,6 @@ from brightside.kernels import (
     KernelConfig,
     adapt_step_size,
     derive_chain_seed,
-    great_circle_frame,
     hmc_step,
     leapfrog,
     SPHERE_ENSEMBLE_MIN_CHAINS,
@@ -96,52 +95,45 @@ class TestProposeTangent:
         assert np.median(dists) < 1e-5
 
 
-class TestGreatCircleFrame:
-    def test_hand_geometry_example(self):
-        ell_o = 1.5
-        x = np.array([1.0, 0.0])
-        ang = math.radians(80.0)
-        x_prime = np.array([math.cos(ang), math.sin(ang)])
-        frame = great_circle_frame(x, x_prime, ell_o)
-        assert np.allclose(frame.u, [0.0, 1.0], atol=1e-12)
-        assert abs(frame.alpha - ang) < 1e-12
-        assert abs(frame.phi - math.pi / 2.0) < 1e-12
-        assert abs(frame.gamma - math.pi / 3.0) < 1e-12
-        assert frame.K == 2
+def frame_stepping_out(x, x_prime, ell_o):
+    """Stepping-out as frame arithmetic: the unit tangent u, the angles
+    alpha, phi and gamma and the count K, then the landing point, each
+    in the order of the textbook walk.  Returns (landing, u, alpha, phi,
+    gamma, K); the caller has checked that x is bright and x' dark."""
+    x_lat = float(x[-1])
+    c = float(x @ x_prime)
+    s2 = 1.0 - c * c
+    u = x_prime - c * x
+    u /= math.sqrt(s2)
+    alpha = math.acos(min(1.0, max(-1.0, c)))
+    amp = math.hypot(x_lat, float(u[-1]))
+    phi = math.acos(min(1.0, max(-1.0, x_lat / amp)))
+    gamma = math.acos(min(1.0, max(-1.0, (ell_o - 1.0) / amp)))
+    K = int((phi + gamma) / alpha) + 1
+    while K * alpha <= phi + gamma:
+        K += 1
+    out = math.cos(K * alpha) * x
+    out += math.sin(K * alpha) * u
+    out /= math.sqrt(out @ out)
+    return out, u, alpha, phi, gamma, K
 
-    def test_triggered_cases_properties(self):
-        rng = np.random.default_rng(2)
-        for _ in range(500):
-            d = int(rng.integers(1, 6))
-            ell_o = rng.uniform(1.0, 1.6)
-            x, x_prime = random_bright_dark_pair(rng, d, ell_o)
-            frame = great_circle_frame(x, x_prime, ell_o)
-            assert abs(float(x @ frame.u)) <= 1e-12
-            assert abs(np.linalg.norm(frame.u) - 1.0) <= 1e-12
-            assert 0.0 <= frame.gamma <= math.pi / 2.0 + 1e-12
-            # the dark arc is |theta - phi| < gamma; a dark landing means
-            # alpha lies inside it, forcing K >= 2
-            assert frame.phi - frame.gamma < frame.alpha < frame.phi + frame.gamma
-            assert frame.K >= 2
-            assert (frame.K - 1) * frame.alpha <= frame.phi + frame.gamma
-            assert frame.K * frame.alpha > frame.phi + frame.gamma
 
-    def test_degenerate_raises(self):
-        x = np.array([0.0, -1.0])
-        with pytest.raises(DegenerateProposal):
-            great_circle_frame(x, -x, 1.5)
-
-    def test_precondition_checks(self):
-        x_dark = np.array([0.0, 0.9])
-        x_bright = np.array([1.0, 0.0])
-        with pytest.raises(DarkSidePoint):
-            great_circle_frame(x_dark, x_dark, 1.5)
-        with pytest.raises(DarkSidePoint):
-            great_circle_frame(x_bright, x_bright, 1.5)
+def two_coefficient_stepping_out(x, x_prime, ell_o):
+    """The same landing point written as a x + b x', with no u array."""
+    _, _, alpha, _, _, K = frame_stepping_out(x, x_prime, ell_o)
+    c = float(x @ x_prime)
+    s = math.sqrt(1.0 - c * c)
+    out = (math.cos(K * alpha) - math.sin(K * alpha) * c / s) * x
+    out += (math.sin(K * alpha) / s) * x_prime
+    out /= math.sqrt(out @ out)
+    return out
 
 
 class TestSteppingOut:
     def test_circle_walk_oracle(self):
+        # x at 0 degrees, x' at 80: the circle's latitude is sin(theta),
+        # its dark arc (latitude above 1/2) runs from 30 to 150 degrees,
+        # so the walk needs K = 2 arcs and lands at 160 degrees
         ell_o = 1.5
         x = np.array([1.0, 0.0])
         ang = math.radians(80.0)
@@ -161,6 +153,51 @@ class TestSteppingOut:
             x_star = stepping_out(x, x_prime, ell_o)
             assert abs(np.linalg.norm(x_star) - 1.0) <= 1e-12
             assert x_star[-1] <= ell_o - 1.0 + 1e-12
+
+    def test_matches_frame_arithmetic_bit_for_bit(self):
+        # the tangent step rarely reaches a high dark cap at larger d, so
+        # ell_o is drawn from [1, 1.9] only as far as pairs come quickly
+        rng = np.random.default_rng(19)
+        two_coefficient_differs = 0
+        for d, ell_max in ((1, 1.9), (2, 1.9), (10, 1.7), (100, 1.2)):
+            for _ in range(250):
+                ell_o = rng.uniform(1.0, ell_max)
+                x, x_prime = random_bright_dark_pair(rng, d, ell_o)
+                expected, u, alpha, phi, gamma, K = frame_stepping_out(
+                    x, x_prime, ell_o)
+                assert abs(float(x @ u)) <= 1e-12
+                assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+                assert 0.0 <= gamma <= math.pi / 2.0 + 1e-12
+                # the first arc lands dark, inside |theta - phi| < gamma,
+                # and K is the fewest arcs that pass the dark arc
+                assert phi - gamma < alpha < phi + gamma
+                assert K >= 2
+                assert (K - 1) * alpha <= phi + gamma < K * alpha
+                assert np.array_equal(stepping_out(x, x_prime, ell_o), expected)
+                two_coefficient_differs += not np.array_equal(
+                    two_coefficient_stepping_out(x, x_prime, ell_o), expected)
+        # the test tells the landing forms apart: the algebraically equal
+        # a x + b x' rounds differently on some pairs
+        assert two_coefficient_differs > 0
+
+    def test_degenerate_raises(self, monkeypatch):
+        x = np.array([0.0, -1.0])
+        with pytest.raises(DegenerateProposal):
+            stepping_out(x, -x, 1.5)
+        # a zero amplitude needs x_lat = u_lat = 0, which puts x' at
+        # latitude 0 as well, and no bright x has a dark x' there: the
+        # guard is reached through a hypot that returns 0
+        monkeypatch.setattr(math, "hypot", lambda a, b: 0.0)
+        with pytest.raises(DegenerateProposal, match="zero latitude amplitude"):
+            stepping_out(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1.5)
+
+    def test_precondition_checks(self):
+        x_dark = np.array([0.0, 0.9])
+        x_bright = np.array([1.0, 0.0])
+        with pytest.raises(DarkSidePoint):
+            stepping_out(x_dark, x_dark, 1.5)
+        with pytest.raises(DarkSidePoint):
+            stepping_out(x_bright, x_bright, 1.5)
 
 
 class TestScsStep:
