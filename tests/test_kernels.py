@@ -129,6 +129,23 @@ def two_coefficient_stepping_out(x, x_prime, ell_o):
     return out
 
 
+class TestGreatCircleFrame:
+    def test_hand_geometry_example(self):
+        # x at 0 degrees, x' at 80: u is the second axis, the latitude
+        # peaks at phi = 90 degrees and the dark arc half-width is 60
+        ell_o = 1.5
+        x = np.array([1.0, 0.0])
+        ang = math.radians(80.0)
+        x_prime = np.array([math.cos(ang), math.sin(ang)])
+        landing, u, alpha, phi, gamma, K = frame_stepping_out(x, x_prime, ell_o)
+        assert np.allclose(u, [0.0, 1.0], atol=1e-12)
+        assert abs(alpha - ang) < 1e-12
+        assert abs(phi - math.pi / 2.0) < 1e-12
+        assert abs(gamma - math.pi / 3.0) < 1e-12
+        assert K == 2
+        assert np.array_equal(stepping_out(x, x_prime, ell_o), landing)
+
+
 class TestSteppingOut:
     def test_circle_walk_oracle(self):
         # x at 0 degrees, x' at 80: the circle's latitude is sin(theta),
