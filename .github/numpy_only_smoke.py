@@ -3,11 +3,13 @@
 scipy, mpmath and pytest are blocked from import first, so an import of
 any of them from the package fails here even where they are installed.
 Then every module is imported, a 100-point Student t log-CDF evaluated,
-a 50-step scs chain run alone and as a 4-chain ensemble, so the
-batched sphere transition steps its dark rows out one by one, HMC run
-as one chain and as a 3-chain ensemble, so both leapfrog shapes run, a
-short tune and 1 000 exact draws of the d = 10 skew t.  From the repository root, with
-the package installed (or ``PYTHONPATH=src``):
+a 50-step scs chain run alone and as an ensemble of
+``SPHERE_ENSEMBLE_MIN_CHAINS`` chains, the fewest that ``run_chains``
+steps together, so the batched sphere transition steps its dark rows
+out one by one, HMC run as one chain and as a 3-chain ensemble, so both
+leapfrog shapes run, a short tune and 1 000 exact draws of the d = 10
+skew t.  From the repository root, with the package installed (or
+``PYTHONPATH=src``):
 
     python .github/numpy_only_smoke.py
 """
@@ -23,7 +25,12 @@ import numpy as np
 
 import brightside
 from brightside.geometry import make_params
-from brightside.kernels import KernelConfig, run_chain, run_chains
+from brightside.kernels import (
+    SPHERE_ENSEMBLE_MIN_CHAINS,
+    KernelConfig,
+    run_chain,
+    run_chains,
+)
 from brightside.targets import mv_student_t, skew_t, student_t_log_cdf
 from brightside.tuning import TuneOptions, tune
 
@@ -38,8 +45,9 @@ chain = run_chain(KernelConfig("scs", h=0.5), make_params(3, ell_o=1.1),
                   mv_student_t(3, nu=1.0), np.zeros(3), 50, seed=0)
 assert chain.samples.shape == (50, 3) and np.all(np.isfinite(chain.samples))
 chains = run_chains(KernelConfig("scs", h=0.5), make_params(3, ell_o=1.1),
-                    mv_student_t(3, nu=1.0), np.zeros(3), 50, seed=0, n_chains=4)
-assert len(chains) == 4
+                    mv_student_t(3, nu=1.0), np.zeros(3), 50, seed=0,
+                    n_chains=SPHERE_ENSEMBLE_MIN_CHAINS)
+assert len(chains) == SPHERE_ENSEMBLE_MIN_CHAINS
 for chain in chains:
     assert chain.samples.shape == (50, 3) and np.all(np.isfinite(chain.samples))
 

@@ -22,10 +22,8 @@ from .errors import (
     ObserverOutsideBall,
 )
 from .geometry import (
-    ChordScale,
     ProjectionParams,
     cap_forward,
-    cap_ratio_bound,
     cap_ratio_exact,
     log_jacobian,
     log_jacobian_at_cap_point,

@@ -5,9 +5,9 @@ Conventions
 Sphere points are unit vectors: they live on the unit sphere S^d in
 R^{d+1}, centered at the origin, and are stored as plain numpy arrays of
 shape (..., d+1).  Functions that take sphere points rely on |x| = 1
-(to rounding); ``sphere_point`` renormalizes.  The projection plane is
-tangent to the sphere at the south pole (0, ..., 0, -1); plane points
-have shape (..., d).
+(to rounding); ``scp_inverse`` renormalizes its lifts.  The projection
+plane is tangent to the sphere at the south pole (0, ..., 0, -1); plane
+points have shape (..., d).
 
 The observer sits inside the sphere and is split into a longitude
 ``h_o`` (first d coordinates) and a latitude ``ell_o``, measured so
@@ -172,31 +172,6 @@ def make_params(d, h_o=0.0, ell_o=1.0, mu=0.0, R=1.0) -> ProjectionParams:
     return ProjectionParams(h_o=h_o, ell_o=ell_o, mu=mu, R=R, d=d)
 
 
-class ChordScale(NamedTuple):
-    """Chord scale M with the quadratic coefficients it solves.
-
-    M satisfies A*M**2 + 2*B*M + C = 0, equivalently
-    A*M**2 + 2*B*M + |h_o|^2 + (ell_o - 1)^2 = 1, with
-    A = |yhat - h_o|^2 + ell_o^2,
-    B = <yhat - h_o, h_o> - ell_o*(ell_o - 1),
-    C = |h_o|^2 + ell_o^2 - 2*ell_o.
-    """
-
-    M: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    C: float
-
-
-def sphere_point(z) -> np.ndarray:
-    """Renormalize ``z`` onto the unit sphere (rowwise for batches)."""
-    z = np.asarray(z, dtype=float)
-    norm = np.linalg.norm(z, axis=-1, keepdims=True)
-    if np.any(norm == 0.0) or not np.all(np.isfinite(norm)):
-        raise NonfiniteInput("cannot normalize zero or non-finite vector")
-    return z / norm
-
-
 def cap_forward(x, p: ProjectionParams):
     """Forward map and log-Jacobian at bright-side unit sphere points.
 
@@ -258,46 +233,57 @@ def scp_forward(x, p: ProjectionParams) -> np.ndarray:
     return cap_forward(x, p)[0]
 
 
-def solve_chord_scale(y, p: ProjectionParams) -> ChordScale:
-    """Solve for the chord scale M placing ``y`` back on the sphere.
+def solve_chord_scale(y, p: ProjectionParams):
+    """Chord scale M placing ``y`` back on the sphere, as (M, A, B, C).
 
-    Uses the conjugate root form M = -C / (B + sqrt(B^2 - A*C)) when
-    B > 0, which avoids the catastrophic cancellation of the textbook
-    (-B + sqrt(...)) / A form.  A valid ``ProjectionParams`` gives
-    C = |h_o|^2 + (ell_o-1)^2 - 1 <= 0 < A, so the discriminant
-    B^2 - A*C is at least B^2 >= 0, in floating point too.
+    M solves A*M**2 + 2*B*M + C = 0 with w = yhat - h_o, A = |w|^2 +
+    ell_o^2, B = <w, h_o> - ell_o*(ell_o - 1) and the float C = |h_o|^2 +
+    ell_o^2 - 2*ell_o.  Uses the conjugate root form M = -C / (B +
+    sqrt(B^2 - A*C)) when B > 0, which avoids the catastrophic
+    cancellation of the textbook (-B + sqrt(...)) / A form.  A valid
+    ``ProjectionParams`` gives C = |h_o|^2 + (ell_o-1)^2 - 1 <= 0 < A, so
+    B^2 - A*C >= B^2 >= 0, in floating point too.  Raises NonfiniteInput
+    for a non-finite ``y``, and DomainError where B^2 - A*C overflows,
+    from |w| near 1e154 on: the root there is 0 (a dark point) or NaN.
     """
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise NonfiniteInput("plane point must be finite")
-    yhat = (y - p.mu) / p.R
-    w = yhat - p.h_o
-    A = np.sum(w * w, axis=-1) + p.ell_o**2
-    B = w @ p.h_o - p.ell_o * (p.ell_o - 1.0)
     C = float(np.dot(p.h_o, p.h_o)) + p.ell_o**2 - 2.0 * p.ell_o
-    root = np.sqrt(B * B - A * C)
+    with np.errstate(over="ignore", invalid="ignore"):
+        yhat = (y - p.mu) / p.R
+        w = yhat - p.h_o
+        A = np.sum(w * w, axis=-1) + p.ell_o**2
+        B = w @ p.h_o - p.ell_o * (p.ell_o - 1.0)
+        disc = B * B - A * C
+    if not np.all(np.isfinite(disc)):
+        raise DomainError("plane point too far from mu for the chord solve")
+    root = np.sqrt(disc)
     denom = B + root
     # np.where evaluates both branches; at ell_o = 2, h_o = 0 (C = 0,
     # B = -2) denom is 0 on the discarded one and -C/denom would be 0/0
     safe_denom = np.where(denom > 0.0, denom, 1.0)
     M = np.where(B > 0.0, -C / safe_denom, (-B + root) / A)
-    return ChordScale(M=M, A=A, B=B, C=C)
+    return M, A, B, C
 
 
 def scp_inverse(y, p: ProjectionParams) -> np.ndarray:
     """Lift target-space points onto the bright side of the sphere.
 
-    h_x = M*yhat + (1-M)*h_o and ell_x = (1-M)*ell_o; the result is
-    renormalized to unit length and always lies strictly on the bright
-    side for finite y.
+    h_x = M*yhat + (1-M)*h_o and ell_x = (1-M)*ell_o, renormalized to
+    unit length.  The lift is bright in exact arithmetic, but far out,
+    where 1 - M rounds to 1, it can land on the observer latitude or an
+    ulp above it, which ``cap_forward`` rejects as dark; at ell_o = 2
+    that is the north pole (see ``kernels.run_chain``).  Raises as
+    ``solve_chord_scale`` does.
     """
     y = np.asarray(y, dtype=float)
-    M = solve_chord_scale(y, p).M
+    M = solve_chord_scale(y, p)[0]
     yhat = (y - p.mu) / p.R
     hx = M[..., None] * yhat + (1.0 - M[..., None]) * p.h_o
     zd = (1.0 - M) * p.ell_o - 1.0
     z = np.concatenate([hx, zd[..., None]], axis=-1)
-    return sphere_point(z)
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
 def log_jacobian(y, p: ProjectionParams) -> np.ndarray:
@@ -386,20 +372,6 @@ def cap_ratio_exact(d, ell_o) -> float:
     s = ell_o - 1.0
     x = 1.0 - s * s
     return 0.5 * float(regularized_incomplete_beta(x, d / 2.0, 0.5))
-
-
-def cap_ratio_bound(d, ell_o) -> float:
-    """Chernoff-style upper bound on the dark-side surface fraction.
-
-    (e^{1/2} / 2) * sqrt(d+1) * (1 - (ell_o-1)^2)^{(d-1)/2}; may exceed
-    1 in low dimensions, where it is vacuous but still an upper bound.
-    """
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
-    if not 1.0 <= ell_o <= 2.0:
-        raise DomainError(f"ell_o must lie in [1, 2], got {ell_o}")
-    s = ell_o - 1.0
-    return 0.5 * math.exp(0.5) * math.sqrt(d + 1.0) * (1.0 - s * s) ** ((d - 1) / 2.0)
 
 
 # --- regularized incomplete beta -------------------------------------------

@@ -53,7 +53,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ChainAborted, DarkSidePoint, DegenerateProposal
+from .errors import ChainAborted, DarkSidePoint, DegenerateProposal, NonfiniteInput
 from .geometry import ProjectionParams, cap_forward, scp_inverse
 from .targets import TargetModel
 
@@ -64,15 +64,17 @@ KERNEL_KINDS = ("scs", "sps", "rwm", "hmc")
 WALK_TARGET_ACCEPT = 0.234
 HMC_TARGET_ACCEPT = 0.8
 
-# The batched sphere transition has a fixed cost per step (its largest
-# part the batched cap_forward) that the shared density call pays back
-# only from several chains.  When this was set, on Cauchy and skew-t
-# targets at d = 10, 2 scs chains ran 1.5-1.9x and 3 chains 1.0-1.4x
-# slower as an ensemble than one after another.  Since the single-point
-# transition got cheaper, 4 Cauchy scs chains at d = 10 also run as an
-# ensemble at only 0.90-0.91x the speed of sequential chains; the
-# threshold awaits re-timing against 2-5-chain workloads.
-SPHERE_ENSEMBLE_MIN_CHAINS = 4
+# The batched sphere transition has a fixed cost per step that the
+# shared density call pays back only from several chains.  Sequential
+# over ensemble time of scs chains (600 iterations, 100 burn-in, ell_o
+# 1.1, the skew t tuned; median of 11 interleaved pairs, 2-core x86-64
+# VM, numpy 2.4.6):
+#   chains   skew t d = 10   Cauchy d = 10   Cauchy d = 100
+#   4            0.94            0.87            0.86
+#   5            1.08            1.02            0.98
+#   6            1.25            1.15            1.06
+# so the two break even at 5 chains.
+SPHERE_ENSEMBLE_MIN_CHAINS = 5
 
 # steps of draws read per generator call; output does not depend on it
 _DRAW_BLOCK = 64
@@ -159,9 +161,10 @@ def stepping_out(x, x_prime, ell_o) -> np.ndarray:
     K alpha > phi + gamma, so K alpha lies in (phi + gamma,
     phi + gamma + alpha]: past the dark arc, and short of re-entering it
     since alpha <= pi <= 2 pi - 2 gamma.  Lands at cos(K alpha) x +
-    sin(K alpha) u.  Raises DarkSidePoint unless x is bright and x'
-    dark, and DegenerateProposal when s^2 <= 1e-14 (coincident or
-    antipodal points) or A = 0.
+    sin(K alpha) u.  A > 0: A = 0 needs x_lat = u_lat = 0, which puts x'
+    at latitude 0 too, and no bright x has a dark x' there.  Raises
+    DarkSidePoint unless x is bright and x' dark, and DegenerateProposal
+    when s^2 <= 1e-14 (coincident or antipodal points).
     """
     lat_threshold = ell_o - 1.0
     x_lat, x_prime_lat = float(x[-1]), float(x_prime[-1])
@@ -177,8 +180,6 @@ def stepping_out(x, x_prime, ell_o) -> np.ndarray:
     u /= math.sqrt(s2)
     alpha = math.acos(min(1.0, max(-1.0, c)))
     amp = math.hypot(x_lat, float(u[-1]))
-    if amp <= 0.0:
-        raise DegenerateProposal("proposal circle has zero latitude amplitude")
     phi = math.acos(min(1.0, max(-1.0, x_lat / amp)))
     gamma = math.acos(min(1.0, max(-1.0, lat_threshold / amp)))
     K = int((phi + gamma) / alpha) + 1
@@ -208,10 +209,10 @@ def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,
     ``z`` holds the tangent step's normals, shaped like ``x``.  A dark
     proposal steps out along its great circle, one chain at a time
     through ``stepping_out``; then one ``cap_forward`` and one density
-    call serve all the chains.  A degenerate proposal (coincident,
-    antipodal or of zero latitude amplitude), an exact tie with the dark
-    cap and a non-finite density are rejected; the first two have
-    probability zero.  Returns (x, y, logpost, accepted).
+    call serve all the chains.  A degenerate proposal (coincident or
+    antipodal), an exact tie with the dark cap and a non-finite density
+    are rejected; the first two have probability zero.  Returns
+    (x, y, logpost, accepted).
     """
     ell_o = params.ell_o
     lat_threshold = ell_o - 1.0
@@ -342,7 +343,8 @@ def run_chain(kernel: KernelConfig, params: Optional[ProjectionParams],
     step size follows the Robbins-Monro recursion and is frozen
     afterwards.  Samples are recorded in target space.  Deterministic
     given ``seed``; the reported acceptance rate covers the post
-    burn-in iterations (all iterations when ``burnin = 0``).
+    burn-in iterations (all iterations when ``burnin = 0``).  A start
+    with a NaN or infinite coordinate raises ``NonfiniteInput``.
 
     A sphere-kernel start whose inverse projection rounds onto the
     observer latitude raises ``DarkSidePoint`` from ``cap_forward``
@@ -411,6 +413,8 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
     init = np.array(init, dtype=float, ndmin=1)
     if not ensemble and init.shape != (target.dim,):
         raise ValueError(f"init must have shape ({target.dim},)")
+    if not np.all(np.isfinite(init)):
+        raise NonfiniteInput("init must be finite")
     h = np.full(len(seed), kernel.h) if ensemble else kernel.h
     adapt_until = kernel.adapt_burnin if kernel.adapt_burnin is not None else burnin
     adapt_until = min(adapt_until, burnin)
@@ -511,7 +515,8 @@ def run_chains(kernel: KernelConfig, params, target, init, iterations,
     chains of an ensemble each report its wall time, and an aborted
     ensemble raises ``ChainAborted`` carrying the list of partial
     outputs.  A start that rounds onto the observer latitude raises
-    ``DarkSidePoint`` before the first step, as in ``run_chain``.
+    ``DarkSidePoint`` before the first step, and a non-finite start
+    ``NonfiniteInput``, as in ``run_chain``.
     """
     seeds = [derive_chain_seed(seed, i) for i in range(n_chains)]
     inits = np.array(init, dtype=float, ndmin=1)

@@ -69,31 +69,6 @@ class TargetModel:
         return self.exact_sample is not None
 
 
-def sub_cauchy_probe(target: TargetModel, seed=0, n_rays=1000, r_max=1e6,
-                     n_radii=31) -> bool:
-    """True when log pi(y) + (d+1)/2 * log(1+|y|^2) stops growing in the tail.
-
-    Evaluates the bound statistic on ``n_rays`` random directions at
-    geometrically spaced radii and compares its maximum over the last
-    decade of radii against the previous decade.
-    """
-    rng = np.random.default_rng(seed)
-    d = target.dim
-    u = rng.standard_normal((n_rays, d))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    radii = np.geomspace(1.0, r_max, n_radii)
-    stat_max = np.empty(n_radii)
-    for k, r in enumerate(radii):
-        y = r * u
-        g = target.log_density(y) + (d + 1) / 2.0 * math.log1p(r * r)
-        stat_max[k] = np.max(g)
-    last = radii > r_max / 10.0
-    prev = (radii > r_max / 100.0) & ~last
-    m_last = float(np.max(stat_max[last]))
-    m_prev = float(np.max(stat_max[prev]))
-    return m_last <= m_prev + 1e-6 * (1.0 + abs(m_prev))
-
-
 # --- student t --------------------------------------------------------------
 
 

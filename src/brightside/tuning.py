@@ -13,8 +13,8 @@ held fixed while the forward map and Jacobian move with the
 parameters, so every term is differentiated in closed form, from one
 ``log_density_and_grad`` call per step that gives the objective and the
 target gradient on the batch together; targets without gradients fall
-back to central finite differences.  ``kl_gradient`` and every step of
-``tune`` make that choice in one place.  The scale is optimized as
+back to central finite differences.  ``_objective_and_gradient`` makes
+that choice for every step of ``tune``.  The scale is optimized as
 log R to stay positive, and the longitude is radially projected back
 into the observer ball after every update; the report counts those
 projections and gives the final observer's margin to the ball's edge.
@@ -189,21 +189,11 @@ def _fd_gradient(theta_bar, ell_o, target, cap_samples, rel_step=1e-5):
 
 def _objective_and_gradient(theta_bar, ell_o, target, cap_samples):
     """(objective, (g_ho, g_mu, g_R)) by the closed-form chain rule when
-    the target has a gradient, else by central finite differences."""
+    the target has a gradient, else by central finite differences; raises
+    ``NonfiniteGradient`` where the target's gradient is not finite."""
     if target.has_gradient:
         return _analytic_gradient(theta_bar, ell_o, target, cap_samples)
     return _fd_gradient(theta_bar, ell_o, target, cap_samples)
-
-
-def kl_gradient(theta_bar, ell_o, target: TargetModel, cap_samples):
-    """Gradient of the Monte Carlo objective over (h_o, mu, R).
-
-    Uses the closed-form chain rule when the target has a gradient,
-    else central finite differences on the same batch.  Raises
-    ``NonfiniteGradient`` where the target's gradient is not finite on
-    the batch.
-    """
-    return _objective_and_gradient(theta_bar, ell_o, target, cap_samples)[1]
 
 
 def _objective_flat(trace) -> bool:

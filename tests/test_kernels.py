@@ -5,7 +5,12 @@ import pytest
 
 from brightside import kernels
 from brightside.diagnostics import ess, ks_statistic
-from brightside.errors import ChainAborted, DarkSidePoint, DegenerateProposal
+from brightside.errors import (
+    ChainAborted,
+    DarkSidePoint,
+    DegenerateProposal,
+    NonfiniteInput,
+)
 from brightside.geometry import (
     cap_forward,
     cap_ratio_exact,
@@ -17,6 +22,7 @@ from brightside.geometry import (
 )
 from brightside.kernels import (
     HMC_TARGET_ACCEPT,
+    KERNEL_KINDS,
     KernelConfig,
     adapt_step_size,
     derive_chain_seed,
@@ -197,16 +203,10 @@ class TestSteppingOut:
         # a x + b x' rounds differently on some pairs
         assert two_coefficient_differs > 0
 
-    def test_degenerate_raises(self, monkeypatch):
+    def test_degenerate_raises(self):
         x = np.array([0.0, -1.0])
         with pytest.raises(DegenerateProposal):
             stepping_out(x, -x, 1.5)
-        # a zero amplitude needs x_lat = u_lat = 0, which puts x' at
-        # latitude 0 as well, and no bright x has a dark x' there: the
-        # guard is reached through a hypot that returns 0
-        monkeypatch.setattr(math, "hypot", lambda a, b: 0.0)
-        with pytest.raises(DegenerateProposal, match="zero latitude amplitude"):
-            stepping_out(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1.5)
 
     def test_precondition_checks(self):
         x_dark = np.array([0.0, 0.9])
@@ -288,12 +288,15 @@ class TestScsStep:
                 assert abs(got - closed) <= 1e-10 * max(1.0, abs(closed))
             x = x_prime
 
-    def test_invariance_ensemble_ks(self):
+    @pytest.mark.parametrize("ell_o", [1.0, 1.1])
+    def test_invariance_ensemble_ks(self, ell_o):
         # start 1000 chains from exact target draws, run 1000 steps each,
-        # pool the final states: marginals must still look like the target
+        # pool the final states: marginals must still look like the target;
+        # at ell_o = 1 the dark side is a hemisphere, and stepping out fires
+        # on 21% of these steps, against 19% at ell_o = 1.1
         rng = np.random.default_rng(8)
         d = 2
-        p = make_params(d, ell_o=1.1)
+        p = make_params(d, ell_o=ell_o)
         target = mv_student_t(d, nu=1.0)
         cfg = KernelConfig("scs", h=0.7)
         n_chains, n_steps = 1000, 1000
@@ -338,9 +341,10 @@ class TestScsStep:
 class TestSphereEnsemble:
     @pytest.mark.parametrize("kind", ["scs", "sps"])
     def test_ensemble_matches_single_chains(self, kind, monkeypatch):
-        # run_chains steps the four chains as one batch; chain i must
-        # follow run_chain with the derived seed, step sizes included,
-        # and at ell_o = 1.1 stepping-out must fire in the batch
+        # run_chains steps the chains as one batch; chain i must follow
+        # run_chain with the derived seed, step sizes included, and at
+        # ell_o = 1.1 stepping-out must fire in the batch
+        n = SPHERE_ENSEMBLE_MIN_CHAINS
         d = 3
         if kind == "scs":
             p = make_params(d, h_o=np.array([0.3, -0.2, 0.0]), ell_o=1.1, mu=0.3,
@@ -358,9 +362,9 @@ class TestSphereEnsemble:
 
         monkeypatch.setattr("brightside.kernels.stepping_out", counting)
         outs = run_chains(cfg, p, target, np.ones(d), 400, burnin=200, seed=22,
-                          n_chains=4)
+                          n_chains=n)
         assert (stepped > 50) == (kind == "scs")
-        assert len({o.step_size_trace[-1] for o in outs}) == 4
+        assert len({o.step_size_trace[-1] for o in outs}) == n
         for i, ens in enumerate(outs):
             one = run_chain(cfg, p, target, np.ones(d), 400, burnin=200,
                             seed=derive_chain_seed(22, i))
@@ -397,8 +401,9 @@ class TestSphereEnsemble:
         p = make_params(2, ell_o=1.1)
         target = mv_student_t(2, nu=1.0)
         cfg = KernelConfig("scs", h=0.5)
-        inits = np.array([[0.0, 0.0], [3.0, -1.0], [-2.0, 5.0], [1.0, 1.0]])
-        for n_chains in (3, 4):  # one after another, then one ensemble
+        n = SPHERE_ENSEMBLE_MIN_CHAINS
+        inits = np.random.default_rng(23).standard_normal((n, 2)) * 3.0
+        for n_chains in (n - 1, n):  # one after another, then one ensemble
             outs = run_chains(cfg, p, target, inits[:n_chains], 50, seed=23,
                               n_chains=n_chains)
             for i, ens in enumerate(outs):
@@ -475,11 +480,12 @@ class TestSphereEnsemble:
                     raise FloatingPointError("density blew up")
                 return -0.5 * np.sum(np.asarray(y) ** 2, axis=-1)
 
+        n = SPHERE_ENSEMBLE_MIN_CHAINS
         with pytest.raises(ChainAborted) as info:
             run_chains(KernelConfig("scs", h=0.5), make_params(4, ell_o=1.1), Fails(),
-                       np.ones(4), 20, seed=27, n_chains=4)
+                       np.ones(4), 20, seed=27, n_chains=n)
         partial = info.value.partial
-        assert [o.seed for o in partial] == [derive_chain_seed(27, i) for i in range(4)]
+        assert [o.seed for o in partial] == [derive_chain_seed(27, i) for i in range(n)]
         for o in partial:
             assert not o.valid and o.samples.shape == (5, 4)
 
@@ -865,6 +871,26 @@ class TestRunChain:
                 run(1e12 * direction)
             run(1e8 * direction)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_nonfinite_init_raises_typed(self, kind, bad):
+        # rwm and hmc once ran such a start to the end and returned
+        # valid chains of NaN samples
+        d = 3
+        p = make_params(d, ell_o=2.0 if kind == "sps" else 1.1)
+        cfg = KernelConfig(kind, h=0.3)
+        target = mv_student_t(d, nu=1.0)
+        init = np.ones(d)
+        init[1] = bad
+        with pytest.raises(NonfiniteInput):
+            run_chain(cfg, p, target, init, 10, seed=0)
+        for n_chains in (2, SPHERE_ENSEMBLE_MIN_CHAINS):
+            inits = np.ones((n_chains, d))
+            inits[-1, 0] = bad
+            for start in (init, inits):
+                with pytest.raises(NonfiniteInput):
+                    run_chains(cfg, p, target, start, 10, seed=0, n_chains=n_chains)
+
     def test_sps_requires_boundary_params(self):
         target = mv_student_t(2, nu=2.0)
         p = make_params(2, ell_o=1.1)
@@ -914,7 +940,8 @@ class TestDraws:
                 for kind, prm, h in (("scs", p, 1.0), ("rwm", None, 1.0),
                                      ("hmc", None, 0.3))]
         return outs + run_chains(KernelConfig("scs", h=1.0), p, target, np.ones(d),
-                                 150, burnin=50, seed=5, n_chains=4)
+                                 150, burnin=50, seed=5,
+                                 n_chains=SPHERE_ENSEMBLE_MIN_CHAINS)
 
     def test_block_size_never_changes_output(self, monkeypatch):
         results = []

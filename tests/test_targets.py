@@ -24,7 +24,6 @@ from brightside.targets import (
     student_t_cdf,
     student_t_log_cdf,
     student_t_log_pdf,
-    sub_cauchy_probe,
     uniform_cap_pullback,
 )
 from brightside.tuning import TuneOptions, tune
@@ -628,34 +627,6 @@ class TestExactSamplersInPlace:
             assert _bits(got) == _bits(want[0] if size is None else want)
             assert got.shape == ((3,) if size is None else (size, 3))
             assert draws.random() == rng.random()
-
-
-class TestSubCauchyProbe:
-    def test_cauchy_passes(self):
-        assert sub_cauchy_probe(mv_student_t(3, nu=1.0))
-
-    def test_student_t_heavier_and_lighter(self):
-        assert sub_cauchy_probe(mv_student_t(2, nu=2.0))
-        assert sub_cauchy_probe(mv_student_t(2, nu=30.0))
-        assert not sub_cauchy_probe(mv_student_t(2, nu=0.5))
-
-    def test_skew_cauchy_passes(self):
-        st = skew_t(xi=np.zeros(3), alpha_skew=np.array([5.0, -5.0, 0.0]), nu=1.0)
-        assert sub_cauchy_probe(st)
-
-    def test_regression_posterior_probe_runs(self):
-        # the flag depends on whether the standardized data admits a
-        # bounded-likelihood cone with a sparse direction, so only its
-        # type and determinism are asserted here
-        data = generate_separable_data(30, 5, np.random.default_rng(16))
-        post = binary_regression_posterior(data)
-        flag = sub_cauchy_probe(post)
-        assert isinstance(flag, (bool, np.bool_))
-        assert flag == sub_cauchy_probe(post, seed=0)
-
-    def test_probe_deterministic(self):
-        t = mv_student_t(2, nu=1.0)
-        assert sub_cauchy_probe(t, seed=5) == sub_cauchy_probe(t, seed=5)
 
 
 class TestUniformCapPullback:
