@@ -39,11 +39,16 @@ product per point and at least 1 - |o| > 0.  A centered projection
 The regularized incomplete beta I_x(a, b) behind ``cap_ratio_exact``
 and the Student t CDFs of ``targets`` sums a fixed 12-term power series
 near x = 0, up to an edge per (a, b) where the dropped terms are proven
-below half an ulp, and a continued fraction above it.  The fraction's
-coefficients, the series coefficients, the edge and log B(a, b) are
-computed once per pair and cached.  Each point has one evaluation, in
-plain floats; a large batch vectorizes only its series side, with the
-same operations, and sends every other point through that evaluation.
+below half an ulp, and a continued fraction above it.  All the per-pair
+work is done once per pair and cached as a ``_BetaPair``: for both
+orderings (a, b) and (b, a), the fraction's coefficients, the series
+coefficients, the edge and log B, and the swap threshold and log a.  A
+caller looks the pair up once (``_beta_pair``) and hands it to the one
+evaluation of a point, ``_incomplete_beta_scalar``, in plain floats; so
+do small batches, here and in the t log-CDF of ``targets``, which loop
+that evaluation.  A large batch vectorizes only its series side, with
+the same operations, and sends every other point through that
+evaluation.
 
 All functions broadcast over leading axes and are pure; sampling takes
 an explicit ``numpy.random.Generator``.
@@ -382,12 +387,14 @@ _BETA_MAXIT = 500
 # Up to this many points the per-point loop beats vectorizing the series
 # side.  On the t log-CDF of skew-t batches drawn from the target (d = 10
 # and 100, so m = 11 and 101, skewness 100 and -100 on two coordinates;
-# numpy 2.4, median over 20 batches of the best of 3 x 20 calls, middle
-# of three runs on a 2-core x86-64 VM), loop against vectorized, in us:
+# numpy 2.4, median over 20 batches of the best of 5 x 20 calls, loop and
+# vectorized interleaved, middle of three runs on a 2-core x86-64 VM),
+# loop with the pair looked up once per call against vectorized, in us:
 #   points       8         16         24         32         40        128
-#   d = 10   22 vs 43  39 vs 51  55 vs 54  78 vs 63  99 vs 72  282 vs 109
-#   d = 100  27 vs 55  47 vs 64  63 vs 68  82 vs 82 113 vs 104 335 vs 205
-# The two break even near 24 points at d = 10 and 32 at d = 100.
+#   d = 10   20 vs 67  37 vs 63  50 vs 61  69 vs 71  88 vs 83  268 vs 126
+#   d = 100  23 vs 64  49 vs 89  62 vs 86 108 vs 126 148 vs 139 315 vs 215
+# The two break even between 32 and 40 points at both d, so the limit
+# stays at 32, where the loop still wins.
 _BETA_SMALL_BATCH = 32
 # Terms of the power series summed at or below a pair's series edge.
 _BETA_SERIES_TERMS = 12
@@ -415,7 +422,37 @@ class _BetaTerms(NamedTuple):
     edge: float
 
 
+class _BetaPair(NamedTuple):
+    """What I_x(a, b) needs of one shape pair at any x, looked up once.
+
+    ``threshold`` is (a+1) / (a+b+2), above which x is reflected to
+    1 - x and (b, a); ``terms`` and ``reflected`` are the ``_BetaTerms``
+    of (a, b) and of (b, a).
+    """
+
+    threshold: float
+    log_a: float
+    terms: _BetaTerms
+    reflected: _BetaTerms
+
+
+def _beta_pair(a, b):
+    """The ``_BetaPair`` of the floats (a, b), with fraction tables up to
+    ``_BETA_MAXIT``: one cache lookup, made once per call by a caller that
+    evaluates many points.  Raises DomainError unless a and b are finite
+    and positive."""
+    # keyed on _BETA_MAXIT too, so the cached tables always reach it
+    return _cached_beta_pair(a, b, _BETA_MAXIT)
+
+
 @lru_cache(maxsize=16)
+def _cached_beta_pair(a, b, maxit):
+    if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
+        raise DomainError(f"shape parameters must be positive, got a={a}, b={b}")
+    return _BetaPair((a + 1.0) / (a + b + 2.0), math.log(a),
+                     _beta_terms(a, b, maxit), _beta_terms(b, a, maxit))
+
+
 def _beta_terms(a, b, maxit):
     """The ``_BetaTerms`` of (a, b), with fraction tables up to step ``maxit``.
 
@@ -542,33 +579,42 @@ def _betacf_scalar(x, t):
     raise DomainError("incomplete beta continued fraction failed to converge")
 
 
-def _incomplete_beta_scalar(x, a, b, log):
+def _incomplete_beta_scalar(x, pair, log):
     """I_x(a, b), or its log where ``log`` is true, at one float x.
 
-    The one evaluation of a point: every point of every batch that is
-    not on the vectorized series side comes here.  log, log1p and exp
-    are numpy's rather than ``math``'s: on SIMD builds the two differ in
-    the last bit on up to a few arguments in a hundred, and numpy's give
-    the series side of a batch the bits a point gets here.
+    ``pair`` is the ``_beta_pair`` of (a, b), which a caller looks up once
+    for all its points.  The one evaluation of a point: every point of
+    every batch that is not on the vectorized series side comes here.
+    log, log1p and exp are numpy's rather than ``math``'s: on SIMD builds
+    the two differ in the last bit on up to a few arguments in a hundred,
+    and numpy's give the series side of a batch the bits a point gets
+    here.
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError("x must lie in [0, 1]")
-    swap = x > (a + 1.0) / (a + b + 2.0)
-    xs, ar, br = (1.0 - x, b, a) if swap else (x, a, b)
+    swap = x > pair.threshold
+    if swap:
+        xs, t = 1.0 - x, pair.reflected
+    else:
+        xs, t = x, pair.terms
     if not 0.0 < xs < 1.0:
         # x is 0 or 1, where I is exact
         if log:
             return 0.0 if x == 1.0 else -math.inf
         return x
-    t = _beta_terms(ar, br, _BETA_MAXIT)
-    lfront = ar * float(np.log(xs)) + br * float(np.log1p(-xs)) - t.lbeta
+    lfront = t.a * float(np.log(xs)) + t.b * float(np.log1p(-xs)) - t.lbeta
     if xs <= t.edge:
         cf = _beta_series(xs, t.coefs)
     else:
         cf = _betacf_scalar(xs, t)
     if log and not swap:
-        return lfront + float(np.log(cf)) - math.log(a)
-    value = min(max(float(np.exp(lfront)) * cf / ar, 0.0), 1.0)
+        return lfront + float(np.log(cf)) - pair.log_a
+    value = float(np.exp(lfront)) * cf / t.a
+    # clamp to [0, 1]; comparisons cost less than min and max
+    if value < 0.0:
+        value = 0.0
+    elif value > 1.0:
+        value = 1.0
     if log:
         return float(np.log1p(-value))
     return 1.0 - value if swap else value
@@ -592,43 +638,41 @@ def _incomplete_beta(x, a, b, log):
     ``_BETA_SERIES_TERMS``-term power series, whose dropped tail is
     proven below half an ulp; above it, the continued fraction.
     Everything that depends only on (a, b) is computed once per pair
-    (``_beta_terms``).
+    and cached (``_beta_pair``); a call looks it up once for all its
+    points.
 
     There is one per-point path, ``_incomplete_beta_scalar``, in plain
     floats.  A 0-d ``x`` returns its float, and batches of up to
-    ``_BETA_SMALL_BATCH`` points loop it.  A larger batch vectorizes
-    only the series side: the interior points at or below their swap
-    group's edge, one swap group at a time, each with its pair's scalar
-    coefficients in an in-place Horner loop and the other operations of
-    the per-point path in the same order.  Every other point (x = 0 or
-    1, and the fraction side) goes through the per-point path.  So a
-    point gets the same bits alone and in any batch.
+    ``_BETA_SMALL_BATCH`` points loop it with the one lookup.  A larger
+    batch vectorizes only the series side: the interior points at or
+    below their swap group's edge, one swap group at a time, each with
+    its pair's scalar coefficients in an in-place Horner loop and the
+    other operations of the per-point path in the same order.  Every
+    other point (x = 0 or 1, and the fraction side) goes through the
+    per-point path.  So a point gets the same bits alone and in any
+    batch.
     """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
-        raise DomainError(f"shape parameters must be positive, got a={a}, b={b}")
+    pair = _beta_pair(float(a), float(b))
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
-        return _incomplete_beta_scalar(float(x), a, b, bool(log))
+        return _incomplete_beta_scalar(float(x), pair, bool(log))
     if np.shape(log) != x.shape:
         log = np.broadcast_to(np.asarray(log, dtype=bool), x.shape)
     if x.size <= _BETA_SMALL_BATCH:
-        values = [_incomplete_beta_scalar(xv, a, b, lv)
+        values = [_incomplete_beta_scalar(xv, pair, lv)
                   for xv, lv in zip(x.ravel().tolist(), log.ravel().tolist())]
         return np.array(values, dtype=float).reshape(x.shape)
     if not np.all((x >= 0.0) & (x <= 1.0)):
         raise DomainError("x must lie in [0, 1]")
-    t_ab, t_ba = _beta_terms(a, b, _BETA_MAXIT), _beta_terms(b, a, _BETA_MAXIT)
-    swap = x > (a + 1.0) / (a + b + 2.0)
+    swap = x > pair.threshold
     xs = np.where(swap, 1.0 - x, x)
-    series = (xs > 0.0) & (xs <= np.where(swap, t_ba.edge, t_ab.edge))
+    series = (xs > 0.0) & (xs <= np.where(swap, pair.reflected.edge, pair.terms.edge))
     out = np.empty_like(x)
     rest = ~series
-    out[rest] = [_incomplete_beta_scalar(xv, a, b, lv)
+    out[rest] = [_incomplete_beta_scalar(xv, pair, lv)
                  for xv, lv in zip(x[rest].tolist(), log[rest].tolist())]
-    for reflected, t, group in ((False, t_ab, series & ~swap),
-                                (True, t_ba, series & swap)):
+    for reflected, t, group in ((False, pair.terms, series & ~swap),
+                                (True, pair.reflected, series & swap)):
         if not group.any():
             continue
         xi = xs[group]
@@ -648,7 +692,7 @@ def _incomplete_beta(x, a, b, log):
             res[li] = np.log1p(-value[li])
         else:
             res = value
-            res[li] = lfront[li] + np.log(cf[li]) - math.log(a)
+            res[li] = lfront[li] + np.log(cf[li]) - pair.log_a
         out[group] = res
     return out
 

@@ -346,12 +346,15 @@ def run_chain(kernel: KernelConfig, params: Optional[ProjectionParams],
     burn-in iterations (all iterations when ``burnin = 0``).  A start
     with a NaN or infinite coordinate raises ``NonfiniteInput``.
 
-    A sphere-kernel start whose inverse projection rounds onto the
-    observer latitude raises ``DarkSidePoint`` from ``cap_forward``
-    before the first step.  At the stereographic latitude (sps,
-    ``ell_o = 2``) that latitude is the north pole: at d = 10 with
-    R = sqrt(d)/2, a start at |y| = 1e12 rounds onto it, while 1e8
-    still runs.
+    A sphere-kernel start far from ``mu`` can lift onto the observer
+    latitude or an ulp above it, at every ``ell_o``, where 1 - M rounds
+    to 1 (see ``scp_inverse``).  Such a start raises ``DarkSidePoint``
+    from ``cap_forward`` before the first step.  At d = 10 and
+    ``ell_o = 1.1``, centered with R = 1, a start with every coordinate
+    1e20 lifts exactly onto the latitude and one at 1e30 an ulp above
+    it.  At the stereographic latitude (sps, ``ell_o = 2``) the latitude
+    is the north pole: at d = 10 with R = sqrt(d)/2, a start at
+    |y| = 1e12 rounds onto it, while 1e8 still runs.
     """
     return _drive(kernel, params, target, init, iterations, burnin,
                   thinning, seed)
@@ -514,9 +517,10 @@ def run_chains(kernel: KernelConfig, params, target, init, iterations,
     benchmark passes it, and ignored.  Results come in chain order; the
     chains of an ensemble each report its wall time, and an aborted
     ensemble raises ``ChainAborted`` carrying the list of partial
-    outputs.  A start that rounds onto the observer latitude raises
-    ``DarkSidePoint`` before the first step, and a non-finite start
-    ``NonfiniteInput``, as in ``run_chain``.
+    outputs.  A far sphere-kernel start whose lift rounds onto the
+    observer latitude or above it, which can happen at every ``ell_o``,
+    raises ``DarkSidePoint`` before the first step, and a non-finite
+    start ``NonfiniteInput``, as in ``run_chain``.
     """
     seeds = [derive_chain_seed(seed, i) for i in range(n_chains)]
     inits = np.array(init, dtype=float, ndmin=1)

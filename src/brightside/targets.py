@@ -25,6 +25,16 @@ would cost more than the dot.
 The skew t is the multivariate t at ``loc = xi`` and unit scale times
 a skewing factor of at most 2, so for nu >= 1 it is sub-Cauchy;
 ``SkewT`` subclasses ``MultivariateStudentT`` and adds only that factor.
+
+Outside its nu = 1 and nu = 2 closed forms the t log-CDF (the skew t's
+factor, the robit link) rests on the incomplete beta of ``geometry``.
+All its per-pair work is cached there, and a call looks up the pair
+(nu/2, 1/2) once.  A 0-d argument and batches of up to
+``geometry._BETA_SMALL_BATCH`` points run the 0-d path once per point,
+each with that lookup: the 10-chain ensembles and one robit chain pass
+such batches.  ``SkewT`` calls that path, and the t log-pdf, past the
+degrees-of-freedom check its construction made.  Larger batches, the
+tuner's among them, vectorize the series side of the incomplete beta.
 """
 
 from __future__ import annotations
@@ -37,7 +47,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, EmptyInput
-from .geometry import ProjectionParams, _incomplete_beta, log_jacobian
+from .geometry import (
+    _BETA_SMALL_BATCH,
+    ProjectionParams,
+    _beta_pair,
+    _incomplete_beta,
+    _incomplete_beta_scalar,
+    log_jacobian,
+)
 
 
 class TargetModel:
@@ -108,25 +125,40 @@ def student_t_log_cdf(t, nu):
 
     For t >= 0 it returns log1p(-F(-t)), so the upper tail keeps its
     precision as 1 - F vanishes.  Outside the nu = 1 and nu = 2 closed
-    forms, one incomplete-beta call serves both signs: it returns
+    forms, one incomplete-beta evaluation serves both signs: it returns
     log I_x for t < 0 and I_x for t >= 0, with x = nu / (nu + t^2) and
-    F(-|t|) = I_x / 2.  Each point takes either the fixed series or a
-    continued fraction run to its own convergence in plain floats (a
-    batch vectorizes only its series points, with the same operations),
-    so a point gets the same value alone as inside a batch.
+    F(-|t|) = I_x / 2.  The pair (nu/2, 1/2) is looked up once per call
+    (``geometry._beta_pair``).  A 0-d ``t`` and batches of up to
+    ``geometry._BETA_SMALL_BATCH`` points take the 0-d path once per
+    point, so each row is its point alone by construction; a larger
+    batch vectorizes the series points of the incomplete beta, with the
+    same operations, and sends the rest through the per-point
+    evaluation.  Each point takes either the fixed series or a continued
+    fraction run to its own convergence, so a point gets the same value
+    alone as inside a batch.
     """
     _check_dof(nu)
-    t_arr = np.asarray(t, dtype=float)
+    return _t_log_cdf(np.asarray(t, dtype=float), float(nu))
+
+
+def _t_log_cdf(t, nu):
+    """``student_t_log_cdf`` at a float array or numpy scalar ``t``, for a
+    ``nu`` already checked."""
     if nu != 1 and nu != 2:
-        if t_arr.ndim == 0:
-            t = float(t_arr)
-            v = _incomplete_beta(nu / (nu + t * t), nu / 2.0, 0.5, t < 0.0)
-            return math.log(0.5) + v if t < 0.0 else float(np.log1p(-0.5 * v))
-        neg = t_arr < 0.0
-        v = _incomplete_beta(nu / (nu + t_arr * t_arr), nu / 2.0, 0.5, neg)
+        if t.size <= _BETA_SMALL_BATCH:
+            # the 0-d path once per point, with the pair looked up once
+            pair = _beta_pair(nu / 2.0, 0.5)
+            log_half = math.log(0.5)
+            out = []
+            for tv in t.ravel().tolist():
+                v = _incomplete_beta_scalar(nu / (nu + tv * tv), pair, tv < 0.0)
+                out.append(log_half + v if tv < 0.0 else float(np.log1p(-0.5 * v)))
+            return out[0] if t.ndim == 0 else np.array(out, dtype=float).reshape(t.shape)
+        neg = t < 0.0
+        v = _incomplete_beta(nu / (nu + t * t), nu / 2.0, 0.5, neg)
         return np.where(neg, math.log(0.5) + v, np.log1p(-0.5 * v))
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
+    scalar = t.ndim == 0
+    t_arr = np.atleast_1d(t)
     a = np.abs(t_arr)
     # F(-|t|) in forms free of cancellation
     if nu == 1:
@@ -151,8 +183,12 @@ def student_t_log_cdf(t, nu):
 def student_t_log_pdf(t, nu):
     """Normalized log density of the univariate Student t."""
     _check_dof(nu)
-    t_arr = np.asarray(t, dtype=float)
-    return _t_log_pdf_const(nu) - (nu + 1.0) / 2.0 * np.log1p(t_arr * t_arr / nu)
+    return _t_log_pdf(np.asarray(t, dtype=float), nu)
+
+
+def _t_log_pdf(t, nu):
+    """``student_t_log_pdf`` for a ``nu`` already checked."""
+    return _t_log_pdf_const(nu) - (nu + 1.0) / 2.0 * np.log1p(t * t / nu)
 
 
 @lru_cache(maxsize=16)
@@ -259,26 +295,29 @@ class SkewT(MultivariateStudentT):
         nq = self.nu + q
         g = np.sqrt(self._m / nq)
         s = (z @ self.alpha_skew) * g
-        return z, q, nq, g, s, student_t_log_cdf(s, self._m)
+        return z, q, nq, g, s, _t_log_cdf(s, self._m)
 
     def log_density(self, y):
         z, q, _, _, _, log_cdf = self._skewing(y)
         return self._value(q) + log_cdf
 
-    def log_density_and_grad(self, y):
-        """The t log-CDF at the skewing argument serves both the value and
-        the pdf/CDF ratio r of the gradient, so the incomplete beta runs
-        once.  The gradient is the t kernel's plus r times that of s,
-        g a - s / (nu + q) z."""
+    def _skewed_grad(self, y):
+        """q, log T_m(s) and the gradient.  The t log-CDF at the skewing
+        argument serves both the value and the pdf/CDF ratio r of the
+        gradient, so the incomplete beta runs once.  The gradient is the
+        t kernel's plus r times that of s, g a - s / (nu + q) z."""
         z, q, nq, g, s, log_cdf = self._skewing(y)
-        ratio = np.exp(student_t_log_pdf(s, self._m) - log_cdf)
+        ratio = np.exp(_t_log_pdf(s, self._m) - log_cdf)
         grad_s = g[..., None] * self.alpha_skew - (s / nq)[..., None] * z
-        return (self._value(q) + log_cdf,
-                self._grad(z, q) + ratio[..., None] * grad_s)
+        return q, log_cdf, self._grad(z, q) + ratio[..., None] * grad_s
+
+    def log_density_and_grad(self, y):
+        q, log_cdf, grad = self._skewed_grad(y)
+        return self._value(q) + log_cdf, grad
 
     def grad_log_density(self, y):
         # not self.log_density_and_grad: a subclass may build that from this
-        return SkewT.log_density_and_grad(self, y)[1]
+        return self._skewed_grad(y)[2]
 
     def exact_sample(self, rng, size=None):
         """Draw via the chi-square / selection representation.

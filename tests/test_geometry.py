@@ -787,7 +787,8 @@ class TestSeriesRegion:
             log = rng.random(xs.size) < 0.5
             swap = xs > (a + 1.0) / (a + b + 2.0)
             assert swap.sum() == n and (log & swap).any() and (log & ~swap).any()
-            single = [geometry._incomplete_beta_scalar(float(x), a, b, bool(lv))
+            pair = geometry._beta_pair(a, b)
+            single = [geometry._incomplete_beta_scalar(float(x), pair, bool(lv))
                       for x, lv in zip(xs, log)]
             assert np.array_equal(geometry._incomplete_beta(xs, a, b, log), single)
         # the t log-CDF at m = 11: |t| large and small, both signs

@@ -871,6 +871,36 @@ class TestRunChain:
                 run(1e12 * direction)
             run(1e8 * direction)
 
+    def test_far_start_tying_with_observer_latitude_raises(self):
+        # far out 1 - M rounds to 1, and the lift lands on the observer
+        # latitude or an ulp above it at every ell_o, not only at the pole
+        d = 10
+        p = make_params(d, ell_o=1.1)
+        calls = []
+
+        class Watched:
+            dim = d
+            has_gradient = False
+
+            def log_density(self, y):
+                calls.append(y)
+                return mv_student_t(d, nu=1.0).log_density(y)
+
+        cfg = KernelConfig("scs", h=0.5)
+        tie, above = np.full(d, 1e20), np.full(d, 1e30)
+        assert scp_inverse(tie, p)[-1] == p.ell_o - 1.0
+        assert scp_inverse(above, p)[-1] > p.ell_o - 1.0
+        for start in (tie, above):
+            with pytest.raises(DarkSidePoint):
+                run_chain(cfg, p, Watched(), start, 5, seed=1)
+            for n_chains in (2, SPHERE_ENSEMBLE_MIN_CHAINS):
+                with pytest.raises(DarkSidePoint):
+                    run_chains(cfg, p, Watched(), start, 5, seed=1, n_chains=n_chains)
+        # raised before the start's density, so before the first step
+        assert calls == []
+        run_chain(cfg, p, Watched(), np.full(d, 1e8), 5, seed=1)
+        assert calls
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("kind", KERNEL_KINDS)
     def test_nonfinite_init_raises_typed(self, kind, bad):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from brightside import targets
+from brightside import geometry, targets
 from brightside.errors import DomainError
 from brightside.geometry import make_params
 from brightside.kernels import KernelConfig, hmc_step, run_chains
@@ -590,6 +590,126 @@ class TestLogDensityAndGrad:
             expected = Counter(grad_log_density=steps - 1,
                                log_density_and_grad=1)
             assert target.calls == +expected
+
+
+class TestSmallBatchLogCdf:
+    """Batches of up to ``_BETA_SMALL_BATCH`` t log-CDF arguments run the
+    0-d path once per point, so every row has the bits of its point alone;
+    one point more takes the vectorized series side."""
+
+    SIZES = range(1, geometry._BETA_SMALL_BATCH + 2)
+    # the skew t at d = 10 and 100, nu = 1 and 2, with the paper's skewness
+    SKEW = [pytest.param(d, nu, id=f"d{d}-nu{nu:g}") for d in (10, 100)
+            for nu in (1.0, 2.0)]
+
+    @staticmethod
+    def cycled(rows, n):
+        # n rows, starting at a different row for each n
+        return rows[(np.arange(n) + n) % len(rows)]
+
+    @staticmethod
+    def skew_rows(target):
+        """Rows whose skewing arguments cover a'z = 0, both deep tails,
+        both swap groups and both sides of each group's series edge."""
+        d = target.dim
+        rng = np.random.default_rng(60)
+        # the coordinates along alpha are dyadic and the rest meet its
+        # zeros, so a'z is exact: a batch takes it by a matrix-vector
+        # product, whose rows can differ from one point's dot in the last
+        # bit on general rows at d = 10
+        coefs = 2.0 ** np.array([-14, -12, -10, -8, -6, -5, -4, -3, -1, 0, 4, 20])
+        rows = []
+        for c in np.concatenate([[0.0], coefs, -coefs]):
+            z = rng.standard_normal(d)
+            z[0], z[1] = c, -c
+            rows.append(z)
+        z = rng.standard_normal(d)
+        z[0] = z[1] = 0.75  # a'z = 0 away from z = 0
+        rows += [z, np.zeros(d)]
+        return target.loc + np.array(rows)
+
+    @staticmethod
+    def assert_covers(args, m):
+        # every branch of the per-point evaluation appears among args
+        pair = geometry._beta_pair(m / 2.0, 0.5)
+        x = m / (m + args * args)
+        swap = x > pair.threshold
+        xs = np.where(swap, 1.0 - x, x)
+        series = xs <= np.where(swap, pair.reflected.edge, pair.terms.edge)
+        for group in (swap & series, swap & ~series, ~swap & series, ~swap & ~series):
+            assert group.any()
+        assert (args == 0.0).any()
+        lo = np.min(args)
+        assert student_t_log_cdf(lo, m) < -40.0
+        assert student_t_log_cdf(-lo, m) > -1e-17
+
+    def assert_rows_match(self, args, m):
+        for n in self.SIZES:
+            batch = self.cycled(args, n)
+            alone = [student_t_log_cdf(float(t), m) for t in batch]
+            assert _bits(student_t_log_cdf(batch, m)) == _bits(alone)
+            assert _bits(student_t_log_cdf(batch.reshape(n, 1), m)) == _bits(alone)
+
+    @pytest.mark.parametrize("d, nu", SKEW)
+    def test_skew_t_rows_match_points_alone(self, d, nu):
+        target = skew_t(xi=np.linspace(-1.0, 1.0, d),
+                        alpha_skew=_paper_skew_t(d).alpha_skew, nu=nu)
+        rows = self.skew_rows(target)
+        self.assert_covers(target._skewing(rows)[4], target._m)
+        for n in self.SIZES:
+            ys = self.cycled(rows, n)
+            value, grad = target.log_density_and_grad(ys)
+            values, grads = target.log_density(ys), target.grad_log_density(ys)
+            for i, y in enumerate(ys):
+                v, g = target.log_density_and_grad(y)
+                assert _bits(value[i]) == _bits(values[i]) == _bits(v)
+                assert _bits(grad[i]) == _bits(grads[i]) == _bits(g)
+
+    @pytest.mark.parametrize("d, nu", SKEW)
+    def test_skew_t_arguments_match_points_alone(self, d, nu):
+        # the arguments of general skew-t rows and of the rows above
+        target = skew_t(xi=np.zeros(d), alpha_skew=_paper_skew_t(d).alpha_skew,
+                        nu=nu)
+        ys = 3.0 * np.random.default_rng(61).standard_cauchy((40, d))
+        args = np.concatenate([target._skewing(ys)[4],
+                               target._skewing(self.skew_rows(target))[4]])
+        self.assert_covers(args, target._m)
+        self.assert_rows_match(args, target._m)
+
+    def test_robit_arguments_match_points_alone(self):
+        rng = np.random.default_rng(62)
+        target = binary_regression_posterior(
+            generate_separable_data(30, 5, rng, link="robit", link_nu=3.0))
+        betas = np.concatenate([2.0 * rng.standard_cauchy((4, 5)),
+                                [np.zeros(5), np.full(5, 1e8), np.full(5, 0.3)]])
+        args = target._log_lik_terms(betas @ target.data.X.T)[1].ravel()
+        self.assert_covers(args, 3.0)
+        self.assert_rows_match(args, 3.0)
+        beta = np.ones(5)
+        beta[2] = math.nan
+        for f in (target.log_density, target.grad_log_density):
+            with pytest.raises(DomainError):
+                f(beta)
+
+    @pytest.mark.parametrize("d, nu", SKEW)
+    def test_nan_raises_domain_error(self, d, nu):
+        target = skew_t(xi=np.zeros(d), alpha_skew=_paper_skew_t(d).alpha_skew,
+                        nu=nu)
+        with pytest.raises(DomainError):
+            student_t_log_cdf(math.nan, target._m)
+        for n in self.SIZES:
+            ts = np.linspace(-5.0, 5.0, n)
+            ts[n // 2] = math.nan
+            with pytest.raises(DomainError):
+                student_t_log_cdf(ts, target._m)
+            ys = np.ones((n, d))
+            ys[-1, 3] = math.nan
+            for f in (target.log_density, target.grad_log_density,
+                      target.log_density_and_grad):
+                with pytest.raises(DomainError):
+                    f(ys)
+                with pytest.raises(DomainError):
+                    f(ys[-1])
 
 
 class TestExactSamplersInPlace:
