@@ -6,7 +6,8 @@ Then every module is imported, a 100-point Student t log-CDF evaluated,
 a 50-step scs chain run alone and as an ensemble of
 ``SPHERE_ENSEMBLE_MIN_CHAINS`` chains, the fewest that ``run_chains``
 steps together, so the batched sphere transition steps its dark rows
-out one by one, HMC run as one chain and as a 3-chain ensemble, so both
+out one by one, both with the default independence move (its
+acceptance must lie in [0, 1]) and one chain without it (NaN), HMC run as one chain and as a 3-chain ensemble, so both
 leapfrog shapes run, a short tune and 1 000 exact draws of the d = 10
 skew t.  From the repository root, with the package installed (or
 ``PYTHONPATH=src``):
@@ -15,6 +16,7 @@ skew t.  From the repository root, with the package installed (or
 """
 
 import importlib
+import math
 import pkgutil
 import sys
 
@@ -44,12 +46,19 @@ assert np.all(np.diff(log_cdf) > 0.0) and log_cdf[-1] < 0.0
 chain = run_chain(KernelConfig("scs", h=0.5), make_params(3, ell_o=1.1),
                   mv_student_t(3, nu=1.0), np.zeros(3), 50, seed=0)
 assert chain.samples.shape == (50, 3) and np.all(np.isfinite(chain.samples))
+assert 0.0 <= chain.independence_acceptance <= 1.0
 chains = run_chains(KernelConfig("scs", h=0.5), make_params(3, ell_o=1.1),
                     mv_student_t(3, nu=1.0), np.zeros(3), 50, seed=0,
                     n_chains=SPHERE_ENSEMBLE_MIN_CHAINS)
 assert len(chains) == SPHERE_ENSEMBLE_MIN_CHAINS
 for chain in chains:
     assert chain.samples.shape == (50, 3) and np.all(np.isfinite(chain.samples))
+    assert 0.0 <= chain.independence_acceptance <= 1.0
+chain = run_chain(KernelConfig("scs", h=0.5, independence_every=0),
+                  make_params(3, ell_o=1.1), mv_student_t(3, nu=1.0), np.zeros(3), 50,
+                  seed=0)
+assert chain.samples.shape == (50, 3) and np.all(np.isfinite(chain.samples))
+assert math.isnan(chain.independence_acceptance)
 
 hmc = KernelConfig("hmc", h=0.2, leapfrog_steps=5)
 chain = run_chain(hmc, None, mv_student_t(3, nu=1.0), np.zeros(3), 50, seed=0)

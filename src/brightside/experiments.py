@@ -111,7 +111,7 @@ PRESETS = tuple(_PRESET_TABLE)
 # it keeps only the checked coordinates, 320 MB.  The desk row's
 # 1e6 x 10 draws fit in one block.
 _REFERENCE_BLOCK_BYTES = 128 * 2**20
-SUMMARY_SCHEMA_VERSION = 1
+SUMMARY_SCHEMA_VERSION = 2
 _BOOLS = (bool, np.bool_)
 # (fields, accepted values, stored type, what the error asks for)
 _TYPED_FIELDS = (
@@ -334,7 +334,10 @@ def reference_quantiles(cfg: ExperimentConfig, target, coords, spec,
     Analytic for the Cauchy preset, exact-sampler draws for skew-t, and
     a ``reference_size``-times-longer scs chain on the ``tuned``
     projection (with a second-seed agreement statistic) for the
-    regression posteriors.  The exact draws come in blocks of at most
+    regression posteriors.  Those chains run pure SCS
+    (``independence_every=0``), so no reference moves with the
+    independence move, which these posteriors all but never accept.
+    The exact draws come in blocks of at most
     ``_REFERENCE_BLOCK_BYTES``, of which only the ``coords`` columns are
     kept; a reference that fits in one block is the one-shot draw's.
     """
@@ -355,7 +358,7 @@ def reference_quantiles(cfg: ExperimentConfig, target, coords, spec,
         return refs, {"kind": "exact_sampler", "size": cfg.reference_size}
     # regression: long-chain reference with a second-seed agreement check
     iters = cfg.iterations * max(int(cfg.reference_size), 2)
-    kernel = kernel_settings(cfg, "scs")
+    kernel = replace(kernel_settings(cfg, "scs"), independence_every=0)
     chains = [
         run_chain(kernel, tuned, target, default_init(cfg), iters,
                   burnin=cfg.burnin, thinning=cfg.thinning,
@@ -423,7 +426,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         rel = np.stack([reports[j].relative_errors for j in coords])
         tail_idx = [0, len(spec.probs) - 1]
         ess_vals = [ess(c.samples[:, j]) for c in chains for j in coords]
-        summary["methods"][method] = {
+        entry = summary["methods"][method] = {
             "acceptance_mean": float(np.mean([c.acceptance_rate
                                               for c in chains])),
             "max_rel_err": float(np.max(rel)),
@@ -432,6 +435,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
             "wall_time_total": wall,
             "qq_csv": qq_path.name,
         }
+        if method == "scs":
+            entry["independence_acceptance_mean"] = _rate_or_none(
+                np.mean([c.independence_acceptance for c in chains]))
     summary["failed_methods"] = failures
     if tune_rep is not None:
         summary["tuner"] = _tune_report_dict(tune_rep, cfg)
@@ -444,7 +450,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
 def validate_summary(summary: dict):
     """Check an experiment summary against the schema; return it.
 
-    Schema version ``SUMMARY_SCHEMA_VERSION`` (1).  Required top-level
+    Schema version ``SUMMARY_SCHEMA_VERSION`` (2).  Required top-level
     keys: ``schema_version``, ``seed``, ``dimension``, ``iterations``,
     ``burnin``, ``thinning`` and ``replicates`` (int); ``preset`` (str);
     ``ell_o`` (float); ``paper_scale`` (bool); ``failed_methods`` (list
@@ -454,9 +460,13 @@ def validate_summary(summary: dict):
     ``methods`` (dict keyed by method name, each entry holding
     ``acceptance_mean``, ``max_rel_err``, ``tail_rel_err``,
     ``ess_median``, ``wall_time_total`` in seconds and ``qq_csv``, the
-    file name of its QQ table).  A tuned run adds ``tuner``, the
-    ``tune.json`` fields without ``seed`` and ``preset``.  Raises
-    ``ValueError`` on the first violation.
+    file name of its QQ table).  The ``scs`` entry also holds
+    ``independence_acceptance_mean``, the replicates' mean acceptance of
+    the independence move, a number in [0, 1] or null when no chain
+    took the move after burn-in; on a tuned run it can be read against
+    the final KL of the tuner's objective trace.  A tuned run adds
+    ``tuner``, the ``tune.json`` fields without ``seed`` and ``preset``.
+    Raises ``ValueError`` on the first violation.
     """
     required = {
         "schema_version": int, "preset": str, "seed": int, "dimension": int,
@@ -481,14 +491,31 @@ def validate_summary(summary: dict):
         missing = method_keys - set(entry)
         if missing:
             raise ValueError(f"method {name!r} summary missing {missing}")
+    if "scs" in summary["methods"]:
+        entry = summary["methods"]["scs"]
+        if "independence_acceptance_mean" not in entry:
+            raise ValueError("method 'scs' summary missing independence_acceptance_mean")
+        rate = entry["independence_acceptance_mean"]
+        if rate is not None and not (isinstance(rate, float) and 0.0 <= rate <= 1.0):
+            raise ValueError("independence_acceptance_mean must lie in [0, 1] or be null")
     return summary
+
+
+def _rate_or_none(rate):
+    """A rate for JSON: a float, or None where it is NaN (no such steps)."""
+    return None if math.isnan(rate) else float(rate)
 
 
 # --- single-chain sampling artifacts ----------------------------------------
 
 
 def run_sample(config: ExperimentConfig) -> dict:
-    """One chain of ``config.kernel``; writes samples.csv and report.json."""
+    """One chain of ``config.kernel``; writes samples.csv and report.json.
+
+    ``report.json`` records the acceptance rate over all post burn-in
+    steps and ``independence_acceptance``, the rate of the scs
+    independence moves alone (null for the other kernels).
+    """
     cfg, out_dir, target, alignment_ref = _setup(config)
     tuned = None
     if cfg.kernel == "scs":
@@ -508,6 +535,7 @@ def run_sample(config: ExperimentConfig) -> dict:
         "thinning": cfg.thinning,
         "seed": cfg.seed,
         "acceptance_rate": out.acceptance_rate,
+        "independence_acceptance": _rate_or_none(out.independence_acceptance),
         "step_size_final": float(out.step_size_trace[-1]),
         "ess": [float(ess(out.samples[:, j]))
                 for j in range(out.samples.shape[1])],

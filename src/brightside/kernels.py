@@ -10,26 +10,50 @@ the same kernel at latitude 2 (where the dark side is a single point
 and stepping-out never fires); plain random-walk Metropolis and
 Hamiltonian Monte Carlo baselines run directly in target space.  Each
 transition is written once, as a function of the state and that
-step's draws: ``sphere_step`` (scs, sps), ``hmc_step`` and the rwm
-step in the chain loop behind ``run_chain`` and ``run_chains``.
+step's draws: ``sphere_step`` (scs, sps), ``independence_step`` (scs),
+``hmc_step`` and the rwm step in the chain loop behind ``run_chain``
+and ``run_chains``.
+
+Every ``KernelConfig.independence_every``-th scs step (t % k == 0, k = 3
+by default, 0 for none) is an independence Metropolis step instead: it
+proposes a uniform point x' of the bright cap and accepts it when
+log u < lp' - lp, with lp = log pi + log J the log density that
+``sphere_step`` carries.  The uniform cap law has constant density, so
+this is Metropolis-Hastings with the pullback pi(F(x)) J(x) as its
+target.  Under the sub-Cauchy hypothesis that pullback is bounded, so
+the move alone is uniformly ergodic (Mengersen & Tweedie 1996), and a
+fixed cycle of it with SCS keeps SCS's uniform ergodicity.  sps does
+not take the move: at ell_o = 2 the image of the uniform sphere has
+tails ~ |y|^(-2d), lighter than a Cauchy's |y|^(-(d+1)), so pi over
+that law is unbounded.  The step-size recursion reads the SCS steps
+only.
 
 The draws are ``z``, standard normals shaped like the state (the
 tangent step, the rwm step or the HMC momentum), and ``u``, one
 uniform per chain for the Metropolis test.  The chain loop owns the
-randomness: chain seed s spawns a normal and a uniform generator
-(``SeedSequence(s).spawn(2)``), and every step consumes one normal row
-and one uniform, used or not.  Both are read ``_DRAW_BLOCK`` steps per
-call; numpy's generators give the same draws however a stream is
-chunked, so output does not depend on the block size.
+randomness: chain seed s spawns three generators,
+``SeedSequence(s).spawn(3)``.  Every step consumes one normal row of
+the first and one uniform of the second, used or not (an independence
+step reads its normal row and leaves it unused); both are read
+``_DRAW_BLOCK`` steps per call.  The third feeds the independence
+proposals: proposal j is the j-th row of its normals, taken d + 1 at a
+time and normalized, that lies below the observer latitude; rows drawn
+past one block are carried into the next.  Since the proposals do not
+depend on the state, they are mapped forward and evaluated
+``_DRAW_BLOCK`` at a time, with one ``cap_forward`` and one density
+call for every chain's next block, and each independence step costs one
+comparison.  numpy's generators give the same draws however a stream is
+chunked, so which points a chain proposes does not depend on the block
+size or the ensemble.
 
-``sphere_step`` and ``hmc_step``, and the geometry under them
-(``propose_tangent``, ``leapfrog``), work over a leading chain axis: a
-state of shape (d,) (d+1 on the sphere) is one chain, (n, d) is n
-chains with their own draws and step sizes, stepped with one batched
-density call per transition.  An HMC transition with L leapfrog steps
-makes L - 1 gradient calls and, at the proposal, one fused
-``log_density_and_grad`` call, which serves both the acceptance test
-and the next trajectory's first kick.  The leapfrog carries the
+``sphere_step``, ``independence_step`` and ``hmc_step``, and the geometry
+under them (``propose_tangent``, ``leapfrog``), work over a leading
+chain axis: a state of shape (d,) (d+1 on the sphere) is one chain,
+(n, d) is n chains with their own draws and step sizes, stepped with
+one batched density call per transition.  An HMC transition with L
+leapfrog steps makes L - 1 gradient calls and, at the proposal, one
+fused ``log_density_and_grad`` call, which serves both the acceptance
+test and the next trajectory's first kick.  The leapfrog carries the
 velocity v = eps p, so a step is a kick v += eps^2 g and a drift
 y += v, one array pass fewer than the momentum form; one chain's
 acceptance test runs in plain floats.  The Metropolis tests take
@@ -66,14 +90,16 @@ HMC_TARGET_ACCEPT = 0.8
 
 # The batched sphere transition has a fixed cost per step that the
 # shared density call pays back only from several chains.  Sequential
-# over ensemble time of scs chains (600 iterations, 100 burn-in, ell_o
-# 1.1, the skew t tuned; median of 11 interleaved pairs, 2-core x86-64
-# VM, numpy 2.4.6):
+# over ensemble time of scs chains with the default independence move
+# (600 iterations, 100 burn-in, ell_o 1.1, the skew t tuned; median of
+# 11 interleaved pairs, range over two runs, 2-core x86-64 VM, numpy
+# 2.4.6):
 #   chains   skew t d = 10   Cauchy d = 10   Cauchy d = 100
-#   4            0.94            0.87            0.86
-#   5            1.08            1.02            0.98
-#   6            1.25            1.15            1.06
-# so the two break even at 5 chains.
+#   4          1.06-1.09       0.87-0.90       0.86-0.87
+#   5          1.27-1.33       1.00-1.06       0.89-0.95
+#   6          1.41-1.44       1.11-1.12       1.07-1.25
+# so the two still break even at about 5 chains: the skew t gains from
+# 4, the Cauchy at d = 10 from 5 and at d = 100 from 6.
 SPHERE_ENSEMBLE_MIN_CHAINS = 5
 
 # steps of draws read per generator call; output does not depend on it
@@ -82,11 +108,21 @@ _DRAW_BLOCK = 64
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Kernel selection plus step-size and adaptation settings.
+    """Kernel selection plus step-size, adaptation and move settings.
 
     ``adapt_burnin`` counts the initial iterations during which the
     step size follows the Robbins-Monro recursion; ``None`` adapts for
-    the whole burn-in of the run, ``0`` keeps the step size fixed.
+    the whole burn-in of the run, ``0`` keeps the step size fixed.  The
+    recursion reads SCS steps only, indexed by their own count.
+
+    ``independence_every`` = k makes scs step t an independence
+    Metropolis step to a uniform bright-cap point whenever t % k == 0
+    (see the module docstring); 0 gives pure SCS, bit for bit as before
+    the move existed.  The default 3 takes two SCS steps per move: on the
+    tuned d = 10 skew t, 2 made the bench's 5-standard-error tail checks
+    fail now and then (a chain that jumps to a far, heavy point of the
+    pullback stays there longer than its ESS shows), and 3 did not.
+    Only scs reads it: sps, rwm and hmc ignore it.
     """
 
     kind: str
@@ -94,6 +130,7 @@ class KernelConfig:
     leapfrog_steps: int = 10
     target_accept: float = WALK_TARGET_ACCEPT
     adapt_burnin: Optional[int] = None
+    independence_every: int = 3
 
     def __post_init__(self):
         kind = self.kind.lower()
@@ -110,11 +147,23 @@ class KernelConfig:
         if burn is not None and (isinstance(burn, bool)
                                  or not isinstance(burn, numbers.Integral) or burn < 0):
             raise ValueError(f"adapt_burnin must be None or an integer >= 0, got {burn!r}")
+        every = self.independence_every
+        if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 0:
+            raise ValueError(f"independence_every must be an integer >= 0, got {every!r}")
 
 
 @dataclass
 class ChainOutput:
-    """Kept samples plus run diagnostics."""
+    """Kept samples plus run diagnostics.
+
+    ``acceptance_rate`` is the accepted fraction of all post burn-in
+    steps (of all steps when ``burnin = 0``), SCS and independence steps
+    together.  ``independence_acceptance`` is that fraction over the
+    independence steps alone, NaN when the chain took none after burn-in
+    (the move is off, or the kernel is not scs).  ``step_size_trace``
+    holds the step size after each adapted iteration, an independence
+    step repeating the value before it, then the final one.
+    """
 
     samples: np.ndarray
     acceptance_rate: float
@@ -122,6 +171,7 @@ class ChainOutput:
     seed: int
     wall_time: float
     valid: bool = True
+    independence_acceptance: float = math.nan
 
 
 def propose_tangent(x, h, z) -> np.ndarray:
@@ -248,6 +298,31 @@ def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,
             np.where(accepted, lp_star, logpost), accepted)
 
 
+def independence_step(x, y, logpost, x_new, y_new, lp_new, u):
+    """One independence Metropolis step to a uniform bright-cap point.
+
+    ``x``, ``y`` and ``logpost`` are as in ``sphere_step``; ``x_new`` is
+    the proposal on the sphere, ``y_new`` its image and ``lp_new`` its
+    log density plus log-Jacobian, all drawn and evaluated ahead of the
+    step, since they do not depend on the state.  The proposal law is
+    uniform on the bright cap, so the test is log u < lp_new - logpost.
+    Steps one chain (``x`` of shape (d+1,), floats ``logpost``,
+    ``lp_new`` and ``u``) or n chains (leading axis n).  A proposal whose
+    ``lp_new`` is not finite is rejected on its own.  Returns
+    (x, y, logpost, accepted).
+    """
+    if x.ndim == 1:
+        if math.isfinite(lp_new) and _log_uniform(u) < lp_new - logpost:
+            return x_new, y_new, lp_new, True
+        return x, y, logpost, False
+    # a non-finite row may give inf - inf; log 0 = -inf accepts a finite ratio
+    with np.errstate(divide="ignore", invalid="ignore"):
+        accepted = np.isfinite(lp_new) & (np.log(u) < lp_new - logpost)
+    keep = accepted[:, None]
+    return (np.where(keep, x_new, x), np.where(keep, y_new, y),
+            np.where(accepted, lp_new, logpost), accepted)
+
+
 def leapfrog(y, momentum, eps, steps, target: TargetModel, g):
     """Leapfrog integration of (y, momentum) under potential -log pi.
 
@@ -342,9 +417,15 @@ def run_chain(kernel: KernelConfig, params: Optional[ProjectionParams],
     (``kernel.adapt_burnin`` or, by default, the whole burn-in) the
     step size follows the Robbins-Monro recursion and is frozen
     afterwards.  Samples are recorded in target space.  Deterministic
-    given ``seed``; the reported acceptance rate covers the post
-    burn-in iterations (all iterations when ``burnin = 0``).  A start
-    with a NaN or infinite coordinate raises ``NonfiniteInput``.
+    given ``seed``: the chain reads the three streams of
+    ``SeedSequence(seed).spawn(3)`` (see the module docstring).  The
+    reported acceptance rate covers the post burn-in iterations (all
+    iterations when ``burnin = 0``).  An scs chain makes every
+    ``kernel.independence_every``-th step an independence move to a
+    uniform bright-cap point, whose own post burn-in rate is
+    ``independence_acceptance``; the step-size recursion reads only the
+    SCS steps between them.  A start with a NaN or infinite coordinate
+    raises ``NonfiniteInput``.
 
     A sphere-kernel start far from ``mu`` can lift onto the observer
     latitude or an ulp above it, at every ``ell_o``, where 1 - M rounds
@@ -360,18 +441,22 @@ def run_chain(kernel: KernelConfig, params: Optional[ProjectionParams],
                   thinning, seed)
 
 
+def _streams(seed):
+    """Chain seed s's normal, uniform and proposal generators."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
+
+
 def _draws(seed, width):
     """Each step's draws (z, u): ``width`` normals and one uniform a chain.
 
     An int ``seed`` yields z of shape (width,) and a float u, a list of
     n seeds z of shape (n, width) and u of shape (n,).  Chain seed s
-    reads its normal and uniform generators, ``SeedSequence(s).spawn(2)``,
-    ``_DRAW_BLOCK`` steps at a time.
+    reads its normal and uniform generators, the first two children of
+    ``SeedSequence(s).spawn(3)``, ``_DRAW_BLOCK`` steps at a time.
     """
     ensemble = isinstance(seed, list)
     # made before the first step, so a bad seed raises here, not mid-chain
-    streams = [[np.random.default_rng(s) for s in np.random.SeedSequence(c).spawn(2)]
-               for c in (seed if ensemble else [seed])]
+    streams = [_streams(c)[:2] for c in (seed if ensemble else [seed])]
 
     def steps():
         while True:
@@ -387,6 +472,46 @@ def _draws(seed, width):
     return steps()
 
 
+def _cap_proposals(seed, params: ProjectionParams, target: TargetModel, count):
+    """The independence steps' proposals (x', y', lp'), one per step.
+
+    Seeds as in ``_draws``: an int yields x' of shape (d+1,), y' of
+    shape (d,) and a float lp', a list of n seeds arrays with a leading
+    axis n.  Chain seed s's proposal j is the j-th bright row of its
+    third generator (``_streams``): rows of d + 1 normals are normalized
+    and kept, in order, while their last coordinate is below
+    ell_o - 1, and rows drawn past a block are carried into the next.
+    Each block of ``_DRAW_BLOCK`` steps, cut short at ``count`` steps in
+    all, takes one ``cap_forward`` and one density call for every
+    chain; lp' is the log density plus log-Jacobian.
+    """
+    ensemble = isinstance(seed, list)
+    rngs = [_streams(c)[2] for c in (seed if ensemble else [seed])]
+    width = params.d + 1
+    threshold = params.ell_o - 1.0
+    spare = [np.empty((0, width))] * len(rngs)
+    while count > 0:
+        size = min(_DRAW_BLOCK, count)
+        count -= size
+        x = np.empty((len(rngs), size, width))
+        for i, rng in enumerate(rngs):
+            rows = spare[i]
+            while len(rows) < size:
+                # the bright side is at least half the sphere
+                g = rng.standard_normal((2 * (size - len(rows)), width))
+                g /= np.sqrt(np.vecdot(g, g))[:, None]
+                rows = np.concatenate((rows, g[g[:, -1] < threshold]))
+            x[i], spare[i] = rows[:size], rows[size:]
+        y, lp, _, _ = cap_forward(x.reshape(-1, width), params)
+        lp += target.log_density(y)
+        y = y.reshape(len(rngs), size, width - 1)
+        lp = lp.reshape(len(rngs), size)
+        if ensemble:
+            yield from zip(x.transpose(1, 0, 2), y.transpose(1, 0, 2), lp.T)
+        else:
+            yield from zip(x[0], y[0], lp[0].tolist())
+
+
 def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
     """The chain loop behind ``run_chain`` and ``run_chains``.
 
@@ -395,7 +520,8 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
     (scs, sps or hmc) from ``init`` of shape (n, d), checked by
     ``run_chains``, one chain per seed, each with its own step size,
     and returns a list.  Each step hands the kernel its draws from
-    ``_draws``, whatever the kernel makes of them.
+    ``_draws``, whatever the kernel makes of them; an scs independence
+    step takes its proposal from ``_cap_proposals`` as well.
     """
     iterations = int(iterations)
     burnin = int(burnin)
@@ -419,12 +545,15 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
     if not np.all(np.isfinite(init)):
         raise NonfiniteInput("init must be finite")
     h = np.full(len(seed), kernel.h) if ensemble else kernel.h
+    every = kernel.independence_every if kernel.kind == "scs" else 0
     adapt_until = kernel.adapt_burnin if kernel.adapt_burnin is not None else burnin
     adapt_until = min(adapt_until, burnin)
     n_keep = (iterations - burnin) // thinning
     trace = []
     accepted_post = np.zeros(len(seed), dtype=int) if ensemble else 0
+    moves_accepted = np.zeros(len(seed), dtype=int) if ensemble else 0
     post_steps = 0
+    adapted = 0
     kept = 0
     start = time.perf_counter()
 
@@ -447,21 +576,30 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
     def outputs(valid):
         wall = time.perf_counter() - start
         rate = accepted_post / max(post_steps, 1)
+        moves = (burnin + post_steps) // every - burnin // every if every else 0
+        move_rate = moves_accepted / moves if moves else np.full(np.shape(moves_accepted), math.nan)
         steps = np.asarray(trace)
         if not ensemble:
             return ChainOutput(samples=samples[:kept], acceptance_rate=rate,
                                step_size_trace=steps, seed=int(seed),
-                               wall_time=wall, valid=valid)
+                               wall_time=wall, valid=valid,
+                               independence_acceptance=float(move_rate))
         return [ChainOutput(samples=store[i, :kept],
                             acceptance_rate=float(rate[i]),
                             step_size_trace=steps[:, i], seed=int(s),
-                            wall_time=wall, valid=valid)
+                            wall_time=wall, valid=valid,
+                            independence_acceptance=float(move_rate[i]))
                 for i, s in enumerate(seed)]
 
     draws = _draws(seed, target.dim + 1 if on_sphere else target.dim)
+    if every:
+        proposals = _cap_proposals(seed, params, target, iterations // every)
     try:
         for t, (z, u) in zip(range(1, iterations + 1), draws):
-            if on_sphere:
+            move = every and t % every == 0
+            if move:
+                x, y, logpost, acc = independence_step(x, y, logpost, *next(proposals), u)
+            elif on_sphere:
                 x, y, logpost, acc = sphere_step(x, y, logpost, h, params, target, z, u)
             elif kernel.kind == "rwm":
                 y_prime = y + h * z
@@ -474,15 +612,19 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
                 y, logpost, grad, acc = hmc_step(y, logpost, grad, h,
                                                  kernel.leapfrog_steps, target, z, u)
             if t <= adapt_until:
-                h = adapt_step_size(h, acc, t, kernel.target_accept)
-                if ensemble:
-                    h = np.clip(h, *_STEP_SIZE_CLAMP)
-                else:
-                    h = min(max(h, _STEP_SIZE_CLAMP[0]), _STEP_SIZE_CLAMP[1])
+                if not move:
+                    adapted += 1
+                    h = adapt_step_size(h, acc, adapted, kernel.target_accept)
+                    if ensemble:
+                        h = np.clip(h, *_STEP_SIZE_CLAMP)
+                    else:
+                        h = min(max(h, _STEP_SIZE_CLAMP[0]), _STEP_SIZE_CLAMP[1])
                 trace.append(h)
             if t > burnin:
                 post_steps += 1
                 accepted_post += acc
+                if move:
+                    moves_accepted += acc
                 if (t - burnin) % thinning == 0:
                     samples[kept] = y
                     kept += 1
@@ -507,12 +649,14 @@ def run_chains(kernel: KernelConfig, params, target, init, iterations,
     """Run replicate chains, chain i seeded with ``derive_chain_seed(seed, i)``.
 
     ``init`` is one start of shape (d,) shared by every chain, or one
-    row per chain, shape (n_chains, d).  Chain i reads the normal and
-    uniform streams of its seed, as ``run_chain`` does, so it depends
-    only on ``(seed, i)`` and its start.  Hmc chains, and scs and sps
-    chains from ``SPHERE_ENSEMBLE_MIN_CHAINS`` up, step together as one
-    ensemble with one batched density call per transition; their samples
-    match ``run_chain``'s to round-off.  Other chains run one after
+    row per chain, shape (n_chains, d).  Chain i reads the normal,
+    uniform and proposal streams of its seed, as ``run_chain`` does, so
+    it depends only on ``(seed, i)`` and its start; an scs chain proposes
+    the same independence points alone as in an ensemble.  Hmc chains,
+    and scs and sps chains from ``SPHERE_ENSEMBLE_MIN_CHAINS`` up, step
+    together as one ensemble with one batched density call per
+    transition, and one per block of independence proposals; their
+    samples match ``run_chain``'s to round-off.  Other chains run one after
     another through ``run_chain``.  ``workers`` is accepted, since the
     benchmark passes it, and ignored.  Results come in chain order; the
     chains of an ensemble each report its wall time, and an aborted

@@ -165,7 +165,10 @@ class TestRunExperiment:
         d = DIMENSION[preset]
         assert summaries[0]["dimension"] == d
         probs = np.asarray(QuantileSpec().probs)
+        scs = summaries[0]["methods"]["scs"]
+        assert 0.0 <= scs["independence_acceptance_mean"] <= 1.0
         for method, entry in summaries[0]["methods"].items():
+            assert ("independence_acceptance_mean" in entry) == (method == "scs")
             qq_a = a_dir / entry["qq_csv"]
             assert qq_a.read_bytes() == (b_dir / entry["qq_csv"]).read_bytes()
             reports = read_qq_csv(qq_a)
@@ -181,6 +184,24 @@ class TestReferenceQuantiles:
     """Exact-sampler references are drawn in blocks of a fixed byte size."""
 
     COORDS = (0, 1, 2, 3)
+
+    def test_long_chain_reference_runs_pure_scs(self, tmp_path, monkeypatch):
+        # the regression references are SCS chains without the
+        # independence move, so they keep their samples
+        kernels = []
+
+        def recording(kernel, *args, **kw):
+            kernels.append(kernel)
+            return run_chain(kernel, *args, **kw)
+
+        run_chain = experiments.run_chain
+        monkeypatch.setattr(experiments, "run_chain", recording)
+        cfg = resolve(small_config("logistic", tmp_path))
+        target, _ = build_target(cfg)
+        _, info = reference_quantiles(cfg, target, self.COORDS, QuantileSpec(),
+                                      experiments.make_params(cfg.dimension, ell_o=1.1))
+        assert info["kind"] == "long_chain"
+        assert [(k.kind, k.independence_every) for k in kernels] == [("scs", 0)] * 2
 
     def skewt_reference(self, size):
         cfg = resolve(ExperimentConfig(preset="skewt", seed=4, reference_size=size))
@@ -231,13 +252,14 @@ class TestReferenceQuantiles:
 def valid_summary():
     """A minimal summary that passes ``validate_summary``."""
     return {
-        "schema_version": 1, "preset": "cauchy", "seed": 4, "dimension": 10,
+        "schema_version": 2, "preset": "cauchy", "seed": 4, "dimension": 10,
         "iterations": 300, "burnin": 50, "thinning": 5, "replicates": 2,
         "ell_o": 1.1, "paper_scale": False, "failed_methods": [],
         "reference": {"kind": "analytic", "size": None},
         "methods": {"scs": {"acceptance_mean": 0.5, "max_rel_err": 0.1,
                             "tail_rel_err": 0.2, "ess_median": 100.0,
-                            "wall_time_total": 0.1, "qq_csv": "qq_scs.csv"}},
+                            "wall_time_total": 0.1, "qq_csv": "qq_scs.csv",
+                            "independence_acceptance_mean": 0.3}},
     }
 
 
@@ -246,12 +268,16 @@ class TestSummaryWrite:
         pytest.param(lambda s: s.pop("seed"), "missing key 'seed'", id="missing-key"),
         pytest.param(lambda s: s.update(thinning=5.0), "'thinning' has wrong type",
                      id="wrong-type"),
-        pytest.param(lambda s: s.update(schema_version=2), "schema version",
+        pytest.param(lambda s: s.update(schema_version=1), "schema version",
                      id="schema-version"),
         pytest.param(lambda s: s["reference"].update(kind="bootstrap"),
                      "invalid reference", id="reference-kind"),
         pytest.param(lambda s: s["methods"]["scs"].pop("qq_csv"),
                      "method 'scs' summary missing", id="method-key"),
+        pytest.param(lambda s: s["methods"]["scs"].pop("independence_acceptance_mean"),
+                     "missing independence_acceptance_mean", id="independence-key"),
+        pytest.param(lambda s: s["methods"]["scs"].update(independence_acceptance_mean=1.5),
+                     r"lie in \[0, 1\]", id="independence-range"),
     ])
     def test_validate_summary_rejects(self, corrupt, message):
         summary = valid_summary()
@@ -302,6 +328,10 @@ class TestRunSample:
         np.testing.assert_array_equal(
             iters, burnin + thinning * np.arange(1, n_keep + 1))
         assert written["dimension"] == DIMENSION[preset]
+        if kernel == "scs":
+            assert 0.0 <= written["independence_acceptance"] <= 1.0
+        else:
+            assert written["independence_acceptance"] is None
         assert samples.shape == (n_keep, DIMENSION[preset])
         assert np.all(np.isfinite(samples))
         again = tmp_path / "again.csv"

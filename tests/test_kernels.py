@@ -27,8 +27,10 @@ from brightside.kernels import (
     adapt_step_size,
     derive_chain_seed,
     hmc_step,
+    independence_step,
     leapfrog,
     SPHERE_ENSEMBLE_MIN_CHAINS,
+    _cap_proposals,
     _draws,
     propose_tangent,
     run_chain,
@@ -293,33 +295,33 @@ class TestScsStep:
         # start 1000 chains from exact target draws, run 1000 steps each,
         # pool the final states: marginals must still look like the target;
         # at ell_o = 1 the dark side is a hemisphere, and stepping out fires
-        # on 21% of these steps, against 19% at ell_o = 1.1
+        # on 21% of these steps, against 19% at ell_o = 1.1; pure SCS and
+        # SCS alternating with the independence move must both keep it
         rng = np.random.default_rng(8)
         d = 2
         p = make_params(d, ell_o=ell_o)
         target = mv_student_t(d, nu=1.0)
-        cfg = KernelConfig("scs", h=0.7)
         n_chains, n_steps = 1000, 1000
         inits = target.exact_sample(rng, size=n_chains)
-        outs = run_chains(cfg, p, target, inits, n_steps, seed=8, n_chains=n_chains)
-        assert [o.seed for o in outs[:3]] == [derive_chain_seed(8, c) for c in range(3)]
-        finals = np.array([out.samples[-1] for out in outs])
-        for j in range(d):
-            s = np.sort(finals[:, j])
-            F = student_t_cdf(s, 1.0)
-            grid = np.arange(1, n_chains + 1) / n_chains
-            ks = max(np.max(grid - F), np.max(F - (grid - 1.0 / n_chains)))
-            assert ks < 1.63 / math.sqrt(n_chains)
+        for every in (0, 2):
+            cfg = KernelConfig("scs", h=0.7, independence_every=every)
+            outs = run_chains(cfg, p, target, inits, n_steps, seed=8, n_chains=n_chains)
+            assert [o.seed for o in outs[:3]] == [derive_chain_seed(8, c) for c in range(3)]
+            finals = np.array([out.samples[-1] for out in outs])
+            for j in range(d):
+                s = np.sort(finals[:, j])
+                F = student_t_cdf(s, 1.0)
+                grid = np.arange(1, n_chains + 1) / n_chains
+                ks = max(np.max(grid - F), np.max(F - (grid - 1.0 / n_chains)))
+                assert ks < 1.63 / math.sqrt(n_chains)
 
     def test_latitude_band_occupancy_detailed_balance(self):
-        # uniform-pullback target: band occupancy must match band areas
+        # uniform-pullback target: band occupancy must match band areas,
+        # with pure SCS and with SCS alternating with the independence move
         d = 2
         ell_o = 1.5
         p = make_params(d, ell_o=ell_o)
         n = 200_000
-        out = run_chain(KernelConfig("scs", h=0.8), p, uniform_cap_pullback(p),
-                        np.zeros(d), n, seed=9)
-        lat = scp_inverse(out.samples, p)[:, -1]
         edges = np.array([-1.0, -0.5, 0.0, 0.25, ell_o - 1.0])
         # P(z_d+1 > s) = cap_ratio_exact at latitude 1+s for s >= 0, and
         # 1 - that at 1-s for s < 0 (symmetry of the uniform sphere law)
@@ -329,13 +331,17 @@ class TestScsStep:
             return 1.0 - cap_ratio_exact(d, 1.0 - s)
 
         bright_mass = 1.0 - cap_ratio_exact(d, ell_o)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            expected = (upper_frac(lo) - upper_frac(hi)) / bright_mass
-            ind = ((lat > lo) & (lat <= hi)).astype(float)
-            observed = ind.mean()
-            n_eff = ess(ind)
-            se = math.sqrt(expected * (1.0 - expected) / n_eff)
-            assert abs(observed - expected) <= 3.0 * se
+        for every in (0, 2):
+            out = run_chain(KernelConfig("scs", h=0.8, independence_every=every), p,
+                            uniform_cap_pullback(p), np.zeros(d), n, seed=9)
+            lat = scp_inverse(out.samples, p)[:, -1]
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                expected = (upper_frac(lo) - upper_frac(hi)) / bright_mass
+                ind = ((lat > lo) & (lat <= hi)).astype(float)
+                observed = ind.mean()
+                n_eff = ess(ind)
+                se = math.sqrt(expected * (1.0 - expected) / n_eff)
+                assert abs(observed - expected) <= 3.0 * se
 
 
 class TestSphereEnsemble:
@@ -378,17 +384,21 @@ class TestSphereEnsemble:
     @pytest.mark.parametrize("kind", ["scs", "sps"])
     def test_ensemble_only_from_min_chains(self, kind, monkeypatch):
         # below the threshold each chain runs alone, as run_chain does;
-        # from it on every transition steps all the chains together
+        # from it on every transition, an scs independence step
+        # included, steps all the chains together
         d = 2
         p = (make_params(d, ell_o=1.1) if kind == "scs"
              else make_params(d, ell_o=2.0, R=1.0))
         batch = []
 
-        def recording(x, *args):
-            batch.append(x.shape[0] if x.ndim == 2 else 1)
-            return sphere_step(x, *args)
+        def recording(step):
+            def record(x, *args):
+                batch.append(x.shape[0] if x.ndim == 2 else 1)
+                return step(x, *args)
+            return record
 
-        monkeypatch.setattr("brightside.kernels.sphere_step", recording)
+        for step in (sphere_step, independence_step):
+            monkeypatch.setattr(f"brightside.kernels.{step.__name__}", recording(step))
         n = SPHERE_ENSEMBLE_MIN_CHAINS
         for n_chains, width in ((n - 1, 1), (n, n)):
             batch.clear()
@@ -446,6 +456,29 @@ class TestSphereEnsemble:
         one = sphere_step(x[1], y[1], float(logpost[1]), 1e-3, p, target, z[1], u[1])
         assert one[3] is False
 
+    def test_nonfinite_proposal_rejected_alone(self):
+        # three chains are each offered a proposal 10 nats uphill, with
+        # the smallest positive uniform; row 1's proposal has a NaN
+        # density and row 2's +inf, and only those two stay, in the batch
+        # as in the one-chain branch
+        p = make_params(2, ell_o=1.1)
+        rng = np.random.default_rng(25)
+        x = scp_inverse(rng.standard_normal((3, 2)), p)
+        x_new = scp_inverse(rng.standard_normal((3, 2)), p)
+        y, y_new = scp_forward(x, p), scp_forward(x_new, p)
+        logpost = np.array([-5.0, -5.0, -5.0])
+        lp_new = np.array([5.0, np.nan, np.inf])
+        u = np.full(3, 5e-324)
+        out = independence_step(x, y, logpost, x_new, y_new, lp_new, u)
+        assert out[3].tolist() == [True, False, False]
+        assert np.array_equal(out[0][0], x_new[0]) and np.array_equal(out[1][0], y_new[0])
+        assert np.array_equal(out[0][1:], x[1:]) and np.array_equal(out[1][1:], y[1:])
+        assert out[2].tolist() == [5.0, -5.0, -5.0]
+        for i, accepted in enumerate((True, False, False)):
+            one = independence_step(x[i], y[i], -5.0, x_new[i], y_new[i],
+                                    float(lp_new[i]), 5e-324)
+            assert one[3] is accepted
+
     def test_degenerate_row_rejected_alone(self):
         # row 0 stands 1e-9 below the dark cap and steps 1e-8 up along
         # its tangent: the proposal is dark but coincident with the
@@ -467,27 +500,35 @@ class TestSphereEnsemble:
         assert one[3] is False
 
     def test_ensemble_abort_carries_partial_chains(self):
-        # one density call at the start and one per transition: call 7
-        # falls in transition 6, after five kept samples
+        # one density call at the start and one per SCS transition; with
+        # the move, one more at step 2 for the block of proposals that
+        # serves steps 2-20.  Pure SCS: call 7 falls in transition 6,
+        # after five kept samples.  With the move: call 7 falls in
+        # transition 9, after eight, and a limit of 2 calls aborts in the
+        # proposals' own call, at step 2
         class Fails:
             dim = 4
             has_gradient = False
-            calls = 0
+
+            def __init__(self, limit):
+                self.calls, self.limit = 0, limit
 
             def log_density(self, y):
                 self.calls += 1
-                if self.calls > 6:
+                if self.calls > self.limit:
                     raise FloatingPointError("density blew up")
                 return -0.5 * np.sum(np.asarray(y) ** 2, axis=-1)
 
         n = SPHERE_ENSEMBLE_MIN_CHAINS
-        with pytest.raises(ChainAborted) as info:
-            run_chains(KernelConfig("scs", h=0.5), make_params(4, ell_o=1.1), Fails(),
-                       np.ones(4), 20, seed=27, n_chains=n)
-        partial = info.value.partial
-        assert [o.seed for o in partial] == [derive_chain_seed(27, i) for i in range(n)]
-        for o in partial:
-            assert not o.valid and o.samples.shape == (5, 4)
+        for every, limit, kept in ((0, 6, 5), (2, 6, 8), (2, 2, 1)):
+            cfg = KernelConfig("scs", h=0.5, independence_every=every)
+            with pytest.raises(ChainAborted) as info:
+                run_chains(cfg, make_params(4, ell_o=1.1), Fails(limit), np.ones(4), 20,
+                           seed=27, n_chains=n)
+            partial = info.value.partial
+            assert [o.seed for o in partial] == [derive_chain_seed(27, i) for i in range(n)]
+            for o in partial:
+                assert not o.valid and o.samples.shape == (kept, 4)
 
 
 class TestRwmStep:
@@ -840,6 +881,8 @@ class TestRunChain:
             assert out.samples.shape == (400, 2)
             assert 0.0 <= out.acceptance_rate <= 1.0
             assert out.valid
+            # only scs takes the independence move
+            assert math.isnan(out.independence_acceptance) == (kind != "scs")
 
     def test_nan_step_size_rejected(self):
         with pytest.raises(ValueError):
@@ -847,7 +890,9 @@ class TestRunChain:
 
     @pytest.mark.parametrize("field, value", [
         ("h", math.inf), ("h", -math.inf), ("adapt_burnin", -5),
-        ("adapt_burnin", 2.5), ("adapt_burnin", math.nan), ("adapt_burnin", True)])
+        ("adapt_burnin", 2.5), ("adapt_burnin", math.nan), ("adapt_burnin", True),
+        ("independence_every", True), ("independence_every", -1),
+        ("independence_every", 2.0), ("independence_every", None)])
     def test_bad_step_settings_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             KernelConfig("scs", **{field: value})
@@ -855,6 +900,8 @@ class TestRunChain:
     def test_step_settings_callers_pass_accepted(self):
         for burn in (None, 0, 5, np.int64(5)):
             assert KernelConfig("hmc", h=0.1, adapt_burnin=burn).adapt_burnin == burn
+        for every in (0, 1, 3, np.int64(2)):
+            assert KernelConfig("scs", independence_every=every).independence_every == every
 
     def test_sps_start_rounding_onto_north_pole_raises(self):
         # at the stereographic latitude the observer sits at the north
@@ -974,14 +1021,59 @@ class TestDraws:
                                  n_chains=SPHERE_ENSEMBLE_MIN_CHAINS)
 
     def test_block_size_never_changes_output(self, monkeypatch):
+        # the scs chains take the independence move, whose proposals are
+        # drawn and evaluated a block at a time too
         results = []
         for block in (1, 7, 64):
             monkeypatch.setattr("brightside.kernels._DRAW_BLOCK", block)
             results.append(self.runs())
+        scs = [results[0][0]] + results[0][3:]
+        assert all(0.0 < o.independence_acceptance < 1.0 for o in scs)
         for other in results[1:]:
             for a, b in zip(results[0], other):
                 assert np.array_equal(a.samples, b.samples)
                 assert np.array_equal(a.step_size_trace, b.step_size_trace)
+                assert np.array_equal(a.independence_acceptance, b.independence_acceptance,
+                                      equal_nan=True)
+
+    def test_normal_and_uniform_streams_are_the_first_two_children(self):
+        # spawning the third, proposal, child leaves a chain's step draws
+        # as they were with two
+        seed = derive_chain_seed(5, 0)
+        normals, uniforms = (np.random.default_rng(c)
+                             for c in np.random.SeedSequence(seed).spawn(2))
+        draws = _draws(seed, 4)
+        for _ in range(100):
+            z, u = next(draws)
+            assert np.array_equal(z, normals.standard_normal(4))
+            assert u == uniforms.random()
+
+    def test_chain_proposes_the_same_alone_and_in_an_ensemble(self, monkeypatch):
+        # proposal j is the j-th bright row of the third child's normals,
+        # here drawn one row at a time, whatever the block and ensemble
+        monkeypatch.setattr("brightside.kernels._DRAW_BLOCK", 7)
+        d, count = 3, 30
+        p = make_params(d, h_o=np.array([0.3, -0.2, 0.0]), ell_o=1.1, mu=0.3, R=1.5)
+        target = mv_student_t(d, nu=2.0)
+        seeds = [derive_chain_seed(5, i) for i in range(3)]
+        together = list(_cap_proposals(seeds, p, target, count))
+        assert len(together) == count
+        for i, s in enumerate(seeds):
+            alone = list(_cap_proposals(s, p, target, count))
+            rng = np.random.default_rng(np.random.SeedSequence(s).spawn(3)[2])
+            for (x, y, lp), (x_i, y_i, lp_i) in zip(together, alone):
+                while True:
+                    g = rng.standard_normal(d + 1)
+                    g /= math.sqrt(g @ g)
+                    if g[-1] < p.ell_o - 1.0:
+                        break
+                assert np.array_equal(x[i], g) and np.array_equal(x_i, g)
+                y_ref, logjac, _, _ = cap_forward(g, p)
+                lp_ref = logjac + float(target.log_density(y_ref))
+                assert np.allclose([y[i], y_i], y_ref, rtol=1e-12, atol=0.0)
+                assert isinstance(lp_i, float)
+                assert math.isclose(lp[i], lp_ref, rel_tol=1e-12)
+                assert math.isclose(lp_i, lp_ref, rel_tol=1e-12)
 
     def test_chain_draws_the_same_alone_and_in_an_ensemble(self, monkeypatch):
         monkeypatch.setattr("brightside.kernels._DRAW_BLOCK", 7)
@@ -1009,23 +1101,27 @@ class TestUniformErgodicity:
     d, n_chains = 10, 1000
     critical = 1.358 / math.sqrt(n_chains)
 
-    def ks_after(self, kind, h, params, r, steps):
+    def ks_after(self, kernel, params, r, steps):
         target = mv_student_t(self.d, nu=2.0)
         rng = np.random.default_rng(0)
         directions = rng.standard_normal((self.n_chains, self.d))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        outs = run_chains(KernelConfig(kind, h=h, adapt_burnin=0), params, target,
-                          r * directions, steps, burnin=steps - 1, seed=0,
-                          n_chains=self.n_chains)
+        outs = run_chains(kernel, params, target, r * directions, steps,
+                          burnin=steps - 1, seed=0, n_chains=self.n_chains)
         last = np.array([o.samples[-1, 0] for o in outs])
         return ks_statistic(last, lambda t: student_t_cdf(t, 2.0))
 
     def test_scs_forgets_far_starts(self):
+        # the default alternates SCS with the independence move; pure SCS
+        # must forget the start too
         params = make_params(self.d, ell_o=1.1)
-        for r in (1.0, 1e4, 1e8):
-            assert self.ks_after("scs", 0.5, params, r, 20) < self.critical
+        for kernel in (KernelConfig("scs", h=0.5, adapt_burnin=0),
+                       KernelConfig("scs", h=0.5, adapt_burnin=0, independence_every=0)):
+            for r in (1.0, 1e4, 1e8):
+                assert self.ks_after(kernel, params, r, 20) < self.critical
 
     def test_rwm_does_not(self):
         # negative control: three times as many steps leave rwm far out
+        kernel = KernelConfig("rwm", h=1.0, adapt_burnin=0)
         for r in (1e4, 1e8):
-            assert self.ks_after("rwm", 1.0, None, r, 60) > self.critical
+            assert self.ks_after(kernel, None, r, 60) > self.critical
