@@ -7,10 +7,11 @@ a 50-step scs chain run alone and as an ensemble of
 ``SPHERE_ENSEMBLE_MIN_CHAINS`` chains, the fewest that ``run_chains``
 steps together, so the batched sphere transition steps its dark rows
 out one by one, both with the default independence move (its
-acceptance must lie in [0, 1]) and one chain without it (NaN), HMC run as one chain and as a 3-chain ensemble, so both
-leapfrog shapes run, a short tune and 1 000 exact draws of the d = 10
-skew t.  From the repository root, with the package installed (or
-``PYTHONPATH=src``):
+acceptance must lie in [0, 1]) and one chain without it (NaN), one
+50-step sps chain and one rwm chain, HMC run as one chain and as a
+3-chain ensemble, so both leapfrog shapes run, a short tune and 1 000
+exact draws of the d = 10 skew t.  From the repository root, with the
+package installed (or ``PYTHONPATH=src``):
 
     python .github/numpy_only_smoke.py
 """
@@ -59,6 +60,12 @@ chain = run_chain(KernelConfig("scs", h=0.5, independence_every=0),
                   seed=0)
 assert chain.samples.shape == (50, 3) and np.all(np.isfinite(chain.samples))
 assert math.isnan(chain.independence_acceptance)
+chain = run_chain(KernelConfig("sps", h=0.5), make_params(3, ell_o=2.0, R=1.0),
+                  mv_student_t(3, nu=1.0), np.zeros(3), 50, seed=0)
+assert chain.samples.shape == (50, 3) and np.all(np.isfinite(chain.samples))
+chain = run_chain(KernelConfig("rwm", h=0.5), None, mv_student_t(3, nu=1.0), np.zeros(3),
+                  50, seed=0)
+assert chain.samples.shape == (50, 3) and np.all(np.isfinite(chain.samples))
 
 hmc = KernelConfig("hmc", h=0.2, leapfrog_steps=5)
 chain = run_chain(hmc, None, mv_student_t(3, nu=1.0), np.zeros(3), 50, seed=0)

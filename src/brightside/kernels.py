@@ -10,9 +10,11 @@ the same kernel at latitude 2 (where the dark side is a single point
 and stepping-out never fires); plain random-walk Metropolis and
 Hamiltonian Monte Carlo baselines run directly in target space.  Each
 transition is written once, as a function of the state and that
-step's draws: ``sphere_step`` (scs, sps), ``independence_step`` (scs),
-``hmc_step`` and the rwm step in the chain loop behind ``run_chain``
-and ``run_chains``.
+step's draws: ``sphere_step`` (scs, sps), ``hmc_step`` and, in the chain
+loop behind ``run_chain`` and ``run_chains``, the rwm step and the scs
+independence move.  All four call one test, ``metropolis``: accept where
+the proposal's log density lp' is finite and log u < lp' - lp, with
+log 0 = -inf, so no kernel moves to a NaN or +inf density.
 
 Every ``KernelConfig.independence_every``-th scs step (t % k == 0, k = 3
 by default, 0 for none) is an independence Metropolis step instead: it
@@ -46,7 +48,7 @@ comparison.  numpy's generators give the same draws however a stream is
 chunked, so which points a chain proposes does not depend on the block
 size or the ensemble.
 
-``sphere_step``, ``independence_step`` and ``hmc_step``, and the geometry
+``sphere_step``, ``hmc_step`` and ``metropolis``, and the geometry
 under them (``propose_tangent``, ``leapfrog``), work over a leading
 chain axis: a state of shape (d,) (d+1 on the sphere) is one chain,
 (n, d) is n chains with their own draws and step sizes, stepped with
@@ -56,9 +58,8 @@ fused ``log_density_and_grad`` call, which serves both the acceptance
 test and the next trajectory's first kick.  The leapfrog carries the
 velocity v = eps p, so a step is a kick v += eps^2 g and a drift
 y += v, one array pass fewer than the momentum form; one chain's
-acceptance test runs in plain floats.  The Metropolis tests take
-log 0 = -inf: a uniform draw of exactly 0 accepts any proposal whose
-log ratio is finite.  Stepping-out is written for one pair only
+acceptance test runs in plain floats, and an ensemble's row by row.
+Stepping-out is written for one pair only
 (``stepping_out``); an ensemble steps its dark rows out one at a time
 through it.  ``run_chains`` runs hmc replicas, and scs and sps replicas
 from ``SPHERE_ENSEMBLE_MIN_CHAINS`` up, as one ensemble; other replicas
@@ -139,17 +140,15 @@ class KernelConfig:
         object.__setattr__(self, "kind", kind)
         if not (self.h > 0 and math.isfinite(self.h)):
             raise ValueError(f"h must be a positive finite step size, got {self.h}")
-        if kind == "hmc" and self.leapfrog_steps < 1:
-            raise ValueError("HMC needs at least one leapfrog step")
         if not 0.0 < self.target_accept < 1.0:
             raise ValueError("target acceptance must lie in (0, 1)")
-        burn = self.adapt_burnin
-        if burn is not None and (isinstance(burn, bool)
-                                 or not isinstance(burn, numbers.Integral) or burn < 0):
-            raise ValueError(f"adapt_burnin must be None or an integer >= 0, got {burn!r}")
-        every = self.independence_every
-        if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 0:
-            raise ValueError(f"independence_every must be an integer >= 0, got {every!r}")
+        for name, least in (("leapfrog_steps", 1 if kind == "hmc" else 0),
+                            ("adapt_burnin", 0), ("independence_every", 0)):
+            value = getattr(self, name)
+            if name == "adapt_burnin" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass
@@ -243,9 +242,26 @@ def stepping_out(x, x_prime, ell_o) -> np.ndarray:
     return out
 
 
-def _log_uniform(u):
-    """log u for one chain's uniform draw, with log 0 = -inf."""
-    return math.log(u) if u > 0.0 else -math.inf
+def metropolis(u, lp, lp_new, current=(), proposed=()):
+    """The Metropolis test of every kernel.
+
+    Accepts where ``lp_new`` is finite and log u < lp_new - lp, with
+    log 0 = -inf; ``lp`` and ``lp_new`` are the log densities the kernel
+    carries at the state and at the proposal (-H for HMC), so a proposal
+    at NaN or +-inf is rejected.  One chain passes floats and gets a
+    bool.  n chains pass ``lp_new`` of shape (n,) and the state's parts
+    at ``lp`` and at ``lp_new``, arrays of shape (n, ...), as the tuples
+    ``current`` and ``proposed``; they get back each part and lp row by
+    row, the proposal's where accepted, then the boolean array of
+    accepted rows.
+    """
+    if not isinstance(lp_new, np.ndarray):
+        return (math.log(u) if u > 0.0 else -math.inf) < lp_new - lp and math.isfinite(lp_new)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        accepted = np.isfinite(lp_new) & (np.log(u) < lp_new - lp)
+    keep = accepted[:, None]
+    return (*[np.where(keep, new, old) for old, new in zip(current, proposed)],
+            np.where(accepted, lp_new, lp), accepted)
 
 
 def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,
@@ -261,8 +277,9 @@ def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,
     through ``stepping_out``; then one ``cap_forward`` and one density
     call serve all the chains.  A degenerate proposal (coincident or
     antipodal), an exact tie with the dark cap and a non-finite density
-    are rejected; the first two have probability zero.  Returns
-    (x, y, logpost, accepted).
+    are rejected; the first two have probability zero, and in an
+    ensemble their rows re-evaluate their state at proposal density NaN.
+    Returns (x, y, logpost, accepted).
     """
     ell_o = params.ell_o
     lat_threshold = ell_o - 1.0
@@ -275,7 +292,7 @@ def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,
         except (DegenerateProposal, DarkSidePoint):
             return x, y, logpost, False
         lp_star = logjac + float(target.log_density(y_star))
-        if _log_uniform(u) < lp_star - logpost:
+        if metropolis(u, logpost, lp_star):
             return x_star, y_star, lp_star, True
         return x, y, logpost, False
     if ell_o < 2.0:
@@ -284,43 +301,13 @@ def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,
                 x_star[i] = stepping_out(x[i], x_star[i], ell_o)
             except DegenerateProposal:
                 pass  # the proposal stays dark and fails the test below
-    # degenerate rows and exact ties fail this test and re-evaluate their state
-    live = x_star[:, -1] < lat_threshold
-    if not live.all():
-        x_star[~live] = x[~live]
+    dead = x_star[:, -1] >= lat_threshold  # degenerate rows and exact ties
+    if dead.any():
+        x_star[dead] = x[dead]
     y_star, lp_star, _, _ = cap_forward(x_star, params)
     lp_star += target.log_density(y_star)
-    # -inf - -inf is NaN, a rejection; log 0 = -inf accepts a finite ratio
-    with np.errstate(divide="ignore", invalid="ignore"):
-        accepted = live & (np.log(u) < lp_star - logpost)
-    keep = accepted[:, None]
-    return (np.where(keep, x_star, x), np.where(keep, y_star, y),
-            np.where(accepted, lp_star, logpost), accepted)
-
-
-def independence_step(x, y, logpost, x_new, y_new, lp_new, u):
-    """One independence Metropolis step to a uniform bright-cap point.
-
-    ``x``, ``y`` and ``logpost`` are as in ``sphere_step``; ``x_new`` is
-    the proposal on the sphere, ``y_new`` its image and ``lp_new`` its
-    log density plus log-Jacobian, all drawn and evaluated ahead of the
-    step, since they do not depend on the state.  The proposal law is
-    uniform on the bright cap, so the test is log u < lp_new - logpost.
-    Steps one chain (``x`` of shape (d+1,), floats ``logpost``,
-    ``lp_new`` and ``u``) or n chains (leading axis n).  A proposal whose
-    ``lp_new`` is not finite is rejected on its own.  Returns
-    (x, y, logpost, accepted).
-    """
-    if x.ndim == 1:
-        if math.isfinite(lp_new) and _log_uniform(u) < lp_new - logpost:
-            return x_new, y_new, lp_new, True
-        return x, y, logpost, False
-    # a non-finite row may give inf - inf; log 0 = -inf accepts a finite ratio
-    with np.errstate(divide="ignore", invalid="ignore"):
-        accepted = np.isfinite(lp_new) & (np.log(u) < lp_new - logpost)
-    keep = accepted[:, None]
-    return (np.where(keep, x_new, x), np.where(keep, y_new, y),
-            np.where(accepted, lp_new, logpost), accepted)
+    lp_star[dead] = np.nan
+    return metropolis(u, logpost, lp_star, (x, y), (x_star, y_star))
 
 
 def leapfrog(y, momentum, eps, steps, target: TargetModel, g):
@@ -363,29 +350,26 @@ def hmc_step(y, logp, g, eps, steps, target: TargetModel, z, u):
     ``g`` are the log density and gradient at ``y``; they are returned
     with the new state, so a chain evaluates them once per transition,
     at the proposal: steps - 1 gradient calls inside the trajectory and
-    one ``log_density_and_grad`` call at its end.  One chain's energies
-    and test are plain floats, and its accepted log density is returned
-    as a float.  A row whose trajectory or energy is not finite is
-    rejected on its own.  Returns (y, logp, g, accepted).
+    one ``log_density_and_grad`` call at its end.  ``metropolis`` gets
+    -H = log p - |m|^2 / 2 at either end (plain floats for one chain,
+    whose accepted log density is returned as a float); negation is
+    exact, so the ratio has the bits of H_0 - H_1.  A row whose end point
+    is not finite gets -H = NaN.  Returns (y, logp, g, accepted).
     """
     if y.ndim == 1:
         y1, m1, logp1, g1 = leapfrog(y, z, eps, steps, target, g)
         logp1 = float(logp1)
-        energy1 = 0.5 * float(m1.dot(m1)) - logp1
-        energy0 = 0.5 * float(z.dot(z)) - float(logp)
-        if (math.isfinite(energy1) and np.isfinite(y1).all()
-                and _log_uniform(u) < energy0 - energy1):
+        lp1 = logp1 - 0.5 * float(m1.dot(m1)) if np.isfinite(y1).all() else math.nan
+        if metropolis(u, float(logp) - 0.5 * float(z.dot(z)), lp1):
             return y1, logp1, g1, True
         return y, logp, g, False
     y1, m1, logp1, g1 = leapfrog(y, z, eps[:, None], steps, target, g)
-    # a non-finite row may give inf - inf; log 0 = -inf accepts a finite ratio
-    with np.errstate(divide="ignore", invalid="ignore"):
-        energy1 = 0.5 * np.vecdot(m1, m1) - logp1
-        accept = (np.isfinite(y1).all(axis=-1) & np.isfinite(energy1)
-                  & (np.log(u) < 0.5 * np.vecdot(z, z) - logp - energy1))
-    keep = accept[:, None]
-    return (np.where(keep, y1, y), np.where(accept, logp1, logp),
-            np.where(keep, g1, g), accept)
+    with np.errstate(invalid="ignore"):  # inf - inf on a diverged row
+        lp1 = logp1 - 0.5 * np.vecdot(m1, m1)
+    lp1[~np.isfinite(y1).all(axis=-1)] = np.nan
+    y_out, g_out, _, accepted = metropolis(u, logp - 0.5 * np.vecdot(z, z), lp1,
+                                           (y, g), (y1, g1))
+    return y_out, np.where(accepted, logp1, logp), g_out, accepted
 
 
 def adapt_step_size(h, accepted, t, target_accept):
@@ -424,8 +408,10 @@ def run_chain(kernel: KernelConfig, params: Optional[ProjectionParams],
     ``kernel.independence_every``-th step an independence move to a
     uniform bright-cap point, whose own post burn-in rate is
     ``independence_acceptance``; the step-size recursion reads only the
-    SCS steps between them.  A start with a NaN or infinite coordinate
-    raises ``NonfiniteInput``.
+    SCS steps between them.  A start with a NaN or infinite coordinate,
+    or at log density NaN or +inf, from which no proposal is accepted,
+    raises ``NonfiniteInput``; one at -inf moves at its first finite
+    proposal.  A projection of another dimension raises ValueError.
 
     A sphere-kernel start far from ``mu`` can lift onto the observer
     latitude or an ulp above it, at every ``ell_o``, where 1 - M rounds
@@ -535,6 +521,9 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
         raise ValueError(f"{kernel.kind} requires projection parameters")
     if kernel.kind == "sps" and params.ell_o != 2.0:
         raise ValueError("the stereographic kernel requires ell_o = 2")
+    if on_sphere and params.d != target.dim:
+        raise ValueError(f"projection dimension {params.d} differs from "
+                         f"target dimension {target.dim}")
     if kernel.kind == "hmc" and not target.has_gradient:
         raise ValueError("HMC requires a target gradient")
 
@@ -564,6 +553,8 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
     else:
         y = init
         logpost = target.log_density(y) if ensemble else float(target.log_density(y))
+    if not np.all(logpost < math.inf):
+        raise NonfiniteInput("the start's log density is NaN or +inf")
     if kernel.kind == "hmc":
         grad = target.grad_log_density(y)
     if ensemble:
@@ -598,16 +589,21 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
         for t, (z, u) in zip(range(1, iterations + 1), draws):
             move = every and t % every == 0
             if move:
-                x, y, logpost, acc = independence_step(x, y, logpost, *next(proposals), u)
+                x_new, y_new, lp_new = next(proposals)
+                if ensemble:
+                    x, y, logpost, acc = metropolis(u, logpost, lp_new, (x, y), (x_new, y_new))
+                else:
+                    acc = metropolis(u, logpost, lp_new)
+                    if acc:
+                        x, y, logpost = x_new, y_new, lp_new
             elif on_sphere:
                 x, y, logpost, acc = sphere_step(x, y, logpost, h, params, target, z, u)
             elif kernel.kind == "rwm":
                 y_prime = y + h * z
                 lp_prime = float(target.log_density(y_prime))
-                if _log_uniform(u) < lp_prime - logpost:
-                    y, logpost, acc = y_prime, lp_prime, True
-                else:
-                    acc = False
+                acc = metropolis(u, logpost, lp_prime)
+                if acc:
+                    y, logpost = y_prime, lp_prime
             else:
                 y, logpost, grad, acc = hmc_step(y, logpost, grad, h,
                                                  kernel.leapfrog_steps, target, z, u)
@@ -664,7 +660,7 @@ def run_chains(kernel: KernelConfig, params, target, init, iterations,
     outputs.  A far sphere-kernel start whose lift rounds onto the
     observer latitude or above it, which can happen at every ``ell_o``,
     raises ``DarkSidePoint`` before the first step, and a non-finite
-    start ``NonfiniteInput``, as in ``run_chain``.
+    start or start density ``NonfiniteInput``, as in ``run_chain``.
     """
     seeds = [derive_chain_seed(seed, i) for i in range(n_chains)]
     inits = np.array(init, dtype=float, ndmin=1)

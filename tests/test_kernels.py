@@ -27,8 +27,8 @@ from brightside.kernels import (
     adapt_step_size,
     derive_chain_seed,
     hmc_step,
-    independence_step,
     leapfrog,
+    metropolis,
     SPHERE_ENSEMBLE_MIN_CHAINS,
     _cap_proposals,
     _draws,
@@ -55,6 +55,33 @@ def random_bright_dark_pair(rng, d, ell_o, h=1.5):
         x_prime = propose_tangent(x, h, rng.standard_normal(d + 1))
         if x_prime[-1] > ell_o - 1.0:
             return x, x_prime
+
+
+class Walled(TargetModel):
+    """The d = 2 Cauchy with log density +inf where y_0 > 2, NaN where
+    y_1 < -2 and -inf where y_0 < -2, in that order of precedence."""
+
+    dim = 2
+    base = mv_student_t(2, nu=1.0)
+
+    def log_density(self, y):
+        y = np.asarray(y)
+        return np.select([y[..., 0] > 2.0, y[..., 1] < -2.0, y[..., 0] < -2.0],
+                         [np.inf, np.nan, -np.inf], self.base.log_density(y))
+
+    def grad_log_density(self, y):
+        return self.base.grad_log_density(y)
+
+
+WALLED_KINDS = [("scs", 3), ("scs", 0), ("sps", 3), ("rwm", 3), ("hmc", 3)]
+
+
+def walled_run(kind, every, init, iterations, n_chains):
+    """Chains of ``kind`` on ``Walled``, alone or as an ensemble."""
+    p = make_params(2, ell_o=2.0, R=1.0) if kind == "sps" else make_params(2, ell_o=1.1)
+    cfg = KernelConfig(kind, h=0.3 if kind == "hmc" else 0.5, leapfrog_steps=5,
+                       independence_every=every)
+    return run_chains(cfg, p, Walled(), init, iterations, seed=26, n_chains=n_chains)
 
 
 class TestProposeTangent:
@@ -384,21 +411,18 @@ class TestSphereEnsemble:
     @pytest.mark.parametrize("kind", ["scs", "sps"])
     def test_ensemble_only_from_min_chains(self, kind, monkeypatch):
         # below the threshold each chain runs alone, as run_chain does;
-        # from it on every transition, an scs independence step
-        # included, steps all the chains together
+        # from it on every transition's Metropolis test, an scs
+        # independence step's included, takes all the chains together
         d = 2
         p = (make_params(d, ell_o=1.1) if kind == "scs"
              else make_params(d, ell_o=2.0, R=1.0))
         batch = []
 
-        def recording(step):
-            def record(x, *args):
-                batch.append(x.shape[0] if x.ndim == 2 else 1)
-                return step(x, *args)
-            return record
+        def record(u, lp, lp_new, *parts):
+            batch.append(np.size(lp_new))
+            return metropolis(u, lp, lp_new, *parts)
 
-        for step in (sphere_step, independence_step):
-            monkeypatch.setattr(f"brightside.kernels.{step.__name__}", recording(step))
+        monkeypatch.setattr("brightside.kernels.metropolis", record)
         n = SPHERE_ENSEMBLE_MIN_CHAINS
         for n_chains, width in ((n - 1, 1), (n, n)):
             batch.clear()
@@ -469,15 +493,13 @@ class TestSphereEnsemble:
         logpost = np.array([-5.0, -5.0, -5.0])
         lp_new = np.array([5.0, np.nan, np.inf])
         u = np.full(3, 5e-324)
-        out = independence_step(x, y, logpost, x_new, y_new, lp_new, u)
+        out = metropolis(u, logpost, lp_new, (x, y), (x_new, y_new))
         assert out[3].tolist() == [True, False, False]
         assert np.array_equal(out[0][0], x_new[0]) and np.array_equal(out[1][0], y_new[0])
         assert np.array_equal(out[0][1:], x[1:]) and np.array_equal(out[1][1:], y[1:])
         assert out[2].tolist() == [5.0, -5.0, -5.0]
         for i, accepted in enumerate((True, False, False)):
-            one = independence_step(x[i], y[i], -5.0, x_new[i], y_new[i],
-                                    float(lp_new[i]), 5e-324)
-            assert one[3] is accepted
+            assert metropolis(5e-324, -5.0, float(lp_new[i])) is accepted
 
     def test_degenerate_row_rejected_alone(self):
         # row 0 stands 1e-9 below the dark cap and steps 1e-8 up along
@@ -761,8 +783,18 @@ class TestZeroUniform:
     finite log ratio is accepted, and one with ratio -inf is not.
 
     The current log density is handed in 1e6 above the proposal's, a
-    ratio no positive uniform accepts (log 5e-324 = -744.4).
+    ratio no positive uniform accepts (log 5e-324 = -744.4).  Every
+    kernel reaches the rule through ``metropolis``: the sphere steps,
+    hmc_step with -H and the rwm step in the chain loop.
     """
+
+    def test_metropolis(self):
+        for u, accepted in ((0.0, True), (5e-324, False)):
+            assert metropolis(u, 1e6, 0.0) is accepted
+            rows = metropolis(np.full(2, u), np.full(2, 1e6), np.zeros(2))
+            assert rows[-1].tolist() == [accepted] * 2
+        assert metropolis(0.0, 0.0, -math.inf) is False
+        assert metropolis(0.0, -math.inf, -1e300) is True
 
     @staticmethod
     def sphere_states(n=None):
@@ -892,7 +924,8 @@ class TestRunChain:
         ("h", math.inf), ("h", -math.inf), ("adapt_burnin", -5),
         ("adapt_burnin", 2.5), ("adapt_burnin", math.nan), ("adapt_burnin", True),
         ("independence_every", True), ("independence_every", -1),
-        ("independence_every", 2.0), ("independence_every", None)])
+        ("independence_every", 2.0), ("independence_every", None),
+        ("leapfrog_steps", 2.5), ("leapfrog_steps", True)])
     def test_bad_step_settings_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             KernelConfig("scs", **{field: value})
@@ -902,6 +935,8 @@ class TestRunChain:
             assert KernelConfig("hmc", h=0.1, adapt_burnin=burn).adapt_burnin == burn
         for every in (0, 1, 3, np.int64(2)):
             assert KernelConfig("scs", independence_every=every).independence_every == every
+        for steps in (1, 10, np.int64(5)):
+            assert KernelConfig("hmc", leapfrog_steps=steps).leapfrog_steps == steps
 
     def test_sps_start_rounding_onto_north_pole_raises(self):
         # at the stereographic latitude the observer sits at the north
@@ -967,6 +1002,41 @@ class TestRunChain:
             for start in (init, inits):
                 with pytest.raises(NonfiniteInput):
                     run_chains(cfg, p, target, start, 10, seed=0, n_chains=n_chains)
+
+    @pytest.mark.parametrize("kind, every", WALLED_KINDS)
+    def test_no_move_to_nonfinite_density(self, kind, every):
+        # scs, sps and rwm once accepted a proposal at +inf and then
+        # never moved again; no kernel may step into the +inf or the NaN
+        # half-plane, alone or in an ensemble, and the chains still move
+        n = 2 if kind == "hmc" else SPHERE_ENSEMBLE_MIN_CHAINS
+        for n_chains in (1, n):
+            for out in walled_run(kind, every, np.zeros(2), 2000, n_chains):
+                y = out.samples
+                assert not np.any(y[:, 0] > 2.0) and not np.any(y[:, 1] < -2.0)
+                assert out.valid and out.acceptance_rate > 0.1
+                assert len(np.unique(y[:, 0])) > 200
+
+    @pytest.mark.parametrize("kind, every", WALLED_KINDS)
+    def test_nonfinite_start_density_raises(self, kind, every):
+        # a start at log density +inf or NaN can accept no proposal: it
+        # raises before the first step; one at -inf leaves at its first
+        # finite proposal
+        n = 2 if kind == "hmc" else SPHERE_ENSEMBLE_MIN_CHAINS
+        for start in ([3.0, 0.0], [0.0, -3.0]):
+            for n_chains in (1, 2, n):
+                with pytest.raises(NonfiniteInput, match="density"):
+                    walled_run(kind, every, start, 10, n_chains)
+        for n_chains in (1, n):
+            for out in walled_run(kind, every, [-3.0, 0.0], 200, n_chains):
+                assert np.isfinite(Walled().log_density(out.samples[-1]))
+
+    @pytest.mark.parametrize("kind, ell_o", [("scs", 1.1), ("sps", 2.0)])
+    def test_projection_dimension_mismatch_raises(self, kind, ell_o):
+        p = make_params(2, ell_o=ell_o, R=1.0)
+        target = mv_student_t(3, nu=1.0)
+        for n_chains in (1, SPHERE_ENSEMBLE_MIN_CHAINS):
+            with pytest.raises(ValueError, match="dimension 2 .* dimension 3"):
+                run_chains(KernelConfig(kind), p, target, np.zeros(3), 10, n_chains=n_chains)
 
     def test_sps_requires_boundary_params(self):
         target = mv_student_t(2, nu=2.0)
