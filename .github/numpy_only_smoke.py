@@ -7,7 +7,9 @@ a 50-step scs chain run alone and as an ensemble of
 ``SPHERE_ENSEMBLE_MIN_CHAINS`` chains, the fewest that ``run_chains``
 steps together, so the batched sphere transition steps its dark rows
 out one by one, both with the default independence move (its
-acceptance must lie in [0, 1]) and one chain without it (NaN), one
+acceptance must lie in [0, 1]) and one chain without it (NaN), a
+300-step scs chain on a shifted projection where the pilot picks more
+than one try per move (its move acceptance must lie in (0, 1]), one
 50-step sps chain and one rwm chain, HMC run as one chain and as a
 3-chain ensemble, so both leapfrog shapes run, a short tune and 1 000
 exact draws of the d = 10 skew t.  From the repository root, with the
@@ -60,6 +62,11 @@ chain = run_chain(KernelConfig("scs", h=0.5, independence_every=0),
                   seed=0)
 assert chain.samples.shape == (50, 3) and np.all(np.isfinite(chain.samples))
 assert math.isnan(chain.independence_acceptance)
+chain = run_chain(KernelConfig("scs", h=0.5), make_params(2, ell_o=1.1, mu=2.0),
+                  mv_student_t(2, nu=1.0), np.zeros(2), 300, seed=0)
+assert chain.independence_tries > 1, chain.independence_tries
+assert np.all(np.isfinite(chain.samples))
+assert 0.0 < chain.independence_acceptance <= 1.0
 chain = run_chain(KernelConfig("sps", h=0.5), make_params(3, ell_o=2.0, R=1.0),
                   mv_student_t(3, nu=1.0), np.zeros(3), 50, seed=0)
 assert chain.samples.shape == (50, 3) and np.all(np.isfinite(chain.samples))

@@ -53,24 +53,6 @@ def empirical_quantiles(samples, spec: QuantileSpec | None = None) -> np.ndarray
     return np.quantile(samples, spec.probs)
 
 
-def ks_statistic(samples, cdf) -> float:
-    """Sup distance between the empirical CDF and ``cdf``.
-
-    Both one-sided gaps are evaluated at the sorted sample points, so a
-    single observation at the reference median scores exactly 1/2.
-    """
-    samples = np.asarray(samples, dtype=float).ravel()
-    n = samples.size
-    if n == 0:
-        raise EmptyInput("need at least one sample")
-    s = np.sort(samples)
-    F = np.asarray(cdf(s), dtype=float)
-    if F.shape != s.shape:
-        F = np.array([float(cdf(v)) for v in s])
-    grid = np.arange(1, n + 1) / n
-    return float(max(np.max(grid - F), np.max(F - (grid - 1.0 / n))))
-
-
 def _fft_length(n) -> int:
     """Smallest 2^i 3^j 5^k >= n, a length numpy's FFT transforms fast.
 

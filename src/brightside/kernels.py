@@ -17,36 +17,55 @@ the proposal's log density lp' is finite and log u < lp' - lp, with
 log 0 = -inf, so no kernel moves to a NaN or +inf density.
 
 Every ``KernelConfig.independence_every``-th scs step (t % k == 0, k = 3
-by default, 0 for none) is an independence Metropolis step instead: it
-proposes a uniform point x' of the bright cap and accepts it when
-log u < lp' - lp, with lp = log pi + log J the log density that
-``sphere_step`` carries.  The uniform cap law has constant density, so
-this is Metropolis-Hastings with the pullback pi(F(x)) J(x) as its
-target.  Under the sub-Cauchy hypothesis that pullback is bounded, so
-the move alone is uniformly ergodic (Mengersen & Tweedie 1996), and a
-fixed cycle of it with SCS keeps SCS's uniform ergodicity.  sps does
-not take the move: at ell_o = 2 the image of the uniform sphere has
-tails ~ |y|^(-2d), lighter than a Cauchy's |y|^(-(d+1)), so pi over
-that law is unbounded.  The step-size recursion reads the SCS steps
-only.
+by default, 0 for none) is an independence move instead, with multiple
+tries (Liu, Liang & Wong, JASA 2000): it draws K uniform points of the
+bright cap, picks try j with probability w_j / W, where w = pi(F(x)) J(x)
+is the pullback weight and W the tries' total, and accepts it when
+log u < log W - log(W - w_j + w), w the state's weight; lp = log w is
+the log density plus log-Jacobian that ``sphere_step`` carries, so the
+test is log u < log W - logaddexp(log(W - w_j), lp), and on accepting
+lp becomes log w_j.  At K = 1 that is log u < lp_j - lp, Metropolis-
+Hastings with the pullback as target under the uniform cap law.  A try
+at NaN or +-inf has weight 0 and is never picked, and a move whose
+tries all have weight 0 is rejected.  Under the
+sub-Cauchy hypothesis the pullback is bounded, so the move alone is
+uniformly ergodic (Mengersen & Tweedie 1996), and a fixed cycle of it
+with SCS keeps SCS's uniform ergodicity.  sps does not take the move:
+at ell_o = 2 the image of the uniform sphere has tails ~ |y|^(-2d),
+lighter than a Cauchy's |y|^(-(d+1)), so pi over that law is
+unbounded.  The step-size recursion reads the SCS steps only.
+
+K is chosen per chain before its first step, so the chain stays
+Markov: the chain weighs ``PILOT_POINTS`` uniform cap points, and with
+rho Kish's relative ESS (sum w)^2 / (n sum w^2) of those weights,
+K = clip(floor(1 / rho), 1, ``MAX_TRIES``).  Where the weights are
+nearly flat (rho > 1/2, the untuned Cauchy) one try is accepted often
+and K = 1; where they are uneven (the tuned skew t, rho ~ 0.15-0.25)
+more tries raise the acceptance for a few more density evaluations per
+move.
 
 The draws are ``z``, standard normals shaped like the state (the
 tangent step, the rwm step or the HMC momentum), and ``u``, one
 uniform per chain for the Metropolis test.  The chain loop owns the
-randomness: chain seed s spawns three generators,
-``SeedSequence(s).spawn(3)``.  Every step consumes one normal row of
-the first and one uniform of the second, used or not (an independence
-step reads its normal row and leaves it unused); both are read
-``_DRAW_BLOCK`` steps per call.  The third feeds the independence
-proposals: proposal j is the j-th row of its normals, taken d + 1 at a
-time and normalized, that lies below the observer latitude; rows drawn
-past one block are carried into the next.  Since the proposals do not
-depend on the state, they are mapped forward and evaluated
-``_DRAW_BLOCK`` at a time, with one ``cap_forward`` and one density
-call for every chain's next block, and each independence step costs one
-comparison.  numpy's generators give the same draws however a stream is
-chunked, so which points a chain proposes does not depend on the block
-size or the ensemble.
+randomness: chain seed s spawns four generators,
+``SeedSequence(s).spawn(4)``, whose first three are those of
+``spawn(3)``.  Every step consumes one normal row of the first and one
+uniform of the second, used or not (an independence step reads its
+normal row and leaves it unused); both are read ``_DRAW_BLOCK`` steps
+per call.  The third feeds the tries: the tries of move j are the
+bright rows jK to jK + K - 1 of its normals, taken d + 1 at a time and
+normalized, a row being bright when it lies below the observer
+latitude; rows drawn past one block are carried into the next.  The
+fourth draws the pilot's points the same way, then one uniform per
+move, which picks its try.  Since the tries do not depend on the
+state, they are mapped forward and evaluated ``_DRAW_BLOCK`` moves at a
+time, with one ``cap_forward`` and one density call for every chain's
+tries; the same block work gives each move its pick, log W and
+log(W - w_j), and the step itself costs one ``metropolis`` call.  The
+pilots of all chains take one more ``cap_forward`` and density call
+before the first step.  numpy's generators give the same draws however
+a stream is chunked, so which points a chain tries and picks does not
+depend on the block size or the ensemble.
 
 ``sphere_step``, ``hmc_step`` and ``metropolis``, and the geometry
 under them (``propose_tangent``, ``leapfrog``), work over a leading
@@ -106,6 +125,15 @@ SPHERE_ENSEMBLE_MIN_CHAINS = 5
 # steps of draws read per generator call; output does not depend on it
 _DRAW_BLOCK = 64
 
+# The independence move's rule: before its first step a chain weighs
+# PILOT_POINTS uniform bright-cap points, and the relative ESS rho of
+# their weights sets its tries per move to clip(floor(1 / rho), 1,
+# MAX_TRIES).  Each try costs a cap point and a density evaluation, so
+# the rule spends them only where the weights are uneven enough for the
+# picked try to be accepted more often.
+PILOT_POINTS = 256
+MAX_TRIES = 8
+
 
 @dataclass(frozen=True)
 class KernelConfig:
@@ -116,14 +144,15 @@ class KernelConfig:
     the whole burn-in of the run, ``0`` keeps the step size fixed.  The
     recursion reads SCS steps only, indexed by their own count.
 
-    ``independence_every`` = k makes scs step t an independence
-    Metropolis step to a uniform bright-cap point whenever t % k == 0
-    (see the module docstring); 0 gives pure SCS, bit for bit as before
-    the move existed.  The default 3 takes two SCS steps per move: on the
-    tuned d = 10 skew t, 2 made the bench's 5-standard-error tail checks
-    fail now and then (a chain that jumps to a far, heavy point of the
-    pullback stays there longer than its ESS shows), and 3 did not.
-    Only scs reads it: sps, rwm and hmc ignore it.
+    ``independence_every`` = k makes scs step t an independence move
+    to the pick of K uniform bright-cap tries whenever t % k == 0 (see
+    the module docstring, which gives the rule for K); 0 gives pure SCS,
+    bit for bit as before the move existed.  The default 3 takes two SCS
+    steps per move: on the tuned d = 10 skew t with a single try, 2 made
+    the bench's 5-standard-error tail checks fail now and then (a chain
+    that jumps to a far, heavy point of the pullback stays there longer
+    than its ESS shows), and 3 did not.  Only scs reads it: sps, rwm and
+    hmc ignore it.
     """
 
     kind: str
@@ -159,9 +188,14 @@ class ChainOutput:
     steps (of all steps when ``burnin = 0``), SCS and independence steps
     together.  ``independence_acceptance`` is that fraction over the
     independence steps alone, NaN when the chain took none after burn-in
-    (the move is off, or the kernel is not scs).  ``step_size_trace``
-    holds the step size after each adapted iteration, an independence
-    step repeating the value before it, then the final one.
+    (the move is off, or the kernel is not scs).  ``independence_tries``
+    is the chain's K, the tries per independence move, and
+    ``pilot_relative_ess`` the relative ESS of its pilot's pullback
+    weights that set K (in (0, 1], or 0 when no pilot weight is
+    positive); they are 0 and NaN when the chain takes no move.
+    ``step_size_trace`` holds the step size after each adapted
+    iteration, an independence step repeating the value before it, then
+    the final one.
     """
 
     samples: np.ndarray
@@ -171,6 +205,8 @@ class ChainOutput:
     wall_time: float
     valid: bool = True
     independence_acceptance: float = math.nan
+    independence_tries: int = 0
+    pilot_relative_ess: float = math.nan
 
 
 def propose_tangent(x, h, z) -> np.ndarray:
@@ -401,17 +437,20 @@ def run_chain(kernel: KernelConfig, params: Optional[ProjectionParams],
     (``kernel.adapt_burnin`` or, by default, the whole burn-in) the
     step size follows the Robbins-Monro recursion and is frozen
     afterwards.  Samples are recorded in target space.  Deterministic
-    given ``seed``: the chain reads the three streams of
-    ``SeedSequence(seed).spawn(3)`` (see the module docstring).  The
+    given ``seed``: the chain reads the four streams of
+    ``SeedSequence(seed).spawn(4)`` (see the module docstring).  The
     reported acceptance rate covers the post burn-in iterations (all
     iterations when ``burnin = 0``).  An scs chain makes every
-    ``kernel.independence_every``-th step an independence move to a
-    uniform bright-cap point, whose own post burn-in rate is
+    ``kernel.independence_every``-th step an independence move with
+    ``independence_tries`` uniform bright-cap tries, set by its pilot
+    before the first step, and the move's own post burn-in rate is
     ``independence_acceptance``; the step-size recursion reads only the
     SCS steps between them.  A start with a NaN or infinite coordinate,
     or at log density NaN or +inf, from which no proposal is accepted,
-    raises ``NonfiniteInput``; one at -inf moves at its first finite
-    proposal.  A projection of another dimension raises ValueError.
+    or an hmc start whose gradient is NaN or infinite, from which every
+    trajectory ends at NaN, raises ``NonfiniteInput``; one at log
+    density -inf moves at its first finite proposal.  A projection of
+    another dimension raises ValueError.
 
     A sphere-kernel start far from ``mu`` can lift onto the observer
     latitude or an ulp above it, at every ``ell_o``, where 1 - M rounds
@@ -427,9 +466,14 @@ def run_chain(kernel: KernelConfig, params: Optional[ProjectionParams],
                   thinning, seed)
 
 
-def _streams(seed):
-    """Chain seed s's normal, uniform and proposal generators."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
+def _streams(seed, *which):
+    """Generators for the children ``which`` of ``SeedSequence(seed).spawn(4)``.
+
+    Children 0 to 3 feed the normals, the uniforms, the independence
+    tries and the pilot with the picks.
+    """
+    children = np.random.SeedSequence(seed).spawn(4)
+    return [np.random.default_rng(children[i]) for i in which]
 
 
 def _draws(seed, width):
@@ -437,12 +481,12 @@ def _draws(seed, width):
 
     An int ``seed`` yields z of shape (width,) and a float u, a list of
     n seeds z of shape (n, width) and u of shape (n,).  Chain seed s
-    reads its normal and uniform generators, the first two children of
-    ``SeedSequence(s).spawn(3)``, ``_DRAW_BLOCK`` steps at a time.
+    reads its normal and uniform generators, children 0 and 1 of its
+    seed sequence (``_streams``), ``_DRAW_BLOCK`` steps at a time.
     """
     ensemble = isinstance(seed, list)
     # made before the first step, so a bad seed raises here, not mid-chain
-    streams = [_streams(c)[:2] for c in (seed if ensemble else [seed])]
+    streams = [_streams(c, 0, 1) for c in (seed if ensemble else [seed])]
 
     def steps():
         while True:
@@ -458,44 +502,144 @@ def _draws(seed, width):
     return steps()
 
 
-def _cap_proposals(seed, params: ProjectionParams, target: TargetModel, count):
-    """The independence steps' proposals (x', y', lp'), one per step.
+def _bright_rows(rng, rows, count, threshold):
+    """``rows`` topped up from ``rng`` to ``count`` bright rows, and the spare.
 
-    Seeds as in ``_draws``: an int yields x' of shape (d+1,), y' of
-    shape (d,) and a float lp', a list of n seeds arrays with a leading
-    axis n.  Chain seed s's proposal j is the j-th bright row of its
-    third generator (``_streams``): rows of d + 1 normals are normalized
-    and kept, in order, while their last coordinate is below
-    ell_o - 1, and rows drawn past a block are carried into the next.
-    Each block of ``_DRAW_BLOCK`` steps, cut short at ``count`` steps in
-    all, takes one ``cap_forward`` and one density call for every
-    chain; lp' is the log density plus log-Jacobian.
+    Rows of d + 1 normals are normalized and kept, in order, while their
+    last coordinate is below ``threshold`` = ell_o - 1.
+    """
+    while len(rows) < count:
+        # the bright side is at least half the sphere
+        g = rng.standard_normal((2 * (count - len(rows)), rows.shape[1]))
+        g /= np.sqrt(np.vecdot(g, g))[:, None]
+        rows = np.concatenate((rows, g[g[:, -1] < threshold]))
+    return rows[:count], rows[count:]
+
+
+def _pullback(rows, params, target):
+    """log pi(F(x)) + log J(x) at the bright rows (..., d+1), with F(x)."""
+    width = params.d + 1
+    y, lp, _, _ = cap_forward(rows.reshape(-1, width), params)
+    lp += target.log_density(y)
+    return y.reshape(*rows.shape[:-1], width - 1), lp.reshape(rows.shape[:-1])
+
+
+def _weights(lp):
+    """exp(lp - m) along the last axis, m its largest finite lp, and m.
+
+    A non-finite lp gets weight 0; a row with none finite gets m = 0 and
+    no weight at all.
+    """
+    lp = np.where(np.isfinite(lp), lp, -math.inf)
+    top = lp.max(axis=-1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    return np.exp(lp - top), top[..., 0]
+
+
+def _pilot(pickers, params, target):
+    """Each chain's tries per move and its pilot's relative ESS.
+
+    Chain i draws ``PILOT_POINTS`` bright points from its pick stream
+    ``pickers[i]``; one ``cap_forward`` and one density call weigh them
+    all.  Kish's relative ESS of chain i's weights w is
+    rho = (sum w)^2 / (n sum w^2), 0 when no weight is positive, and its
+    tries are clip(floor(1 / rho), 1, ``MAX_TRIES``).
+    """
+    width = params.d + 1
+    empty = np.empty((0, width))
+    rows = np.stack([_bright_rows(rng, empty, PILOT_POINTS, params.ell_o - 1.0)[0]
+                     for rng in pickers])
+    w = _weights(_pullback(rows, params, target)[1])[0]
+    total, square = w.sum(axis=-1), np.vecdot(w, w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.where(square > 0.0, total * total / (PILOT_POINTS * square), 0.0)
+        tries = np.floor(np.minimum(1.0 / rho, MAX_TRIES))
+    return np.maximum(tries, 1).astype(int), rho
+
+
+def _pick(lp, tries, picks):
+    """Each move's picked try, as an index into ``lp``, with log W and log(W - w').
+
+    ``lp`` holds a block's tries chain after chain, K_i = ``tries[i]`` a
+    move for its ``picks.shape[1]`` moves, and ``picks`` one uniform per
+    move.  Try i of a move has weight w_i = exp(lp_i - m), 0 at a
+    non-finite lp_i, and try j is picked when it is the first whose
+    running sum of weights exceeds u W.  With one try a chain, the pick
+    is forced and log W = lp'.
+    """
+    n, size = picks.shape
+    k_max = int(tries.max())
+    if k_max == 1:
+        return (np.arange(n * size).reshape(n, size), lp.reshape(n, size),
+                np.full((n, size), -math.inf))
+    # chain i's tries at the front of its own k_max columns, padded with NaN
+    starts = np.concatenate(([0], np.cumsum(size * tries)[:-1]))
+    column = np.arange(k_max)
+    flat = (starts[:, None, None] + np.arange(size)[:, None] * tries[:, None, None]
+            + np.minimum(column, tries[:, None, None] - 1))
+    w, top = _weights(np.where(column < tries[:, None, None], lp[flat], np.nan))
+    running = np.cumsum(w, axis=-1)
+    total = running[..., -1]
+    # the first try past u W; rounding can put u W at W itself, so no
+    # pick goes past the last try of positive weight
+    last = k_max - 1 - np.argmax(w[..., ::-1] > 0.0, axis=-1)
+    j = np.minimum((running <= (picks * total)[..., None]).sum(axis=-1),
+                   np.minimum(last, tries[:, None] - 1))
+    others = np.where(column == j[..., None], 0.0, w).sum(axis=-1)
+    with np.errstate(divide="ignore"):
+        log_total = top + np.log(total)
+        log_others = top + np.log(others)
+    return np.take_along_axis(flat, j[..., None], axis=-1)[..., 0], log_total, log_others
+
+
+def _independence_moves(seed, params: ProjectionParams, target: TargetModel, count):
+    """Each chain's tries K, its pilot's relative ESS, and its ``count`` moves.
+
+    Seeds as in ``_draws``.  The tries and the pilot (``_pilot``) are
+    fixed before this returns; the moves come from a generator, which
+    yields per move (x', y', lp', log W, log(W - w')): the picked try,
+    its image and log density plus log-Jacobian, and the logs of the
+    tries' total weight and of the weight of the tries not picked.  An
+    int seed yields floats for the last three, a list of n seeds arrays
+    with a leading axis n.  The tries of chain seed s's move j are bright
+    rows jK to jK + K - 1 of its child 2 (``_bright_rows``), with rows
+    drawn past a block carried into the next.  Each block of
+    ``_DRAW_BLOCK`` moves, cut short at ``count`` moves in all, takes one
+    ``cap_forward`` and one density call for every chain's tries, and
+    one pick uniform per move from child 3, after the pilot's draws
+    (``_pick``).  No try of weight 0 is picked, and a move whose tries
+    all have weight 0 gets log W = -inf or, with one try, its non-finite
+    lp'; ``metropolis`` rejects either.
     """
     ensemble = isinstance(seed, list)
-    rngs = [_streams(c)[2] for c in (seed if ensemble else [seed])]
-    width = params.d + 1
-    threshold = params.ell_o - 1.0
-    spare = [np.empty((0, width))] * len(rngs)
-    while count > 0:
-        size = min(_DRAW_BLOCK, count)
-        count -= size
-        x = np.empty((len(rngs), size, width))
-        for i, rng in enumerate(rngs):
-            rows = spare[i]
-            while len(rows) < size:
-                # the bright side is at least half the sphere
-                g = rng.standard_normal((2 * (size - len(rows)), width))
-                g /= np.sqrt(np.vecdot(g, g))[:, None]
-                rows = np.concatenate((rows, g[g[:, -1] < threshold]))
-            x[i], spare[i] = rows[:size], rows[size:]
-        y, lp, _, _ = cap_forward(x.reshape(-1, width), params)
-        lp += target.log_density(y)
-        y = y.reshape(len(rngs), size, width - 1)
-        lp = lp.reshape(len(rngs), size)
-        if ensemble:
-            yield from zip(x.transpose(1, 0, 2), y.transpose(1, 0, 2), lp.T)
-        else:
-            yield from zip(x[0], y[0], lp[0].tolist())
+    streams = [_streams(c, 2, 3) for c in (seed if ensemble else [seed])]
+    tries, rho = _pilot([picker for _, picker in streams], params, target)
+
+    def moves(count):
+        width = params.d + 1
+        threshold = params.ell_o - 1.0
+        n = len(streams)
+        spare = [np.empty((0, width))] * n
+        while count > 0:
+            size = min(_DRAW_BLOCK, count)
+            count -= size
+            blocks = []
+            picks = np.empty((n, size))
+            for i, ((proposals, picker), k) in enumerate(zip(streams, tries)):
+                block, spare[i] = _bright_rows(proposals, spare[i], size * k, threshold)
+                blocks.append(block)
+                picker.random(out=picks[i])
+            x = np.concatenate(blocks)
+            y, lp = _pullback(x, params, target)
+            pick, log_total, log_others = _pick(lp, tries, picks)
+            x, y, lp = x[pick], y[pick], lp[pick]
+            if ensemble:
+                yield from zip(x.transpose(1, 0, 2), y.transpose(1, 0, 2), lp.T,
+                               log_total.T, log_others.T)
+            else:
+                yield from zip(x[0], y[0], lp[0].tolist(), log_total[0].tolist(),
+                               log_others[0].tolist())
+    return tries, rho, moves(count)
 
 
 def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
@@ -507,7 +651,8 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
     ``run_chains``, one chain per seed, each with its own step size,
     and returns a list.  Each step hands the kernel its draws from
     ``_draws``, whatever the kernel makes of them; an scs independence
-    step takes its proposal from ``_cap_proposals`` as well.
+    step takes its picked try from ``_independence_moves`` as well, whose
+    pilot runs before the first step.
     """
     iterations = int(iterations)
     burnin = int(burnin)
@@ -541,6 +686,8 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
     trace = []
     accepted_post = np.zeros(len(seed), dtype=int) if ensemble else 0
     moves_accepted = np.zeros(len(seed), dtype=int) if ensemble else 0
+    tries = np.zeros(len(seed) if ensemble else 1, dtype=int)
+    pilot_ess = np.full(tries.shape, math.nan)
     post_steps = 0
     adapted = 0
     kept = 0
@@ -557,6 +704,8 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
         raise NonfiniteInput("the start's log density is NaN or +inf")
     if kernel.kind == "hmc":
         grad = target.grad_log_density(y)
+        if not np.all(np.isfinite(grad)):
+            raise NonfiniteInput("the start's log-density gradient is NaN or infinite")
     if ensemble:
         # chain-major storage: each chain's samples are one contiguous block
         store = np.empty((len(seed), n_keep, target.dim))
@@ -574,26 +723,36 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
             return ChainOutput(samples=samples[:kept], acceptance_rate=rate,
                                step_size_trace=steps, seed=int(seed),
                                wall_time=wall, valid=valid,
-                               independence_acceptance=float(move_rate))
+                               independence_acceptance=float(move_rate),
+                               independence_tries=int(tries[0]),
+                               pilot_relative_ess=float(pilot_ess[0]))
         return [ChainOutput(samples=store[i, :kept],
                             acceptance_rate=float(rate[i]),
                             step_size_trace=steps[:, i], seed=int(s),
                             wall_time=wall, valid=valid,
-                            independence_acceptance=float(move_rate[i]))
+                            independence_acceptance=float(move_rate[i]),
+                            independence_tries=int(tries[i]),
+                            pilot_relative_ess=float(pilot_ess[i]))
                 for i, s in enumerate(seed)]
 
     draws = _draws(seed, target.dim + 1 if on_sphere else target.dim)
-    if every:
-        proposals = _cap_proposals(seed, params, target, iterations // every)
+    t = 0
     try:
+        if every and iterations >= every:
+            tries, pilot_ess, moves = _independence_moves(seed, params, target,
+                                                          iterations // every)
         for t, (z, u) in zip(range(1, iterations + 1), draws):
             move = every and t % every == 0
             if move:
-                x_new, y_new, lp_new = next(proposals)
+                # multiple-try acceptance: log u < log W - log(W - w' + w)
+                x_new, y_new, lp_new, total, others = next(moves)
                 if ensemble:
-                    x, y, logpost, acc = metropolis(u, logpost, lp_new, (x, y), (x_new, y_new))
+                    x, y, _, acc = metropolis(u, np.logaddexp(others, logpost), total,
+                                              (x, y), (x_new, y_new))
+                    logpost = np.where(acc, lp_new, logpost)
                 else:
-                    acc = metropolis(u, logpost, lp_new)
+                    acc = metropolis(u, logpost if others == -math.inf
+                                     else np.logaddexp(others, logpost), total)
                     if acc:
                         x, y, logpost = x_new, y_new, lp_new
             elif on_sphere:
@@ -645,14 +804,15 @@ def run_chains(kernel: KernelConfig, params, target, init, iterations,
     """Run replicate chains, chain i seeded with ``derive_chain_seed(seed, i)``.
 
     ``init`` is one start of shape (d,) shared by every chain, or one
-    row per chain, shape (n_chains, d).  Chain i reads the normal,
-    uniform and proposal streams of its seed, as ``run_chain`` does, so
-    it depends only on ``(seed, i)`` and its start; an scs chain proposes
-    the same independence points alone as in an ensemble.  Hmc chains,
-    and scs and sps chains from ``SPHERE_ENSEMBLE_MIN_CHAINS`` up, step
-    together as one ensemble with one batched density call per
-    transition, and one per block of independence proposals; their
-    samples match ``run_chain``'s to round-off.  Other chains run one after
+    row per chain, shape (n_chains, d).  Chain i reads the four streams
+    of its seed, as ``run_chain`` does, so it depends only on
+    ``(seed, i)`` and its start; an scs chain takes the same number of
+    tries, and tries and picks the same independence points, alone as in
+    an ensemble, whose chains may take different numbers of tries.  Hmc
+    chains, and scs and sps chains from ``SPHERE_ENSEMBLE_MIN_CHAINS``
+    up, step together as one ensemble with one batched density call per
+    transition, one for all the pilots and one per block of independence
+    tries; their samples match ``run_chain``'s to round-off.  Other chains run one after
     another through ``run_chain``.  ``workers`` is accepted, since the
     benchmark passes it, and ignored.  Results come in chain order; the
     chains of an ensemble each report its wall time, and an aborted
@@ -660,7 +820,8 @@ def run_chains(kernel: KernelConfig, params, target, init, iterations,
     outputs.  A far sphere-kernel start whose lift rounds onto the
     observer latitude or above it, which can happen at every ``ell_o``,
     raises ``DarkSidePoint`` before the first step, and a non-finite
-    start or start density ``NonfiniteInput``, as in ``run_chain``.
+    start, start density or hmc start gradient ``NonfiniteInput``, as
+    in ``run_chain``.
     """
     seeds = [derive_chain_seed(seed, i) for i in range(n_chains)]
     inits = np.array(init, dtype=float, ndmin=1)

@@ -49,11 +49,9 @@ import numpy as np
 from .errors import DomainError, EmptyInput
 from .geometry import (
     _BETA_SMALL_BATCH,
-    ProjectionParams,
     _beta_pair,
     _incomplete_beta,
     _incomplete_beta_scalar,
-    log_jacobian,
 )
 
 
@@ -93,31 +91,6 @@ def _check_dof(nu):
     # NaN and infinity fail too; the t at nu = inf is the normal, not a t
     if not 0.0 < nu < math.inf:
         raise DomainError(f"degrees of freedom must be finite and positive, got {nu}")
-
-
-def student_t_cdf(t, nu):
-    """CDF of the univariate Student t with ``nu`` degrees of freedom.
-
-    Closed forms for nu = 1 (arctangent) and nu = 2 (algebraic); the
-    general case reduces to the regularized incomplete beta function,
-    and a 0-d ``t`` there runs in plain Python floats.  Monotone in t
-    and exact at t = 0 for every nu.
-    """
-    _check_dof(nu)
-    t_arr = np.asarray(t, dtype=float)
-    if nu == 1:
-        out = 0.5 + np.arctan(t_arr) / math.pi
-    elif nu == 2:
-        out = 0.5 * (1.0 + t_arr / np.sqrt(2.0 + t_arr * t_arr))
-    elif t_arr.ndim == 0:
-        t = float(t_arr)
-        half_tail = 0.5 * _incomplete_beta(nu / (nu + t * t), nu / 2.0, 0.5, False)
-        return 1.0 - half_tail if t > 0.0 else half_tail
-    else:
-        x = nu / (nu + t_arr * t_arr)
-        half_tail = 0.5 * _incomplete_beta(x, nu / 2.0, 0.5, False)
-        out = np.where(t_arr > 0.0, 1.0 - half_tail, half_tail)
-    return float(out) if t_arr.ndim == 0 else out
 
 
 def student_t_log_cdf(t, nu):
@@ -508,25 +481,3 @@ def load_regression_csv(path, link="logit", link_nu=2.0, prior_scale=2.5,
     return RegressionData(X=arr[:, :-1], y=arr[:, -1], link=link,
                           link_nu=link_nu, prior_scale=prior_scale,
                           prior_nu=prior_nu)
-
-
-# --- pullback of the uniform cap law ----------------------------------------
-
-
-class UniformCapPullback(TargetModel):
-    """Target whose pullback to the sphere is exactly uniform: pi = 1/J.
-
-    Useful as a fixed point of the sampler: every proposal is accepted
-    and the chain's latitude occupancy must match cap band areas.
-    """
-
-    def __init__(self, params: ProjectionParams):
-        self.params = params
-        self.dim = params.d
-
-    def log_density(self, y):
-        return -log_jacobian(y, self.params)
-
-
-def uniform_cap_pullback(params: ProjectionParams) -> UniformCapPullback:
-    return UniformCapPullback(params)

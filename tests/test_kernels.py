@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from brightside import kernels
-from brightside.diagnostics import ess, ks_statistic
+from brightside.diagnostics import ess
 from brightside.errors import (
     ChainAborted,
     DarkSidePoint,
@@ -29,9 +30,12 @@ from brightside.kernels import (
     hmc_step,
     leapfrog,
     metropolis,
+    MAX_TRIES,
+    PILOT_POINTS,
     SPHERE_ENSEMBLE_MIN_CHAINS,
-    _cap_proposals,
+    _bright_rows,
     _draws,
+    _independence_moves,
     propose_tangent,
     run_chain,
     run_chains,
@@ -43,9 +47,8 @@ from brightside.targets import (
     TargetModel,
     mv_student_t,
     skew_t,
-    student_t_cdf,
-    uniform_cap_pullback,
 )
+from oracles import ks_statistic, student_t_cdf, uniform_cap_pullback
 
 
 def random_bright_dark_pair(rng, d, ell_o, h=1.5):
@@ -523,11 +526,12 @@ class TestSphereEnsemble:
 
     def test_ensemble_abort_carries_partial_chains(self):
         # one density call at the start and one per SCS transition; with
-        # the move, one more at step 2 for the block of proposals that
-        # serves steps 2-20.  Pure SCS: call 7 falls in transition 6,
-        # after five kept samples.  With the move: call 7 falls in
-        # transition 9, after eight, and a limit of 2 calls aborts in the
-        # proposals' own call, at step 2
+        # the move, one more for the pilot before the first step and one
+        # at step 2 for the block of tries that serves steps 2-20.  Pure
+        # SCS: call 7 falls in transition 6, after five kept samples.
+        # With the move: call 7 falls in transition 7, after six; a limit
+        # of 3 calls aborts in the tries' own call, at step 2, and a limit
+        # of 1 in the pilot's, before the first step
         class Fails:
             dim = 4
             has_gradient = False
@@ -542,7 +546,7 @@ class TestSphereEnsemble:
                 return -0.5 * np.sum(np.asarray(y) ** 2, axis=-1)
 
         n = SPHERE_ENSEMBLE_MIN_CHAINS
-        for every, limit, kept in ((0, 6, 5), (2, 6, 8), (2, 2, 1)):
+        for every, limit, kept in ((0, 6, 5), (2, 6, 6), (2, 3, 1), (2, 1, 0)):
             cfg = KernelConfig("scs", h=0.5, independence_every=every)
             with pytest.raises(ChainAborted) as info:
                 run_chains(cfg, make_params(4, ell_o=1.1), Fails(limit), np.ones(4), 20,
@@ -1119,31 +1123,46 @@ class TestDraws:
             assert u == uniforms.random()
 
     def test_chain_proposes_the_same_alone_and_in_an_ensemble(self, monkeypatch):
-        # proposal j is the j-th bright row of the third child's normals,
-        # here drawn one row at a time, whatever the block and ensemble
+        # move j's K tries are bright rows jK to jK + K - 1 of the third
+        # child's normals, here drawn one row at a time; the pick is the
+        # first try whose running weight passes u W, u the fourth child's
+        # next uniform after its pilot; whatever the block and ensemble,
+        # and with chains of 5, 5 and 8 tries side by side
         monkeypatch.setattr("brightside.kernels._DRAW_BLOCK", 7)
         d, count = 3, 30
-        p = make_params(d, h_o=np.array([0.3, -0.2, 0.0]), ell_o=1.1, mu=0.3, R=1.5)
+        p = make_params(d, h_o=np.array([0.3, -0.2, 0.0]), ell_o=1.1, mu=0.3, R=4.0)
         target = mv_student_t(d, nu=2.0)
         seeds = [derive_chain_seed(5, i) for i in range(3)]
-        together = list(_cap_proposals(seeds, p, target, count))
+        tries, rho, moves = _independence_moves(seeds, p, target, count)
+        assert tries.tolist() == [5, 5, 8]
+        together = list(moves)
         assert len(together) == count
         for i, s in enumerate(seeds):
-            alone = list(_cap_proposals(s, p, target, count))
-            rng = np.random.default_rng(np.random.SeedSequence(s).spawn(3)[2])
-            for (x, y, lp), (x_i, y_i, lp_i) in zip(together, alone):
-                while True:
-                    g = rng.standard_normal(d + 1)
+            tries_i, rho_i, alone = _independence_moves(s, p, target, count)
+            assert tries_i.tolist() == [tries[i]]
+            assert math.isclose(rho_i[0], rho[i], rel_tol=1e-12)
+            children = np.random.SeedSequence(s).spawn(4)
+            rows, picker = (np.random.default_rng(c) for c in children[2:])
+            _bright_rows(picker, np.empty((0, d + 1)), PILOT_POINTS, p.ell_o - 1.0)
+            for move, move_i in zip(together, alone):
+                xs = []
+                while len(xs) < tries[i]:
+                    g = rows.standard_normal(d + 1)
                     g /= math.sqrt(g @ g)
                     if g[-1] < p.ell_o - 1.0:
-                        break
-                assert np.array_equal(x[i], g) and np.array_equal(x_i, g)
-                y_ref, logjac, _, _ = cap_forward(g, p)
-                lp_ref = logjac + float(target.log_density(y_ref))
-                assert np.allclose([y[i], y_i], y_ref, rtol=1e-12, atol=0.0)
-                assert isinstance(lp_i, float)
-                assert math.isclose(lp[i], lp_ref, rel_tol=1e-12)
-                assert math.isclose(lp_i, lp_ref, rel_tol=1e-12)
+                        xs.append(g)
+                y_ref, lp_ref, _, _ = cap_forward(np.array(xs), p)
+                lp_ref += target.log_density(y_ref)
+                w = np.exp(lp_ref - lp_ref.max())
+                j = int(np.argmax(np.cumsum(w) > picker.random() * w.sum()))
+                x, y, lp, total, others = (part[i] for part in move)
+                assert np.array_equal(x, xs[j]) and np.array_equal(move_i[0], xs[j])
+                assert np.allclose([y, move_i[1]], y_ref[j], rtol=1e-12, atol=0.0)
+                assert all(isinstance(v, float) for v in move_i[2:])
+                want = (lp_ref[j], lp_ref.max() + math.log(w.sum()),
+                        lp_ref.max() + math.log(w.sum() - w[j]))
+                for got in ((lp, total, others), move_i[2:]):
+                    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_chain_draws_the_same_alone_and_in_an_ensemble(self, monkeypatch):
         monkeypatch.setattr("brightside.kernels._DRAW_BLOCK", 7)
@@ -1157,6 +1176,174 @@ class TestDraws:
                 z_i, u_i = next(draws)
                 assert np.array_equal(z[i], z_i) and u[i] == u_i
                 assert isinstance(u_i, float)
+
+
+def _float_platform():
+    """Digest of the elementwise maths and BLAS product a chain's bits rest on."""
+    v = np.linspace(-30.0, 30.0, 4099)
+    a = np.abs(v) + 1e-3
+    m = np.cos(np.arange(64 * 101)).reshape(64, 101)
+    parts = (np.exp(v), np.log(a), np.log1p(a), np.sqrt(a), np.arctan(v),
+             m @ np.sin(np.arange(101.0)))
+    return hashlib.sha256(b"".join(part.tobytes() for part in parts)).hexdigest()
+
+
+class Speck(TargetModel):
+    """A d = 2 density finite only within 1e-3 of the origin, NaN elsewhere."""
+
+    dim = 2
+
+    def log_density(self, y):
+        y = np.asarray(y, dtype=float)
+        return np.where(np.vecdot(y, y) < 1e-6, 0.0, np.nan)
+
+
+class TestMultipleTry:
+    """The independence move draws K tries and picks one by weight."""
+
+    # The chain below, recorded before the move took more than one try:
+    # sha256 of its samples, and of the maths under it on the machine
+    # that recorded them (x86-64, numpy 2.4.6, OpenBLAS 0.3.31).
+    SINGLE_TRY_SAMPLES = "c28d632902b4c6592a4611ab16250ed8fa39a60cee701af8ef23121c531a3929"
+    RECORDED_PLATFORM = "6d057bdeffb0f557f3aa0b15fa4276041decb79a1260e99c1d6e83c74e0ca717"
+
+    def test_single_try_keeps_the_single_proposal_bits(self):
+        # on the untuned d = 100 Cauchy the pilot's relative ESS is about
+        # 0.76, so the rule takes one try, and the chain is the one
+        # proposal per move chain bit for bit
+        if _float_platform() != self.RECORDED_PLATFORM:
+            pytest.skip("numpy's exp, log or BLAS round differently here than "
+                        "where the digest was recorded")
+        d = 100
+        out = run_chain(KernelConfig("scs", h=0.5), make_params(d, ell_o=1.1),
+                        mv_student_t(d, nu=1.0), np.ones(d), 3000, burnin=300, seed=5)
+        assert out.independence_tries == 1 and 0.6 < out.pilot_relative_ess < 0.9
+        assert hashlib.sha256(out.samples.tobytes()).hexdigest() == self.SINGLE_TRY_SAMPLES
+
+    def test_invariance_from_exact_draws(self, monkeypatch):
+        # 1000 chains start at exact draws of a d = 2 Cauchy whose
+        # projection is shifted by 2, so the pullback weights are uneven
+        # and the rule takes 6-8 tries; after 60 steps, each one a move,
+        # the final states must still look like the target
+        monkeypatch.setattr("brightside.kernels._DRAW_BLOCK", 20)  # bounds memory only
+        rng = np.random.default_rng(41)
+        d, n_chains = 2, 1000
+        target = mv_student_t(d, nu=1.0)
+        inits = target.exact_sample(rng, size=n_chains)
+        outs = run_chains(KernelConfig("scs", h=0.7, independence_every=1),
+                          make_params(d, ell_o=1.1, mu=2.0), target, inits, 60,
+                          seed=41, n_chains=n_chains)
+        assert min(o.independence_tries for o in outs) >= 3
+        assert 0.2 < np.mean([o.independence_acceptance for o in outs]) < 0.9
+        finals = np.array([o.samples[-1] for o in outs])
+        for j in range(d):
+            ks = ks_statistic(finals[:, j], lambda t: student_t_cdf(t, 1.0))
+            assert ks < 1.63 / math.sqrt(n_chains)
+
+    def test_ensemble_with_different_tries_matches_single_chains(self):
+        # the chains of one ensemble take 7, 5, 7, 7 and 4 tries; chain i
+        # still follows run_chain with its derived seed
+        d = 2
+        p = make_params(d, ell_o=1.1, R=5.0)
+        target = mv_student_t(d, nu=1.0)
+        cfg = KernelConfig("scs", h=1.0)
+        outs = run_chains(cfg, p, target, np.ones(d), 300, burnin=100, seed=2,
+                          n_chains=SPHERE_ENSEMBLE_MIN_CHAINS)
+        assert [o.independence_tries for o in outs] == [7, 5, 7, 7, 4]
+        for i, ens in enumerate(outs):
+            one = run_chain(cfg, p, target, np.ones(d), 300, burnin=100,
+                            seed=derive_chain_seed(2, i))
+            assert ens.independence_tries == one.independence_tries
+            assert math.isclose(ens.pilot_relative_ess, one.pilot_relative_ess,
+                                rel_tol=1e-12)
+            # Cauchy draws reach 1e3 and beyond: round-off is relative
+            assert np.allclose(ens.samples, one.samples, rtol=1e-10, atol=1e-10)
+            assert ens.acceptance_rate == one.acceptance_rate
+            assert ens.independence_acceptance == one.independence_acceptance
+            assert 0.0 < one.independence_acceptance < 1.0
+
+    def test_nonfinite_tries_never_picked(self):
+        # Walled's density is +inf, NaN or -inf on three half-planes, and
+        # at R = 2 more than half the tries land there; the rule takes 3
+        # tries, and a move picks a finite one whenever it has one
+        nonfinite = []
+
+        class Counting(Walled):
+            def log_density(self, y):
+                out = Walled.log_density(self, y)
+                nonfinite.append(int(np.size(out) - np.isfinite(out).sum()))
+                return out
+
+        p = make_params(2, ell_o=1.1, R=2.0)
+        seeds = [derive_chain_seed(43, i) for i in range(3)]
+        tries, _, moves = _independence_moves(seeds, p, Counting(), 200)
+        assert tries.tolist() == [3, 3, 3]
+        picked = 0
+        for x, y, lp, total, others in moves:
+            some = np.isfinite(total)
+            assert np.all(np.isfinite(lp[some]))
+            assert np.allclose(lp[some], cap_forward(x[some], p)[1]
+                               + Walled().log_density(y[some]), rtol=1e-12, atol=0.0)
+            picked += some.sum()
+        assert picked > 300 and sum(nonfinite[1:]) > 900  # the moves' calls, past the pilot's
+
+    def test_move_with_no_finite_try_rejected(self):
+        # no try lands within 1e-3 of the origin, where the chains start:
+        # the pilot has no weight, so the rule takes MAX_TRIES, and every
+        # move has log W = -inf and is rejected, alone and in an ensemble
+        p = make_params(2, ell_o=1.1)
+        for seed in (44, [44, 45]):
+            _, _, moves = _independence_moves(seed, p, Speck(), 50)
+            assert all(np.all(total == -math.inf) for _, _, _, total, _ in moves)
+        for n_chains in (1, SPHERE_ENSEMBLE_MIN_CHAINS):
+            outs = run_chains(KernelConfig("scs", independence_every=1), p, Speck(),
+                              np.zeros(2), 100, seed=44, n_chains=n_chains)
+            for out in outs:
+                assert out.independence_tries == MAX_TRIES
+                assert out.pilot_relative_ess == 0.0
+                assert out.acceptance_rate == out.independence_acceptance == 0.0
+                assert np.all(out.samples == 0.0)
+
+    def test_no_tries_without_the_move(self):
+        # sps, rwm, hmc and pure SCS take no move, report no tries and
+        # draw no pilot
+        d = 2
+        target = mv_student_t(d, nu=1.0)
+        for kind, p, every in (("scs", make_params(d, ell_o=1.1), 0),
+                               ("scs", make_params(d, ell_o=1.1), 51),
+                               ("sps", make_params(d, ell_o=2.0, R=1.0), 3),
+                               ("rwm", None, 3), ("hmc", None, 3)):
+            out = run_chain(KernelConfig(kind, independence_every=every), p, target,
+                            np.ones(d), 50, seed=1)
+            assert out.independence_tries == 0 and math.isnan(out.pilot_relative_ess)
+        out = run_chain(KernelConfig("scs"), make_params(d, ell_o=1.1), target,
+                        np.ones(d), 50, seed=1)
+        assert out.independence_tries == 1 and 0.5 < out.pilot_relative_ess <= 1.0
+
+    @pytest.mark.parametrize("n_chains", [1, 3])
+    def test_nonfinite_start_gradient_raises(self, n_chains):
+        # an hmc chain from a start whose gradient is NaN rejected every
+        # trajectory and returned valid=True; it raises before the first
+        # step, alone and as one row of an ensemble
+        class NanSlope(TargetModel):
+            dim = 2
+            base = mv_student_t(2, nu=1.0)
+
+            def log_density(self, y):
+                return self.base.log_density(y)
+
+            def grad_log_density(self, y):
+                y = np.asarray(y)
+                return np.where(y[..., :1] == 1.0, np.nan, self.base.grad_log_density(y))
+
+        cfg = KernelConfig("hmc", h=0.3, leapfrog_steps=5)
+        inits = np.zeros((n_chains, 2))
+        inits[-1, 0] = 1.0
+        with pytest.raises(NonfiniteInput, match="gradient"):
+            run_chains(cfg, None, NanSlope(), inits, 10, seed=0, n_chains=n_chains)
+        inits[-1, 0] = 0.5
+        for out in run_chains(cfg, None, NanSlope(), inits, 10, seed=0, n_chains=n_chains):
+            assert out.valid
 
 
 class TestUniformErgodicity:

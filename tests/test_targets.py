@@ -21,12 +21,11 @@ from brightside.targets import (
     save_regression_csv,
     skew_t,
     standardize_columns,
-    student_t_cdf,
     student_t_log_cdf,
     student_t_log_pdf,
-    uniform_cap_pullback,
 )
 from brightside.tuning import TuneOptions, tune
+from oracles import student_t_cdf, uniform_cap_pullback
 
 
 def fd_gradient(f, y, eps=1e-6):
