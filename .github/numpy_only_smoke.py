@@ -11,9 +11,11 @@ acceptance must lie in [0, 1]) and one chain without it (NaN), a
 300-step scs chain on a shifted projection where the pilot picks more
 than one try per move (its move acceptance must lie in (0, 1]), one
 50-step sps chain and one rwm chain, HMC run as one chain and as a
-3-chain ensemble, so both leapfrog shapes run, a short tune and 1 000
-exact draws of the d = 10 skew t.  From the repository root, with the
-package installed (or ``PYTHONPATH=src``):
+3-chain ensemble, so both leapfrog shapes run, a short tune run twice
+with one seed (the rows it carries between steps are per-call state, so
+the two must end at the same parameters), 1 000 uniform cap draws with
+their rejection stats, and 1 000 exact draws of the d = 10 skew t.  From
+the repository root, with the package installed (or ``PYTHONPATH=src``):
 
     python .github/numpy_only_smoke.py
 """
@@ -29,7 +31,7 @@ for name in ("scipy", "mpmath", "pytest"):
 import numpy as np
 
 import brightside
-from brightside.geometry import make_params
+from brightside.geometry import make_params, sample_uniform_cap
 from brightside.kernels import (
     SPHERE_ENSEMBLE_MIN_CHAINS,
     KernelConfig,
@@ -89,6 +91,11 @@ report = tune(target, 1.1, TuneOptions(mc_batch=200, steps=30, seed=0))
 h_o, mu, R = report.theta_bar
 assert np.all(np.isfinite(h_o)) and np.all(np.isfinite(mu)) and np.isfinite(R)
 assert np.all(np.isfinite(report.objective_trace))
+again = tune(target, 1.1, TuneOptions(mc_batch=200, steps=30, seed=0))
+assert all(np.array_equal(a, b) for a, b in zip(again.theta_bar, report.theta_bar))
+cap, raw, accepted = sample_uniform_cap(10, 1.1, np.random.default_rng(0), size=1000,
+                                        with_rejection_stats=True)
+assert cap.shape == (1000, 11) and raw >= accepted >= 1000
 draws = target.exact_sample(np.random.default_rng(0), size=1000)
 assert draws.shape == (1000, 10) and np.all(np.isfinite(draws))
 print("numpy-only smoke run passed")

@@ -45,6 +45,7 @@ from .diagnostics import (
 from .geometry import ProjectionParams, make_params
 from .kernels import (
     HMC_TARGET_ACCEPT,
+    KERNEL_KINDS,
     WALK_TARGET_ACCEPT,
     KernelConfig,
     derive_chain_seed,
@@ -67,7 +68,6 @@ from .tuning import TuneOptions, TuneReport, tune
 # ``fixed_step``, which fixes both step sizes at 0.1 without adaptation.
 # For the regression presets ``reference_size`` is the length factor of
 # the long reference chains; ``nu`` is used by the skew-t target only.
-_ALL_KERNELS = ("scs", "sps", "rwm", "hmc")
 _LOGISTIC = (
     dict(dimension=5, iterations=100_000, burnin=2_000, thinning=10,
          replicates=3, reference_size=10, nu=2.0, tuner_enabled=True,
@@ -83,11 +83,11 @@ _PRESET_TABLE = {
         dict(dimension=10, iterations=100_000, burnin=2_000, thinning=10,
              replicates=3, reference_size=0, nu=1.0, tuner_enabled=False,
              tuner_steps=1000, tuner_batch=1000, n_obs=30, link="logit",
-             methods=_ALL_KERNELS, hmc_iterations=None, fixed_step=False),
+             methods=KERNEL_KINDS, hmc_iterations=None, fixed_step=False),
         dict(dimension=100, iterations=500_000, burnin=10_000, thinning=10,
              replicates=3, reference_size=0, nu=1.0, tuner_enabled=False,
              tuner_steps=2000, tuner_batch=2000, n_obs=50, link="logit",
-             methods=_ALL_KERNELS, hmc_iterations=None, fixed_step=False),
+             methods=KERNEL_KINDS, hmc_iterations=None, fixed_step=False),
     ),
     "skewt": (
         dict(dimension=10, iterations=100_000, burnin=100, thinning=10,
@@ -196,7 +196,7 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}")
-        if self.kernel not in _ALL_KERNELS:
+        if self.kernel not in KERNEL_KINDS:
             raise ConfigError(f"unknown kernel {self.kernel!r}")
         for names, least in ((("iterations", "burnin", "seed",
                                "reference_size"), 0),

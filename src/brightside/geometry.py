@@ -45,10 +45,15 @@ orderings (a, b) and (b, a), the fraction's coefficients, the series
 coefficients, the edge and log B, and the swap threshold and log a.  A
 caller looks the pair up once (``_beta_pair``) and hands it to the one
 evaluation of a point, ``_incomplete_beta_scalar``, in plain floats; so
-do small batches, here and in the t log-CDF of ``targets``, which loop
-that evaluation.  A large batch vectorizes only its series side, with
-the same operations, and sends every other point through that
-evaluation.
+do the small batches of the t log-CDF in ``targets``, which loop that
+evaluation.  A batch here vectorizes only its series side, with the
+same operations, and sends every other point through that evaluation.
+
+Every uniform point of the bright cap comes from one sampler,
+``_bright_rows``: ``sample_uniform_cap``, the tuner's batches and the
+independence move's pilot and tries.  A caller that carries its spare
+bright rows from call to call takes consecutive bright rows of its
+stream.
 
 All functions broadcast over leading axes and are pure; sampling takes
 an explicit ``numpy.random.Generator``.
@@ -319,18 +324,16 @@ def log_jacobian_at_cap_point(x, p: ProjectionParams):
 def sample_uniform_cap(d, ell_o, rng, size=None, with_rejection_stats=False):
     """Draw uniform samples from the bright side of the sphere.
 
-    A standard (d+1)-dimensional Gaussian is normalized onto the sphere
-    and rejected while its last coordinate is at or above ell_o - 1.
-    The accepted fraction is at least 1/2 for ell_o >= 1, so the
-    expected number of raw draws per sample is at most 2.  Each round
-    draws 2 m + 8 rows for the m samples still missing, takes their
-    norms once, tests the latitude g_d / |g| and divides only the kept
-    rows it returns; one round almost always suffices.
+    The first ``size`` bright rows of ``rng`` (``_bright_rows``): rows of
+    d + 1 standard normals normalized onto the sphere, kept in order
+    while their last coordinate is below ell_o - 1.  The bright side is
+    at least half the sphere for ell_o >= 1, so each round draws twice
+    the rows still missing, and one round almost always suffices.
 
     Returns a (d+1,) point for ``size=None``, else a (size, d+1) array.
-    With ``with_rejection_stats=True`` also returns the raw and accepted
-    draw counts (before truncating the final chunk), so the empirical
-    rejection fraction is 1 - accepted/raw.
+    With ``with_rejection_stats=True`` also returns the rows drawn and
+    the bright rows among them, the unused spare included, so the
+    empirical rejection fraction is 1 - accepted/raw.
     """
     if not d >= 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
@@ -339,26 +342,32 @@ def sample_uniform_cap(d, ell_o, rng, size=None, with_rejection_stats=False):
     n = 1 if size is None else int(size)
     if n < 0:
         raise ValueError(f"size must be non-negative, got {size}")
-    threshold = ell_o - 1.0
-    out = np.empty((0, d + 1))
-    got = 0
-    raw = 0
-    while got < n:
-        m = 2 * (n - got) + 8
-        g = rng.standard_normal((m, d + 1))
-        raw += m
-        norm = np.linalg.norm(g, axis=1)
-        kept = np.flatnonzero(g[:, d] / norm < threshold)
-        rows = kept[:n - got]
-        accepted = g[rows]
-        accepted /= norm[rows, None]
-        out = np.concatenate([out, accepted]) if out.size else accepted
-        got += kept.size
+    out, spare, raw = _bright_rows(rng, np.empty((0, d + 1)), n, ell_o - 1.0)
     if size is None:
         out = out[0]
     if with_rejection_stats:
-        return out, raw, got
+        return out, raw, n + len(spare)
     return out
+
+
+def _bright_rows(rng, rows, count, threshold):
+    """``rows`` topped up from ``rng`` to ``count`` bright rows, as
+    (rows, spare, drawn): the one sampler of the uniform bright cap.
+
+    Rows of d + 1 normals are normalized and kept, in order, while their
+    last coordinate is below ``threshold`` = ell_o - 1; ``drawn`` counts
+    the rows drawn.  The bright rows past ``count`` are the spare: passed
+    back as ``rows``, it makes consecutive calls take consecutive bright
+    rows of the stream, the same bits as one call for all of them.
+    """
+    drawn = 0
+    while len(rows) < count:
+        # the bright side is at least half the sphere
+        g = rng.standard_normal((2 * (count - len(rows)), rows.shape[1]))
+        drawn += len(g)
+        g /= np.sqrt(np.vecdot(g, g))[:, None]
+        rows = np.concatenate((rows, g[g[:, -1] < threshold]))
+    return rows[:count], rows[count:], drawn
 
 
 def cap_ratio_exact(d, ell_o) -> float:
@@ -384,18 +393,6 @@ def cap_ratio_exact(d, ell_o) -> float:
 _BETA_EPS = 1e-15
 _BETA_FPMIN = 1e-300
 _BETA_MAXIT = 500
-# Up to this many points the per-point loop beats vectorizing the series
-# side.  On the t log-CDF of skew-t batches drawn from the target (d = 10
-# and 100, so m = 11 and 101, skewness 100 and -100 on two coordinates;
-# numpy 2.4, median over 20 batches of the best of 5 x 20 calls, loop and
-# vectorized interleaved, middle of three runs on a 2-core x86-64 VM),
-# loop with the pair looked up once per call against vectorized, in us:
-#   points       8         16         24         32         40        128
-#   d = 10   20 vs 67  37 vs 63  50 vs 61  69 vs 71  88 vs 83  268 vs 126
-#   d = 100  23 vs 64  49 vs 89  62 vs 86 108 vs 126 148 vs 139 315 vs 215
-# The two break even between 32 and 40 points at both d, so the limit
-# stays at 32, where the loop still wins.
-_BETA_SMALL_BATCH = 32
 # Terms of the power series summed at or below a pair's series edge.
 _BETA_SERIES_TERMS = 12
 
@@ -642,15 +639,13 @@ def _incomplete_beta(x, a, b, log):
     points.
 
     There is one per-point path, ``_incomplete_beta_scalar``, in plain
-    floats.  A 0-d ``x`` returns its float, and batches of up to
-    ``_BETA_SMALL_BATCH`` points loop it with the one lookup.  A larger
-    batch vectorizes only the series side: the interior points at or
-    below their swap group's edge, one swap group at a time, each with
-    its pair's scalar coefficients in an in-place Horner loop and the
-    other operations of the per-point path in the same order.  Every
-    other point (x = 0 or 1, and the fraction side) goes through the
-    per-point path.  So a point gets the same bits alone and in any
-    batch.
+    floats.  A 0-d ``x`` returns its float; a batch vectorizes only the
+    series side: the interior points at or below their swap group's
+    edge, one swap group at a time, each with its pair's scalar
+    coefficients in an in-place Horner loop and the other operations of
+    the per-point path in the same order.  Every other point (x = 0 or
+    1, and the fraction side) goes through the per-point path.  So a
+    point gets the same bits alone and in any batch.
     """
     pair = _beta_pair(float(a), float(b))
     x = np.asarray(x, dtype=float)
@@ -658,10 +653,6 @@ def _incomplete_beta(x, a, b, log):
         return _incomplete_beta_scalar(float(x), pair, bool(log))
     if np.shape(log) != x.shape:
         log = np.broadcast_to(np.asarray(log, dtype=bool), x.shape)
-    if x.size <= _BETA_SMALL_BATCH:
-        values = [_incomplete_beta_scalar(xv, pair, lv)
-                  for xv, lv in zip(x.ravel().tolist(), log.ravel().tolist())]
-        return np.array(values, dtype=float).reshape(x.shape)
     if not np.all((x >= 0.0) & (x <= 1.0)):
         raise DomainError("x must lie in [0, 1]")
     swap = x > pair.threshold
@@ -706,11 +697,11 @@ def regularized_incomplete_beta(x, a, b):
     terms are proven below half an ulp) and the continued fraction
     elsewhere, in its rapidly convergent region.  Accepts scalar or
     array x; a and b are positive scalars, and a 0-d x returns a float.
-    Each point is computed by one plain-float path; a large batch
-    vectorizes only its series side, with the same operations.  The
-    series is a fixed sum and each point's fraction stops when its own
-    |delta - 1| < 1e-15, so a point gets the same value alone and in
-    any batch.
+    Each point is computed by one plain-float path; a batch vectorizes
+    only its series side, with the same operations.  The series is a
+    fixed sum and each point's fraction stops when its own
+    |delta - 1| < 1e-15, so a point gets the same value alone and in any
+    batch.
     """
     return _incomplete_beta(x, a, b, False)
 
@@ -723,7 +714,7 @@ def log_regularized_incomplete_beta(x, a, b):
     reflected value.  Intended for deep lower tails (e.g. heavy-tail CDF
     logs), which is where the 12-term series serves.  Evaluated as
     ``regularized_incomplete_beta`` is: one plain-float path per point,
-    with a large batch vectorizing only its series side; a 0-d x
+    with a batch vectorizing only its series side; a 0-d x
     returns a float.  A point gets the same value alone and in any batch.
     """
     return _incomplete_beta(x, a, b, True)

@@ -53,19 +53,19 @@ randomness: chain seed s spawns four generators,
 uniform of the second, used or not (an independence step reads its
 normal row and leaves it unused); both are read ``_DRAW_BLOCK`` steps
 per call.  The third feeds the tries: the tries of move j are the
-bright rows jK to jK + K - 1 of its normals, taken d + 1 at a time and
-normalized, a row being bright when it lies below the observer
-latitude; rows drawn past one block are carried into the next.  The
-fourth draws the pilot's points the same way, then one uniform per
-move, which picks its try.  Since the tries do not depend on the
-state, they are mapped forward and evaluated ``_DRAW_BLOCK`` moves at a
-time, with one ``cap_forward`` and one density call for every chain's
-tries; the same block work gives each move its pick, log W and
-log(W - w_j), and the step itself costs one ``metropolis`` call.  The
-pilots of all chains take one more ``cap_forward`` and density call
-before the first step.  numpy's generators give the same draws however
-a stream is chunked, so which points a chain tries and picks does not
-depend on the block size or the ensemble.
+bright rows jK to jK + K - 1 of its stream, drawn by the cap's one
+sampler, ``geometry._bright_rows``, with the bright rows drawn past one
+block carried into the next.  The fourth draws the pilot's points,
+``sample_uniform_cap`` of that stream, then one uniform per move, which
+picks its try.  Since the tries do not depend on the state, they are
+mapped forward and evaluated ``_DRAW_BLOCK`` moves at a time, with one
+``cap_forward`` and one density call for every chain's tries; the same
+block work gives each move its pick, log W and log(W - w_j), and the
+step itself costs one ``metropolis`` call.  The pilots of all chains
+take one more ``cap_forward`` and density call before the first step.
+numpy's generators give the same draws however a stream is chunked, so
+which points a chain tries and picks does not depend on the block size
+or the ensemble.
 
 ``sphere_step``, ``hmc_step`` and ``metropolis``, and the geometry
 under them (``propose_tangent``, ``leapfrog``), work over a leading
@@ -98,7 +98,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import ChainAborted, DarkSidePoint, DegenerateProposal, NonfiniteInput
-from .geometry import ProjectionParams, cap_forward, scp_inverse
+from .geometry import (
+    ProjectionParams,
+    _bright_rows,
+    cap_forward,
+    sample_uniform_cap,
+    scp_inverse,
+)
 from .targets import TargetModel
 
 KERNEL_KINDS = ("scs", "sps", "rwm", "hmc")
@@ -502,20 +508,6 @@ def _draws(seed, width):
     return steps()
 
 
-def _bright_rows(rng, rows, count, threshold):
-    """``rows`` topped up from ``rng`` to ``count`` bright rows, and the spare.
-
-    Rows of d + 1 normals are normalized and kept, in order, while their
-    last coordinate is below ``threshold`` = ell_o - 1.
-    """
-    while len(rows) < count:
-        # the bright side is at least half the sphere
-        g = rng.standard_normal((2 * (count - len(rows)), rows.shape[1]))
-        g /= np.sqrt(np.vecdot(g, g))[:, None]
-        rows = np.concatenate((rows, g[g[:, -1] < threshold]))
-    return rows[:count], rows[count:]
-
-
 def _pullback(rows, params, target):
     """log pi(F(x)) + log J(x) at the bright rows (..., d+1), with F(x)."""
     width = params.d + 1
@@ -539,15 +531,13 @@ def _weights(lp):
 def _pilot(pickers, params, target):
     """Each chain's tries per move and its pilot's relative ESS.
 
-    Chain i draws ``PILOT_POINTS`` bright points from its pick stream
-    ``pickers[i]``; one ``cap_forward`` and one density call weigh them
-    all.  Kish's relative ESS of chain i's weights w is
+    Chain i draws ``PILOT_POINTS`` uniform cap points from its pick
+    stream ``pickers[i]`` (``sample_uniform_cap``); one ``cap_forward``
+    and one density call weigh them all.  Kish's relative ESS of chain i's weights w is
     rho = (sum w)^2 / (n sum w^2), 0 when no weight is positive, and its
     tries are clip(floor(1 / rho), 1, ``MAX_TRIES``).
     """
-    width = params.d + 1
-    empty = np.empty((0, width))
-    rows = np.stack([_bright_rows(rng, empty, PILOT_POINTS, params.ell_o - 1.0)[0]
+    rows = np.stack([sample_uniform_cap(params.d, params.ell_o, rng, size=PILOT_POINTS)
                      for rng in pickers])
     w = _weights(_pullback(rows, params, target)[1])[0]
     total, square = w.sum(axis=-1), np.vecdot(w, w)
@@ -602,9 +592,9 @@ def _independence_moves(seed, params: ProjectionParams, target: TargetModel, cou
     tries' total weight and of the weight of the tries not picked.  An
     int seed yields floats for the last three, a list of n seeds arrays
     with a leading axis n.  The tries of chain seed s's move j are bright
-    rows jK to jK + K - 1 of its child 2 (``_bright_rows``), with rows
-    drawn past a block carried into the next.  Each block of
-    ``_DRAW_BLOCK`` moves, cut short at ``count`` moves in all, takes one
+    rows jK to jK + K - 1 of its child 2 (``geometry._bright_rows``),
+    with the bright rows drawn past a block carried into the next.  Each
+    block of ``_DRAW_BLOCK`` moves, cut short at ``count`` moves in all, takes one
     ``cap_forward`` and one density call for every chain's tries, and
     one pick uniform per move from child 3, after the pilot's draws
     (``_pick``).  No try of weight 0 is picked, and a move whose tries
@@ -626,7 +616,8 @@ def _independence_moves(seed, params: ProjectionParams, target: TargetModel, cou
             blocks = []
             picks = np.empty((n, size))
             for i, ((proposals, picker), k) in enumerate(zip(streams, tries)):
-                block, spare[i] = _bright_rows(proposals, spare[i], size * k, threshold)
+                block, spare[i], _ = _bright_rows(proposals, spare[i], size * k,
+                                                  threshold)
                 blocks.append(block)
                 picker.random(out=picks[i])
             x = np.concatenate(blocks)
@@ -673,21 +664,22 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
         raise ValueError("HMC requires a target gradient")
 
     ensemble = isinstance(seed, list)
+    seeds = seed if ensemble else [seed]
     init = np.array(init, dtype=float, ndmin=1)
     if not ensemble and init.shape != (target.dim,):
         raise ValueError(f"init must have shape ({target.dim},)")
     if not np.all(np.isfinite(init)):
         raise NonfiniteInput("init must be finite")
-    h = np.full(len(seed), kernel.h) if ensemble else kernel.h
+    h = np.full(len(seeds), kernel.h) if ensemble else kernel.h
     every = kernel.independence_every if kernel.kind == "scs" else 0
     adapt_until = kernel.adapt_burnin if kernel.adapt_burnin is not None else burnin
     adapt_until = min(adapt_until, burnin)
     n_keep = (iterations - burnin) // thinning
     trace = []
-    accepted_post = np.zeros(len(seed), dtype=int) if ensemble else 0
-    moves_accepted = np.zeros(len(seed), dtype=int) if ensemble else 0
-    tries = np.zeros(len(seed) if ensemble else 1, dtype=int)
-    pilot_ess = np.full(tries.shape, math.nan)
+    accepted_post = np.zeros(len(seeds), dtype=int) if ensemble else 0
+    moves_accepted = np.zeros(len(seeds), dtype=int) if ensemble else 0
+    tries = np.zeros(len(seeds), dtype=int)
+    pilot_ess = np.full(len(seeds), math.nan)
     post_steps = 0
     adapted = 0
     kept = 0
@@ -706,34 +698,26 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
         grad = target.grad_log_density(y)
         if not np.all(np.isfinite(grad)):
             raise NonfiniteInput("the start's log-density gradient is NaN or infinite")
-    if ensemble:
-        # chain-major storage: each chain's samples are one contiguous block
-        store = np.empty((len(seed), n_keep, target.dim))
-        samples = store.transpose(1, 0, 2)
-    else:
-        samples = np.empty((n_keep, target.dim))
+    # chain-major storage: each chain's samples are one contiguous block
+    store = np.empty((len(seeds), n_keep, target.dim))
+    samples = store.transpose(1, 0, 2) if ensemble else store[0]
 
     def outputs(valid):
         wall = time.perf_counter() - start
-        rate = accepted_post / max(post_steps, 1)
+        rate = np.atleast_1d(accepted_post / max(post_steps, 1))
         moves = (burnin + post_steps) // every - burnin // every if every else 0
-        move_rate = moves_accepted / moves if moves else np.full(np.shape(moves_accepted), math.nan)
-        steps = np.asarray(trace)
-        if not ensemble:
-            return ChainOutput(samples=samples[:kept], acceptance_rate=rate,
-                               step_size_trace=steps, seed=int(seed),
-                               wall_time=wall, valid=valid,
-                               independence_acceptance=float(move_rate),
-                               independence_tries=int(tries[0]),
-                               pilot_relative_ess=float(pilot_ess[0]))
-        return [ChainOutput(samples=store[i, :kept],
-                            acceptance_rate=float(rate[i]),
-                            step_size_trace=steps[:, i], seed=int(s),
-                            wall_time=wall, valid=valid,
-                            independence_acceptance=float(move_rate[i]),
-                            independence_tries=int(tries[i]),
-                            pilot_relative_ess=float(pilot_ess[i]))
-                for i, s in enumerate(seed)]
+        move_rate = (np.atleast_1d(moves_accepted / moves) if moves
+                     else np.full(len(seeds), math.nan))
+        steps = np.asarray(trace).reshape(len(trace), -1)
+        chains = [ChainOutput(samples=store[i, :kept],
+                              acceptance_rate=float(rate[i]),
+                              step_size_trace=steps[:, i], seed=int(s),
+                              wall_time=wall, valid=valid,
+                              independence_acceptance=float(move_rate[i]),
+                              independence_tries=int(tries[i]),
+                              pilot_relative_ess=float(pilot_ess[i]))
+                  for i, s in enumerate(seeds)]
+        return chains if ensemble else chains[0]
 
     draws = _draws(seed, target.dim + 1 if on_sphere else target.dim)
     t = 0

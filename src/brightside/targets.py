@@ -30,9 +30,9 @@ Outside its nu = 1 and nu = 2 closed forms the t log-CDF (the skew t's
 factor, the robit link) rests on the incomplete beta of ``geometry``.
 All its per-pair work is cached there, and a call looks up the pair
 (nu/2, 1/2) once.  A 0-d argument and batches of up to
-``geometry._BETA_SMALL_BATCH`` points run the 0-d path once per point,
-each with that lookup: the 10-chain ensembles and one robit chain pass
-such batches.  ``SkewT`` calls that path, and the t log-pdf, past the
+``_BETA_SMALL_BATCH`` points run the 0-d path once per point, each
+with that lookup: the 10-chain ensembles and one robit chain pass such
+batches.  ``SkewT`` calls that path, and the t log-pdf, past the
 degrees-of-freedom check its construction made.  Larger batches, the
 tuner's among them, vectorize the series side of the incomplete beta.
 """
@@ -47,12 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, EmptyInput
-from .geometry import (
-    _BETA_SMALL_BATCH,
-    _beta_pair,
-    _incomplete_beta,
-    _incomplete_beta_scalar,
-)
+from .geometry import _beta_pair, _incomplete_beta, _incomplete_beta_scalar
 
 
 class TargetModel:
@@ -87,6 +82,21 @@ class TargetModel:
 # --- student t --------------------------------------------------------------
 
 
+# Up to this many points the t log-CDF loops the per-point incomplete
+# beta rather than vectorizing its series side.  On skew-t batches drawn
+# from the target (d = 10 and 100, so m = 11 and 101, skewness 100 and
+# -100 on two coordinates; numpy 2.4, median over 20 batches of the best
+# of 5 x 20 calls, loop and vectorized interleaved, middle of three runs
+# on a 2-core x86-64 VM), loop with the pair looked up once per call
+# against vectorized, in us:
+#   points       8         16         24         32         40        128
+#   d = 10   20 vs 67  37 vs 63  50 vs 61  69 vs 71  88 vs 83  268 vs 126
+#   d = 100  23 vs 64  49 vs 89  62 vs 86 108 vs 126 148 vs 139 315 vs 215
+# The two break even between 32 and 40 points at both d, so the limit
+# stays at 32, where the loop still wins.
+_BETA_SMALL_BATCH = 32
+
+
 def _check_dof(nu):
     # NaN and infinity fail too; the t at nu = inf is the normal, not a t
     if not 0.0 < nu < math.inf:
@@ -102,7 +112,7 @@ def student_t_log_cdf(t, nu):
     log I_x for t < 0 and I_x for t >= 0, with x = nu / (nu + t^2) and
     F(-|t|) = I_x / 2.  The pair (nu/2, 1/2) is looked up once per call
     (``geometry._beta_pair``).  A 0-d ``t`` and batches of up to
-    ``geometry._BETA_SMALL_BATCH`` points take the 0-d path once per
+    ``_BETA_SMALL_BATCH`` points take the 0-d path once per
     point, so each row is its point alone by construction; a larger
     batch vectorizes the series points of the incomplete beta, with the
     same operations, and sends the rest through the per-point

@@ -8,12 +8,17 @@ average over uniform cap samples of
     -log J(x) - log pi(forward(x)),
 
 which equals the divergence up to an additive constant (cap area and
-target normalizer).  Gradients are reparameterized: the cap samples are
-held fixed while the forward map and Jacobian move with the
-parameters, so every term is differentiated in closed form, from one
-``log_density_and_grad`` call per step that gives the objective and the
-target gradient on the batch together; targets without gradients fall
-back to central finite differences.  ``_objective_and_gradient`` makes
+target normalizer).  Each step's batch is the next ``mc_batch``
+consecutive bright rows of the tuner's stream (``geometry._bright_rows``,
+the sampler behind ``sample_uniform_cap``): the bright rows one step
+draws past its batch open the next, so the first batch is
+``sample_uniform_cap(d, ell_o, default_rng(seed), size=mc_batch)``.
+Gradients are reparameterized: the cap samples are held fixed while the
+forward map and Jacobian move with the parameters, so every term is
+differentiated in closed form, from one ``log_density_and_grad`` call
+per step that gives the objective and the target gradient on the batch
+together; targets without gradients fall back to central finite
+differences.  ``_objective_and_gradient`` makes
 that choice for every step of ``tune``.  The scale is optimized as
 log R to stay positive, and the longitude is radially projected back
 into the observer ball after every update; the report counts those
@@ -40,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonfiniteGradient, ObserverOutsideBall, TuningFailed
-from .geometry import INTERIOR_MARGIN, cap_forward, make_params, sample_uniform_cap
+from .geometry import INTERIOR_MARGIN, _bright_rows, cap_forward, make_params
 from .targets import TargetModel
 
 # Adam moment decay rates and denominator guard (Kingma & Ba defaults)
@@ -258,13 +263,13 @@ def tune(target: TargetModel, ell_o, opts: TuneOptions | None = None,
          alignment_ref=None) -> TuneReport:
     """Adam descent on the Monte Carlo KL objective.
 
-    Each step draws a fresh uniform cap batch (stochastic gradients),
-    updates (h_o, mu, log R) with Adam, and projects the longitude back
-    into the observer ball.  Deterministic given ``opts.seed``.  A step
-    whose objective or gradient is not finite is skipped: the
-    parameters and Adam's moments stay as they are, and Adam's bias
-    correction counts applied updates only.  Aborts after ten
-    consecutive non-finite objective values.  Stops before
+    Each step takes a fresh uniform cap batch, the next bright rows of
+    the tuner's stream (stochastic gradients), updates (h_o, mu, log R)
+    with Adam, and projects the longitude back into the observer ball.
+    Deterministic given ``opts.seed``.  A step whose objective or
+    gradient is not finite is skipped: the parameters and Adam's moments
+    stay as they are, and Adam's bias correction counts applied updates
+    only.  Aborts after ten consecutive non-finite objective values.  Stops before
     ``opts.steps`` once the objective has stopped falling (see the
     module docstring); the traces then end at the last step run.
 
@@ -289,12 +294,13 @@ def tune(target: TargetModel, ell_o, opts: TuneOptions | None = None,
     cosine_trace = np.empty(opts.steps) if alignment_ref is not None else None
     mu_rel_trace = np.empty(opts.steps) if alignment_ref is not None else None
 
+    spare = np.empty((0, d + 1))
     bad_streak = 0
     h_o_rescaled = 0
     applied = 0  # Adam's bias-correction step counts applied updates only
     converged = False
     for step in range(opts.steps):
-        cap = sample_uniform_cap(d, ell_o, rng, size=opts.mc_batch)
+        cap, spare, _ = _bright_rows(rng, spare, opts.mc_batch, ell_o - 1.0)
         try:
             obj, (g_ho, g_mu, g_R) = _objective_and_gradient(
                 (h_o, mu, R), ell_o, target, cap)

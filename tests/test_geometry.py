@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import special as sps
 
-from brightside import geometry
+from brightside import geometry, targets
 from brightside.errors import (
     BoundaryWithoutSymmetry,
     BrightsideError,
@@ -523,35 +523,66 @@ class TestUniformCap:
         assert abs(frac_rejected - 1.0 / 3.0) <= 3.0 * se
 
     @staticmethod
-    def textbook_cap(d, ell_o, rng, size):
-        """Normalize whole rounds of normals, keep the bright rows, cut at n."""
-        n = 1 if size is None else size
-        chunks = [np.empty((0, d + 1))]
-        got = raw = 0
+    def textbook_cap(d, ell_o, rng, n, spare):
+        """Rounds of twice the missing rows, normalized, bright ones kept.
+
+        The bright rows follow ``spare`` in order; returns the first n,
+        the rest as the new spare, and the rows drawn.
+        """
+        chunks = [spare]
+        got, raw = len(spare), 0
         while got < n:
-            g = rng.standard_normal((2 * (n - got) + 8, d + 1))
+            g = rng.standard_normal((2 * (n - got), d + 1))
             raw += g.shape[0]
-            z = g / np.linalg.norm(g, axis=1, keepdims=True)
+            z = g / np.sqrt(np.vecdot(g, g))[:, None]
             chunks.append(z[z[:, d] < ell_o - 1.0])
             got += chunks[-1].shape[0]
-        out = np.concatenate(chunks)[:n]
-        return (out[0] if size is None else out), raw, got
+        out = np.concatenate(chunks)
+        return out[:n], out[n:], raw
 
     @pytest.mark.parametrize("d, ell_o, size, seed", [
         (3, 1.3, None, 40), (3, 1.3, 0, 41), (10, 1.1, 1000, 42),
-        (2, 1.0, 3, 55),     # the first round keeps 2 of 3
-        (2, 1.0, 3, 1994),   # the first round keeps none
+        (2, 1.0, 3, 55),     # the first round keeps 1 of 3, the second none
+        (2, 1.0, 3, 1994),   # the first two rounds keep none
     ])
     def test_matches_textbook_rejection_loop(self, d, ell_o, size, seed):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got, raw, accepted = sample_uniform_cap(d, ell_o, rng, size=size,
                                                 with_rejection_stats=True)
-        want, want_raw, want_accepted = self.textbook_cap(d, ell_o, ref_rng, size)
+        n = 1 if size is None else size
+        want, spare, want_raw = self.textbook_cap(d, ell_o, ref_rng, n,
+                                                  np.empty((0, d + 1)))
+        if size is None:
+            want = want[0]
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert (raw, accepted) == (want_raw, want_accepted)
+        assert (raw, accepted) == (want_raw, n + len(spare))
         assert rng.random() == ref_rng.random()
         if seed in (55, 1994):
-            assert raw > 2 * size + 8
+            assert raw > 2 * size
+
+    @pytest.mark.parametrize("d, ell_o, spare_rows, count", [
+        (3, 1.3, 5, 12), (10, 1.1, 40, 30), (2, 1.0, 7, 0),
+    ])
+    def test_carried_spare_matches_textbook(self, d, ell_o, spare_rows, count):
+        spare = sample_uniform_cap(d, ell_o, np.random.default_rng(43), size=spare_rows)
+        rng, ref_rng = np.random.default_rng(44), np.random.default_rng(44)
+        rows, left, drawn = geometry._bright_rows(rng, spare, count, ell_o - 1.0)
+        want, want_left, want_drawn = self.textbook_cap(d, ell_o, ref_rng, count, spare)
+        assert rows.tobytes() == want.tobytes() and rows.shape == (count, d + 1)
+        assert left.tobytes() == want_left.tobytes() and drawn == want_drawn
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("d, ell_o, a, b", [
+        (3, 1.3, 7, 11), (10, 1.1, 1000, 1000), (2, 1.0, 1, 1), (4, 1.5, 50, 0),
+    ])
+    def test_top_ups_take_consecutive_bright_rows(self, d, ell_o, a, b):
+        # a rows, then b more from the carried spare, are the a + b rows of
+        # one call: whatever the rounds, the rows are the stream's bright rows
+        rng = np.random.default_rng(45)
+        first, spare, _ = geometry._bright_rows(rng, np.empty((0, d + 1)), a, ell_o - 1.0)
+        second, _, _ = geometry._bright_rows(rng, spare, b, ell_o - 1.0)
+        whole = sample_uniform_cap(d, ell_o, np.random.default_rng(45), size=a + b)
+        assert np.concatenate([first, second]).tobytes() == whole.tobytes()
 
 
 class TestCapRatio:
@@ -671,9 +702,9 @@ class TestIncompleteBetaPaths:
     """The plain-float path and the batched path compute the same values."""
 
     FUNCS = (regularized_incomplete_beta, log_regularized_incomplete_beta)
-    # batches up to the small-batch limit loop the per-point path, one
-    # point more vectorizes its series side
-    SIZES = (geometry._BETA_SMALL_BATCH, geometry._BETA_SMALL_BATCH + 1)
+    # the t log-CDF loops the per-point path up to its small-batch limit
+    # and vectorizes one point more; here both sizes vectorize
+    SIZES = (targets._BETA_SMALL_BATCH, targets._BETA_SMALL_BATCH + 1)
 
     def test_batch_independence(self):
         rng = np.random.default_rng(30)
@@ -766,7 +797,7 @@ class TestSeriesRegion:
 
     def test_batch_across_the_edge_matches_plain_floats(self):
         rng = np.random.default_rng(34)
-        n = geometry._BETA_SMALL_BATCH + 1
+        n = targets._BETA_SMALL_BATCH + 1
         for a, b in self.SHAPES:
             edge = self.edge(a, b)
             xs = np.concatenate([
@@ -780,7 +811,7 @@ class TestSeriesRegion:
         # every point on the series side, in both swap groups, each with
         # value and log flags mixed, batched past the small-batch limit
         rng = np.random.default_rng(36)
-        n = 4 * geometry._BETA_SMALL_BATCH
+        n = 4 * targets._BETA_SMALL_BATCH
         for a, b in self.SHAPES + ((2.0, 3.0),):
             xs = np.concatenate([rng.uniform(0.0, 0.9 * self.edge(a, b), n),
                                  1.0 - rng.uniform(0.0, 0.9 * self.edge(b, a), n)])

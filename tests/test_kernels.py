@@ -33,7 +33,6 @@ from brightside.kernels import (
     MAX_TRIES,
     PILOT_POINTS,
     SPHERE_ENSEMBLE_MIN_CHAINS,
-    _bright_rows,
     _draws,
     _independence_moves,
     propose_tangent,
@@ -347,11 +346,16 @@ class TestScsStep:
 
     def test_latitude_band_occupancy_detailed_balance(self):
         # uniform-pullback target: band occupancy must match band areas,
-        # with pure SCS and with SCS alternating with the independence move
+        # with pure SCS and with SCS alternating with the independence move;
+        # an ensemble started from exact uniform-cap draws, so each
+        # transition solves every chain's chord in one batch
         d = 2
         ell_o = 1.5
         p = make_params(d, ell_o=ell_o)
-        n = 200_000
+        n_chains, n = 10, 25_000
+        assert n_chains >= SPHERE_ENSEMBLE_MIN_CHAINS
+        starts = scp_forward(sample_uniform_cap(d, ell_o, np.random.default_rng(9),
+                                                size=n_chains), p)
         edges = np.array([-1.0, -0.5, 0.0, 0.25, ell_o - 1.0])
         # P(z_d+1 > s) = cap_ratio_exact at latitude 1+s for s >= 0, and
         # 1 - that at 1-s for s < 0 (symmetry of the uniform sphere law)
@@ -362,14 +366,15 @@ class TestScsStep:
 
         bright_mass = 1.0 - cap_ratio_exact(d, ell_o)
         for every in (0, 2):
-            out = run_chain(KernelConfig("scs", h=0.8, independence_every=every), p,
-                            uniform_cap_pullback(p), np.zeros(d), n, seed=9)
-            lat = scp_inverse(out.samples, p)[:, -1]
+            outs = run_chains(KernelConfig("scs", h=0.8, independence_every=every), p,
+                              uniform_cap_pullback(p), starts, n, seed=9,
+                              n_chains=n_chains)
+            lats = [scp_inverse(out.samples, p)[:, -1] for out in outs]
             for lo, hi in zip(edges[:-1], edges[1:]):
                 expected = (upper_frac(lo) - upper_frac(hi)) / bright_mass
-                ind = ((lat > lo) & (lat <= hi)).astype(float)
-                observed = ind.mean()
-                n_eff = ess(ind)
+                inds = [((lat > lo) & (lat <= hi)).astype(float) for lat in lats]
+                observed = np.mean(inds)
+                n_eff = sum(ess(ind) for ind in inds)
                 se = math.sqrt(expected * (1.0 - expected) / n_eff)
                 assert abs(observed - expected) <= 3.0 * se
 
@@ -1143,7 +1148,7 @@ class TestDraws:
             assert math.isclose(rho_i[0], rho[i], rel_tol=1e-12)
             children = np.random.SeedSequence(s).spawn(4)
             rows, picker = (np.random.default_rng(c) for c in children[2:])
-            _bright_rows(picker, np.empty((0, d + 1)), PILOT_POINTS, p.ell_o - 1.0)
+            sample_uniform_cap(d, p.ell_o, picker, size=PILOT_POINTS)
             for move, move_i in zip(together, alone):
                 xs = []
                 while len(xs) < tries[i]:

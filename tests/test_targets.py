@@ -596,7 +596,7 @@ class TestSmallBatchLogCdf:
     0-d path once per point, so every row has the bits of its point alone;
     one point more takes the vectorized series side."""
 
-    SIZES = range(1, geometry._BETA_SMALL_BATCH + 2)
+    SIZES = range(1, targets._BETA_SMALL_BATCH + 2)
     # the skew t at d = 10 and 100, nu = 1 and 2, with the paper's skewness
     SKEW = [pytest.param(d, nu, id=f"d{d}-nu{nu:g}") for d in (10, 100)
             for nu in (1.0, 2.0)]

@@ -348,6 +348,27 @@ class TestTune:
         assert np.array_equal(a.theta_bar[1], b.theta_bar[1])
         assert a.theta_bar[2] == b.theta_bar[2]
 
+    def test_batches_are_consecutive_bright_rows(self, monkeypatch):
+        # step k's batch is bright rows k n to k n + n - 1 of the tuner's
+        # stream, the rows one step draws past its batch opening the next:
+        # the first is sample_uniform_cap's batch at the seed, and all of
+        # them together are one draw of steps * n points
+        d, n, steps = 3, 100, 6
+        seen = []
+        real = tuning._objective_and_gradient
+
+        def recording(theta_bar, ell_o, target, cap):
+            seen.append(cap.copy())
+            return real(theta_bar, ell_o, target, cap)
+
+        monkeypatch.setattr(tuning, "_objective_and_gradient", recording)
+        tune(mv_student_t(d, nu=1.0), 1.1, TuneOptions(mc_batch=n, steps=steps, seed=7))
+        assert len(seen) == steps
+        first = sample_uniform_cap(d, 1.1, np.random.default_rng(7), size=n)
+        assert seen[0].tobytes() == first.tobytes()
+        whole = sample_uniform_cap(d, 1.1, np.random.default_rng(7), size=steps * n)
+        assert np.concatenate(seen).tobytes() == whole.tobytes()
+
     def test_alignment_traces_present(self):
         d = 3
         alpha = np.array([4.0, -4.0, 0.0])
