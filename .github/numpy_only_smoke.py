@@ -9,7 +9,9 @@ steps together, so the batched sphere transition steps its dark rows
 out one by one, both with the default independence move (its
 acceptance must lie in [0, 1]) and one chain without it (NaN), a
 300-step scs chain on a shifted projection where the pilot picks more
-than one try per move (its move acceptance must lie in (0, 1]), one
+than one try per move (its move acceptance must lie in (0, 1]), an
+scs ensemble whose chains take different numbers of tries (7, 5, 7, 7
+and 4), each matching ``run_chain`` with its own seed to 1e-10, one
 50-step sps chain and one rwm chain, HMC run as one chain and as a
 3-chain ensemble, so both leapfrog shapes run, a short tune run twice
 with one seed (the rows it carries between steps are per-call state, so
@@ -35,6 +37,7 @@ from brightside.geometry import make_params, sample_uniform_cap
 from brightside.kernels import (
     SPHERE_ENSEMBLE_MIN_CHAINS,
     KernelConfig,
+    derive_chain_seed,
     run_chain,
     run_chains,
 )
@@ -69,6 +72,19 @@ chain = run_chain(KernelConfig("scs", h=0.5), make_params(2, ell_o=1.1, mu=2.0),
 assert chain.independence_tries > 1, chain.independence_tries
 assert np.all(np.isfinite(chain.samples))
 assert 0.0 < chain.independence_acceptance <= 1.0
+# chains of one ensemble with different numbers of tries share one padded
+# pick; each must still follow run_chain with its own seed
+p = make_params(2, ell_o=1.1, R=5.0)
+cfg = KernelConfig("scs", h=1.0)
+chains = run_chains(cfg, p, mv_student_t(2, nu=1.0), np.ones(2), 300, burnin=100, seed=2,
+                    n_chains=SPHERE_ENSEMBLE_MIN_CHAINS)
+tries = [chain.independence_tries for chain in chains]
+assert len(set(tries)) > 1, tries
+for i, chain in enumerate(chains):
+    one = run_chain(cfg, p, mv_student_t(2, nu=1.0), np.ones(2), 300, burnin=100,
+                    seed=derive_chain_seed(2, i))
+    assert one.independence_tries == tries[i]
+    assert np.allclose(chain.samples, one.samples, rtol=1e-10, atol=1e-10)
 chain = run_chain(KernelConfig("sps", h=0.5), make_params(3, ell_o=2.0, R=1.0),
                   mv_student_t(3, nu=1.0), np.zeros(3), 50, seed=0)
 assert chain.samples.shape == (50, 3) and np.all(np.isfinite(chain.samples))

@@ -44,25 +44,26 @@ and K = 1; where they are uneven (the tuned skew t, rho ~ 0.15-0.25)
 more tries raise the acceptance for a few more density evaluations per
 move.
 
-The draws are ``z``, standard normals shaped like the state (the
-tangent step, the rwm step or the HMC momentum), and ``u``, one
-uniform per chain for the Metropolis test.  The chain loop owns the
-randomness: chain seed s spawns four generators,
-``SeedSequence(s).spawn(4)``, whose first three are those of
-``spawn(3)``.  Every step consumes one normal row of the first and one
-uniform of the second, used or not (an independence step reads its
-normal row and leaves it unused); both are read ``_DRAW_BLOCK`` steps
-per call.  The third feeds the tries: the tries of move j are the
-bright rows jK to jK + K - 1 of its stream, drawn by the cap's one
-sampler, ``geometry._bright_rows``, with the bright rows drawn past one
-block carried into the next.  The fourth draws the pilot's points,
-``sample_uniform_cap`` of that stream, then one uniform per move, which
-picks its try.  Since the tries do not depend on the state, they are
-mapped forward and evaluated ``_DRAW_BLOCK`` moves at a time, with one
-``cap_forward`` and one density call for every chain's tries; the same
-block work gives each move its pick, log W and log(W - w_j), and the
+All randomness comes from one generator, ``_draws``: each step's
+``z``, standard normals shaped like the state (the tangent step, the
+rwm step or the HMC momentum), ``u``, one uniform per chain for the
+Metropolis test, and at an independence step the picked try.  Chain
+seed s spawns four generators, ``SeedSequence(s).spawn(4)``, whose
+first three are those of ``spawn(3)``.  Every step consumes one normal
+row of the first and one uniform of the second, used or not (an
+independence step leaves its normal row unused).  The third feeds the
+tries: the tries of move j are the bright rows jK to jK + K - 1 of its
+stream, drawn by the cap's one sampler, ``geometry._bright_rows``.  The
+fourth draws the pilot's points, ``sample_uniform_cap`` of that stream,
+then one uniform per move, which picks its try.  The steps come in
+blocks of k * ``_DRAW_BLOCK`` steps, which hold ``_DRAW_BLOCK`` moves:
+one call per stream reads a block's draws, and since the tries do not
+depend on the state, one ``_pullback`` (one ``cap_forward`` and one
+density call) evaluates every chain's tries at the block's first move,
+and ``_pick`` gives each move its pick, log W and log(W - w_j); the
 step itself costs one ``metropolis`` call.  The pilots of all chains
-take one more ``cap_forward`` and density call before the first step.
+take one more ``_pullback`` as the first step is drawn.  Every sphere
+density, the start's and each proposal's included, is a ``_pullback``.
 numpy's generators give the same draws however a stream is chunked, so
 which points a chain tries and picks does not depend on the block size
 or the ensemble.
@@ -93,6 +94,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -128,7 +130,8 @@ HMC_TARGET_ACCEPT = 0.8
 # 4, the Cauchy at d = 10 from 5 and at d = 100 from 6.
 SPHERE_ENSEMBLE_MIN_CHAINS = 5
 
-# steps of draws read per generator call; output does not depend on it
+# moves (steps, for a chain without the move) per block of draws; the
+# draws do not depend on it
 _DRAW_BLOCK = 64
 
 # The independence move's rule: before its first step a chain weighs
@@ -139,6 +142,12 @@ _DRAW_BLOCK = 64
 # picked try to be accepted more often.
 PILOT_POINTS = 256
 MAX_TRIES = 8
+
+
+def _require_integer(name, value, least):
+    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -180,10 +189,8 @@ class KernelConfig:
         for name, least in (("leapfrog_steps", 1 if kind == "hmc" else 0),
                             ("adapt_burnin", 0), ("independence_every", 0)):
             value = getattr(self, name)
-            if name == "adapt_burnin" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            if not (name == "adapt_burnin" and value is None):
+                _require_integer(name, value, least)
 
 
 @dataclass
@@ -330,10 +337,9 @@ def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,
         try:
             if ell_o < 2.0 and x_star[-1] > lat_threshold:
                 x_star = stepping_out(x, x_star, ell_o)
-            y_star, logjac, _, _ = cap_forward(x_star, params)
+            y_star, lp_star = _pullback(x_star, params, target)
         except (DegenerateProposal, DarkSidePoint):
             return x, y, logpost, False
-        lp_star = logjac + float(target.log_density(y_star))
         if metropolis(u, logpost, lp_star):
             return x_star, y_star, lp_star, True
         return x, y, logpost, False
@@ -346,8 +352,7 @@ def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,
     dead = x_star[:, -1] >= lat_threshold  # degenerate rows and exact ties
     if dead.any():
         x_star[dead] = x[dead]
-    y_star, lp_star, _, _ = cap_forward(x_star, params)
-    lp_star += target.log_density(y_star)
+    y_star, lp_star = _pullback(x_star, params, target)
     lp_star[dead] = np.nan
     return metropolis(u, logpost, lp_star, (x, y), (x_star, y_star))
 
@@ -414,24 +419,26 @@ def hmc_step(y, logp, g, eps, steps, target: TargetModel, z, u):
     return y_out, np.where(accepted, logp1, logp), g_out, accepted
 
 
+# When a target's pullback is so close to uniform that the requested
+# acceptance rate is unattainable, the recursion diverges; the update
+# clamps the step size to keep the chain numerically sane.
+_STEP_SIZE_CLAMP = (1e-10, 1e10)
+
+
 def adapt_step_size(h, accepted, t, target_accept):
     """Robbins-Monro step-size update, log h += t^-0.6 (acc - target).
 
     ``h`` and ``accepted`` may be per-chain arrays.  Acceptance is 0 or
     1, so a step has two factors; both come from ``math.exp`` and each
     chain picks its own, which gives an ensemble row its single chain's
-    bits.
+    bits.  The result is clamped to ``_STEP_SIZE_CLAMP``.
     """
+    low, high = _STEP_SIZE_CLAMP
     if np.ndim(accepted):
-        return h * np.where(accepted, math.exp(t**-0.6 * (1.0 - target_accept)),
-                            math.exp(t**-0.6 * (0.0 - target_accept)))
-    return h * math.exp(t**-0.6 * ((1.0 if accepted else 0.0) - target_accept))
-
-
-# When a target's pullback is so close to uniform that the requested
-# acceptance rate is unattainable, the recursion diverges; the runner
-# clamps the step size to keep the chain numerically sane.
-_STEP_SIZE_CLAMP = (1e-10, 1e10)
+        return np.clip(h * np.where(accepted, math.exp(t**-0.6 * (1.0 - target_accept)),
+                                    math.exp(t**-0.6 * (0.0 - target_accept))), low, high)
+    return min(max(h * math.exp(t**-0.6 * ((1.0 if accepted else 0.0) - target_accept)),
+                   low), high)
 
 
 def run_chain(kernel: KernelConfig, params: Optional[ProjectionParams],
@@ -439,12 +446,14 @@ def run_chain(kernel: KernelConfig, params: Optional[ProjectionParams],
               seed=0) -> ChainOutput:
     """Drive a kernel for ``iterations`` steps and collect thinned samples.
 
+    ``iterations``, ``burnin`` and ``thinning`` are integers, with
+    ``iterations > burnin >= 0`` and ``thinning >= 1``, else ValueError.
     The first ``burnin`` iterations are discarded; while adapting
     (``kernel.adapt_burnin`` or, by default, the whole burn-in) the
-    step size follows the Robbins-Monro recursion and is frozen
-    afterwards.  Samples are recorded in target space.  Deterministic
-    given ``seed``: the chain reads the four streams of
-    ``SeedSequence(seed).spawn(4)`` (see the module docstring).  The
+    step size follows the Robbins-Monro recursion, clamped to
+    [1e-10, 1e10], and is frozen afterwards.  Samples are recorded in
+    target space.  Deterministic given ``seed``: the chain reads the four
+    streams of ``SeedSequence(seed).spawn(4)`` (see the module docstring).  The
     reported acceptance rate covers the post burn-in iterations (all
     iterations when ``burnin = 0``).  An scs chain makes every
     ``kernel.independence_every``-th step an independence move with
@@ -472,48 +481,19 @@ def run_chain(kernel: KernelConfig, params: Optional[ProjectionParams],
                   thinning, seed)
 
 
-def _streams(seed, *which):
-    """Generators for the children ``which`` of ``SeedSequence(seed).spawn(4)``.
-
-    Children 0 to 3 feed the normals, the uniforms, the independence
-    tries and the pilot with the picks.
-    """
-    children = np.random.SeedSequence(seed).spawn(4)
-    return [np.random.default_rng(children[i]) for i in which]
-
-
-def _draws(seed, width):
-    """Each step's draws (z, u): ``width`` normals and one uniform a chain.
-
-    An int ``seed`` yields z of shape (width,) and a float u, a list of
-    n seeds z of shape (n, width) and u of shape (n,).  Chain seed s
-    reads its normal and uniform generators, children 0 and 1 of its
-    seed sequence (``_streams``), ``_DRAW_BLOCK`` steps at a time.
-    """
-    ensemble = isinstance(seed, list)
-    # made before the first step, so a bad seed raises here, not mid-chain
-    streams = [_streams(c, 0, 1) for c in (seed if ensemble else [seed])]
-
-    def steps():
-        while True:
-            z = np.empty((len(streams), _DRAW_BLOCK, width))
-            u = np.empty((len(streams), _DRAW_BLOCK))
-            for (normals, uniforms), z_i, u_i in zip(streams, z, u):
-                normals.standard_normal(out=z_i)
-                uniforms.random(out=u_i)
-            if ensemble:
-                yield from zip(z.transpose(1, 0, 2), u.T)
-            else:
-                yield from zip(z[0], u[0].tolist())
-    return steps()
-
-
 def _pullback(rows, params, target):
-    """log pi(F(x)) + log J(x) at the bright rows (..., d+1), with F(x)."""
-    width = params.d + 1
-    y, lp, _, _ = cap_forward(rows.reshape(-1, width), params)
+    """F(x) and log pi(F(x)) + log J(x) at bright rows x, the one sphere density.
+
+    One row of shape (d+1,) gives its image and a float, n rows of shape
+    (n, d+1) one ``cap_forward`` and one density call.  A batch is kept
+    2-d, since a skew t's rows depend on the shape of its batch.
+    """
+    if rows.ndim == 1:
+        y, logjac, _, _ = cap_forward(rows, params)
+        return y, logjac + float(target.log_density(y))
+    y, lp, _, _ = cap_forward(rows, params)
     lp += target.log_density(y)
-    return y.reshape(*rows.shape[:-1], width - 1), lp.reshape(rows.shape[:-1])
+    return y, lp
 
 
 def _weights(lp):
@@ -532,14 +512,15 @@ def _pilot(pickers, params, target):
     """Each chain's tries per move and its pilot's relative ESS.
 
     Chain i draws ``PILOT_POINTS`` uniform cap points from its pick
-    stream ``pickers[i]`` (``sample_uniform_cap``); one ``cap_forward``
-    and one density call weigh them all.  Kish's relative ESS of chain i's weights w is
-    rho = (sum w)^2 / (n sum w^2), 0 when no weight is positive, and its
-    tries are clip(floor(1 / rho), 1, ``MAX_TRIES``).
+    stream ``pickers[i]`` (``sample_uniform_cap``); one ``_pullback``
+    weighs them all.  Kish's relative ESS of chain i's weights w is rho =
+    (sum w)^2 / (n sum w^2), 0 when no weight is positive, and its tries
+    are clip(floor(1 / rho), 1, ``MAX_TRIES``).
     """
-    rows = np.stack([sample_uniform_cap(params.d, params.ell_o, rng, size=PILOT_POINTS)
-                     for rng in pickers])
-    w = _weights(_pullback(rows, params, target)[1])[0]
+    rows = [sample_uniform_cap(params.d, params.ell_o, rng, size=PILOT_POINTS)
+            for rng in pickers]
+    lp = _pullback(np.concatenate(rows), params, target)[1]
+    w = _weights(lp.reshape(len(pickers), PILOT_POINTS))[0]
     total, square = w.sum(axis=-1), np.vecdot(w, w)
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = np.where(square > 0.0, total * total / (PILOT_POINTS * square), 0.0)
@@ -575,62 +556,80 @@ def _pick(lp, tries, picks):
     last = k_max - 1 - np.argmax(w[..., ::-1] > 0.0, axis=-1)
     j = np.minimum((running <= (picks * total)[..., None]).sum(axis=-1),
                    np.minimum(last, tries[:, None] - 1))
-    others = np.where(column == j[..., None], 0.0, w).sum(axis=-1)
+    # summed in order, as the running sum is: numpy sums 8 or more columns
+    # pairwise, which gives a chain beside one of 8 tries other bits
+    others = np.cumsum(np.where(column == j[..., None], 0.0, w), axis=-1)[..., -1]
     with np.errstate(divide="ignore"):
         log_total = top + np.log(total)
         log_others = top + np.log(others)
     return np.take_along_axis(flat, j[..., None], axis=-1)[..., 0], log_total, log_others
 
 
-def _independence_moves(seed, params: ProjectionParams, target: TargetModel, count):
-    """Each chain's tries K, its pilot's relative ESS, and its ``count`` moves.
+def _draws(seed, width, iterations, every=0, params=None, target=None):
+    """Each chain's tries K, its pilot's relative ESS, and its steps' draws.
 
-    Seeds as in ``_draws``.  The tries and the pilot (``_pilot``) are
-    fixed before this returns; the moves come from a generator, which
-    yields per move (x', y', lp', log W, log(W - w')): the picked try,
-    its image and log density plus log-Jacobian, and the logs of the
-    tries' total weight and of the weight of the tries not picked.  An
-    int seed yields floats for the last three, a list of n seeds arrays
-    with a leading axis n.  The tries of chain seed s's move j are bright
-    rows jK to jK + K - 1 of its child 2 (``geometry._bright_rows``),
-    with the bright rows drawn past a block carried into the next.  Each
-    block of ``_DRAW_BLOCK`` moves, cut short at ``count`` moves in all, takes one
-    ``cap_forward`` and one density call for every chain's tries, and
-    one pick uniform per move from child 3, after the pilot's draws
-    (``_pick``).  No try of weight 0 is picked, and a move whose tries
-    all have weight 0 gets log W = -inf or, with one try, its non-finite
-    lp'; ``metropolis`` rejects either.
+    An int ``seed`` is one chain, a list of n seeds n chains, each
+    reading the four streams of its seed (see the module docstring),
+    made here, so a bad seed raises at once.  Returns (tries, rho,
+    steps): tries and rho, of shape (n,), read 0 and NaN until the pilot
+    (``_pilot``) fills them as the first step is drawn, and ``steps``
+    yields (z, u, move) for each of ``iterations`` steps, z with
+    ``width`` normals and u one uniform a chain.  ``move`` is None but at
+    every ``every``-th step, where it is the picked try (x', y', lp',
+    log W, log(W - w')): the try, its image and log density plus
+    log-Jacobian, and the logs of the tries' total weight and of the
+    weight of those not picked.  One chain gets z of shape (width,) and
+    floats for the scalars, n chains arrays with a leading axis n.  With
+    ``every`` 0, or above ``iterations``, no step is a move and no pilot
+    is drawn.  A block's tries are drawn and evaluated at its first move,
+    the bright rows drawn past one block carried into the next.  A move
+    whose tries all have weight 0 gets log W = -inf or, with one try, its
+    non-finite lp'; ``metropolis`` rejects either.
     """
     ensemble = isinstance(seed, list)
-    streams = [_streams(c, 2, 3) for c in (seed if ensemble else [seed])]
-    tries, rho = _pilot([picker for _, picker in streams], params, target)
+    streams = [[np.random.default_rng(c) for c in np.random.SeedSequence(s).spawn(4)]
+               for s in (seed if ensemble else [seed])]
+    n = len(streams)
+    tries, rho = np.zeros(n, dtype=int), np.full(n, math.nan)
+    every = every if every <= iterations else 0
 
-    def moves(count):
-        width = params.d + 1
-        threshold = params.ell_o - 1.0
-        n = len(streams)
+    def per_step(*parts):
+        # parts shaped (n, steps, ...) as one item a step
+        if ensemble:
+            return [part.swapaxes(0, 1) for part in parts]
+        return [part[0] if part.ndim > 2 else part[0].tolist() for part in parts]
+
+    def steps():
+        if every:
+            tries[:], rho[:] = _pilot([picker for *_, picker in streams], params, target)
         spare = [np.empty((0, width))] * n
-        while count > 0:
-            size = min(_DRAW_BLOCK, count)
-            count -= size
-            blocks = []
-            picks = np.empty((n, size))
-            for i, ((proposals, picker), k) in enumerate(zip(streams, tries)):
-                block, spare[i], _ = _bright_rows(proposals, spare[i], size * k,
-                                                  threshold)
-                blocks.append(block)
+        block = max(every, 1) * _DRAW_BLOCK
+        for start in range(0, iterations, block):
+            size = min(block, iterations - start)
+            z, u = np.empty((n, size, width)), np.empty((n, size))
+            for (normals, uniforms, _, _), z_i, u_i in zip(streams, z, u):
+                normals.standard_normal(out=z_i)
+                uniforms.random(out=u_i)
+            z, u = per_step(z, u)
+            moves = size // every if every else 0
+            if not moves:
+                yield from zip(z, u, repeat(None))
+                continue
+            yield from zip(z[:every - 1], u[:every - 1], repeat(None))
+            rows, picks = [], np.empty((n, moves))
+            for i, ((_, _, proposals, picker), k) in enumerate(zip(streams, tries)):
+                block_rows, spare[i], _ = _bright_rows(proposals, spare[i], moves * k,
+                                                       params.ell_o - 1.0)
+                rows.append(block_rows)
                 picker.random(out=picks[i])
-            x = np.concatenate(blocks)
+            x = np.concatenate(rows)
             y, lp = _pullback(x, params, target)
             pick, log_total, log_others = _pick(lp, tries, picks)
             x, y, lp = x[pick], y[pick], lp[pick]
-            if ensemble:
-                yield from zip(x.transpose(1, 0, 2), y.transpose(1, 0, 2), lp.T,
-                               log_total.T, log_others.T)
-            else:
-                yield from zip(x[0], y[0], lp[0].tolist(), log_total[0].tolist(),
-                               log_others[0].tolist())
-    return tries, rho, moves(count)
+            column = [None] * (size - every + 1)
+            column[::every] = zip(*per_step(x, y, lp, log_total, log_others))
+            yield from zip(z[every - 1:], u[every - 1:], column)
+    return tries, rho, steps()
 
 
 def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
@@ -640,18 +639,18 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
     returns its ``ChainOutput``.  A list of n seeds runs an ensemble
     (scs, sps or hmc) from ``init`` of shape (n, d), checked by
     ``run_chains``, one chain per seed, each with its own step size,
-    and returns a list.  Each step hands the kernel its draws from
-    ``_draws``, whatever the kernel makes of them; an scs independence
-    step takes its picked try from ``_independence_moves`` as well, whose
-    pilot runs before the first step.
+    and returns a list.  ``_draws`` is the only source of randomness:
+    each step hands the kernel its (z, u), whatever the kernel makes of
+    them, and an scs independence step tests the picked try that comes
+    with them.  Its generators are made before the loop, so a bad seed
+    raises ValueError; the pilot runs with the first step's draws, so an
+    abort in its density call is a ``ChainAborted``.
     """
-    iterations = int(iterations)
-    burnin = int(burnin)
-    thinning = int(thinning)
+    for name, value, least in (("iterations", iterations, 1), ("burnin", burnin, 0),
+                               ("thinning", thinning, 1)):
+        _require_integer(name, value, least)
     if iterations <= burnin:
         raise ValueError("iterations must exceed burnin")
-    if burnin < 0 or thinning < 1:
-        raise ValueError("burnin must be >= 0 and thinning >= 1")
     on_sphere = kernel.kind in ("scs", "sps")
     if on_sphere and params is None:
         raise ValueError(f"{kernel.kind} requires projection parameters")
@@ -678,8 +677,6 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
     trace = []
     accepted_post = np.zeros(len(seeds), dtype=int) if ensemble else 0
     moves_accepted = np.zeros(len(seeds), dtype=int) if ensemble else 0
-    tries = np.zeros(len(seeds), dtype=int)
-    pilot_ess = np.full(len(seeds), math.nan)
     post_steps = 0
     adapted = 0
     kept = 0
@@ -687,8 +684,7 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
 
     if on_sphere:
         x = scp_inverse(init, params)
-        y, logpost, _, _ = cap_forward(x, params)
-        logpost += target.log_density(y) if ensemble else float(target.log_density(y))
+        y, logpost = _pullback(x, params, target)
     else:
         y = init
         logpost = target.log_density(y) if ensemble else float(target.log_density(y))
@@ -719,17 +715,14 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
                   for i, s in enumerate(seeds)]
         return chains if ensemble else chains[0]
 
-    draws = _draws(seed, target.dim + 1 if on_sphere else target.dim)
+    tries, pilot_ess, draws = _draws(seed, target.dim + 1 if on_sphere else target.dim,
+                                     iterations, every, params, target)
     t = 0
     try:
-        if every and iterations >= every:
-            tries, pilot_ess, moves = _independence_moves(seed, params, target,
-                                                          iterations // every)
-        for t, (z, u) in zip(range(1, iterations + 1), draws):
-            move = every and t % every == 0
+        for t, (z, u, move) in zip(range(1, iterations + 1), draws):
             if move:
                 # multiple-try acceptance: log u < log W - log(W - w' + w)
-                x_new, y_new, lp_new, total, others = next(moves)
+                x_new, y_new, lp_new, total, others = move
                 if ensemble:
                     x, y, _, acc = metropolis(u, np.logaddexp(others, logpost), total,
                                               (x, y), (x_new, y_new))
@@ -754,10 +747,6 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
                 if not move:
                     adapted += 1
                     h = adapt_step_size(h, acc, adapted, kernel.target_accept)
-                    if ensemble:
-                        h = np.clip(h, *_STEP_SIZE_CLAMP)
-                    else:
-                        h = min(max(h, _STEP_SIZE_CLAMP[0]), _STEP_SIZE_CLAMP[1])
                 trace.append(h)
             if t > burnin:
                 post_steps += 1
@@ -769,6 +758,9 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
                     kept += 1
     except Exception as exc:  # pragma: no cover - exercised via targets
         trace.append(h)
+        # a density call in the draws (the pilot's, a block's tries') ends
+        # the generator before its step's t is assigned
+        t += draws.gi_frame is None
         raise ChainAborted(f"chain aborted at iteration {t}: {exc}",
                            partial=outputs(False)) from exc
 
@@ -787,16 +779,19 @@ def run_chains(kernel: KernelConfig, params, target, init, iterations,
                burnin=0, thinning=1, seed=0, n_chains=1, workers=None):
     """Run replicate chains, chain i seeded with ``derive_chain_seed(seed, i)``.
 
-    ``init`` is one start of shape (d,) shared by every chain, or one
-    row per chain, shape (n_chains, d).  Chain i reads the four streams
-    of its seed, as ``run_chain`` does, so it depends only on
-    ``(seed, i)`` and its start; an scs chain takes the same number of
-    tries, and tries and picks the same independence points, alone as in
-    an ensemble, whose chains may take different numbers of tries.  Hmc
+    ``n_chains`` is an integer >= 1.  ``init`` is one start of shape
+    (d,) shared by every chain, or one row per chain, shape
+    (n_chains, d).  Chain i reads the four streams of its seed through
+    ``_draws``, as ``run_chain`` does, so it depends only on ``(seed, i)``
+    and its start; an scs chain takes the same number of tries, and
+    tries and picks the same independence points, alone as in an
+    ensemble, whose chains may take different numbers of tries.  Hmc
     chains, and scs and sps chains from ``SPHERE_ENSEMBLE_MIN_CHAINS``
-    up, step together as one ensemble with one batched density call per
-    transition, one for all the pilots and one per block of independence
-    tries; their samples match ``run_chain``'s to round-off.  Other chains run one after
+    up, step together as one ensemble, whose one ``_draws`` generator
+    yields every chain's draws a step at a time; it makes one batched
+    density call per transition, one for all the pilots and one per
+    block of independence tries, and its samples match ``run_chain``'s
+    to round-off.  Other chains run one after
     another through ``run_chain``.  ``workers`` is accepted, since the
     benchmark passes it, and ignored.  Results come in chain order; the
     chains of an ensemble each report its wall time, and an aborted
@@ -807,6 +802,7 @@ def run_chains(kernel: KernelConfig, params, target, init, iterations,
     start, start density or hmc start gradient ``NonfiniteInput``, as
     in ``run_chain``.
     """
+    _require_integer("n_chains", n_chains, 1)
     seeds = [derive_chain_seed(seed, i) for i in range(n_chains)]
     inits = np.array(init, dtype=float, ndmin=1)
     if inits.ndim == 1:

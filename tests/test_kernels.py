@@ -34,7 +34,6 @@ from brightside.kernels import (
     PILOT_POINTS,
     SPHERE_ENSEMBLE_MIN_CHAINS,
     _draws,
-    _independence_moves,
     propose_tangent,
     run_chain,
     run_chains,
@@ -536,7 +535,7 @@ class TestSphereEnsemble:
         # SCS: call 7 falls in transition 6, after five kept samples.
         # With the move: call 7 falls in transition 7, after six; a limit
         # of 3 calls aborts in the tries' own call, at step 2, and a limit
-        # of 1 in the pilot's, before the first step
+        # of 1 in the pilot's, as step 1's draws are read
         class Fails:
             dim = 4
             has_gradient = False
@@ -551,9 +550,10 @@ class TestSphereEnsemble:
                 return -0.5 * np.sum(np.asarray(y) ** 2, axis=-1)
 
         n = SPHERE_ENSEMBLE_MIN_CHAINS
-        for every, limit, kept in ((0, 6, 5), (2, 6, 6), (2, 3, 1), (2, 1, 0)):
+        for every, limit, kept, step in ((0, 6, 5, 6), (2, 6, 6, 7), (2, 3, 1, 2),
+                                         (2, 1, 0, 1)):
             cfg = KernelConfig("scs", h=0.5, independence_every=every)
-            with pytest.raises(ChainAborted) as info:
+            with pytest.raises(ChainAborted, match=f"at iteration {step}:") as info:
                 run_chains(cfg, make_params(4, ell_o=1.1), Fails(limit), np.ones(4), 20,
                            seed=27, n_chains=n)
             partial = info.value.partial
@@ -854,12 +854,15 @@ class TestZeroUniform:
         # later steps keep their draws
         draws = kernels._draws
 
-        def first_uniform_zero(seed, width):
-            steps = draws(seed, width)
-            z, _ = next(steps)
-            first.append(z)
-            yield z, 0.0
-            yield from steps
+        def first_uniform_zero(*args):
+            tries, rho, steps = draws(*args)
+
+            def zeroed():
+                z, _, move = next(steps)
+                first.append(z)
+                yield z, 0.0, move
+                yield from steps
+            return tries, rho, zeroed()
 
         class Well(TargetModel):
             dim = 2
@@ -889,6 +892,31 @@ class TestAdaptStepSize:
             h_new = adapt_step_size(h, False, t, 0.234)
             assert h_new < h
             h = h_new
+
+    @pytest.mark.parametrize("n_chains", [1, SPHERE_ENSEMBLE_MIN_CHAINS])
+    def test_step_size_stops_at_the_upper_clamp(self, n_chains):
+        # on the uniform pullback every SCS proposal is accepted, and the
+        # recursion would grow the step size past 1e15 in 1 500 steps
+        p = make_params(2, ell_o=1.1)
+        cfg = KernelConfig("scs", h=0.5, independence_every=0)
+        for out in run_chains(cfg, p, uniform_cap_pullback(p), np.zeros(2), 1501,
+                              burnin=1500, seed=3, n_chains=n_chains):
+            assert out.step_size_trace.max() == out.step_size_trace[-1] == 1e10
+
+    def test_step_size_stops_at_the_lower_clamp(self):
+        # every rwm proposal off the point mass lands at NaN and is
+        # rejected; the recursion shrinks the step size to 1e-10 and no
+        # further
+        class PointMass(TargetModel):
+            dim = 2
+
+            def log_density(self, y):
+                return np.where(np.all(np.asarray(y) == 0.0, axis=-1), 0.0, np.nan)
+
+        out = run_chain(KernelConfig("rwm", h=0.5), None, PointMass(), np.zeros(2),
+                        11001, burnin=11000, seed=3)
+        assert out.acceptance_rate == 0.0
+        assert out.step_size_trace.min() == out.step_size_trace[-1] == 1e-10
 
 
 class TestRunChain:
@@ -946,6 +974,41 @@ class TestRunChain:
             assert KernelConfig("scs", independence_every=every).independence_every == every
         for steps in (1, 10, np.int64(5)):
             assert KernelConfig("hmc", leapfrog_steps=steps).leapfrog_steps == steps
+
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", 100.9), ("iterations", "100"), ("iterations", True),
+        ("burnin", 10.7), ("burnin", -1), ("thinning", 2.5), ("thinning", 0),
+        ("n_chains", 2.5), ("n_chains", 0), ("n_chains", True)])
+    def test_bad_chain_lengths_rejected(self, field, value):
+        # 100.9 iterations with burn-in 10.7 and thinning 2.5 once ran
+        # 100, 10 and 2, '100' iterations ran, and 2.5 chains raised a
+        # bare TypeError; rwm chains run one after another through
+        # run_chain, hmc ones as an ensemble
+        lengths = {"iterations": 100, "burnin": 10, "thinning": 2, field: value}
+        n_chains = lengths.pop("n_chains", 2)
+        target = mv_student_t(2, nu=1.0)
+        for kind in ("rwm", "hmc"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                run_chains(KernelConfig(kind, h=0.3), None, target, np.zeros(2), seed=1,
+                           n_chains=n_chains, **lengths)
+
+    def test_negative_seed_raises_value_error(self):
+        # the chain loop turns its errors into ChainAborted, and an scs
+        # chain's pilot runs inside it; the seed is checked before it,
+        # alone and in an ensemble
+        d = 2
+        p = make_params(d, ell_o=1.1)
+        target = mv_student_t(d, nu=1.0)
+        cfg = KernelConfig("scs", h=0.5)
+        seeds = [derive_chain_seed(1, i) for i in range(SPHERE_ENSEMBLE_MIN_CHAINS - 1)]
+        for run in (lambda: run_chain(cfg, p, target, np.zeros(d), 10, seed=-1),
+                    lambda: run_chains(cfg, p, target, np.zeros(d), 10, seed=-1,
+                                       n_chains=SPHERE_ENSEMBLE_MIN_CHAINS),
+                    lambda: kernels._drive(cfg, p, target, np.zeros((len(seeds) + 1, d)),
+                                           10, 0, 1, seeds + [-1])):
+            with pytest.raises(ValueError) as info:
+                run()
+            assert not isinstance(info.value, ChainAborted)
 
     def test_sps_start_rounding_onto_north_pole_raises(self):
         # at the stereographic latitude the observer sits at the north
@@ -1121,29 +1184,31 @@ class TestDraws:
         seed = derive_chain_seed(5, 0)
         normals, uniforms = (np.random.default_rng(c)
                              for c in np.random.SeedSequence(seed).spawn(2))
-        draws = _draws(seed, 4)
-        for _ in range(100):
-            z, u = next(draws)
+        tries, rho, draws = _draws(seed, 4, 100)
+        for z, u, move in draws:
             assert np.array_equal(z, normals.standard_normal(4))
-            assert u == uniforms.random()
+            assert u == uniforms.random() and move is None
+        assert tries.tolist() == [0] and np.isnan(rho).all()
 
     def test_chain_proposes_the_same_alone_and_in_an_ensemble(self, monkeypatch):
         # move j's K tries are bright rows jK to jK + K - 1 of the third
         # child's normals, here drawn one row at a time; the pick is the
         # first try whose running weight passes u W, u the fourth child's
         # next uniform after its pilot; whatever the block and ensemble,
-        # and with chains of 5, 5 and 8 tries side by side
+        # and with chains of 5, 5 and 8 tries side by side, a chain's
+        # moves are the same bits alone as in the ensemble
         monkeypatch.setattr("brightside.kernels._DRAW_BLOCK", 7)
         d, count = 3, 30
         p = make_params(d, h_o=np.array([0.3, -0.2, 0.0]), ell_o=1.1, mu=0.3, R=4.0)
         target = mv_student_t(d, nu=2.0)
         seeds = [derive_chain_seed(5, i) for i in range(3)]
-        tries, rho, moves = _independence_moves(seeds, p, target, count)
+        tries, rho, steps = _draws(seeds, d + 1, count, 1, p, target)
+        together = [move for _, _, move in steps]
         assert tries.tolist() == [5, 5, 8]
-        together = list(moves)
         assert len(together) == count
         for i, s in enumerate(seeds):
-            tries_i, rho_i, alone = _independence_moves(s, p, target, count)
+            tries_i, rho_i, steps_i = _draws(s, d + 1, count, 1, p, target)
+            alone = [move for _, _, move in steps_i]
             assert tries_i.tolist() == [tries[i]]
             assert math.isclose(rho_i[0], rho[i], rel_tol=1e-12)
             children = np.random.SeedSequence(s).spawn(4)
@@ -1160,25 +1225,25 @@ class TestDraws:
                 lp_ref += target.log_density(y_ref)
                 w = np.exp(lp_ref - lp_ref.max())
                 j = int(np.argmax(np.cumsum(w) > picker.random() * w.sum()))
-                x, y, lp, total, others = (part[i] for part in move)
-                assert np.array_equal(x, xs[j]) and np.array_equal(move_i[0], xs[j])
-                assert np.allclose([y, move_i[1]], y_ref[j], rtol=1e-12, atol=0.0)
+                parts = [part[i] for part in move]
+                for part, part_i in zip(parts, move_i):
+                    assert np.array_equal(part, part_i)
+                assert np.array_equal(parts[0], xs[j])
+                assert np.allclose(parts[1], y_ref[j], rtol=1e-12, atol=0.0)
                 assert all(isinstance(v, float) for v in move_i[2:])
                 want = (lp_ref[j], lp_ref.max() + math.log(w.sum()),
                         lp_ref.max() + math.log(w.sum() - w[j]))
-                for got in ((lp, total, others), move_i[2:]):
-                    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+                assert np.allclose(move_i[2:], want, rtol=1e-12, atol=0.0)
 
     def test_chain_draws_the_same_alone_and_in_an_ensemble(self, monkeypatch):
         monkeypatch.setattr("brightside.kernels._DRAW_BLOCK", 7)
         seeds = [derive_chain_seed(5, i) for i in range(3)]
-        together = _draws(seeds, 4)
-        alone = [_draws(s, 4) for s in seeds]
-        for _ in range(30):
-            z, u = next(together)
-            assert z.shape == (3, 4) and u.shape == (3,)
+        together = _draws(seeds, 4, 30)[2]
+        alone = [_draws(s, 4, 30)[2] for s in seeds]
+        for z, u, move in together:
+            assert z.shape == (3, 4) and u.shape == (3,) and move is None
             for i, draws in enumerate(alone):
-                z_i, u_i = next(draws)
+                z_i, u_i, _ = next(draws)
                 assert np.array_equal(z[i], z_i) and u[i] == u_i
                 assert isinstance(u_i, float)
 
@@ -1281,15 +1346,15 @@ class TestMultipleTry:
 
         p = make_params(2, ell_o=1.1, R=2.0)
         seeds = [derive_chain_seed(43, i) for i in range(3)]
-        tries, _, moves = _independence_moves(seeds, p, Counting(), 200)
-        assert tries.tolist() == [3, 3, 3]
+        tries, _, steps = _draws(seeds, 3, 200, 1, p, Counting())
         picked = 0
-        for x, y, lp, total, others in moves:
+        for _, _, (x, y, lp, total, others) in steps:
             some = np.isfinite(total)
             assert np.all(np.isfinite(lp[some]))
             assert np.allclose(lp[some], cap_forward(x[some], p)[1]
                                + Walled().log_density(y[some]), rtol=1e-12, atol=0.0)
             picked += some.sum()
+        assert tries.tolist() == [3, 3, 3]
         assert picked > 300 and sum(nonfinite[1:]) > 900  # the moves' calls, past the pilot's
 
     def test_move_with_no_finite_try_rejected(self):
@@ -1298,8 +1363,8 @@ class TestMultipleTry:
         # move has log W = -inf and is rejected, alone and in an ensemble
         p = make_params(2, ell_o=1.1)
         for seed in (44, [44, 45]):
-            _, _, moves = _independence_moves(seed, p, Speck(), 50)
-            assert all(np.all(total == -math.inf) for _, _, _, total, _ in moves)
+            steps = _draws(seed, 3, 50, 1, p, Speck())[2]
+            assert all(np.all(move[3] == -math.inf) for _, _, move in steps)
         for n_chains in (1, SPHERE_ENSEMBLE_MIN_CHAINS):
             outs = run_chains(KernelConfig("scs", independence_every=1), p, Speck(),
                               np.zeros(2), 100, seed=44, n_chains=n_chains)
