@@ -11,7 +11,11 @@ acceptance must lie in [0, 1]) and one chain without it (NaN), a
 300-step scs chain on a shifted projection where the pilot picks more
 than one try per move (its move acceptance must lie in (0, 1]), an
 scs ensemble whose chains take different numbers of tries (7, 5, 7, 7
-and 4), each matching ``run_chain`` with its own seed to 1e-10, one
+and 4), each matching ``run_chain`` with its own seed to 1e-10, a
+10-chain scs ensemble on a shifted d = 3 skew t run twice with one seed
+(the two must give the same samples, the caller's start array must be
+left as it was, and so must every array the target returned, since the
+ensemble writes only the arrays it made for its proposals), one
 50-step sps chain and one rwm chain, HMC run as one chain and as a
 3-chain ensemble, so both leapfrog shapes run, a short tune run twice
 with one seed (the rows it carries between steps are per-call state, so
@@ -41,7 +45,7 @@ from brightside.kernels import (
     run_chain,
     run_chains,
 )
-from brightside.targets import mv_student_t, skew_t, student_t_log_cdf
+from brightside.targets import TargetModel, mv_student_t, skew_t, student_t_log_cdf
 from brightside.tuning import TuneOptions, tune
 
 for module in pkgutil.iter_modules(brightside.__path__):
@@ -85,6 +89,34 @@ for i, chain in enumerate(chains):
                     seed=derive_chain_seed(2, i))
     assert one.independence_tries == tries[i]
     assert np.allclose(chain.samples, one.samples, rtol=1e-10, atol=1e-10)
+
+
+class Keeping(TargetModel):
+    """A target that keeps each array it returns next to a copy of it."""
+
+    def __init__(self, base):
+        self.base, self.dim, self.returned = base, base.dim, []
+
+    def log_density(self, y):
+        out = self.base.log_density(y)
+        self.returned.append((out, out.copy()))
+        return out
+
+
+small = skew_t(np.zeros(3), np.array([5.0, -5.0, 0.0]), nu=1.0)
+p = make_params(3, ell_o=1.1, mu=0.5, R=2.0)
+init = np.ones((10, 3))
+start = init.copy()
+runs = []
+for _ in range(2):
+    kept = Keeping(small)
+    runs.append(run_chains(KernelConfig("scs", h=0.5), p, kept, init, 200, burnin=50,
+                           seed=4, n_chains=10))
+    assert all(np.array_equal(out, copy) for out, copy in kept.returned)
+assert np.array_equal(init, start)
+assert max(chain.independence_tries for chain in runs[0]) > 1
+for one, other in zip(*runs):
+    assert np.all(np.isfinite(one.samples)) and np.array_equal(one.samples, other.samples)
 chain = run_chain(KernelConfig("sps", h=0.5), make_params(3, ell_o=2.0, R=1.0),
                   mv_student_t(3, nu=1.0), np.zeros(3), 50, seed=0)
 assert chain.samples.shape == (50, 3) and np.all(np.isfinite(chain.samples))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput
+from .errors import EmptyInput, NonfiniteInput
 
 # probability grid used by all experiment reports
 DEFAULT_PROBS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 0.8, 0.9, 0.95, 0.98, 0.99)
@@ -76,12 +76,15 @@ def ess(samples) -> float:
 
     n / (1 + 2 * sum of autocorrelations), with the sum cut at the
     first non-positive consecutive-lag pair and the result clipped to
-    [1, n]; a constant series returns the clip floor 1.
+    [1, n]; a constant series returns the clip floor 1.  A NaN or
+    infinite sample raises ``NonfiniteInput``.
     """
     samples = np.asarray(samples, dtype=float).ravel()
     n = samples.size
     if n < 10:
         raise EmptyInput("need at least ten samples for an ESS estimate")
+    if not np.isfinite(samples).all():
+        raise NonfiniteInput("samples must be finite for an ESS estimate")
     x = samples - samples.mean()
     var = float(x @ x)
     if var == 0.0:

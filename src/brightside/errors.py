@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer check shared across the package."""
+
+import numbers
+
+
+def _require_integer(name, value, least):
+    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class BrightsideError(Exception):

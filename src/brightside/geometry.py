@@ -75,6 +75,7 @@ from .errors import (
     NonfiniteInput,
     NonpositiveScale,
     ObserverOutsideBall,
+    _require_integer,
 )
 
 # Margin keeping the observer strictly interior, so the chord-scale
@@ -221,7 +222,7 @@ def cap_forward(x, p: ProjectionParams):
         return y, log_jac, t, bracket
     zd = x[..., -1]
     t = (p.ell_o - 1.0) - zd
-    if np.any(t <= 0.0):
+    if (t <= 0.0).any():
         raise DarkSidePoint("point at or above observer latitude")
     s = p.R / t
     y = x[..., :-1] * (p.ell_o * s)[..., None]
@@ -231,7 +232,13 @@ def cap_forward(x, p: ProjectionParams):
         y -= p.h_o * ((zd + 1.0) * s)[..., None]
         y += p.mu
         bracket = 1.0 - x @ p._observer
-    log_jac = p._log_jac_const + np.log(bracket) - (p.d + 1.0) * np.log(t)
+    # the single point's sum, d log R + d log ell_o + log(bracket) - (d+1) log t,
+    # built in place in the same order
+    log_jac = np.log(bracket)
+    log_jac += p._log_jac_const
+    log_t = np.log(t)
+    log_t *= p.d + 1.0
+    log_jac -= log_t
     return y, log_jac, t, bracket
 
 
@@ -330,7 +337,9 @@ def sample_uniform_cap(d, ell_o, rng, size=None, with_rejection_stats=False):
     at least half the sphere for ell_o >= 1, so each round draws twice
     the rows still missing, and one round almost always suffices.
 
-    Returns a (d+1,) point for ``size=None``, else a (size, d+1) array.
+    Returns a (d+1,) point for ``size=None``, else a (size, d+1) array;
+    a ``size`` that is not an integer >= 0 (a bool included) raises
+    ValueError.
     With ``with_rejection_stats=True`` also returns the rows drawn and
     the bright rows among them, the unused spare included, so the
     empirical rejection fraction is 1 - accepted/raw.
@@ -339,9 +348,8 @@ def sample_uniform_cap(d, ell_o, rng, size=None, with_rejection_stats=False):
         raise DomainError(f"dimension must be >= 1, got {d}")
     if not 1.0 <= ell_o <= 2.0:
         raise ObserverOutsideBall(f"ell_o must lie in [1, 2], got {ell_o}")
-    n = 1 if size is None else int(size)
-    if n < 0:
-        raise ValueError(f"size must be non-negative, got {size}")
+    n = 1 if size is None else size
+    _require_integer("size", n, 0)
     out, spare, raw = _bright_rows(rng, np.empty((0, d + 1)), n, ell_o - 1.0)
     if size is None:
         out = out[0]

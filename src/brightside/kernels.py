@@ -79,6 +79,13 @@ test and the next trajectory's first kick.  The leapfrog carries the
 velocity v = eps p, so a step is a kick v += eps^2 g and a drift
 y += v, one array pass fewer than the momentum form; one chain's
 acceptance test runs in plain floats, and an ensemble's row by row.
+An ensemble's ``metropolis`` selects rows in place: it copies each
+rejected row of the state into the arrays the transition made for its
+proposal (the tangent step and its image and density, the HMC end
+point, an independence step's picked try) and returns those as the new
+state.  It never writes into the state it was handed, the caller's
+start, or an array a target returned, so HMC selects its end-point
+density and gradient into new arrays.
 Stepping-out is written for one pair only
 (``stepping_out``); an ensemble steps its dark rows out one at a time
 through it.  ``run_chains`` runs hmc replicas, and scs and sps replicas
@@ -91,7 +98,6 @@ matches ``run_chain`` with its derived seed to round-off.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from itertools import repeat
@@ -99,7 +105,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ChainAborted, DarkSidePoint, DegenerateProposal, NonfiniteInput
+from .errors import (
+    ChainAborted,
+    DarkSidePoint,
+    DegenerateProposal,
+    NonfiniteInput,
+    _require_integer,
+)
 from .geometry import (
     ProjectionParams,
     _bright_rows,
@@ -142,12 +154,6 @@ _DRAW_BLOCK = 64
 # picked try to be accepted more often.
 PILOT_POINTS = 256
 MAX_TRIES = 8
-
-
-def _require_integer(name, value, least):
-    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -299,18 +305,25 @@ def metropolis(u, lp, lp_new, current=(), proposed=()):
     carries at the state and at the proposal (-H for HMC), so a proposal
     at NaN or +-inf is rejected.  One chain passes floats and gets a
     bool.  n chains pass ``lp_new`` of shape (n,) and the state's parts
-    at ``lp`` and at ``lp_new``, arrays of shape (n, ...), as the tuples
-    ``current`` and ``proposed``; they get back each part and lp row by
-    row, the proposal's where accepted, then the boolean array of
-    accepted rows.
+    at ``lp`` and at ``lp_new``, arrays of shape (n, k) or (n,), as the
+    tuples ``current`` and ``proposed``.  Their rows are selected in
+    place: each rejected row of ``current`` and of ``lp`` is copied into
+    ``proposed`` and ``lp_new``, and these come back, each part and then
+    lp, followed by the boolean array of accepted rows.  So ``proposed``
+    and ``lp_new`` must be arrays the kernel made for this step, never
+    the state's, a caller's or one a target returned; ``current`` and
+    ``lp`` are only read.
     """
     if not isinstance(lp_new, np.ndarray):
         return (math.log(u) if u > 0.0 else -math.inf) < lp_new - lp and math.isfinite(lp_new)
     with np.errstate(divide="ignore", invalid="ignore"):
         accepted = np.isfinite(lp_new) & (np.log(u) < lp_new - lp)
-    keep = accepted[:, None]
-    return (*[np.where(keep, new, old) for old, new in zip(current, proposed)],
-            np.where(accepted, lp_new, lp), accepted)
+    rejected = ~accepted
+    keep = rejected[:, None]
+    for old, new in zip(current, proposed):
+        np.copyto(new, old, where=keep if new.ndim > 1 else rejected)
+    np.copyto(lp_new, lp, where=rejected)
+    return (*proposed, lp_new, accepted)
 
 
 def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,
@@ -328,7 +341,9 @@ def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,
     antipodal), an exact tie with the dark cap and a non-finite density
     are rejected; the first two have probability zero, and in an
     ensemble their rows re-evaluate their state at proposal density NaN.
-    Returns (x, y, logpost, accepted).
+    Returns (x, y, logpost, accepted); an ensemble gets back the arrays
+    made for its proposal, rejected rows set to the state's, and its
+    input arrays are left as they were.
     """
     ell_o = params.ell_o
     lat_threshold = ell_o - 1.0
@@ -343,17 +358,20 @@ def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,
         if metropolis(u, logpost, lp_star):
             return x_star, y_star, lp_star, True
         return x, y, logpost, False
+    lat = x_star[:, -1]  # a view: it follows the rows stepped out
     if ell_o < 2.0:
-        for i in np.flatnonzero(x_star[:, -1] > lat_threshold):
+        for i in (lat > lat_threshold).nonzero()[0]:
             try:
                 x_star[i] = stepping_out(x[i], x_star[i], ell_o)
             except DegenerateProposal:
                 pass  # the proposal stays dark and fails the test below
-    dead = x_star[:, -1] >= lat_threshold  # degenerate rows and exact ties
-    if dead.any():
+    dead = lat >= lat_threshold  # degenerate rows and exact ties
+    any_dead = dead.any()
+    if any_dead:
         x_star[dead] = x[dead]
     y_star, lp_star = _pullback(x_star, params, target)
-    lp_star[dead] = np.nan
+    if any_dead:
+        lp_star[dead] = np.nan
     return metropolis(u, logpost, lp_star, (x, y), (x_star, y_star))
 
 
@@ -401,7 +419,11 @@ def hmc_step(y, logp, g, eps, steps, target: TargetModel, z, u):
     -H = log p - |m|^2 / 2 at either end (plain floats for one chain,
     whose accepted log density is returned as a float); negation is
     exact, so the ratio has the bits of H_0 - H_1.  A row whose end point
-    is not finite gets -H = NaN.  Returns (y, logp, g, accepted).
+    is not finite gets -H = NaN.  Returns (y, logp, g, accepted).  An
+    ensemble's y is its trajectory's end point with the rejected rows
+    set back; logp and g, which the target returned, are selected into
+    new arrays, so no input array and no array of the target's is
+    written.
     """
     if y.ndim == 1:
         y1, m1, logp1, g1 = leapfrog(y, z, eps, steps, target, g)
@@ -414,9 +436,10 @@ def hmc_step(y, logp, g, eps, steps, target: TargetModel, z, u):
     with np.errstate(invalid="ignore"):  # inf - inf on a diverged row
         lp1 = logp1 - 0.5 * np.vecdot(m1, m1)
     lp1[~np.isfinite(y1).all(axis=-1)] = np.nan
-    y_out, g_out, _, accepted = metropolis(u, logp - 0.5 * np.vecdot(z, z), lp1,
-                                           (y, g), (y1, g1))
-    return y_out, np.where(accepted, logp1, logp), g_out, accepted
+    # logp1 and g1 may be arrays the target keeps, so they are not written
+    y1, _, accepted = metropolis(u, logp - 0.5 * np.vecdot(z, z), lp1, (y,), (y1,))
+    return (y1, np.where(accepted, logp1, logp), np.where(accepted[:, None], g1, g),
+            accepted)
 
 
 # When a target's pullback is so close to uniform that the requested
@@ -724,9 +747,9 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
                 # multiple-try acceptance: log u < log W - log(W - w' + w)
                 x_new, y_new, lp_new, total, others = move
                 if ensemble:
-                    x, y, _, acc = metropolis(u, np.logaddexp(others, logpost), total,
-                                              (x, y), (x_new, y_new))
-                    logpost = np.where(acc, lp_new, logpost)
+                    x, y, logpost, _, acc = metropolis(u, np.logaddexp(others, logpost),
+                                                       total, (x, y, logpost),
+                                                       (x_new, y_new, lp_new))
                 else:
                     acc = metropolis(u, logpost if others == -math.inf
                                      else np.logaddexp(others, logpost), total)

@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonfiniteGradient, ObserverOutsideBall, TuningFailed
+from .errors import NonfiniteGradient, ObserverOutsideBall, TuningFailed, _require_integer
 from .geometry import INTERIOR_MARGIN, _bright_rows, cap_forward, make_params
 from .targets import TargetModel
 
@@ -72,7 +72,9 @@ class TuneOptions:
 
     ``steps`` is at most the number of steps run: the tuner stops
     earlier once its objective has stopped falling (see the module
-    docstring).
+    docstring).  ``mc_batch`` and ``steps`` are integers >= 1 (not
+    bools) and ``learning_rate`` is positive and finite, else building
+    the options raises ValueError.
     """
 
     mc_batch: int = 2000
@@ -82,12 +84,11 @@ class TuneOptions:
     init: Optional[tuple] = None  # (h_o, mu, R)
 
     def __post_init__(self):
-        if self.mc_batch < 1:
-            raise ValueError("mc_batch must be >= 1")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        _require_integer("mc_batch", self.mc_batch, 1)
+        _require_integer("steps", self.steps, 1)
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate!r}")
 
 
 @dataclass

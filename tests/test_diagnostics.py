@@ -13,7 +13,7 @@ from brightside.diagnostics import (
     relative_quantile_errors,
     write_qq_csv,
 )
-from brightside.errors import EmptyInput
+from brightside.errors import BrightsideError, EmptyInput, NonfiniteInput
 from oracles import ks_statistic
 
 
@@ -116,6 +116,16 @@ class TestEss:
         assert 1.0 <= est <= 50.0
         with pytest.raises(EmptyInput):
             ess(np.ones(5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_samples_raise(self, bad):
+        # a NaN once came back as NaN after the lag loop, and +-inf warned
+        # "invalid value encountered in subtract"
+        x = np.random.default_rng(7).standard_normal(100)
+        x[37] = bad
+        with pytest.raises(NonfiniteInput) as info:
+            ess(x)
+        assert isinstance(info.value, BrightsideError)
 
 
 class TestRelativeQuantileErrors:

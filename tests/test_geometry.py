@@ -499,6 +499,18 @@ class TestUniformCap:
         with pytest.raises(ValueError, match="size"):
             sample_uniform_cap(3, 1.1, rng, size=-1)
 
+    @pytest.mark.parametrize("size", [2.5, True, False, "3"])
+    def test_non_integer_size_rejected(self, size):
+        # 2.5 once returned 2 rows and True 1 row
+        with pytest.raises(ValueError, match="size must be an integer"):
+            sample_uniform_cap(3, 1.1, np.random.default_rng(19), size=size)
+
+    def test_numpy_integer_size(self):
+        z = sample_uniform_cap(3, 1.1, np.random.default_rng(19), size=np.int64(4))
+        assert z.shape == (4, 4)
+        assert np.array_equal(z, sample_uniform_cap(3, 1.1, np.random.default_rng(19),
+                                                    size=4))
+
     def test_dimension_below_one_rejected(self):
         rng = np.random.default_rng(19)
         for d in (0, -1):

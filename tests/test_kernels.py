@@ -491,7 +491,8 @@ class TestSphereEnsemble:
         # three chains are each offered a proposal 10 nats uphill, with
         # the smallest positive uniform; row 1's proposal has a NaN
         # density and row 2's +inf, and only those two stay, in the batch
-        # as in the one-chain branch
+        # as in the one-chain branch; metropolis writes the rejected rows
+        # into the proposal arrays, so it is handed copies of them
         p = make_params(2, ell_o=1.1)
         rng = np.random.default_rng(25)
         x = scp_inverse(rng.standard_normal((3, 2)), p)
@@ -500,7 +501,7 @@ class TestSphereEnsemble:
         logpost = np.array([-5.0, -5.0, -5.0])
         lp_new = np.array([5.0, np.nan, np.inf])
         u = np.full(3, 5e-324)
-        out = metropolis(u, logpost, lp_new, (x, y), (x_new, y_new))
+        out = metropolis(u, logpost, lp_new.copy(), (x, y), (x_new.copy(), y_new.copy()))
         assert out[3].tolist() == [True, False, False]
         assert np.array_equal(out[0][0], x_new[0]) and np.array_equal(out[1][0], y_new[0])
         assert np.array_equal(out[0][1:], x[1:]) and np.array_equal(out[1][1:], y[1:])
@@ -1414,6 +1415,132 @@ class TestMultipleTry:
         inits[-1, 0] = 0.5
         for out in run_chains(cfg, None, NanSlope(), inits, 10, seed=0, n_chains=n_chains):
             assert out.valid
+
+
+class Cached(TargetModel):
+    """A flat d = 2 density that returns cached read-only arrays.
+
+    Every call of a method with the same batch shape gets the same array
+    objects back, and a write into them raises; each method has its own,
+    so the state's and the proposal's are different objects.  Row 1 of a
+    batch is at -inf, so chain 1 of an ensemble rejects every proposal
+    and the kernels select rows; the other rows are at 0 with gradient 0.
+    """
+
+    dim = 2
+
+    def __init__(self):
+        self.cache = {}
+
+    def cached(self, method, shape):
+        if (method, shape) not in self.cache:
+            lp, g = np.zeros(shape[:-1]), np.zeros(shape)
+            lp[1] = -math.inf
+            lp.flags.writeable = g.flags.writeable = False
+            self.cache[method, shape] = lp, g
+        return self.cache[method, shape]
+
+    def log_density_and_grad(self, y):
+        return self.cached("both", np.shape(y))
+
+    def log_density(self, y):
+        return self.cached("value", np.shape(y))[0]
+
+    def grad_log_density(self, y):
+        return self.cached("grad", np.shape(y))[1]
+
+
+class TestEnsembleWrites:
+    """An ensemble's transitions write only the arrays they made."""
+
+    def test_transitions_leave_their_inputs(self):
+        # on Cached, row 1 is at -inf in every batch, so each n-chain
+        # transition rejects that row and accepts others; whatever it
+        # hands back, its inputs must come out as they went in
+        rng = np.random.default_rng(50)
+        n = 6
+        p = make_params(2, ell_o=1.1)
+        target = Cached()
+        x = scp_inverse(rng.standard_normal((n, 2)), p)
+        y, lp = kernels._pullback(x, p, target)
+        logp, g = target.log_density(y), target.grad_log_density(y)
+        z, u = rng.standard_normal((n, 3)), rng.random(n)
+        for call, args in ((sphere_step, (x, y, lp, np.full(n, 1.5), p, target, z, u)),
+                           (hmc_step, (y, logp, g, np.full(n, 0.2), 5, target, z[:, :2],
+                                       u))):
+            inputs = [a for a in args if isinstance(a, np.ndarray)]
+            before = [a.copy() for a in inputs]
+            accepted = call(*args)[-1]
+            assert not accepted[1] and accepted.sum() > 1
+            for a, b in zip(inputs, before):
+                assert np.array_equal(a, b)
+        # metropolis writes the rejected rows into the proposal arrays and
+        # returns them, reading the state's
+        x_new, y_new, lp_new = x + 1.0, y + 1.0, lp + 1.0
+        before = [a.copy() for a in (u, lp, x, y)]
+        out = metropolis(u, lp, lp_new, (x, y), (x_new, y_new))
+        assert out[0] is x_new and out[1] is y_new and out[2] is lp_new
+        assert out[3].tolist() == [i != 1 for i in range(n)]
+        assert np.array_equal(x_new[1], x[1]) and np.array_equal(x_new[0], x[0] + 1.0)
+        for a, b in zip((u, lp, x, y), before):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["scs", "hmc"])
+    def test_target_arrays_never_written(self, kind):
+        # Cached hands back read-only arrays, so a write into one raises
+        # and aborts the run; chain 1 starts at -inf and rejects every SCS
+        # step and HMC trajectory, so rows are selected at every step.
+        # The caller's start array must be left as it was too
+        target = Cached()
+        n = SPHERE_ENSEMBLE_MIN_CHAINS
+        init = np.random.default_rng(51).standard_normal((n, 2))
+        start = init.copy()
+        cfg = (KernelConfig("scs", h=0.5, independence_every=2) if kind == "scs"
+               else KernelConfig("hmc", h=0.3, leapfrog_steps=3))
+        outs = run_chains(cfg, make_params(2, ell_o=1.1) if kind == "scs" else None,
+                          target, init, 60, burnin=10, seed=52, n_chains=n)
+        assert np.array_equal(init, start)
+        # an scs chain 1 still takes independence moves, whose tries sit
+        # in other rows
+        assert outs[1].acceptance_rate <= (0.5 if kind == "scs" else 0.0)
+        assert all(np.any(o.samples != start[i]) for i, o in enumerate(outs) if i != 1)
+        for lp, g in target.cache.values():
+            assert not lp.flags.writeable and not g.flags.writeable
+            assert np.all(g == 0.0) and lp[1] == -math.inf
+            assert np.all(np.delete(lp, 1) == 0.0)
+
+
+class TestEnsembleBits:
+    """Fixed-seed skew-t ensembles keep the samples recorded before the
+    n-chain transitions selected their rows in place."""
+
+    SCS_SAMPLES = "6ebe83fa14d2caa799e0a38ac1cdd55d276fbd9b184c5ecd52e4bb728678bbd3"
+    HMC_SAMPLES = "118796911ac5615d4c6abd9aa378297da7429200236d39e2ddbc8a0bb8b2f59f"
+
+    @staticmethod
+    def digest(outs):
+        return hashlib.sha256(b"".join(o.samples.tobytes() for o in outs)).hexdigest()
+
+    @pytest.fixture
+    def target(self):
+        if _float_platform() != TestMultipleTry.RECORDED_PLATFORM:
+            pytest.skip("numpy's exp, log or BLAS round differently here than "
+                        "where the digests were recorded")
+        alpha = np.zeros(10)
+        alpha[0], alpha[1] = 100.0, -100.0
+        return skew_t(np.zeros(10), alpha, nu=1.0)
+
+    def test_scs_ensemble(self, target):
+        # a shifted projection, so the chains take 3 to 8 tries a move
+        outs = run_chains(KernelConfig("scs", h=0.3), make_params(10, ell_o=1.1, mu=0.5, R=2.0),
+                          target, np.ones(10), 300, burnin=50, seed=9, n_chains=10)
+        assert [o.independence_tries for o in outs] == [8, 5, 8, 8, 8, 8, 6, 4, 3, 8]
+        assert self.digest(outs) == self.SCS_SAMPLES
+
+    def test_hmc_ensemble(self, target):
+        outs = run_chains(KernelConfig("hmc", h=0.1, target_accept=HMC_TARGET_ACCEPT), None,
+                          target, np.ones(10), 150, burnin=50, seed=9, n_chains=10)
+        assert self.digest(outs) == self.HMC_SAMPLES
 
 
 class TestUniformErgodicity:

@@ -397,6 +397,22 @@ class TestTune:
         with pytest.raises(ValueError):
             TuneOptions(learning_rate=math.nan)
 
+    @pytest.mark.parametrize("field, value", [
+        ("mc_batch", 2.5), ("mc_batch", True), ("mc_batch", 0), ("mc_batch", "100"),
+        ("steps", 2.5), ("steps", True), ("steps", 0),
+        ("learning_rate", math.inf), ("learning_rate", 0.0), ("learning_rate", -0.1),
+    ])
+    def test_bad_sizes_and_rates_rejected_when_built(self, field, value):
+        # fractional and bool sizes once built fine and then failed in
+        # numpy (mc_batch=True tuned with batches of 1), and an infinite
+        # rate warned before raising NonfiniteInput from the tuner
+        with pytest.raises(ValueError, match=field):
+            TuneOptions(**{field: value})
+
+    def test_numpy_integer_sizes_accepted(self):
+        opts = TuneOptions(mc_batch=np.int64(50), steps=np.int32(3), seed=0)
+        assert tune(mv_student_t(2, nu=1.0), 1.1, opts).objective_trace.size == 3
+
     def test_nonfinite_gradient_steps_hold_parameters(self):
         alpha, xi = np.array([1.0, -1.0, 0.5]), np.zeros(3)
         init = (np.full(3, 0.1), np.ones(3), 2.0)
