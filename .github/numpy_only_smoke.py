@@ -20,8 +20,12 @@ ensemble writes only the arrays it made for its proposals), one
 3-chain ensemble, so both leapfrog shapes run, a short tune run twice
 with one seed (the rows it carries between steps are per-call state, so
 the two must end at the same parameters), 1 000 uniform cap draws with
-their rejection stats, and 1 000 exact draws of the d = 10 skew t.  From
-the repository root, with the package installed (or ``PYTHONPATH=src``):
+their rejection stats, and 1 000 exact draws of the d = 10 skew t.
+Last, the three entry points run at small sizes in a temporary
+directory: ``run_experiment`` on the cauchy and skewt presets,
+``run_sample`` on robit and ``run_tune`` on logistic, so a lazy import
+on an entry-point path fails here too.  From the repository root, with
+the package installed (or ``PYTHONPATH=src``):
 
     python .github/numpy_only_smoke.py
 """
@@ -30,6 +34,8 @@ import importlib
 import math
 import pkgutil
 import sys
+import tempfile
+from pathlib import Path
 
 for name in ("scipy", "mpmath", "pytest"):
     sys.modules[name] = None  # a later import of it raises ImportError
@@ -37,6 +43,7 @@ for name in ("scipy", "mpmath", "pytest"):
 import numpy as np
 
 import brightside
+from brightside.experiments import ExperimentConfig, run_experiment, run_sample, run_tune
 from brightside.geometry import make_params, sample_uniform_cap
 from brightside.kernels import (
     SPHERE_ENSEMBLE_MIN_CHAINS,
@@ -146,4 +153,23 @@ cap, raw, accepted = sample_uniform_cap(10, 1.1, np.random.default_rng(0), size=
 assert cap.shape == (1000, 11) and raw >= accepted >= 1000
 draws = target.exact_sample(np.random.default_rng(0), size=1000)
 assert draws.shape == (1000, 10) and np.all(np.isfinite(draws))
+
+with tempfile.TemporaryDirectory() as tmp:
+    for preset, sizes in (("cauchy", dict(dimension=2)),
+                          ("skewt", dict(dimension=3, reference_size=2000,
+                                         tuner_steps=5, tuner_batch=50))):
+        summary = run_experiment(ExperimentConfig(
+            preset=preset, iterations=400, burnin=50, replicates=2, out=tmp, **sizes))
+        assert summary["methods"] and not summary["failed_methods"], summary
+        for entry in summary["methods"].values():
+            assert (Path(tmp) / preset / entry["qq_csv"]).is_file()
+    report = run_sample(ExperimentConfig(preset="robit", iterations=300, burnin=50,
+                                         tuner_steps=20, tuner_batch=100,
+                                         out=str(Path(tmp) / "sample")))
+    assert 0.0 <= report["acceptance_rate"] <= 1.0, report
+    assert (Path(tmp) / "sample" / "samples.csv").is_file()
+    tuned = run_tune(ExperimentConfig(preset="logistic", tuner_steps=20, tuner_batch=100,
+                                      out=str(Path(tmp) / "tune")))
+    assert tuned["steps"] >= 1 and np.all(np.isfinite(tuned["objective_trace"]))
+    assert (Path(tmp) / "tune" / "tune.json").is_file()
 print("numpy-only smoke run passed")

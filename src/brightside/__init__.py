@@ -25,7 +25,6 @@ from .geometry import (
     ProjectionParams,
     cap_forward,
     cap_ratio_exact,
-    log_jacobian,
     log_jacobian_at_cap_point,
     make_params,
     regularized_incomplete_beta,

@@ -1,5 +1,6 @@
-"""Chain summaries: quantiles, KS distances, effective sample sizes,
-and quantile-quantile comparison reports against a reference law.
+"""Chain summaries: quantiles on the one fixed grid ``DEFAULT_PROBS``,
+effective sample sizes, and quantile-quantile comparison reports
+against a reference law.
 """
 
 from __future__ import annotations
@@ -11,25 +12,8 @@ import numpy as np
 
 from .errors import EmptyInput, NonfiniteInput
 
-# probability grid used by all experiment reports
+# the probability grid of every quantile and report
 DEFAULT_PROBS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 0.8, 0.9, 0.95, 0.98, 0.99)
-
-
-@dataclass(frozen=True)
-class QuantileSpec:
-    """Strictly increasing probability grid inside (0, 1)."""
-
-    probs: tuple = DEFAULT_PROBS
-
-    def __post_init__(self):
-        probs = tuple(float(p) for p in self.probs)
-        if len(probs) == 0:
-            raise ValueError("probability grid must be non-empty")
-        if any(not 0.0 < p < 1.0 for p in probs):
-            raise ValueError("probabilities must lie strictly inside (0, 1)")
-        if any(b <= a for a, b in zip(probs, probs[1:])):
-            raise ValueError("probabilities must be strictly increasing")
-        object.__setattr__(self, "probs", probs)
 
 
 @dataclass
@@ -44,13 +28,12 @@ class QQReport:
     envelope_hi: np.ndarray            # max across replicates
 
 
-def empirical_quantiles(samples, spec: QuantileSpec | None = None) -> np.ndarray:
-    """Linear-interpolation (type 7) quantiles on the grid of ``spec``."""
+def empirical_quantiles(samples) -> np.ndarray:
+    """Linear-interpolation (type 7) quantiles on ``DEFAULT_PROBS``."""
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size < 2:
         raise EmptyInput("need at least two samples for quantiles")
-    spec = spec or QuantileSpec()
-    return np.quantile(samples, spec.probs)
+    return np.quantile(samples, DEFAULT_PROBS)
 
 
 def _fft_length(n) -> int:
@@ -132,27 +115,20 @@ def relative_quantile_errors(sample_q, ref_q) -> np.ndarray:
 
 
 def _coordinate_series(chain, coordinate):
-    samples = chain.samples if hasattr(chain, "samples") else np.asarray(chain)
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 1:
-        if coordinate != 0:
-            raise ValueError("1-d chain has only coordinate 0")
-        return samples
-    return samples[:, coordinate]
+    samples = chain.samples if hasattr(chain, "samples") else chain
+    return np.asarray(samples, dtype=float)[:, coordinate]
 
 
-def qq_report(chains, coordinate, reference_quantiles,
-              spec: QuantileSpec | None = None) -> QQReport:
+def qq_report(chains, coordinate, reference_quantiles) -> QQReport:
     """Quantile comparison of replicate chains against reference values.
 
-    ``chains`` is a non-empty list of ChainOutput (or raw arrays); the
-    pooled quantiles across replicates are compared to the reference,
-    and the per-replicate min/max envelope records replicate spread.
+    ``chains`` is a non-empty list of ChainOutput (or raw 2-d arrays);
+    their pooled quantiles on ``DEFAULT_PROBS`` are compared to the
+    reference, and the per-replicate min/max envelope records spread.
     """
     if len(chains) == 0:
         raise EmptyInput("need at least one chain")
-    spec = spec or QuantileSpec()
-    probs = np.asarray(spec.probs)
+    probs = np.asarray(DEFAULT_PROBS)
     reference_quantiles = np.asarray(reference_quantiles, dtype=float)
     if reference_quantiles.shape != probs.shape:
         raise ValueError("reference quantiles must match the probability grid")

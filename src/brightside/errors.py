@@ -1,4 +1,4 @@
-"""Exception types and the integer check shared across the package."""
+"""Exception types and the integer checks shared across the package."""
 
 import numbers
 
@@ -7,6 +7,14 @@ def _require_integer(name, value, least):
     """Raise ValueError unless ``value`` is an integer (not a bool) >= ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _require_dimension(d):
+    """Raise DomainError for a dimension below 1, else ValueError unless
+    ``d`` is an integer (not a bool)."""
+    if isinstance(d, numbers.Real) and not d >= 1:
+        raise DomainError(f"dimension must be >= 1, got {d!r}")
+    _require_integer("dimension d", d, 1)
 
 
 class BrightsideError(Exception):

@@ -18,8 +18,9 @@ preset's methods and writes ``<out>/<preset>/<method>_qq.csv`` and
 alone and writes ``<out>/tune.json``.  The three share one setup, so
 one config gives them the same target, dimension and tuner seed.
 
-All artifacts are plain CSV / JSON, deterministic for a fixed seed, and
-re-readable (``diagnostics.read_qq_csv``, ``load_samples_csv``, json).
+All artifacts are plain CSV / JSON, deterministic for a fixed seed,
+re-readable (``diagnostics.read_qq_csv``, ``load_samples_csv``, json),
+and take every quantile on the one grid ``diagnostics.DEFAULT_PROBS``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import (
-    QuantileSpec,
+    DEFAULT_PROBS,
     empirical_quantiles,
     ess,
     qq_report,
@@ -327,7 +328,7 @@ def sphere_params_for(method: str, cfg: ExperimentConfig,
     return None
 
 
-def reference_quantiles(cfg: ExperimentConfig, target, coords, spec,
+def reference_quantiles(cfg: ExperimentConfig, target, coords,
                         tuned: ProjectionParams):
     """Reference marginal quantiles per coordinate plus a description.
 
@@ -341,7 +342,7 @@ def reference_quantiles(cfg: ExperimentConfig, target, coords, spec,
     ``_REFERENCE_BLOCK_BYTES``, of which only the ``coords`` columns are
     kept; a reference that fits in one block is the one-shot draw's.
     """
-    probs = np.asarray(spec.probs)
+    probs = np.asarray(DEFAULT_PROBS)
     if cfg.preset == "cauchy":
         q = np.tan(math.pi * (probs - 0.5))
         return {j: q for j in coords}, {"kind": "analytic", "size": 0}
@@ -368,8 +369,8 @@ def reference_quantiles(cfg: ExperimentConfig, target, coords, spec,
     refs = {}
     agreement = 0.0
     for j in coords:
-        qa = empirical_quantiles(chains[0].samples[:, j], spec)
-        qb = empirical_quantiles(chains[1].samples[:, j], spec)
+        qa = empirical_quantiles(chains[0].samples[:, j])
+        qb = empirical_quantiles(chains[1].samples[:, j])
         agreement = max(agreement,
                         float(np.max(relative_quantile_errors(qb, qa))))
         refs[j] = qa
@@ -386,9 +387,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     cfg, out_dir, target, alignment_ref = _setup(config, config.preset)
     row = _preset_row(cfg)
     tuned, tune_rep = tuned_projection(cfg, target, alignment_ref)
-    spec = QuantileSpec()
     coords = tuple(range(min(4, cfg.dimension)))
-    refs, ref_info = reference_quantiles(cfg, target, coords, spec, tuned)
+    refs, ref_info = reference_quantiles(cfg, target, coords, tuned)
 
     summary = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
@@ -420,11 +420,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
                             seed=derive_chain_seed(cfg.seed, m_idx),
                             n_chains=cfg.replicates)
         wall = time.perf_counter() - t0
-        reports = {j: qq_report(chains, j, refs[j], spec) for j in coords}
+        reports = {j: qq_report(chains, j, refs[j]) for j in coords}
         qq_path = out_dir / f"{method}_qq.csv"
         write_qq_csv(qq_path, reports)
         rel = np.stack([reports[j].relative_errors for j in coords])
-        tail_idx = [0, len(spec.probs) - 1]
+        tail_idx = [0, len(DEFAULT_PROBS) - 1]
         ess_vals = [ess(c.samples[:, j]) for c in chains for j in coords]
         entry = summary["methods"][method] = {
             "acceptance_mean": float(np.mean([c.acceptance_rate

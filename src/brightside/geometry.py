@@ -75,6 +75,7 @@ from .errors import (
     NonfiniteInput,
     NonpositiveScale,
     ObserverOutsideBall,
+    _require_dimension,
     _require_integer,
 )
 
@@ -90,7 +91,8 @@ class ProjectionParams:
     Valid by construction, whether built directly, by ``make_params``
     or by ``dataclasses.replace``; ``h_o`` and ``mu`` are read-only
     copies.  Construction raises ValueError if h_o or mu does not
-    broadcast to shape (d,) or d < 1, NonfiniteInput on NaN or infinity,
+    broadcast to shape (d,) or d is not an integer >= 1 (a bool
+    included), NonfiniteInput on NaN or infinity,
     NonpositiveScale if R <= 0, BoundaryWithoutSymmetry if ell_o = 2
     with h_o != 0, and ObserverOutsideBall unless 1 <= ell_o < 2 and
     |h_o|^2 + (ell_o-1)^2 <= 1 - INTERIOR_MARGIN.
@@ -119,9 +121,8 @@ class ProjectionParams:
     def __post_init__(self):
         h_o = np.array(self.h_o, dtype=float, ndmin=1)
         mu = np.array(self.mu, dtype=float, ndmin=1)
-        d = h_o.shape[0] if self.d is None else int(self.d)
-        if d < 1:
-            raise ValueError(f"dimension d must be >= 1, got {d}")
+        d = h_o.shape[0] if self.d is None else self.d
+        _require_integer("dimension d", d, 1)
         if h_o.shape[0] == 1 and d > 1:
             h_o = np.full(d, h_o[0])
         if mu.shape[0] == 1 and d > 1:
@@ -193,7 +194,8 @@ def cap_forward(x, p: ProjectionParams):
         bracket = 1 - <o, x>,  o = (h_o, ell_o - 1) the observer,
         log_jac = d*log R + d*log ell_o + log(bracket) - (d+1)*log t,
 
-    which is ``log_jacobian(y, p)`` free of the root solve (M = t/ell_o).
+    the log-Jacobian at y = forward(x) with the chord scale M = t/ell_o
+    read off the sphere point, so no root is solved.
     The bracket is <h_x - h_o, h_x> - t z_d rewritten by |h_x|^2 =
     1 - z_d^2, so it is at least 1 - |o| > 0 and takes one dot product.
     t and bracket feed the tuner's closed-form gradient in h_o.  A
@@ -303,27 +305,10 @@ def scp_inverse(y, p: ProjectionParams) -> np.ndarray:
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
-def log_jacobian(y, p: ProjectionParams) -> np.ndarray:
-    """Log Jacobian determinant of the forward projection at ``y``.
-
-    log J = d*log R + log(M*|w|^2 + <w, h_o> + ell_o - ell_o^2*(1-M))
-            - d*log M - log ell_o,  with w = yhat - h_o.
-    The middle bracket is A*M + B, and since M is the root of
-    A*M^2 + 2*B*M + C = 0 taken by ``solve_chord_scale``, A*M + B =
-    sqrt(B^2 - A*C), its discriminant; so log J = d*log R +
-    log sqrt(B^2 - A*C) - d*log M - log ell_o takes no second pass over
-    ``y`` and never forms M**d.
-    """
-    M, A, B, C = solve_chord_scale(y, p)
-    return (p.d * math.log(p.R) + 0.5 * np.log(B * B - A * C)
-            - p.d * np.log(M) - math.log(p.ell_o))
-
-
 def log_jacobian_at_cap_point(x, p: ProjectionParams):
     """Log Jacobian evaluated directly at a bright-side sphere point.
 
-    The ``log_jac`` of ``cap_forward``: equal to
-    ``log_jacobian(scp_forward(x, p), p)`` but free of the root solve.
+    The ``log_jac`` of ``cap_forward``.
     """
     return cap_forward(x, p)[1]
 
@@ -337,15 +322,15 @@ def sample_uniform_cap(d, ell_o, rng, size=None, with_rejection_stats=False):
     at least half the sphere for ell_o >= 1, so each round draws twice
     the rows still missing, and one round almost always suffices.
 
-    Returns a (d+1,) point for ``size=None``, else a (size, d+1) array;
-    a ``size`` that is not an integer >= 0 (a bool included) raises
-    ValueError.
+    Returns a (d+1,) point for ``size=None``, else a (size, d+1) array.
+    A ``d`` below 1 raises DomainError; a ``d`` that is not an integer,
+    or a ``size`` that is not an integer >= 0 (a bool included in
+    both), raises ValueError.
     With ``with_rejection_stats=True`` also returns the rows drawn and
     the bright rows among them, the unused spare included, so the
     empirical rejection fraction is 1 - accepted/raw.
     """
-    if not d >= 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
+    _require_dimension(d)
     if not 1.0 <= ell_o <= 2.0:
         raise ObserverOutsideBall(f"ell_o must lie in [1, 2], got {ell_o}")
     n = 1 if size is None else size
@@ -383,10 +368,10 @@ def cap_ratio_exact(d, ell_o) -> float:
 
     For ell_o in (1, 2] this is (1/2) * I_x(d/2, 1/2) with
     x = 1 - (ell_o - 1)^2, the half accounting for the restriction to
-    positive latitudes; ell_o = 1 gives exactly one hemisphere.
+    positive latitudes; ell_o = 1 gives exactly one hemisphere.  A ``d``
+    below 1 raises DomainError, one that is not an integer ValueError.
     """
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
+    _require_dimension(d)
     if not 1.0 <= ell_o <= 2.0:
         raise DomainError(f"ell_o must lie in [1, 2], got {ell_o}")
     if ell_o == 1.0:

@@ -469,9 +469,10 @@ def run_chain(kernel: KernelConfig, params: Optional[ProjectionParams],
               seed=0) -> ChainOutput:
     """Drive a kernel for ``iterations`` steps and collect thinned samples.
 
-    ``iterations``, ``burnin`` and ``thinning`` are integers, with
-    ``iterations > burnin >= 0`` and ``thinning >= 1``, else ValueError.
-    The first ``burnin`` iterations are discarded; while adapting
+    ``iterations``, ``burnin``, ``thinning`` and ``seed`` are integers
+    (not bools), with ``iterations > burnin >= 0``, ``thinning >= 1``
+    and ``seed >= 0``, else ValueError.  The first ``burnin``
+    iterations are discarded; while adapting
     (``kernel.adapt_burnin`` or, by default, the whole burn-in) the
     step size follows the Robbins-Monro recursion, clamped to
     [1e-10, 1e10], and is frozen afterwards.  Samples are recorded in
@@ -593,9 +594,10 @@ def _draws(seed, width, iterations, every=0, params=None, target=None):
 
     An int ``seed`` is one chain, a list of n seeds n chains, each
     reading the four streams of its seed (see the module docstring),
-    made here, so a bad seed raises at once.  Returns (tries, rho,
-    steps): tries and rho, of shape (n,), read 0 and NaN until the pilot
-    (``_pilot``) fills them as the first step is drawn, and ``steps``
+    made here, so a seed that is not an integer >= 0 (a bool included)
+    raises ValueError at once.  Returns (tries, rho, steps): tries and
+    rho, of shape (n,), read 0 and NaN until the pilot (``_pilot``)
+    fills them as the first step is drawn, and ``steps``
     yields (z, u, move) for each of ``iterations`` steps, z with
     ``width`` normals and u one uniform a chain.  ``move`` is None but at
     every ``every``-th step, where it is the picked try (x', y', lp',
@@ -610,8 +612,11 @@ def _draws(seed, width, iterations, every=0, params=None, target=None):
     non-finite lp'; ``metropolis`` rejects either.
     """
     ensemble = isinstance(seed, list)
+    seeds = seed if ensemble else [seed]
+    for s in seeds:
+        _require_integer("seed", s, 0)
     streams = [[np.random.default_rng(c) for c in np.random.SeedSequence(s).spawn(4)]
-               for s in (seed if ensemble else [seed])]
+               for s in seeds]
     n = len(streams)
     tries, rho = np.zeros(n, dtype=int), np.full(n, math.nan)
     every = every if every <= iterations else 0
@@ -792,7 +797,10 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
 
 
 def derive_chain_seed(base_seed, chain_index) -> int:
-    """Deterministic per-chain seed from (base seed, chain index)."""
+    """Deterministic per-chain seed from (base seed, chain index), both
+    integers >= 0 (not bools), else ValueError."""
+    _require_integer("seed", base_seed, 0)
+    _require_integer("chain_index", chain_index, 0)
     ss = np.random.SeedSequence(entropy=int(base_seed),
                                 spawn_key=(int(chain_index),))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -802,7 +810,8 @@ def run_chains(kernel: KernelConfig, params, target, init, iterations,
                burnin=0, thinning=1, seed=0, n_chains=1, workers=None):
     """Run replicate chains, chain i seeded with ``derive_chain_seed(seed, i)``.
 
-    ``n_chains`` is an integer >= 1.  ``init`` is one start of shape
+    ``n_chains`` is an integer >= 1 and ``seed`` one >= 0, neither a
+    bool, else ValueError.  ``init`` is one start of shape
     (d,) shared by every chain, or one row per chain, shape
     (n_chains, d).  Chain i reads the four streams of its seed through
     ``_draws``, as ``run_chain`` does, so it depends only on ``(seed, i)``

@@ -46,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, EmptyInput
+from .errors import DomainError, EmptyInput, _require_dimension
 from .geometry import _beta_pair, _incomplete_beta, _incomplete_beta_scalar
 
 
@@ -54,7 +54,8 @@ class TargetModel:
     """Behavioral contract for a sampling target.
 
     Subclasses set ``dim`` and implement ``log_density``; they may
-    implement ``grad_log_density`` and ``exact_sample``.  All methods
+    implement ``grad_log_density``, which the tuner and hmc need and
+    scs, sps and rwm do not, and ``exact_sample``.  All methods
     must be pure and re-entrant.  ``log_density_and_grad(y)`` returns
     ``(log_density(y), grad_log_density(y))``; the default makes those
     two calls, and an override must return the same values bit for bit.
@@ -188,12 +189,12 @@ class MultivariateStudentT(TargetModel):
     """Isotropic multivariate Student t; nu = 1 is the Cauchy.
 
     Raises DomainError unless d >= 1, nu is finite and positive,
-    scale > 0 and loc is 0-d or 1-d.
+    scale > 0 and loc is 0-d or 1-d, and ValueError unless d is an
+    integer (not a bool).
     """
 
     def __init__(self, d, nu, loc=0.0, scale=1.0):
-        if not d >= 1:
-            raise DomainError(f"dimension must be >= 1, got {d}")
+        _require_dimension(d)
         _check_dof(nu)
         if not scale > 0:
             raise DomainError(f"scale must be positive, got {scale}")

@@ -15,11 +15,11 @@ draws past its batch open the next, so the first batch is
 ``sample_uniform_cap(d, ell_o, default_rng(seed), size=mc_batch)``.
 Gradients are reparameterized: the cap samples are held fixed while the
 forward map and Jacobian move with the parameters, so every term is
-differentiated in closed form, from one ``log_density_and_grad`` call
-per step that gives the objective and the target gradient on the batch
-together; targets without gradients fall back to central finite
-differences.  ``_objective_and_gradient`` makes
-that choice for every step of ``tune``.  The scale is optimized as
+differentiated in closed form (``_objective_and_gradient``), from one
+``log_density_and_grad`` call per step that gives the objective and the
+target gradient on the batch together.  There is no finite-difference
+fallback: ``tune`` raises ValueError for a target without a gradient
+before it draws anything.  The scale is optimized as
 log R to stay positive, and the longitude is radially projected back
 into the observer ball after every update; the report counts those
 projections and gives the final observer's margin to the ball's edge.
@@ -72,9 +72,10 @@ class TuneOptions:
 
     ``steps`` is at most the number of steps run: the tuner stops
     earlier once its objective has stopped falling (see the module
-    docstring).  ``mc_batch`` and ``steps`` are integers >= 1 (not
-    bools) and ``learning_rate`` is positive and finite, else building
-    the options raises ValueError.
+    docstring).  ``mc_batch`` and ``steps`` are integers >= 1 and
+    ``seed`` an integer >= 0 (none of them a bool), and
+    ``learning_rate`` is positive and finite, else building the options
+    raises ValueError.
     """
 
     mc_batch: int = 2000
@@ -86,6 +87,7 @@ class TuneOptions:
     def __post_init__(self):
         _require_integer("mc_batch", self.mc_batch, 1)
         _require_integer("steps", self.steps, 1)
+        _require_integer("seed", self.seed, 0)
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise ValueError(f"learning_rate must be positive and finite, "
                              f"got {self.learning_rate!r}")
@@ -118,25 +120,7 @@ class TuneReport:
     alignment: Optional[dict] = None
 
 
-def kl_objective(theta_bar, ell_o, target: TargetModel, cap_samples) -> float:
-    """Monte Carlo KL divergence (up to a constant) of the pushforward.
-
-    Mean over the cap samples of -log J - log pi(forward point); exact
-    cancellation of the two terms certifies a perfectly matched target.
-    """
-    return float(np.mean(kl_integrand(theta_bar, ell_o, target, cap_samples)))
-
-
-def kl_integrand(theta_bar, ell_o, target: TargetModel, cap_samples) -> np.ndarray:
-    """Per-sample values whose mean is ``kl_objective``."""
-    cap_samples = np.asarray(cap_samples, dtype=float)
-    h_o, mu, R = theta_bar
-    p = make_params(cap_samples.shape[-1] - 1, h_o=h_o, ell_o=ell_o, mu=mu, R=R)
-    y, log_jac, _, _ = cap_forward(cap_samples, p)
-    return -log_jac - np.asarray(target.log_density(y), dtype=float)
-
-
-def _analytic_gradient(theta_bar, ell_o, target, cap_samples):
+def _objective_and_gradient(theta_bar, ell_o, target, cap_samples):
     """(objective, (g_ho, g_mu, g_R)) by the closed-form chain rule.
 
     With hx, z_d the cap samples' longitude and latitude, lx = z_d + 1,
@@ -170,36 +154,6 @@ def _analytic_gradient(theta_bar, ell_o, target, cap_samples):
     g_ho = (cap_samples[:, :-1].T @ (1.0 / bracket) + p.R * (glp.T @ lx)) / n
     objective = -float((log_jac + logp).sum()) / n
     return objective, (g_ho, g_mu, g_R)
-
-
-def _fd_gradient(theta_bar, ell_o, target, cap_samples, rel_step=1e-5):
-    """Central differences on all 2d+1 coordinates, common cap samples."""
-    theta = np.concatenate([np.asarray(theta_bar[0], dtype=float),
-                            np.asarray(theta_bar[1], dtype=float),
-                            [float(theta_bar[2])]])
-    d = theta.size // 2
-
-    def evaluate(th):
-        # a perturbed h_o may leave the observer ball (at ell_o = 2, any h_o != 0)
-        h_o, mu, R = project_params((th[:d], th[d:2 * d], th[-1]), ell_o)
-        return kl_objective((h_o, mu, R), ell_o, target, cap_samples)
-
-    grad = np.empty_like(theta)
-    for j, value in enumerate(theta):
-        eps = rel_step * (1.0 + abs(value))
-        up, down = theta.copy(), theta.copy()
-        up[j], down[j] = value + eps, value - eps
-        grad[j] = (evaluate(up) - evaluate(down)) / (2.0 * eps)
-    return evaluate(theta), (grad[:d], grad[d:2 * d], float(grad[-1]))
-
-
-def _objective_and_gradient(theta_bar, ell_o, target, cap_samples):
-    """(objective, (g_ho, g_mu, g_R)) by the closed-form chain rule when
-    the target has a gradient, else by central finite differences; raises
-    ``NonfiniteGradient`` where the target's gradient is not finite."""
-    if target.has_gradient:
-        return _analytic_gradient(theta_bar, ell_o, target, cap_samples)
-    return _fd_gradient(theta_bar, ell_o, target, cap_samples)
 
 
 def _objective_flat(trace) -> bool:
@@ -270,13 +224,17 @@ def tune(target: TargetModel, ell_o, opts: TuneOptions | None = None,
     Deterministic given ``opts.seed``.  A step whose objective or
     gradient is not finite is skipped: the parameters and Adam's moments
     stay as they are, and Adam's bias correction counts applied updates
-    only.  Aborts after ten consecutive non-finite objective values.  Stops before
-    ``opts.steps`` once the objective has stopped falling (see the
-    module docstring); the traces then end at the last step run.
+    only.  Aborts after ten consecutive non-finite objective values.
+    Stops before ``opts.steps`` once the objective has stopped falling
+    (see the module docstring); the traces then end at the last step
+    run.  A target without a gradient raises ValueError before the
+    first draw.
 
     ``alignment_ref``, when given as (skewness vector, location
     vector), adds per-step alignment traces to the report.
     """
+    if not target.has_gradient:
+        raise ValueError("the tuner requires a target gradient")
     opts = opts or TuneOptions()
     rng = np.random.default_rng(opts.seed)
     d = target.dim

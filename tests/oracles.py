@@ -1,8 +1,11 @@
 """Reference functions the tests judge the package by.
 
 Nothing in the package calls these: the Student t CDF (the package
-needs only its log), the KS distance of a sample to a CDF, and the
-target whose pullback to the sphere is the uniform cap law.
+needs only its log), the KS distance of a sample to a CDF, the
+log-Jacobian of the projection from the chord solve at a plane point
+(a second derivation that ``geometry.cap_forward`` is checked against),
+the target whose pullback to the sphere is the uniform cap law, and
+central finite differences of the tuner's objective.
 """
 
 import math
@@ -10,8 +13,15 @@ import math
 import numpy as np
 
 from brightside.errors import EmptyInput
-from brightside.geometry import ProjectionParams, _incomplete_beta, log_jacobian
+from brightside.geometry import (
+    ProjectionParams,
+    _incomplete_beta,
+    make_params,
+    solve_chord_scale,
+)
+from brightside.kernels import _pullback
 from brightside.targets import TargetModel, _check_dof
+from brightside.tuning import project_params
 
 
 def student_t_cdf(t, nu):
@@ -57,6 +67,22 @@ def ks_statistic(samples, cdf) -> float:
     return float(max(np.max(grid - F), np.max(F - (grid - 1.0 / n))))
 
 
+def log_jacobian(y, p: ProjectionParams) -> np.ndarray:
+    """Log Jacobian determinant of the forward projection at ``y``.
+
+    log J = d*log R + log(M*|w|^2 + <w, h_o> + ell_o - ell_o^2*(1-M))
+            - d*log M - log ell_o,  with w = yhat - h_o.
+    The middle bracket is A*M + B, and since M is the root of
+    A*M^2 + 2*B*M + C = 0 taken by ``solve_chord_scale``, A*M + B =
+    sqrt(B^2 - A*C), its discriminant; so log J = d*log R +
+    log sqrt(B^2 - A*C) - d*log M - log ell_o takes no second pass over
+    ``y`` and never forms M**d.
+    """
+    M, A, B, C = solve_chord_scale(y, p)
+    return (p.d * math.log(p.R) + 0.5 * np.log(B * B - A * C)
+            - p.d * np.log(M) - math.log(p.ell_o))
+
+
 class UniformCapPullback(TargetModel):
     """Target whose pullback to the sphere is exactly uniform: pi = 1/J.
 
@@ -74,3 +100,30 @@ class UniformCapPullback(TargetModel):
 
 def uniform_cap_pullback(params: ProjectionParams) -> UniformCapPullback:
     return UniformCapPullback(params)
+
+
+def fd_tuner_gradient(theta_bar, ell_o, target, cap_samples, rel_step=1e-5):
+    """(g_ho, g_mu, g_R) of the tuner's objective by central differences.
+
+    The objective is the batch mean of -log pi(F(x)) - log J(x) over the
+    common ``cap_samples``; all 2d + 1 coordinates are perturbed, one at
+    a time, by ``rel_step * (1 + |value|)``.
+    """
+    theta = np.concatenate([np.asarray(theta_bar[0], dtype=float),
+                            np.asarray(theta_bar[1], dtype=float),
+                            [float(theta_bar[2])]])
+    d = theta.size // 2
+
+    def objective(th):
+        # a perturbed h_o may leave the observer ball (at ell_o = 2, any h_o != 0)
+        h_o, mu, R = project_params((th[:d], th[d:2 * d], th[-1]), ell_o)
+        p = make_params(d, h_o=h_o, ell_o=ell_o, mu=mu, R=R)
+        return -float(np.mean(_pullback(cap_samples, p, target)[1]))
+
+    grad = np.empty_like(theta)
+    for j, value in enumerate(theta):
+        eps = rel_step * (1.0 + abs(value))
+        up, down = theta.copy(), theta.copy()
+        up[j], down[j] = value + eps, value - eps
+        grad[j] = (objective(up) - objective(down)) / (2.0 * eps)
+    return grad[:d], grad[d:2 * d], float(grad[-1])

@@ -1,11 +1,12 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from brightside.diagnostics import (
+    DEFAULT_PROBS,
     QQReport,
-    QuantileSpec,
     empirical_quantiles,
     ess,
     qq_report,
@@ -19,28 +20,19 @@ from oracles import ks_statistic
 
 class TestQuantileSpec:
     def test_default_grid(self):
-        spec = QuantileSpec()
-        assert spec.probs == (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 0.8, 0.9,
-                              0.95, 0.98, 0.99)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuantileSpec(probs=(0.5, 0.5))
-        with pytest.raises(ValueError):
-            QuantileSpec(probs=(0.0, 0.5))
-        with pytest.raises(ValueError):
-            QuantileSpec(probs=())
+        assert DEFAULT_PROBS == (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 0.8, 0.9,
+                                 0.95, 0.98, 0.99)
 
 
 class TestEmpiricalQuantiles:
     def test_median_of_three(self):
-        q = empirical_quantiles([1.0, 2.0, 3.0], QuantileSpec(probs=(0.5,)))
-        assert q[0] == 2.0
+        q = empirical_quantiles([1.0, 2.0, 3.0])
+        assert q[DEFAULT_PROBS.index(0.5)] == 2.0
 
     def test_rank_interpolation(self):
-        # two samples, p = 0.25: rank 0.25 between the order statistics
-        q = empirical_quantiles([0.0, 1.0], QuantileSpec(probs=(0.25,)))
-        assert abs(q[0] - 0.25) < 1e-15
+        # two samples, p = 0.2: rank 0.2 between the order statistics
+        q = empirical_quantiles([0.0, 1.0])
+        assert abs(q[DEFAULT_PROBS.index(0.2)] - 0.2) < 1e-15
 
     def test_monotone_on_default_grid(self):
         rng = np.random.default_rng(0)
@@ -147,21 +139,20 @@ class TestQQReport:
     def test_reference_equal_to_pooled_gives_zero_error(self):
         rng = np.random.default_rng(7)
         chains = [rng.standard_normal((500, 2)) for _ in range(3)]
-        spec = QuantileSpec()
         pooled = np.quantile(np.concatenate([c[:, 0] for c in chains]),
-                             spec.probs)
-        rep = qq_report(chains, 0, pooled, spec)
+                             DEFAULT_PROBS)
+        rep = qq_report(chains, 0, pooled)
         assert np.allclose(rep.relative_errors, 0.0)
-        assert len(rep.probs) == len(spec.probs)
+        assert len(rep.probs) == len(DEFAULT_PROBS)
 
     def test_envelope_covers_reference_for_iid_replicates(self):
         rng = np.random.default_rng(8)
-        spec = QuantileSpec(probs=(0.2, 0.5, 0.8))
         # large iid "chains" so each replicate's quantiles hug the truth
         chains = [rng.standard_normal((20_000, 1)) for _ in range(10)]
-        ref = np.array([-0.8416212336, 0.0, 0.8416212336])
-        rep = qq_report(chains, 0, ref, spec)
-        covered = np.sum((rep.envelope_lo <= ref) & (ref <= rep.envelope_hi))
+        ref = np.array([NormalDist().inv_cdf(p) for p in DEFAULT_PROBS])
+        rep = qq_report(chains, 0, ref)
+        at = [DEFAULT_PROBS.index(p) for p in (0.2, 0.5, 0.8)]
+        covered = np.sum((rep.envelope_lo[at] <= ref[at]) & (ref[at] <= rep.envelope_hi[at]))
         assert covered >= 2
 
     def test_requires_chain(self):
@@ -175,11 +166,9 @@ class TestQQReport:
 
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)
-        spec = QuantileSpec()
         chains = [rng.standard_cauchy((1000, 2)) for _ in range(2)]
         reports = {
-            j: qq_report(chains, j, np.quantile(chains[0][:, j], spec.probs),
-                         spec)
+            j: qq_report(chains, j, np.quantile(chains[0][:, j], DEFAULT_PROBS))
             for j in range(2)
         }
         path = tmp_path / "qq.csv"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from brightside import experiments
-from brightside.diagnostics import QuantileSpec, read_qq_csv, write_qq_csv
+from brightside.diagnostics import DEFAULT_PROBS, read_qq_csv, write_qq_csv
 from brightside.experiments import (
     PRESETS,
     ConfigError,
@@ -164,7 +164,7 @@ class TestRunExperiment:
             summaries[1], "wall_time_total")
         d = DIMENSION[preset]
         assert summaries[0]["dimension"] == d
-        probs = np.asarray(QuantileSpec().probs)
+        probs = np.asarray(DEFAULT_PROBS)
         scs = summaries[0]["methods"]["scs"]
         assert 0.0 <= scs["independence_acceptance_mean"] <= 1.0
         for method, entry in summaries[0]["methods"].items():
@@ -198,7 +198,7 @@ class TestReferenceQuantiles:
         monkeypatch.setattr(experiments, "run_chain", recording)
         cfg = resolve(small_config("logistic", tmp_path))
         target, _ = build_target(cfg)
-        _, info = reference_quantiles(cfg, target, self.COORDS, QuantileSpec(),
+        _, info = reference_quantiles(cfg, target, self.COORDS,
                                       experiments.make_params(cfg.dimension, ell_o=1.1))
         assert info["kind"] == "long_chain"
         assert [(k.kind, k.independence_every) for k in kernels] == [("scs", 0)] * 2
@@ -206,7 +206,7 @@ class TestReferenceQuantiles:
     def skewt_reference(self, size):
         cfg = resolve(ExperimentConfig(preset="skewt", seed=4, reference_size=size))
         target, _ = build_target(cfg)
-        refs, info = reference_quantiles(cfg, target, self.COORDS, QuantileSpec(), None)
+        refs, info = reference_quantiles(cfg, target, self.COORDS, None)
         assert info == {"kind": "exact_sampler", "size": size}
         return cfg, target, refs
 
@@ -214,7 +214,7 @@ class TestReferenceQuantiles:
         """Quantiles of the draws taken by hand, one block per entry of ``sizes``."""
         rng = np.random.default_rng(experiments.derive_chain_seed(cfg.seed, 555))
         draws = np.concatenate([target.exact_sample(rng, size=n) for n in sizes])
-        probs = np.asarray(QuantileSpec().probs)
+        probs = np.asarray(DEFAULT_PROBS)
         return {j: np.quantile(draws[:, j], probs) for j in self.COORDS}
 
     def test_desk_reference_is_the_one_shot_draw(self):

@@ -20,7 +20,6 @@ from brightside.geometry import (
     ProjectionParams,
     cap_forward,
     cap_ratio_exact,
-    log_jacobian,
     log_jacobian_at_cap_point,
     log_regularized_incomplete_beta,
     make_params,
@@ -30,6 +29,7 @@ from brightside.geometry import (
     scp_inverse,
     solve_chord_scale,
 )
+from oracles import log_jacobian
 
 
 def random_params(rng, d, allow_boundary=False):
@@ -516,6 +516,26 @@ class TestUniformCap:
         for d in (0, -1):
             with pytest.raises(DomainError, match="dimension"):
                 sample_uniform_cap(d, 1.1, rng, size=3)
+
+    @pytest.mark.parametrize("d", [2.5, True, "3"])
+    def test_non_integer_dimension_rejected(self, d):
+        # 2.5 once raised a raw TypeError from numpy here, and built a
+        # d = 2 projection and gave a d = 2.5 cap ratio
+        rng = np.random.default_rng(19)
+        for call in (lambda: sample_uniform_cap(d, 1.1, rng, size=3),
+                     lambda: cap_ratio_exact(d, 1.1),
+                     lambda: make_params(d),
+                     lambda: ProjectionParams(h_o=0.0, ell_o=1.1, mu=0.0, R=1.0, d=d)):
+            with pytest.raises(ValueError, match="d must be an integer"):
+                call()
+
+    def test_numpy_integer_dimension(self):
+        z = sample_uniform_cap(np.int64(3), 1.1, np.random.default_rng(19), size=4)
+        assert np.array_equal(z, sample_uniform_cap(3, 1.1, np.random.default_rng(19),
+                                                    size=4))
+        assert cap_ratio_exact(np.int32(3), 1.3) == cap_ratio_exact(3, 1.3)
+        assert make_params(np.int64(3), h_o=0.1, ell_o=1.1).d == 3
+        assert type(make_params(np.int64(3)).d) is int
 
     def test_hemisphere_mean_negative(self):
         rng = np.random.default_rng(20)

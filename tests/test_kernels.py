@@ -15,7 +15,6 @@ from brightside.errors import (
 from brightside.geometry import (
     cap_forward,
     cap_ratio_exact,
-    log_jacobian,
     make_params,
     sample_uniform_cap,
     scp_forward,
@@ -46,7 +45,7 @@ from brightside.targets import (
     mv_student_t,
     skew_t,
 )
-from oracles import ks_statistic, student_t_cdf, uniform_cap_pullback
+from oracles import ks_statistic, log_jacobian, student_t_cdf, uniform_cap_pullback
 
 
 def random_bright_dark_pair(rng, d, ell_o, h=1.5):
@@ -1010,6 +1009,34 @@ class TestRunChain:
             with pytest.raises(ValueError) as info:
                 run()
             assert not isinstance(info.value, ChainAborted)
+
+    @pytest.mark.parametrize("seed", [2.5, True, "3"])
+    def test_non_integer_seed_rejected(self, seed):
+        # run_chains once ran seed 2.5 as seed 2, run_chain raised a raw
+        # TypeError from numpy, and both ran True as seed 1
+        p, target = make_params(2, ell_o=1.1), mv_student_t(2, nu=1.0)
+        cfg = KernelConfig("scs", h=0.5)
+        for run in (lambda: run_chain(cfg, p, target, np.zeros(2), 10, seed=seed),
+                    lambda: run_chains(cfg, p, target, np.zeros(2), 10, seed=seed),
+                    lambda: run_chains(cfg, p, target, np.zeros(2), 10, seed=seed,
+                                       n_chains=SPHERE_ENSEMBLE_MIN_CHAINS),
+                    lambda: derive_chain_seed(seed, 0),
+                    lambda: derive_chain_seed(0, seed)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                run()
+
+    def test_numpy_integer_seed_runs_as_int(self):
+        p, target = make_params(2, ell_o=1.1), mv_student_t(2, nu=1.0)
+        cfg = KernelConfig("scs", h=0.5)
+        for seed in (np.int64(3), np.uint32(3)):
+            one = run_chain(cfg, p, target, np.zeros(2), 50, seed=seed)
+            assert np.array_equal(one.samples, run_chain(cfg, p, target, np.zeros(2),
+                                                         50, seed=3).samples)
+            many = run_chains(cfg, p, target, np.zeros(2), 50, seed=seed, n_chains=2)
+            want = run_chains(cfg, p, target, np.zeros(2), 50, seed=3, n_chains=2)
+            for got, ref in zip(many, want):
+                assert np.array_equal(got.samples, ref.samples)
+            assert derive_chain_seed(seed, np.int64(1)) == derive_chain_seed(3, 1)
 
     def test_sps_start_rounding_onto_north_pole_raises(self):
         # at the stereographic latitude the observer sits at the north

@@ -25,7 +25,7 @@ from brightside.targets import (
     student_t_log_pdf,
 )
 from brightside.tuning import TuneOptions, tune
-from oracles import student_t_cdf, uniform_cap_pullback
+from oracles import log_jacobian, student_t_cdf, uniform_cap_pullback
 
 
 def fd_gradient(f, y, eps=1e-6):
@@ -167,6 +167,10 @@ class TestMultivariateStudentT:
         for d in (0, -1):
             with pytest.raises(DomainError, match="dimension"):
                 mv_student_t(d, nu=1.0)
+        for d in (2.7, True, "3"):  # 2.7 once built a d = 2 target
+            with pytest.raises(ValueError, match="d must be an integer"):
+                mv_student_t(d, nu=1.0)
+        assert type(mv_student_t(np.int64(3), nu=1.0).dim) is int
         with pytest.raises(DomainError, match="loc"):
             mv_student_t(3, 1.0, loc=np.zeros((1, 3)))
 
@@ -750,8 +754,6 @@ class TestExactSamplersInPlace:
 
 class TestUniformCapPullback:
     def test_density_is_negative_log_jacobian(self):
-        from brightside.geometry import log_jacobian
-
         p = make_params(3, ell_o=1.3, mu=np.array([1.0, 0.0, -1.0]), R=2.0)
         target = uniform_cap_pullback(p)
         ys = np.random.default_rng(17).standard_normal((5, 3)) * 4

@@ -12,6 +12,7 @@ from brightside.geometry import (
     make_params,
     sample_uniform_cap,
 )
+from brightside.kernels import _pullback
 from brightside.targets import TargetModel, mv_student_t, skew_t
 from brightside import tuning
 from brightside.tuning import (
@@ -19,14 +20,12 @@ from brightside.tuning import (
     STOP_Z,
     TuneOptions,
     alignment_metrics,
-    kl_integrand,
-    kl_objective,
     project_params,
     tune,
-    _fd_gradient,
     _objective_and_gradient,
     _objective_flat,
 )
+from oracles import fd_tuner_gradient
 
 
 def flat_grad(g):
@@ -35,7 +34,7 @@ def flat_grad(g):
 
 
 class GradFreeWrapper(TargetModel):
-    """Hides the gradient of a target to force the FD fallback."""
+    """Hides the gradient of a target."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -67,18 +66,19 @@ class TestKlObjective:
         d = 5
         target = mv_student_t(d, nu=1.0)
         cap = sample_uniform_cap(d, 1.0, rng, size=4000)
-        vals = kl_integrand((np.zeros(d), np.zeros(d), 1.0), 1.0, target, cap)
+        # the per-sample integrand is minus the pullback density
+        vals = -_pullback(cap, make_params(d, ell_o=1.0), target)[1]
         assert np.std(vals) <= 1e-8
-        assert abs(kl_objective((np.zeros(d), np.zeros(d), 1.0), 1.0,
-                                target, cap)) <= 1e-8
+        assert abs(_objective_and_gradient((np.zeros(d), np.zeros(d), 1.0), 1.0,
+                                           target, cap)[0]) <= 1e-8
 
     def test_mismatched_scale_increases_objective(self):
         rng = np.random.default_rng(1)
         d = 4
         target = mv_student_t(d, nu=1.0)
         cap = sample_uniform_cap(d, 1.0, rng, size=3000)
-        base = kl_objective((np.zeros(d), np.zeros(d), 1.0), 1.0, target, cap)
-        off = kl_objective((np.zeros(d), np.zeros(d), 2.0), 1.0, target, cap)
+        base = _objective_and_gradient((np.zeros(d), np.zeros(d), 1.0), 1.0, target, cap)[0]
+        off = _objective_and_gradient((np.zeros(d), np.zeros(d), 2.0), 1.0, target, cap)[0]
         assert off > base
 
     def test_permutation_invariance(self):
@@ -87,8 +87,8 @@ class TestKlObjective:
         target = mv_student_t(d, nu=2.0)
         cap = sample_uniform_cap(d, 1.2, rng, size=500)
         theta = (np.full(d, 0.1), np.ones(d), 1.5)
-        a = kl_objective(theta, 1.2, target, cap)
-        b = kl_objective(theta, 1.2, target, cap[::-1])
+        a = _objective_and_gradient(theta, 1.2, target, cap)[0]
+        b = _objective_and_gradient(theta, 1.2, target, cap[::-1])[0]
         assert abs(a - b) < 1e-12
 
 
@@ -113,7 +113,7 @@ class TestKlGradient:
             theta = (h_o, rng.standard_normal(d), rng.uniform(0.5, 2.5))
             cap = sample_uniform_cap(d, ell_o, rng, size=256)
             ga = flat_grad(_objective_and_gradient(theta, ell_o, target, cap)[1])
-            gf = flat_grad(_fd_gradient(theta, ell_o, target, cap)[1])
+            gf = flat_grad(fd_tuner_gradient(theta, ell_o, target, cap))
             assert np.linalg.norm(ga - gf) <= 1e-5 * max(1.0, np.linalg.norm(gf))
 
     def test_infinite_gradient_raises_typed(self):
@@ -159,18 +159,6 @@ class TestKlGradient:
                                               target, cap)[1])
         assert np.linalg.norm(g) <= 5.0 * (d + 1) / math.sqrt(n)
 
-    def test_fd_fallback_matches_analytic(self):
-        rng = np.random.default_rng(6)
-        d = 3
-        inner = mv_student_t(d, nu=2.0, loc=np.array([1.0, -1.0, 0.5]))
-        wrapped = GradFreeWrapper(inner)
-        assert not wrapped.has_gradient
-        cap = sample_uniform_cap(d, 1.1, rng, size=200)
-        theta = (np.full(d, 0.1), np.zeros(d), 1.3)
-        ga = flat_grad(_objective_and_gradient(theta, 1.1, inner, cap)[1])
-        gf = flat_grad(_objective_and_gradient(theta, 1.1, wrapped, cap)[1])
-        assert np.linalg.norm(ga - gf) <= 1e-5 * max(1.0, np.linalg.norm(ga))
-
 
 def textbook_gradient(theta_bar, ell_o, target, cap_samples):
     """The closed-form gradient as per-sample terms averaged by np.mean."""
@@ -212,7 +200,7 @@ class TestAnalyticGradientSums:
             mu *= mu_size / np.linalg.norm(mu)
             target = self.TARGETS[kind](mu, rng)
             cap = sample_uniform_cap(d, 1.1, rng, size=1000)
-            obj, grad = tuning._analytic_gradient((h_o, mu, R), 1.1, target, cap)
+            obj, grad = tuning._objective_and_gradient((h_o, mu, R), 1.1, target, cap)
             want_obj, want = textbook_gradient((h_o, mu, R), 1.1, target, cap)
             assert abs(obj - want_obj) <= 1e-12 * abs(want_obj)
             for got, ref in zip(grad, want):
@@ -225,7 +213,7 @@ class TestAnalyticGradientSums:
         target = skew_t(xi=np.zeros(d), alpha_skew=alpha, nu=1.0)
         opts = TuneOptions(mc_batch=200, steps=400, seed=8)
         rep = tune(target, 1.1, opts)
-        monkeypatch.setattr(tuning, "_analytic_gradient", textbook_gradient)
+        monkeypatch.setattr(tuning, "_objective_and_gradient", textbook_gradient)
         ref = tune(target, 1.1, opts)
         assert rep.converged and ref.converged
         assert rep.objective_trace.size == ref.objective_trace.size
@@ -258,9 +246,8 @@ class TestProjectParams:
     def test_stereographic_latitude_pins_h_o_at_zero(self):
         h_o, _, _ = project_params((np.array([0.3, -0.1]), np.zeros(2), 1.0), 2.0)
         assert np.array_equal(h_o, [0.0, 0.0])
-        for target in (mv_student_t(3, nu=1), GradFreeWrapper(mv_student_t(3, nu=1))):
-            rep = tune(target, 2.0, TuneOptions(mc_batch=50, steps=2))
-            assert np.array_equal(rep.theta_bar[0], np.zeros(3))
+        rep = tune(mv_student_t(3, nu=1), 2.0, TuneOptions(mc_batch=50, steps=2))
+        assert np.array_equal(rep.theta_bar[0], np.zeros(3))
 
     def test_no_admissible_longitude_raises(self):
         for ell_o in (0.5, 2.0 - 1e-12, 2.5):
@@ -393,6 +380,19 @@ class TestTune:
                         TuneOptions(mc_batch=100, steps=50, seed=3))
         assert interior.h_o_rescaled == 0
 
+    def test_gradient_free_target_raises_before_drawing(self, monkeypatch):
+        real, drawn = tuning._bright_rows, []
+
+        def recording(*args):
+            drawn.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(tuning, "_bright_rows", recording)
+        target = GradFreeWrapper(mv_student_t(3, nu=1.0))
+        with pytest.raises(ValueError, match="gradient"):
+            tune(target, 1.1, TuneOptions(mc_batch=50, steps=2))
+        assert drawn == []
+
     def test_nan_learning_rate_rejected(self):
         with pytest.raises(ValueError):
             TuneOptions(learning_rate=math.nan)
@@ -401,6 +401,7 @@ class TestTune:
         ("mc_batch", 2.5), ("mc_batch", True), ("mc_batch", 0), ("mc_batch", "100"),
         ("steps", 2.5), ("steps", True), ("steps", 0),
         ("learning_rate", math.inf), ("learning_rate", 0.0), ("learning_rate", -0.1),
+        ("seed", 2.5), ("seed", True), ("seed", -1),
     ])
     def test_bad_sizes_and_rates_rejected_when_built(self, field, value):
         # fractional and bool sizes once built fine and then failed in
@@ -410,8 +411,15 @@ class TestTune:
             TuneOptions(**{field: value})
 
     def test_numpy_integer_sizes_accepted(self):
-        opts = TuneOptions(mc_batch=np.int64(50), steps=np.int32(3), seed=0)
-        assert tune(mv_student_t(2, nu=1.0), 1.1, opts).objective_trace.size == 3
+        # numpy integer sizes and seed tune as their ints
+        target = mv_student_t(2, nu=1.0)
+        opts = TuneOptions(mc_batch=np.int64(50), steps=np.int32(3), seed=np.int64(5))
+        got = tune(target, 1.1, opts)
+        want = tune(target, 1.1, TuneOptions(mc_batch=50, steps=3, seed=5))
+        assert got.objective_trace.size == 3
+        assert np.array_equal(got.objective_trace, want.objective_trace)
+        for a, b in zip(got.theta_bar, want.theta_bar):
+            assert np.array_equal(a, b)
 
     def test_nonfinite_gradient_steps_hold_parameters(self):
         alpha, xi = np.array([1.0, -1.0, 0.5]), np.zeros(3)
