@@ -169,11 +169,14 @@ def write_qq_csv(path, reports: dict):
 
 
 def read_qq_csv(path) -> dict:
-    """Read a CSV written by ``write_qq_csv`` back into QQReport objects."""
+    """Read a CSV written by ``write_qq_csv`` back into QQReport objects;
+    an empty file raises ``EmptyInput``."""
     rows = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
+        if not header:
+            raise EmptyInput(f"QQ CSV {path} is empty")
         if header != QQ_CSV_COLUMNS:
             raise ValueError(f"unexpected QQ CSV header {header!r}")
         for row in reader:

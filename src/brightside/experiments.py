@@ -1,9 +1,10 @@
 """Experiment presets and the three entry points that run them.
 
-``ExperimentConfig`` is the one config type.  A field left ``None``
-takes its preset default: ``resolve`` returns the same frozen class
-filled in from ``_PRESET_TABLE``, which holds a desk row and a paper
-row per preset (``paper_scale``: hundreds of dimensions, millions of
+``ExperimentConfig`` is the one config type; building one checks it, so
+every config that exists is valid.  A field left ``None`` takes its
+preset default: ``resolve`` returns the same frozen class filled in
+from ``_PRESET_TABLE``, which holds a desk row and a paper row per
+preset (``paper_scale``: hundreds of dimensions, millions of
 iterations; the desk rows finish in minutes) and the protocol values
 that are not config fields.
 
@@ -43,6 +44,7 @@ from .diagnostics import (
     relative_quantile_errors,
     write_qq_csv,
 )
+from .errors import BrightsideError, EmptyInput
 from .geometry import ProjectionParams, make_params
 from .kernels import (
     HMC_TARGET_ACCEPT,
@@ -127,22 +129,26 @@ _TYPED_FIELDS = (
 )
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration, from ``from_dict`` or ``validate``."""
+class ConfigError(BrightsideError, ValueError):
+    """Invalid experiment configuration, raised by ``ExperimentConfig(...)``."""
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """User-facing knobs; ``None`` means "use the preset default".
 
-    The real-valued fields (``ell_o``, ``tuner_lr``, ``link_nu``,
-    ``prior_nu``, ``h``, ``nu``, ``target_accept``) are stored as
-    floats, so ``ell_o=1`` means 1.0 everywhere downstream, the summary
-    included.  The integer fields are stored as ``int`` (a numpy integer
-    is converted) and the boolean fields as ``bool``; a value of another
-    type raises ``ConfigError``.  ``validate`` checks the ranges: step
-    size, tuner learning rate and the three degrees of freedom must be
-    finite and positive, and ``target_accept`` must lie in (0, 1).
+    Building a config, by ``dataclasses.replace`` too, checks it once
+    and raises ``ConfigError`` on an invalid value.  The real-valued
+    fields (``ell_o``, ``tuner_lr``, ``link_nu``, ``prior_nu``, ``h``,
+    ``nu``, ``target_accept``) are stored as floats, so ``ell_o=1``
+    means 1.0 everywhere downstream, the summary included.  The integer
+    fields are stored as ``int`` (a numpy integer is converted) and the
+    boolean fields as ``bool``; a value of another type is invalid.  So
+    are an unknown preset, kernel or link, a custom preset without
+    ``data_csv``, ``ell_o`` outside [1, 2], a count below its least
+    value, a step size, learning rate or degrees of freedom that is not
+    finite and positive, ``target_accept`` outside (0, 1) and
+    ``iterations`` at or below ``burnin``.
     """
 
     preset: str = "cauchy"
@@ -180,25 +186,10 @@ class ExperimentConfig:
                 if not accepts(v):
                     raise ConfigError(f"{name} must be {expected}")
                 object.__setattr__(self, name, stored(v))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        allowed = set(cls.__dataclass_fields__)
-        unknown = set(data) - allowed
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            cfg = cls(**data)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> "ExperimentConfig":
-        if self.preset not in PRESETS:
-            raise ConfigError(f"unknown preset {self.preset!r}")
-        if self.kernel not in KERNEL_KINDS:
-            raise ConfigError(f"unknown kernel {self.kernel!r}")
+        for name, known in (("preset", PRESETS), ("kernel", KERNEL_KINDS),
+                            ("link", (None, "logit", "robit"))):
+            if getattr(self, name) not in known:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
         for names, least in ((("iterations", "burnin", "seed",
                                "reference_size"), 0),
                              (("dimension", "thinning", "replicates",
@@ -219,9 +210,9 @@ class ExperimentConfig:
             raise ConfigError("target_accept must lie in (0, 1)")
         if self.preset == "custom" and self.data_csv is None:
             raise ConfigError("custom preset requires data_csv")
-        if self.link is not None and self.link not in ("logit", "robit"):
-            raise ConfigError(f"unknown link {self.link!r}")
-        return self
+        if (self.iterations is not None and self.burnin is not None
+                and self.iterations <= self.burnin):
+            raise ConfigError("iterations must exceed burnin")
 
 
 def _preset_row(cfg: ExperimentConfig) -> dict:
@@ -230,15 +221,12 @@ def _preset_row(cfg: ExperimentConfig) -> dict:
 
 
 def resolve(config: ExperimentConfig) -> ExperimentConfig:
-    """Validate ``config`` and fill every ``None`` from the preset table."""
-    config.validate()
+    """Fill every ``None`` of ``config`` from the preset table; the
+    filled config is built, so checked, anew."""
     defaults = {name: value for name, value in _preset_row(config).items()
                 if name in ExperimentConfig.__dataclass_fields__
                 and getattr(config, name) is None}
-    cfg = replace(config, **defaults)
-    if cfg.iterations <= cfg.burnin:
-        raise ConfigError("iterations must exceed burnin")
-    return cfg
+    return replace(config, **defaults)
 
 
 def build_target(cfg: ExperimentConfig):
@@ -403,12 +391,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "paper_scale": cfg.paper_scale,
         "reference": ref_info,
         "methods": {},
+        "failed_methods": [],  # every built target has a gradient
     }
-    failures = []
     for m_idx, method in enumerate(row["methods"]):
-        if method == "hmc" and not target.has_gradient:
-            failures.append(method)
-            continue
         iters = cfg.iterations
         if method == "hmc" and row["hmc_iterations"] is not None:
             iters = row["hmc_iterations"]
@@ -438,7 +423,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
         if method == "scs":
             entry["independence_acceptance_mean"] = _rate_or_none(
                 np.mean([c.independence_acceptance for c in chains]))
-    summary["failed_methods"] = failures
     if tune_rep is not None:
         summary["tuner"] = _tune_report_dict(tune_rep, cfg)
     validate_summary(summary)
@@ -453,10 +437,11 @@ def validate_summary(summary: dict):
     Schema version ``SUMMARY_SCHEMA_VERSION`` (2).  Required top-level
     keys: ``schema_version``, ``seed``, ``dimension``, ``iterations``,
     ``burnin``, ``thinning`` and ``replicates`` (int); ``preset`` (str);
-    ``ell_o`` (float); ``paper_scale`` (bool); ``failed_methods`` (list
-    of methods that could not run, e.g. hmc on a target without a
-    gradient); ``reference`` (dict whose ``kind`` is ``analytic``,
-    ``exact_sampler`` or ``long_chain``, next to its ``size``); and
+    ``ell_o`` (float); ``paper_scale`` (bool); ``failed_methods`` (a
+    list, always empty, since every preset's target has a gradient; the
+    key stays until schema 3); ``reference`` (dict whose ``kind`` is
+    ``analytic``, ``exact_sampler`` or ``long_chain``, next to its
+    ``size``); and
     ``methods`` (dict keyed by method name, each entry holding
     ``acceptance_mean``, ``max_rel_err``, ``tail_rel_err``,
     ``ess_median``, ``wall_time_total`` in seconds and ``qq_csv``, the
@@ -560,10 +545,13 @@ def write_samples_csv(path, samples, burnin=0, thinning=1):
 
 
 def load_samples_csv(path):
-    """Read a samples.csv back as (iteration indices, sample matrix)."""
+    """Read a samples.csv back as (iteration indices, sample matrix);
+    an empty file raises ``EmptyInput``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
+        if not header:
+            raise EmptyInput(f"samples CSV {path} is empty")
         if header[0] != "iter" or not all(
             h == f"y_{j + 1}" for j, h in enumerate(header[1:])
         ):

@@ -745,9 +745,9 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
 
     tries, pilot_ess, draws = _draws(seed, target.dim + 1 if on_sphere else target.dim,
                                      iterations, every, params, target)
-    t = 0
     try:
-        for t, (z, u, move) in zip(range(1, iterations + 1), draws):
+        for t in range(1, iterations + 1):
+            z, u, move = next(draws)
             if move:
                 # multiple-try acceptance: log u < log W - log(W - w' + w)
                 x_new, y_new, lp_new, total, others = move
@@ -786,9 +786,6 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
                     kept += 1
     except Exception as exc:  # pragma: no cover - exercised via targets
         trace.append(h)
-        # a density call in the draws (the pilot's, a block's tries') ends
-        # the generator before its step's t is assigned
-        t += draws.gi_frame is None
         raise ChainAborted(f"chain aborted at iteration {t}: {exc}",
                            partial=outputs(False)) from exc
 

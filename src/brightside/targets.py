@@ -188,21 +188,22 @@ def _t_log_pdf_const(nu):
 class MultivariateStudentT(TargetModel):
     """Isotropic multivariate Student t; nu = 1 is the Cauchy.
 
-    Raises DomainError unless d >= 1, nu is finite and positive,
-    scale > 0 and loc is 0-d or 1-d, and ValueError unless d is an
-    integer (not a bool).
+    Raises DomainError unless d >= 1, nu and scale are finite and
+    positive and loc is a finite scalar or vector, and ValueError unless
+    d is an integer (not a bool).
     """
 
     def __init__(self, d, nu, loc=0.0, scale=1.0):
         _require_dimension(d)
         _check_dof(nu)
-        if not scale > 0:
-            raise DomainError(f"scale must be positive, got {scale}")
-        if np.ndim(loc) > 1:
-            raise DomainError(f"loc must be a scalar or a vector, got shape {np.shape(loc)}")
+        if not 0 < scale < math.inf:
+            raise DomainError(f"scale must be finite and positive, got {scale}")
+        loc = np.asarray(loc, dtype=float)
+        if loc.ndim > 1 or not np.all(np.isfinite(loc)):
+            raise DomainError(f"loc must be a finite scalar or vector, got {loc}")
         self.dim = int(d)
         self.nu = float(nu)
-        self.loc = np.broadcast_to(np.asarray(loc, dtype=float), (self.dim,)).copy()
+        self.loc = np.broadcast_to(loc, (self.dim,)).copy()
         self.loc.flags.writeable = False  # so _identity cannot go stale
         self.scale = float(scale)
         # (y - 0) / 1 is y bit for bit, so the standard target skips both
@@ -260,15 +261,16 @@ class SkewT(MultivariateStudentT):
     times a skewing factor in (0, 2), so for nu >= 1 it is sub-Cauchy.
     The factor's T is the normalized t CDF, so a zero skewness vector
     shifts the t log density by exactly log(1/2).  ``alpha_skew`` must
-    share the shape (d,) of ``xi``.
+    share the shape (d,) of ``xi``, and both must be finite.
     """
 
     def __init__(self, xi, alpha_skew, nu):
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         super().__init__(xi.shape[0], nu, loc=xi)
         alpha = np.atleast_1d(np.asarray(alpha_skew, dtype=float))
-        if alpha.shape != self.loc.shape:
-            raise ValueError("xi and alpha_skew must share a shape")
+        if alpha.shape != self.loc.shape or not np.all(np.isfinite(alpha)):
+            raise DomainError("xi and alpha_skew must share a shape, and "
+                              "alpha_skew must be finite")
         self.alpha_skew = alpha
         self._m = self.nu + self.dim
 
@@ -339,8 +341,8 @@ class RegressionData:
     ``link`` is "logit" or "robit"; ``link_nu`` is the degrees of
     freedom of the robit link's t CDF.  The prior is independent
     Student t on each coefficient with the given scale and degrees of
-    freedom.  The scale and the two degrees of freedom must be finite
-    and positive, or construction raises ``DomainError``.
+    freedom.  ``X`` must be finite, and the scale and the two degrees of
+    freedom finite and positive, or construction raises ``DomainError``.
     """
 
     X: np.ndarray
@@ -355,6 +357,8 @@ class RegressionData:
         y = np.atleast_1d(np.asarray(self.y, dtype=float))
         if X.shape[0] != y.shape[0]:
             raise ValueError("X and y must have matching row counts")
+        if not np.all(np.isfinite(X)):
+            raise DomainError("X must be finite")
         if not np.all((y == 0.0) | (y == 1.0)):
             raise ValueError("responses must be binary 0/1")
         if self.link not in ("logit", "robit"):
@@ -479,15 +483,20 @@ def save_regression_csv(data: RegressionData, path):
 
 def load_regression_csv(path, link="logit", link_nu=2.0, prior_scale=2.5,
                         prior_nu=2.0) -> RegressionData:
-    """Read a data set written by ``save_regression_csv``."""
+    """Read a data set written by ``save_regression_csv``; a file without
+    a data row raises ``EmptyInput``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
+        if not header:
+            raise EmptyInput(f"regression CSV {path} is empty")
         if header[-1] != "y" or not all(
             h == f"x_{j + 1}" for j, h in enumerate(header[:-1])
         ):
             raise ValueError(f"unexpected CSV header {header!r}")
         rows = [[float(v) for v in row] for row in reader if row]
+    if not rows:
+        raise EmptyInput(f"regression CSV {path} holds no data rows")
     arr = np.asarray(rows, dtype=float)
     return RegressionData(X=arr[:, :-1], y=arr[:, -1], link=link,
                           link_nu=link_nu, prior_scale=prior_scale,

@@ -17,12 +17,12 @@ Gradients are reparameterized: the cap samples are held fixed while the
 forward map and Jacobian move with the parameters, so every term is
 differentiated in closed form (``_objective_and_gradient``), from one
 ``log_density_and_grad`` call per step that gives the objective and the
-target gradient on the batch together.  There is no finite-difference
-fallback: ``tune`` raises ValueError for a target without a gradient
-before it draws anything.  The scale is optimized as
-log R to stay positive, and the longitude is radially projected back
-into the observer ball after every update; the report counts those
-projections and gives the final observer's margin to the ball's edge.
+target gradient on the batch together.  ``tune`` raises ValueError
+for a target without a gradient before it draws anything.  The scale
+is optimized as log R to stay positive, and the longitude is radially
+projected back into the observer ball after every update; the report
+counts those projections and gives the final observer's margin to the
+ball's edge.
 
 ``TuneOptions.steps`` is a maximum: the tuner stops once its objective
 has stopped falling.  After every ``STOP_WINDOW`` steps, from step

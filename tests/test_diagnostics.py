@@ -6,7 +6,6 @@ import pytest
 
 from brightside.diagnostics import (
     DEFAULT_PROBS,
-    QQReport,
     empirical_quantiles,
     ess,
     qq_report,
@@ -179,3 +178,9 @@ class TestQQReport:
                                   reports[j].sample_quantiles)
             assert np.array_equal(back[j].relative_errors,
                                   reports[j].relative_errors)
+
+    def test_csv_empty_file(self, tmp_path):
+        path = tmp_path / "qq.csv"
+        path.write_text("")
+        with pytest.raises(EmptyInput, match="empty"):
+            read_qq_csv(path)

@@ -1,12 +1,14 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from brightside import experiments
 from brightside.diagnostics import DEFAULT_PROBS, read_qq_csv, write_qq_csv
+from brightside.errors import BrightsideError, EmptyInput
 from brightside.experiments import (
     PRESETS,
     ConfigError,
@@ -83,36 +85,36 @@ class TestResolve:
 
 
 class TestConfigErrors:
-    def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown config keys"):
-            ExperimentConfig.from_dict({"preset": "cauchy", "colour": 1})
+    def test_is_a_package_error(self):
+        assert issubclass(ConfigError, BrightsideError)
+        assert issubclass(ConfigError, ValueError)
 
     def test_bad_preset(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown preset"):
-            ExperimentConfig.from_dict({"preset": "gauss"})
+            ExperimentConfig(preset="gauss")
         with pytest.raises(ConfigError, match="unknown preset"):
             run_experiment(ExperimentConfig(preset="gauss", out=str(tmp_path)))
 
     def test_custom_without_data_csv(self, tmp_path):
         with pytest.raises(ConfigError, match="data_csv"):
-            ExperimentConfig.from_dict({"preset": "custom"})
+            ExperimentConfig(preset="custom")
         with pytest.raises(ConfigError, match="data_csv"):
             run_sample(ExperimentConfig(preset="custom", out=str(tmp_path)))
 
     def test_non_numeric_real_field(self):
         with pytest.raises(ConfigError, match="ell_o"):
-            ExperimentConfig.from_dict({"ell_o": "wide"})
+            ExperimentConfig(ell_o="wide")
 
     def test_non_integer_field(self):
         with pytest.raises(ConfigError, match="iterations must be an integer"):
-            ExperimentConfig.from_dict({"iterations": "100"})
+            ExperimentConfig(iterations="100")
         for value in (100.0, True):
             with pytest.raises(ConfigError, match="iterations"):
                 ExperimentConfig(iterations=value)
 
     def test_non_boolean_field(self):
         with pytest.raises(ConfigError, match="paper_scale"):
-            ExperimentConfig.from_dict({"paper_scale": "no"})
+            ExperimentConfig(paper_scale="no")
         with pytest.raises(ConfigError, match="tuner_enabled"):
             ExperimentConfig(tuner_enabled=1)
         assert ExperimentConfig(paper_scale=np.bool_(True)).paper_scale is True
@@ -122,12 +124,10 @@ class TestConfigErrors:
         ("tuner_batch", 0), ("leapfrog_steps", 0), ("dimension", 0),
         ("n_obs", 1)])
     def test_out_of_range_field(self, name, value, tmp_path):
-        # rejected up front, before the target is built or a chain runs
+        # rejected when built, before the target is built or a chain runs
         with pytest.raises(ConfigError, match=name):
-            ExperimentConfig.from_dict({name: value})
-        with pytest.raises(ConfigError, match=name):
-            run_experiment(ExperimentConfig(preset="skewt", iterations=300, burnin=50,
-                                            out=str(tmp_path), **{name: value}))
+            ExperimentConfig(preset="skewt", iterations=300, burnin=50,
+                             out=str(tmp_path), **{name: value})
 
     @pytest.mark.parametrize("name, value", [
         ("h", math.nan), ("h", 0.0), ("tuner_lr", math.nan), ("tuner_lr", -0.01),
@@ -135,17 +135,24 @@ class TestConfigErrors:
         ("link_nu", math.nan), ("link_nu", 0.0), ("target_accept", 0.0),
         ("target_accept", 1.0), ("target_accept", math.nan)])
     def test_out_of_range_real_field(self, name, value, tmp_path):
-        # rejected up front, before the target is built or a chain runs
+        # rejected when built, before the target is built or a chain runs
         with pytest.raises(ConfigError, match=name):
-            ExperimentConfig.from_dict({name: value})
-        with pytest.raises(ConfigError, match=name):
-            run_experiment(ExperimentConfig(preset="robit", iterations=300, burnin=50,
-                                            out=str(tmp_path), **{name: value}))
+            ExperimentConfig(preset="robit", iterations=300, burnin=50,
+                             out=str(tmp_path), **{name: value})
         assert not any(tmp_path.iterdir())
 
     def test_iterations_must_exceed_burnin(self):
         with pytest.raises(ConfigError, match="exceed burnin"):
-            resolve(ExperimentConfig(iterations=10, burnin=10))
+            ExperimentConfig(iterations=10, burnin=10)
+        # a preset burnin is checked once resolve fills it in (cauchy: 2 000)
+        cfg = ExperimentConfig(iterations=10)
+        with pytest.raises(ConfigError, match="exceed burnin"):
+            resolve(cfg)
+
+    def test_replace_checks_again(self):
+        cfg = resolve(ExperimentConfig(preset="robit"))
+        with pytest.raises(ConfigError, match="ell_o must lie"):
+            replace(cfg, ell_o=2.5)
 
 
 @pytest.mark.parametrize("preset", PRESETS)
@@ -337,6 +344,13 @@ class TestRunSample:
         again = tmp_path / "again.csv"
         write_samples_csv(again, samples, burnin=burnin, thinning=thinning)
         assert again.read_bytes() == path.read_bytes()
+
+
+def test_empty_samples_csv(tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_text("")
+    with pytest.raises(EmptyInput, match="empty"):
+        load_samples_csv(path)
 
 
 class TestRunTune:

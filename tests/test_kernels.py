@@ -40,7 +40,6 @@ from brightside.kernels import (
     stepping_out,
 )
 from brightside.targets import (
-    SkewT,
     TargetModel,
     mv_student_t,
     skew_t,

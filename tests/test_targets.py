@@ -6,11 +6,10 @@ import pytest
 from scipy import integrate
 
 from brightside import geometry, targets
-from brightside.errors import DomainError
+from brightside.errors import DomainError, EmptyInput
 from brightside.geometry import make_params
 from brightside.kernels import KernelConfig, hmc_step, run_chains
 from brightside.targets import (
-    MultivariateStudentT,
     RegressionData,
     SkewT,
     TargetModel,
@@ -161,7 +160,9 @@ class TestStudentTCdf:
 class TestMultivariateStudentT:
     def test_rejects_bad_parameters(self):
         for kwargs in ({"nu": 0.0}, {"nu": math.nan}, {"nu": math.inf},
-                       {"nu": 1.0, "scale": 0.0}, {"nu": 1.0, "scale": math.nan}):
+                       {"nu": 1.0, "scale": 0.0}, {"nu": 1.0, "scale": math.nan},
+                       {"nu": 1.0, "scale": math.inf}, {"nu": 1.0, "loc": math.nan},
+                       {"nu": 1.0, "loc": [0.0, math.inf, 0.0]}):
             with pytest.raises(DomainError):
                 mv_student_t(3, **kwargs)
         for d in (0, -1):
@@ -262,6 +263,12 @@ class TestSkewT:
             skew_t(xi=np.zeros((1, 2)), alpha_skew=np.ones((1, 2)), nu=1.0)
         with pytest.raises(DomainError, match="loc"):
             skew_t(xi=np.zeros((2, 2)), alpha_skew=np.ones((2, 2)), nu=1.0)
+
+    def test_rejects_non_finite_parameters(self):
+        with pytest.raises(DomainError, match="alpha_skew"):
+            skew_t(xi=np.zeros(2), alpha_skew=[1.0, math.nan], nu=1.0)
+        with pytest.raises(DomainError, match="loc"):
+            skew_t(xi=[0.0, math.nan], alpha_skew=np.ones(2), nu=1.0)
 
     def test_zero_skew_is_constant_shift(self):
         rng = np.random.default_rng(4)
@@ -419,6 +426,13 @@ class TestBinaryRegression:
         assert np.array_equal(back.y, data.y)
         assert back.link == "robit" and back.link_nu == 4.0
 
+    def test_csv_without_data_rows(self, tmp_path):
+        path = tmp_path / "data.csv"
+        for text, message in (("", "empty"), ("x_1,x_2,y\n", "no data rows")):
+            path.write_text(text)
+            with pytest.raises(EmptyInput, match=message):
+                load_regression_csv(path)
+
     def test_rejects_nonbinary_response(self):
         with pytest.raises(ValueError):
             RegressionData(X=np.ones((3, 2)), y=np.array([0.0, 2.0, 1.0]))
@@ -426,10 +440,11 @@ class TestBinaryRegression:
     @pytest.mark.parametrize("bad", [
         {"prior_nu": 0.0}, {"prior_scale": 0.0}, {"prior_nu": math.nan},
         {"prior_scale": -1.0}, {"link": "robit", "link_nu": math.nan},
+        {"X": np.array([[1.0], [math.nan]])},
     ])
     def test_rejects_bad_prior_or_link(self, bad):
         with pytest.raises(DomainError):
-            RegressionData(X=np.ones((2, 1)), y=np.array([0.0, 1.0]), **bad)
+            RegressionData(**{"X": np.ones((2, 1)), "y": np.array([0.0, 1.0]), **bad})
 
     def test_standardize_rejects_constant_column(self):
         with pytest.raises(ValueError):
