@@ -20,7 +20,9 @@ ensemble writes only the arrays it made for its proposals), one
 3-chain ensemble, so both leapfrog shapes run, a short tune run twice
 with one seed (the rows it carries between steps are per-call state, so
 the two must end at the same parameters), 1 000 uniform cap draws with
-their rejection stats, and 1 000 exact draws of the d = 10 skew t.
+their rejection stats, and 1 000 exact draws of the d = 10 skew t, at
+one of which and at ten of which its fused ``log_density_and_grad``
+must give ``log_density`` and ``grad_log_density`` bit for bit.
 Last, the three entry points run at small sizes in a temporary
 directory: ``run_experiment`` on the cauchy and skewt presets,
 ``run_sample`` on robit and ``run_tune`` on logistic, so a lazy import
@@ -153,6 +155,10 @@ cap, raw, accepted = sample_uniform_cap(10, 1.1, np.random.default_rng(0), size=
 assert cap.shape == (1000, 11) and raw >= accepted >= 1000
 draws = target.exact_sample(np.random.default_rng(0), size=1000)
 assert draws.shape == (1000, 10) and np.all(np.isfinite(draws))
+for y in (draws[0], draws[:10]):
+    value, grad = target.log_density_and_grad(y)
+    assert np.asarray(value).tobytes() == np.asarray(target.log_density(y)).tobytes()
+    assert grad.tobytes() == target.grad_log_density(y).tobytes()
 
 with tempfile.TemporaryDirectory() as tmp:
     for preset, sizes in (("cauchy", dict(dimension=2)),

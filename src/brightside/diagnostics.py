@@ -170,7 +170,7 @@ def write_qq_csv(path, reports: dict):
 
 def read_qq_csv(path) -> dict:
     """Read a CSV written by ``write_qq_csv`` back into QQReport objects;
-    an empty file raises ``EmptyInput``."""
+    a file without a data row raises ``EmptyInput``."""
     rows = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -184,6 +184,8 @@ def read_qq_csv(path) -> dict:
                 continue
             coord = int(row[0])
             rows.setdefault(coord, []).append([float(v) for v in row[1:]])
+    if not rows:
+        raise EmptyInput(f"QQ CSV {path} holds no data rows")
     reports = {}
     for coord, entries in rows.items():
         arr = np.asarray(entries)

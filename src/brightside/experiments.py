@@ -30,6 +30,7 @@ import csv
 import json
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -116,6 +117,7 @@ PRESETS = tuple(_PRESET_TABLE)
 _REFERENCE_BLOCK_BYTES = 128 * 2**20
 SUMMARY_SCHEMA_VERSION = 2
 _BOOLS = (bool, np.bool_)
+_PATHS = (str, os.PathLike)
 # (fields, accepted values, stored type, what the error asks for)
 _TYPED_FIELDS = (
     (("ell_o", "tuner_lr", "link_nu", "prior_nu", "h", "nu", "target_accept"),
@@ -144,11 +146,12 @@ class ExperimentConfig:
     means 1.0 everywhere downstream, the summary included.  The integer
     fields are stored as ``int`` (a numpy integer is converted) and the
     boolean fields as ``bool``; a value of another type is invalid.  So
-    are an unknown preset, kernel or link, a custom preset without
-    ``data_csv``, ``ell_o`` outside [1, 2], a count below its least
-    value, a step size, learning rate or degrees of freedom that is not
-    finite and positive, ``target_accept`` outside (0, 1) and
-    ``iterations`` at or below ``burnin``.
+    are an unknown preset, kernel or link, an ``out`` or a ``data_csv``
+    that is not a ``str`` or ``os.PathLike`` (``data_csv`` may be None),
+    a custom preset without ``data_csv``, ``ell_o`` outside [1, 2], a
+    count below its least value, a step size, learning rate or degrees
+    of freedom that is not finite and positive, ``target_accept``
+    outside (0, 1) and ``iterations`` at or below ``burnin``.
     """
 
     preset: str = "cauchy"
@@ -165,7 +168,7 @@ class ExperimentConfig:
     link_nu: float = 2.0             # robit link degrees of freedom
     prior_nu: float = 2.0            # regression prior degrees of freedom
     n_obs: int | None = None
-    data_csv: str | None = None
+    data_csv: str | os.PathLike | None = None
     tuner_enabled: bool | None = None
     tuner_steps: int | None = None
     tuner_batch: int | None = None
@@ -174,7 +177,7 @@ class ExperimentConfig:
     leapfrog_steps: int = 10
     target_accept: float | None = None
     reference_size: int | None = None
-    out: str = "brightside-out"
+    out: str | os.PathLike = "brightside-out"
     paper_scale: bool = False
 
     def __post_init__(self):
@@ -186,6 +189,11 @@ class ExperimentConfig:
                 if not accepts(v):
                     raise ConfigError(f"{name} must be {expected}")
                 object.__setattr__(self, name, stored(v))
+        # an int would reach open() as a file descriptor (0 is stdin)
+        if not isinstance(self.out, _PATHS):
+            raise ConfigError("out must be a str or os.PathLike")
+        if self.data_csv is not None and not isinstance(self.data_csv, _PATHS):
+            raise ConfigError("data_csv must be a str or os.PathLike")
         for name, known in (("preset", PRESETS), ("kernel", KERNEL_KINDS),
                             ("link", (None, "logit", "robit"))):
             if getattr(self, name) not in known:
@@ -546,7 +554,9 @@ def write_samples_csv(path, samples, burnin=0, thinning=1):
 
 def load_samples_csv(path):
     """Read a samples.csv back as (iteration indices, sample matrix);
-    an empty file raises ``EmptyInput``."""
+    an empty file raises ``EmptyInput``.  A header-only file, a run that
+    kept no sample, gives shapes (0,) and (0, d), d read from the
+    header."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -557,9 +567,9 @@ def load_samples_csv(path):
         ):
             raise ValueError(f"unexpected samples CSV header {header!r}")
         rows = [row for row in reader if row]
-    iters = np.array([int(r[0]) for r in rows])
-    samples = np.array([[float(v) for v in r[1:]] for r in rows])
-    return iters, samples
+    iters = np.array([int(r[0]) for r in rows], dtype=int)
+    samples = np.array([[float(v) for v in r[1:]] for r in rows], dtype=float)
+    return iters, samples.reshape(len(rows), len(header) - 1)
 
 
 # --- tuning artifacts --------------------------------------------------------

@@ -388,6 +388,7 @@ _BETA_FPMIN = 1e-300
 _BETA_MAXIT = 500
 # Terms of the power series summed at or below a pair's series edge.
 _BETA_SERIES_TERMS = 12
+_np_log, _np_log1p, _np_exp = np.log, np.log1p, np.exp
 
 
 class _BetaTerms(NamedTuple):
@@ -578,7 +579,8 @@ def _incomplete_beta_scalar(x, pair, log):
     log, log1p and exp are numpy's rather than ``math``'s: on SIMD builds
     the two differ in the last bit on up to a few arguments in a hundred,
     and numpy's give the series side of a batch the bits a point gets
-    here.
+    here.  They are bound once, as module names, since a loop over
+    points calls this once per point.
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError("x must lie in [0, 1]")
@@ -592,21 +594,21 @@ def _incomplete_beta_scalar(x, pair, log):
         if log:
             return 0.0 if x == 1.0 else -math.inf
         return x
-    lfront = t.a * float(np.log(xs)) + t.b * float(np.log1p(-xs)) - t.lbeta
+    lfront = t.a * float(_np_log(xs)) + t.b * float(_np_log1p(-xs)) - t.lbeta
     if xs <= t.edge:
         cf = _beta_series(xs, t.coefs)
     else:
         cf = _betacf_scalar(xs, t)
     if log and not swap:
-        return lfront + float(np.log(cf)) - pair.log_a
-    value = float(np.exp(lfront)) * cf / t.a
+        return lfront + float(_np_log(cf)) - pair.log_a
+    value = float(_np_exp(lfront)) * cf / t.a
     # clamp to [0, 1]; comparisons cost less than min and max
     if value < 0.0:
         value = 0.0
     elif value > 1.0:
         value = 1.0
     if log:
-        return float(np.log1p(-value))
+        return float(_np_log1p(-value))
     return 1.0 - value if swap else value
 
 

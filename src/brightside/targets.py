@@ -25,6 +25,10 @@ would cost more than the dot.
 The skew t is the multivariate t at ``loc = xi`` and unit scale times
 a skewing factor of at most 2, so for nu >= 1 it is sub-Cauchy;
 ``SkewT`` subclasses ``MultivariateStudentT`` and adds only that factor.
+Its gradient is one pass: at unit scale the t kernel's z term and the
+factor's share a coefficient, so with m = nu + d, skewing argument s and
+pdf/CDF ratio r it is ((-m - r s) / (nu + |z|^2)) z + (r g) a, one
+product over the points with z and one with the skewness vector a.
 
 Outside its nu = 1 and nu = 2 closed forms the t log-CDF (the skew t's
 factor, the robit link) rests on the incomplete beta of ``geometry``.
@@ -87,14 +91,15 @@ class TargetModel:
 # beta rather than vectorizing its series side.  On skew-t batches drawn
 # from the target (d = 10 and 100, so m = 11 and 101, skewness 100 and
 # -100 on two coordinates; numpy 2.4, median over 20 batches of the best
-# of 5 x 20 calls, loop and vectorized interleaved, middle of three runs
-# on a 2-core x86-64 VM), loop with the pair looked up once per call
-# against vectorized, in us:
+# of 5 x 20 calls, loop and vectorized interleaved, per-cell middle of
+# three runs on a 2-core x86-64 VM), loop with the pair looked up once
+# per call and numpy's log, log1p and exp bound once against vectorized,
+# in us:
 #   points       8         16         24         32         40        128
-#   d = 10   20 vs 67  37 vs 63  50 vs 61  69 vs 71  88 vs 83  268 vs 126
-#   d = 100  23 vs 64  49 vs 89  62 vs 86 108 vs 126 148 vs 139 315 vs 215
-# The two break even between 32 and 40 points at both d, so the limit
-# stays at 32, where the loop still wins.
+#   d = 10   13 vs 41  28 vs 48  40 vs 49  54 vs 55  63 vs 55  203 vs 87
+#   d = 100  15 vs 47  32 vs 57  47 vs 60  60 vs 73  81 vs 82  250 vs 164
+# The loop still wins at 32 points at both d; at 40 it loses at d = 10
+# and ties at d = 100, so the limit stays at 32.
 _BETA_SMALL_BATCH = 32
 
 
@@ -133,10 +138,12 @@ def _t_log_cdf(t, nu):
             # the 0-d path once per point, with the pair looked up once
             pair = _beta_pair(nu / 2.0, 0.5)
             log_half = math.log(0.5)
+            log1p = np.log1p
             out = []
             for tv in t.ravel().tolist():
-                v = _incomplete_beta_scalar(nu / (nu + tv * tv), pair, tv < 0.0)
-                out.append(log_half + v if tv < 0.0 else float(np.log1p(-0.5 * v)))
+                neg = tv < 0.0
+                v = _incomplete_beta_scalar(nu / (nu + tv * tv), pair, neg)
+                out.append(log_half + v if neg else float(log1p(-0.5 * v)))
             return out[0] if t.ndim == 0 else np.array(out, dtype=float).reshape(t.shape)
         neg = t < 0.0
         v = _incomplete_beta(nu / (nu + t * t), nu / 2.0, 0.5, neg)
@@ -291,11 +298,15 @@ class SkewT(MultivariateStudentT):
         """q, log T_m(s) and the gradient.  The t log-CDF at the skewing
         argument serves both the value and the pdf/CDF ratio r of the
         gradient, so the incomplete beta runs once.  The gradient is the
-        t kernel's plus r times that of s, g a - s / (nu + q) z."""
+        t kernel's -m / (nu + q) z plus r times that of s,
+        g a - s / (nu + q) z; at unit scale, which the skew t always has,
+        the two z terms share a coefficient, so it is taken in one pass
+        over the points as ((-m - r s) / (nu + q)) z + (r g) a."""
         z, q, nq, g, s, log_cdf = self._skewing(y)
         ratio = np.exp(_t_log_pdf(s, self._m) - log_cdf)
-        grad_s = g[..., None] * self.alpha_skew - (s / nq)[..., None] * z
-        return q, log_cdf, self._grad(z, q) + ratio[..., None] * grad_s
+        grad = ((-self._m - ratio * s) / nq)[..., None] * z
+        grad += (ratio * g)[..., None] * self.alpha_skew
+        return q, log_cdf, grad
 
     def log_density_and_grad(self, y):
         q, log_cdf, grad = self._skewed_grad(y)

@@ -4,8 +4,10 @@ Nothing in the package calls these: the Student t CDF (the package
 needs only its log), the KS distance of a sample to a CDF, the
 log-Jacobian of the projection from the chord solve at a plane point
 (a second derivation that ``geometry.cap_forward`` is checked against),
-the target whose pullback to the sphere is the uniform cap law, and
-central finite differences of the tuner's objective.
+the target whose pullback to the sphere is the uniform cap law, the
+skew t's gradient summed as its two terms (the package reassociates
+them into one pass), and central finite differences of the tuner's
+objective.
 """
 
 import math
@@ -20,7 +22,7 @@ from brightside.geometry import (
     solve_chord_scale,
 )
 from brightside.kernels import _pullback
-from brightside.targets import TargetModel, _check_dof
+from brightside.targets import SkewT, TargetModel, _check_dof, _t_log_pdf
 from brightside.tuning import project_params
 
 
@@ -81,6 +83,27 @@ def log_jacobian(y, p: ProjectionParams) -> np.ndarray:
     M, A, B, C = solve_chord_scale(y, p)
     return (p.d * math.log(p.R) + 0.5 * np.log(B * B - A * C)
             - p.d * np.log(M) - math.log(p.ell_o))
+
+
+def skew_t_grad_two_term(target: SkewT, y):
+    """The skew t's gradient as the t kernel's plus r times the skewing
+    argument's, and per element the largest magnitude among its terms.
+
+    With z = y - xi, m = nu + d, g = sqrt(m / (nu + |z|^2)) and
+    s = a'z g, the gradient is -m / (nu + |z|^2) z + r (g a -
+    s / (nu + |z|^2) z), r being the pdf/CDF ratio of T_m at s.  Near
+    s = -inf, r s tends to -m and the two z terms cancel, so a sum of
+    the same terms in another order can differ by a few ulps of the
+    largest of the three, not of the result.
+    """
+    z, q, nq, g, s, log_cdf = target._skewing(y)
+    ratio = np.exp(_t_log_pdf(s, target._m) - log_cdf)
+    kernel = target._grad(z, q)
+    skew_a = (ratio * g)[..., None] * target.alpha_skew
+    skew_z = (ratio * s / nq)[..., None] * z
+    largest = np.maximum(np.abs(kernel), np.maximum(np.abs(skew_a), np.abs(skew_z)))
+    grad_s = g[..., None] * target.alpha_skew - (s / nq)[..., None] * z
+    return kernel + ratio[..., None] * grad_s, largest
 
 
 class UniformCapPullback(TargetModel):

@@ -184,3 +184,9 @@ class TestQQReport:
         path.write_text("")
         with pytest.raises(EmptyInput, match="empty"):
             read_qq_csv(path)
+
+    def test_csv_header_only(self, tmp_path):
+        path = tmp_path / "qq.csv"
+        write_qq_csv(path, {})
+        with pytest.raises(EmptyInput, match="no data rows"):
+            read_qq_csv(path)

@@ -112,6 +112,17 @@ class TestConfigErrors:
             with pytest.raises(ConfigError, match="iterations"):
                 ExperimentConfig(iterations=value)
 
+    def test_non_path_field(self, tmp_path):
+        # an int would reach open() as a file descriptor; 0 is stdin
+        with pytest.raises(ConfigError, match="data_csv"):
+            ExperimentConfig(preset="custom", data_csv=0, out=str(tmp_path))
+        for value in (7, None, b"out"):
+            with pytest.raises(ConfigError, match="out must be"):
+                ExperimentConfig(out=value)
+        cfg = ExperimentConfig(preset="custom", data_csv=tmp_path / "data.csv",
+                               out=tmp_path)
+        assert cfg.out == tmp_path and ExperimentConfig().data_csv is None
+
     def test_non_boolean_field(self):
         with pytest.raises(ConfigError, match="paper_scale"):
             ExperimentConfig(paper_scale="no")
@@ -351,6 +362,19 @@ def test_empty_samples_csv(tmp_path):
     path.write_text("")
     with pytest.raises(EmptyInput, match="empty"):
         load_samples_csv(path)
+
+
+def test_header_only_samples_csv(tmp_path):
+    # a run that kept no sample writes the header alone, and reads back
+    # with the header's dimension
+    path = tmp_path / "samples.csv"
+    write_samples_csv(path, np.empty((0, 3)), burnin=50, thinning=5)
+    iters, samples = load_samples_csv(path)
+    assert iters.shape == (0,) and samples.shape == (0, 3)
+    again = tmp_path / "again.csv"
+    write_samples_csv(again, samples)
+    assert again.read_text() == path.read_text()
+    assert path.read_text().splitlines() == ["iter,y_1,y_2,y_3"]
 
 
 class TestRunTune:

@@ -24,7 +24,7 @@ from brightside.targets import (
     student_t_log_pdf,
 )
 from brightside.tuning import TuneOptions, tune
-from oracles import log_jacobian, student_t_cdf, uniform_cap_pullback
+from oracles import log_jacobian, skew_t_grad_two_term, student_t_cdf, uniform_cap_pullback
 
 
 def fd_gradient(f, y, eps=1e-6):
@@ -312,6 +312,33 @@ class TestSkewT:
                 assert abs(st.log_density(y) - dens_row) <= 1e-13 * abs(dens_row)
                 g = st.grad_log_density(y)
                 assert np.linalg.norm(g - grad_row) <= 1e-13 * np.linalg.norm(grad_row)
+
+    @pytest.mark.parametrize("d", [10, 100])
+    def test_gradient_matches_two_term_sum(self, d):
+        # points at skewing arguments s from -1e3, where r s is within
+        # 1e-4 of -m and the z coefficient cancels, to +1e3; the one-pass
+        # sum and the two-term sum round differently, so they agree to
+        # 4 ulps of the largest of the three terms (1.9 seen)
+        rng = np.random.default_rng(d)
+        alpha = np.zeros(d)
+        alpha[0], alpha[1] = 1000.0, -1000.0
+        st = skew_t(xi=rng.standard_normal(d), alpha_skew=alpha, nu=1.0)
+        u = alpha / np.linalg.norm(alpha)
+        side = np.logspace(-3.0, 3.0, 20)
+        s_wanted = np.concatenate([-side[::-1], [0.0], side])
+        w = 3.0 * rng.standard_cauchy((s_wanted.size, d))
+        w -= (w @ u)[:, None] * u
+        # c u + w has s = c |a| g; solve for c
+        a2m = alpha @ alpha * st._m
+        c = s_wanted * np.sqrt((st.nu + np.vecdot(w, w)) / (a2m - s_wanted**2))
+        ys = st.loc + c[:, None] * u + w
+        s = st._skewing(ys)[4]
+        assert s[0] < -999.0 and s[-1] > 999.0
+        # 41 rows vectorize the t log-CDF; 10 rows and single points loop it
+        for y in (ys, ys[:10], *ys):
+            expected, largest = skew_t_grad_two_term(st, y)
+            err = np.abs(st.grad_log_density(y) - expected)
+            assert np.all(err <= 4.0 * np.finfo(float).eps * largest)
 
     def test_gradient_matches_fd_strong_skew(self):
         rng = np.random.default_rng(6)
