@@ -22,7 +22,10 @@ with one seed (the rows it carries between steps are per-call state, so
 the two must end at the same parameters), 1 000 uniform cap draws with
 their rejection stats, and 1 000 exact draws of the d = 10 skew t, at
 one of which and at ten of which its fused ``log_density_and_grad``
-must give ``log_density`` and ``grad_log_density`` bit for bit.
+must give ``log_density`` and ``grad_log_density`` bit for bit.  The
+rows of a 10-row and a 40-row batch of a d = 10 skew t with a dense
+skewness vector must give the values and gradients of their points
+alone, bit for bit.
 Last, the three entry points run at small sizes in a temporary
 directory: ``run_experiment`` on the cauchy and skewt presets,
 ``run_sample`` on robit and ``run_tune`` on logistic, so a lazy import
@@ -159,6 +162,13 @@ for y in (draws[0], draws[:10]):
     value, grad = target.log_density_and_grad(y)
     assert np.asarray(value).tobytes() == np.asarray(target.log_density(y)).tobytes()
     assert grad.tobytes() == target.grad_log_density(y).tobytes()
+dense = skew_t(np.linspace(-1.0, 1.0, 10), np.linspace(-3.0, 3.0, 10) + 0.1, nu=2.0)
+ys = dense.loc + 3.0 * np.random.default_rng(1).standard_cauchy((40, 10))
+for n in (10, 40):
+    value, grad = dense.log_density(ys[:n]), dense.grad_log_density(ys[:n])
+    for i, y in enumerate(ys[:n]):
+        assert value[i].tobytes() == np.asarray(dense.log_density(y)).tobytes(), (n, i)
+        assert grad[i].tobytes() == dense.grad_log_density(y).tobytes(), (n, i)
 
 with tempfile.TemporaryDirectory() as tmp:
     for preset, sizes in (("cauchy", dict(dimension=2)),

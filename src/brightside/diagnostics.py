@@ -69,7 +69,7 @@ def ess(samples) -> float:
     if not np.isfinite(samples).all():
         raise NonfiniteInput("samples must be finite for an ESS estimate")
     x = samples - samples.mean()
-    var = float(x @ x)
+    var = float(x.dot(x))
     if var == 0.0:
         return 1.0
     # zero-padding to 2n - 1 or more keeps the circular autocovariance

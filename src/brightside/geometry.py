@@ -219,7 +219,7 @@ def cap_forward(x, p: ProjectionParams):
         else:
             y -= p.h_o * ((zd + 1.0) * s)
             y += p.mu
-            bracket = 1.0 - float(x @ p._observer)
+            bracket = 1.0 - float(x.dot(p._observer))
         log_jac = p._log_jac_const + math.log(bracket) - (p.d + 1.0) * math.log(t)
         return y, log_jac, t, bracket
     zd = x[..., -1]

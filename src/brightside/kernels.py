@@ -93,6 +93,11 @@ from ``SPHERE_ENSEMBLE_MIN_CHAINS`` up, as one ensemble; other replicas
 run one after another.  A chain reads the same draws alone as in an
 ensemble, so replica i depends only on ``(seed, i)`` and its start and
 matches ``run_chain`` with its derived seed to round-off.
+A product of two vectors is ``a.dot(b)`` and an ensemble's row products
+are ``np.vecdot``; no kernel uses ``@``.  ``a @ b`` reaches the same
+BLAS dot with the same bits, but through matmul's dispatch: at d = 100
+it costs about 0.7 us a call against 0.4 us, and a one-chain scs step
+takes two such products, four when it steps out.
 """
 
 from __future__ import annotations
@@ -240,12 +245,14 @@ def propose_tangent(x, h, z) -> np.ndarray:
     h z and normalizes to the same point, and divided by its own computed
     norm.  The closed form sqrt(1 + h^2 (|z|^2 - <x, z>^2)) is not used
     for that norm: rounding can make its root's argument negative at
-    large h, and over chained steps it lets |x| drift from 1.
+    large h, and over chained steps it lets |x| drift from 1.  One
+    point's products are ``ndarray.dot``, which has the bits of ``@``
+    for two vectors at half its call cost.
     """
     if x.ndim == 1:
-        w = x * (1.0 / h - float(x @ z))
+        w = x * (1.0 / h - float(x.dot(z)))
         w += z
-        w /= math.sqrt(w @ w)
+        w /= math.sqrt(w.dot(w))
         return w
     w = x * (1.0 / h - np.vecdot(x, z))[:, None]
     w += z
@@ -268,7 +275,8 @@ def stepping_out(x, x_prime, ell_o) -> np.ndarray:
     sin(K alpha) u.  A > 0: A = 0 needs x_lat = u_lat = 0, which puts x'
     at latitude 0 too, and no bright x has a dark x' there.  Raises
     DarkSidePoint unless x is bright and x' dark, and DegenerateProposal
-    when s^2 <= 1e-14 (coincident or antipodal points).
+    when s^2 <= 1e-14 (coincident or antipodal points).  Its products
+    are ``ndarray.dot``, as in ``propose_tangent``.
     """
     lat_threshold = ell_o - 1.0
     x_lat, x_prime_lat = float(x[-1]), float(x_prime[-1])
@@ -276,7 +284,7 @@ def stepping_out(x, x_prime, ell_o) -> np.ndarray:
         raise DarkSidePoint("current state must be on the bright side")
     if not x_prime_lat > lat_threshold:
         raise DarkSidePoint("proposal must be on the dark side")
-    c = float(x @ x_prime)
+    c = float(x.dot(x_prime))
     s2 = 1.0 - c * c
     if s2 <= 1e-14:
         raise DegenerateProposal("proposal coincident or antipodal with state")
@@ -293,7 +301,7 @@ def stepping_out(x, x_prime, ell_o) -> np.ndarray:
     angle = K * alpha
     out = math.cos(angle) * x
     out += math.sin(angle) * u
-    out /= math.sqrt(out @ out)
+    out /= math.sqrt(out.dot(out))
     return out
 
 

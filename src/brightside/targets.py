@@ -268,7 +268,9 @@ class SkewT(MultivariateStudentT):
     times a skewing factor in (0, 2), so for nu >= 1 it is sub-Cauchy.
     The factor's T is the normalized t CDF, so a zero skewness vector
     shifts the t log density by exactly log(1/2).  ``alpha_skew`` must
-    share the shape (d,) of ``xi``, and both must be finite.
+    share the shape (d,) of ``xi``, and both must be finite.  Each row
+    of a batch has the value and gradient bits of its point alone,
+    whatever the batch size.
     """
 
     def __init__(self, xi, alpha_skew, nu):
@@ -283,11 +285,14 @@ class SkewT(MultivariateStudentT):
 
     def _skewing(self, y):
         """z, q = |z|^2, nu + q, g = sqrt(m / (nu + q)), the skewing
-        argument s = a'z g and log T_m(s), with m = nu + d."""
+        argument s = a'z g and log T_m(s), with m = nu + d.  a'z is a
+        row reduction (``z.dot`` for one point), not a matrix-vector
+        product, whose rows depend on the batch size."""
         z, q = self._standardized(y)
         nq = self.nu + q
         g = np.sqrt(self._m / nq)
-        s = (z @ self.alpha_skew) * g
+        az = z.dot(self.alpha_skew) if z.ndim == 1 else np.vecdot(z, self.alpha_skew)
+        s = az * g
         return z, q, nq, g, s, _t_log_cdf(s, self._m)
 
     def log_density(self, y):

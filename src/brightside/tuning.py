@@ -187,7 +187,7 @@ def project_params(theta_bar, ell_o):
     if not (1.0 <= ell_o < 2.0 and limit >= 0.0):
         raise ObserverOutsideBall(
             f"no observer longitude is admissible at ell_o = {ell_o}")
-    norm_sq = float(h_o @ h_o)
+    norm_sq = float(h_o.dot(h_o))
     if norm_sq > limit:
         target_sq = max(1.0 - (ell_o - 1.0) ** 2 - 2.0 * INTERIOR_MARGIN, 0.0)
         h_o = h_o * math.sqrt(target_sq / norm_sq)
@@ -210,7 +210,7 @@ def alignment_metrics(theta_bar, alpha_skew, xi):
     n_a = np.linalg.norm(alpha_skew)
     if n_a == 0.0:
         raise ValueError("skewness reference must be nonzero")
-    cosine = 0.0 if n_h == 0.0 else float(h_o @ alpha_skew / (n_h * n_a))
+    cosine = 0.0 if n_h == 0.0 else float(h_o.dot(alpha_skew) / (n_h * n_a))
     return cosine, float(np.linalg.norm(mu - xi) / math.sqrt(xi.shape[0]))
 
 
@@ -315,7 +315,7 @@ def tune(target: TargetModel, ell_o, opts: TuneOptions | None = None,
         objective_trace=objective_trace,
         grad_norm_trace=grad_norm_trace,
         h_o_rescaled=h_o_rescaled,
-        final_margin=1.0 - float(h_o @ h_o) - (ell_o - 1.0) ** 2,
+        final_margin=1.0 - float(h_o.dot(h_o)) - (ell_o - 1.0) ** 2,
         converged=converged,
         alignment=alignment,
     )

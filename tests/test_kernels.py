@@ -1541,13 +1541,15 @@ class TestEnsembleBits:
 
     The scs digest was recorded before the n-chain transitions selected
     their rows in place.  The hmc digest is that of the one-pass skew-t
-    gradient: with the two-term sum of ``oracles.skew_t_grad_two_term``
-    the same draws give samples within 4e-12 of these, at the same
-    acceptance rates.
+    gradient with the skewing product a'z taken per row by
+    ``np.vecdot``: the two-term sum of ``oracles.skew_t_grad_two_term``
+    gave samples within 4e-12 of the one-pass form's, and a'z as a
+    matrix-vector product, whose rows depend on the batch size, gave
+    samples within 6e-10 of these, all at the same acceptance rates.
     """
 
     SCS_SAMPLES = "6ebe83fa14d2caa799e0a38ac1cdd55d276fbd9b184c5ecd52e4bb728678bbd3"
-    HMC_SAMPLES = "94193b010c3dd916f271eebb24350ee734584953de930dcb67aa9fc5397871b9"
+    HMC_SAMPLES = "a80a6e7e5c2367974620b0211875eb606fd2a92df639071fc41fc4ada4340fb3"
 
     @staticmethod
     def digest(outs):
@@ -1573,6 +1575,41 @@ class TestEnsembleBits:
         outs = run_chains(KernelConfig("hmc", h=0.1, target_accept=HMC_TARGET_ACCEPT), None,
                           target, np.ones(10), 150, burnin=50, seed=9, n_chains=10)
         assert self.digest(outs) == self.HMC_SAMPLES
+
+
+class TestSingleChainBits:
+    """Fixed-seed single d = 100 Cauchy chains keep their recorded samples.
+
+    The kernels take the settings of the ``cauchy-d100`` bench workload on
+    shorter runs.  The scs chain is on a shifted projection (mu = 0.5), so
+    it takes the non-centered ``cap_forward`` product and steps out about
+    300 times.  Recorded before the one-chain products moved from ``@`` to
+    ``ndarray.dot``.
+    """
+
+    SAMPLES = {
+        "scs": "258dc64806ec370e60be7db40fd9998f009466984517f6fecd80c0c42bef29c6",
+        "sps": "b27e28c98030183de617f80181260c9dd8ee935ce2b0da0dcae4797d51b05a49",
+        "rwm": "c1b71f4957d1975f242c7f028f7ae741df40ee4de1a627a328d345bdf3889538",
+        "hmc": "5ae093cd1981cf188114d83ba765dbe9873890693ddd1145e92aeb1e9235b3a1",
+    }
+
+    @pytest.mark.parametrize("kind", ["scs", "sps", "rwm", "hmc"])
+    def test_chain(self, kind):
+        if _float_platform() != TestMultipleTry.RECORDED_PLATFORM:
+            pytest.skip("numpy's exp, log or BLAS round differently here than "
+                        "where the digests were recorded")
+        d = 100
+        config, params, iterations, burnin = {
+            "scs": (KernelConfig("scs", h=0.5), make_params(d, ell_o=1.1, mu=0.5), 2000, 200),
+            "sps": (KernelConfig("sps", h=0.5),
+                    make_params(d, ell_o=2.0, R=math.sqrt(d) / 2.0), 2000, 200),
+            "rwm": (KernelConfig("rwm", h=0.5), None, 2000, 200),
+            "hmc": (KernelConfig("hmc", h=0.1, target_accept=HMC_TARGET_ACCEPT), None, 500, 100),
+        }[kind]
+        out = run_chain(config, params, mv_student_t(d, nu=1.0), np.ones(d), iterations,
+                        burnin=burnin, seed=7)
+        assert hashlib.sha256(out.samples.tobytes()).hexdigest() == self.SAMPLES[kind]
 
 
 class TestUniformErgodicity:

@@ -35,3 +35,19 @@ def test_every_imported_name_is_read():
     unused = {str(path.relative_to(ROOT)): names for path in paths
               if (names := unused_imports(path.read_text()))}
     assert unused == {}
+
+
+def matmul_lines(source):
+    """Line numbers of the ``@`` and ``@=`` products in ``source``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.MatMult))
+
+
+def test_kernels_take_no_matmul():
+    # at d = 100 one ``a @ b`` of two vectors costs about twice
+    # ``a.dot(b)``, the same BLAS dot behind matmul's dispatch; the
+    # kernels' rows go through ``np.vecdot``
+    assert matmul_lines("w = x.dot(z) @ m  # a @ b\ny @= np.vecdot(x, z)\n") == [1, 2]
+    source = (ROOT / "src" / "brightside" / "kernels.py").read_text()
+    assert matmul_lines(source) == []

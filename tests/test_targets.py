@@ -299,19 +299,23 @@ class TestSkewT:
             assert_grad_matches_fd(st, ys)
 
     def test_single_point_matches_batch_row(self):
+        # every row of a batch has the bits of its point alone, whatever
+        # the batch size: up to 32 rows loop the t log-CDF, more take its
+        # array path, and a'z must not be a matrix-vector product, whose
+        # rows can differ in the last bit from batch size to batch size
         rng = np.random.default_rng(33)
         for d in (10, 100):
-            alpha = np.zeros(d)
-            alpha[0], alpha[1] = 100.0, -100.0
-            st = skew_t(xi=np.zeros(d), alpha_skew=alpha, nu=1.0)
-            # the first row is the kernels' ``ones`` start, where alpha'z = 0
-            ys = np.vstack([np.ones(d), rng.standard_cauchy((40, d))])
-            dens = st.log_density(ys)
-            grads = st.grad_log_density(ys)
-            for y, dens_row, grad_row in zip(ys, dens, grads):
-                assert abs(st.log_density(y) - dens_row) <= 1e-13 * abs(dens_row)
-                g = st.grad_log_density(y)
-                assert np.linalg.norm(g - grad_row) <= 1e-13 * np.linalg.norm(grad_row)
+            st = skew_t(xi=rng.standard_normal(d), alpha_skew=3.0 * rng.standard_normal(d),
+                        nu=2.0)
+            # the first row is the kernels' ``ones`` start
+            ys = np.vstack([np.ones(d), st.loc + 3.0 * rng.standard_cauchy((198, d))])
+            alone = [(_bits(st.log_density(y)), _bits(st.grad_log_density(y)),
+                      *map(_bits, st.log_density_and_grad(y))) for y in ys]
+            for n in (*range(1, 60), 100, 150, 199):
+                batch = ys[:n]
+                rows = zip(st.log_density(batch), st.grad_log_density(batch),
+                           *st.log_density_and_grad(batch))
+                assert [tuple(map(_bits, row)) for row in rows] == alone[:n]
 
     @pytest.mark.parametrize("d", [10, 100])
     def test_gradient_matches_two_term_sum(self, d):
@@ -659,9 +663,7 @@ class TestSmallBatchLogCdf:
         d = target.dim
         rng = np.random.default_rng(60)
         # the coordinates along alpha are dyadic and the rest meet its
-        # zeros, so a'z is exact: a batch takes it by a matrix-vector
-        # product, whose rows can differ from one point's dot in the last
-        # bit on general rows at d = 10
+        # zeros, so a'z is exact and each argument lands where it is put
         coefs = 2.0 ** np.array([-14, -12, -10, -8, -6, -5, -4, -3, -1, 0, 4, 20])
         rows = []
         for c in np.concatenate([[0.0], coefs, -coefs]):
