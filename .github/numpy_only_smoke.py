@@ -29,7 +29,9 @@ alone, bit for bit.
 Last, the three entry points run at small sizes in a temporary
 directory: ``run_experiment`` on the cauchy and skewt presets,
 ``run_sample`` on robit and ``run_tune`` on logistic, so a lazy import
-on an entry-point path fails here too.  From the repository root, with
+on an entry-point path fails here too, and the ``samples.csv`` and one
+``*_qq.csv`` they wrote are read back through the package's one CSV
+table reader.  From the repository root, with
 the package installed (or ``PYTHONPATH=src``):
 
     python .github/numpy_only_smoke.py
@@ -48,7 +50,14 @@ for name in ("scipy", "mpmath", "pytest"):
 import numpy as np
 
 import brightside
-from brightside.experiments import ExperimentConfig, run_experiment, run_sample, run_tune
+from brightside.diagnostics import DEFAULT_PROBS, read_qq_csv
+from brightside.experiments import (
+    ExperimentConfig,
+    load_samples_csv,
+    run_experiment,
+    run_sample,
+    run_tune,
+)
 from brightside.geometry import make_params, sample_uniform_cap
 from brightside.kernels import (
     SPHERE_ENSEMBLE_MIN_CHAINS,
@@ -179,11 +188,18 @@ with tempfile.TemporaryDirectory() as tmp:
         assert summary["methods"] and not summary["failed_methods"], summary
         for entry in summary["methods"].values():
             assert (Path(tmp) / preset / entry["qq_csv"]).is_file()
+    qq = read_qq_csv(Path(tmp) / "skewt" / summary["methods"]["scs"]["qq_csv"])
+    assert sorted(qq) == [0, 1, 2], sorted(qq)
+    for r in qq.values():
+        assert np.array_equal(r.probs, DEFAULT_PROBS)
+        assert np.all(np.isfinite(r.sample_quantiles))
     report = run_sample(ExperimentConfig(preset="robit", iterations=300, burnin=50,
                                          tuner_steps=20, tuner_batch=100,
                                          out=str(Path(tmp) / "sample")))
     assert 0.0 <= report["acceptance_rate"] <= 1.0, report
-    assert (Path(tmp) / "sample" / "samples.csv").is_file()
+    iters, samples = load_samples_csv(Path(tmp) / "sample" / "samples.csv")
+    assert samples.shape == (iters.size, 5) and iters.size > 0, samples.shape
+    assert np.all(np.diff(iters) > 0) and np.all(np.isfinite(samples))
     tuned = run_tune(ExperimentConfig(preset="logistic", tuner_steps=20, tuner_batch=100,
                                       out=str(Path(tmp) / "tune")))
     assert tuned["steps"] >= 1 and np.all(np.isfinite(tuned["objective_trace"]))

@@ -1,12 +1,17 @@
 """Chain summaries: quantiles on the one fixed grid ``DEFAULT_PROBS``,
 effective sample sizes, and quantile-quantile comparison reports
 against a reference law.
+
+``_write_table`` and ``_read_table`` are the one CSV table format of
+every artifact: the QQ tables here, ``samples.csv`` (``experiments``)
+and regression data sets (``targets``).  This module imports only
+``errors``, so both of the others can call them.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -149,52 +154,66 @@ QQ_CSV_COLUMNS = ("coord", "prob", "sample_q", "ref_q", "rel_err",
                   "env_lo", "env_hi")
 
 
-def write_qq_csv(path, reports: dict):
-    """Write per-coordinate QQ reports as one CSV table."""
+def _write_table(path, header, rows):
+    """Write the ``header`` row, then one line per row of ``rows``: an
+    integer cell in digits, any other as ``repr(float(cell))``, which
+    reads back to the same double."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(QQ_CSV_COLUMNS)
-        for coord in sorted(reports):
-            r = reports[coord]
-            for i, p in enumerate(r.probs):
-                writer.writerow([
-                    coord,
-                    repr(float(p)),
-                    repr(float(r.sample_quantiles[i])),
-                    repr(float(r.reference_quantiles[i])),
-                    repr(float(r.relative_errors[i])),
-                    repr(float(r.envelope_lo[i])),
-                    repr(float(r.envelope_hi[i])),
-                ])
+        writer.writerow(header)
+        writer.writerows([c if isinstance(c, (int, np.integer)) else repr(float(c))
+                          for c in row] for row in rows)
+
+
+def _read_table(path, kind, header_for, integer=()):
+    """The header and the data rows of a ``_write_table`` CSV.
+
+    A row is a list of floats, with ints at the column indices
+    ``integer``; blank lines are skipped.  An empty file raises
+    ``EmptyInput``; a header other than ``header_for(width)``, width its
+    length, a row of another width and a cell that does not parse raise
+    ValueError, the last two naming the line.  ``kind`` names the table
+    in the messages.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = tuple(next(reader, ()))
+        if not header:
+            raise EmptyInput(f"{kind} CSV {path} is empty")
+        if header != tuple(header_for(len(header))):
+            raise ValueError(f"unexpected {kind} CSV header {header!r}")
+
+        def bad_row(why):
+            return ValueError(f"{kind} CSV {path} line {reader.line_num}: {why}")
+
+        rows = []
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise bad_row(f"{len(row)} cells under {len(header)} columns")
+            try:
+                rows.append([int(c) if j in integer else float(c)
+                             for j, c in enumerate(row)])
+            except ValueError as err:
+                raise bad_row(err) from None
+    return header, rows
+
+
+def write_qq_csv(path, reports: dict):
+    """Write per-coordinate QQ reports as one CSV table."""
+    # the columns after coord are QQReport's fields, in order
+    _write_table(path, QQ_CSV_COLUMNS, (
+        (coord, *row) for coord in sorted(reports)
+        for row in zip(*(getattr(reports[coord], f.name) for f in fields(QQReport)))))
 
 
 def read_qq_csv(path) -> dict:
     """Read a CSV written by ``write_qq_csv`` back into QQReport objects;
     a file without a data row raises ``EmptyInput``."""
-    rows = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if not header:
-            raise EmptyInput(f"QQ CSV {path} is empty")
-        if header != QQ_CSV_COLUMNS:
-            raise ValueError(f"unexpected QQ CSV header {header!r}")
-        for row in reader:
-            if not row:
-                continue
-            coord = int(row[0])
-            rows.setdefault(coord, []).append([float(v) for v in row[1:]])
+    _, rows = _read_table(path, "QQ", lambda width: QQ_CSV_COLUMNS, integer=(0,))
     if not rows:
         raise EmptyInput(f"QQ CSV {path} holds no data rows")
-    reports = {}
-    for coord, entries in rows.items():
-        arr = np.asarray(entries)
-        reports[coord] = QQReport(
-            probs=arr[:, 0],
-            sample_quantiles=arr[:, 1],
-            reference_quantiles=arr[:, 2],
-            relative_errors=arr[:, 3],
-            envelope_lo=arr[:, 4],
-            envelope_hi=arr[:, 5],
-        )
-    return reports
+    by_coord = {}
+    for coord, *values in rows:
+        by_coord.setdefault(coord, []).append(values)
+    return {coord: QQReport(*np.asarray(values).T)
+            for coord, values in by_coord.items()}

@@ -22,11 +22,16 @@ one config gives them the same target, dimension and tuner seed.
 All artifacts are plain CSV / JSON, deterministic for a fixed seed,
 re-readable (``diagnostics.read_qq_csv``, ``load_samples_csv``, json),
 and take every quantile on the one grid ``diagnostics.DEFAULT_PROBS``.
+The CSV files, the regression data set among them, share one table
+format, written and read by one pair in ``diagnostics``: a header row,
+then one line per row of the header's width, integers in digits and
+floats as their ``repr``, so a table reads back to the same doubles.
+A reader raises ``EmptyInput`` for an empty file and ValueError for a
+header, row width or cell it does not expect.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
@@ -39,13 +44,15 @@ import numpy as np
 
 from .diagnostics import (
     DEFAULT_PROBS,
+    _read_table,
+    _write_table,
     empirical_quantiles,
     ess,
     qq_report,
     relative_quantile_errors,
     write_qq_csv,
 )
-from .errors import BrightsideError, EmptyInput
+from .errors import BrightsideError
 from .geometry import ProjectionParams, make_params
 from .kernels import (
     HMC_TARGET_ACCEPT,
@@ -540,16 +547,15 @@ def run_sample(config: ExperimentConfig) -> dict:
     return report
 
 
+def _samples_header(width):
+    return ("iter", *(f"y_{j}" for j in range(1, width)))
+
+
 def write_samples_csv(path, samples, burnin=0, thinning=1):
     """Kept samples with their absolute iteration indices."""
     samples = np.asarray(samples)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter"] + [f"y_{j + 1}"
-                                    for j in range(samples.shape[1])])
-        for k in range(samples.shape[0]):
-            it = burnin + (k + 1) * thinning
-            writer.writerow([it] + [repr(float(v)) for v in samples[k]])
+    _write_table(path, _samples_header(samples.shape[1] + 1),
+                 ((burnin + (k + 1) * thinning, *row) for k, row in enumerate(samples)))
 
 
 def load_samples_csv(path):
@@ -557,18 +563,9 @@ def load_samples_csv(path):
     an empty file raises ``EmptyInput``.  A header-only file, a run that
     kept no sample, gives shapes (0,) and (0, d), d read from the
     header."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if not header:
-            raise EmptyInput(f"samples CSV {path} is empty")
-        if header[0] != "iter" or not all(
-            h == f"y_{j + 1}" for j, h in enumerate(header[1:])
-        ):
-            raise ValueError(f"unexpected samples CSV header {header!r}")
-        rows = [row for row in reader if row]
-    iters = np.array([int(r[0]) for r in rows], dtype=int)
-    samples = np.array([[float(v) for v in r[1:]] for r in rows], dtype=float)
+    header, rows = _read_table(path, "samples", _samples_header, integer=(0,))
+    iters = np.array([row[0] for row in rows], dtype=int)
+    samples = np.array([row[1:] for row in rows], dtype=float)
     return iters, samples.reshape(len(rows), len(header) - 1)
 
 

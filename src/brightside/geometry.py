@@ -202,9 +202,11 @@ def cap_forward(x, p: ProjectionParams):
     centered projection (h_o = 0, mu = 0, see ``ProjectionParams._centered``)
     skips the h_o and mu terms.  A 1-d ``x`` is one point with t and
     bracket plain floats; otherwise the leading axes are a batch.  Both
-    take the same elementwise steps, so a batch row's y has the bits of
-    its single point.  Raises DarkSidePoint if any point is at or above
-    the observer latitude, where the chord never reaches the plane.
+    take the same elementwise steps, and a batch takes <o, x> per row
+    (``np.vecdot``, the point's dot), so a batch row's y, log_jac, t and
+    bracket have the bits of its single point.  Raises DarkSidePoint if
+    any point is at or above the observer latitude, where the chord
+    never reaches the plane.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -233,7 +235,7 @@ def cap_forward(x, p: ProjectionParams):
     else:
         y -= p.h_o * ((zd + 1.0) * s)[..., None]
         y += p.mu
-        bracket = 1.0 - x @ p._observer
+        bracket = 1.0 - np.vecdot(x, p._observer)
     # the single point's sum, d log R + d log ell_o + log(bracket) - (d+1) log t,
     # built in place in the same order
     log_jac = np.log(bracket)
@@ -273,7 +275,7 @@ def solve_chord_scale(y, p: ProjectionParams):
         yhat = (y - p.mu) / p.R
         w = yhat - p.h_o
         A = np.sum(w * w, axis=-1) + p.ell_o**2
-        B = w @ p.h_o - p.ell_o * (p.ell_o - 1.0)
+        B = np.vecdot(w, p.h_o) - p.ell_o * (p.ell_o - 1.0)
         disc = B * B - A * C
     if not np.all(np.isfinite(disc)):
         raise DomainError("plane point too far from mu for the chord solve")
@@ -293,8 +295,9 @@ def scp_inverse(y, p: ProjectionParams) -> np.ndarray:
     unit length.  The lift is bright in exact arithmetic, but far out,
     where 1 - M rounds to 1, it can land on the observer latitude or an
     ulp above it, which ``cap_forward`` rejects as dark; at ell_o = 2
-    that is the north pole (see ``kernels.run_chain``).  Raises as
-    ``solve_chord_scale`` does.
+    that is the north pole (see ``kernels.run_chain``).  Every step is
+    elementwise or per row, so a batch row's lift has the bits of its
+    point alone.  Raises as ``solve_chord_scale`` does.
     """
     y = np.asarray(y, dtype=float)
     M = solve_chord_scale(y, p)[0]
@@ -385,6 +388,8 @@ def cap_ratio_exact(d, ell_o) -> float:
 
 _BETA_EPS = 1e-15
 _BETA_FPMIN = 1e-300
+# ``_beta_pair`` caches fraction tables this long: a change at run time
+# needs ``_beta_pair.cache_clear()``
 _BETA_MAXIT = 500
 # Terms of the power series summed at or below a pair's series edge.
 _BETA_SERIES_TERMS = 12
@@ -427,21 +432,16 @@ class _BetaPair(NamedTuple):
     reflected: _BetaTerms
 
 
+@lru_cache(maxsize=16)
 def _beta_pair(a, b):
     """The ``_BetaPair`` of the floats (a, b), with fraction tables up to
     ``_BETA_MAXIT``: one cache lookup, made once per call by a caller that
     evaluates many points.  Raises DomainError unless a and b are finite
     and positive."""
-    # keyed on _BETA_MAXIT too, so the cached tables always reach it
-    return _cached_beta_pair(a, b, _BETA_MAXIT)
-
-
-@lru_cache(maxsize=16)
-def _cached_beta_pair(a, b, maxit):
     if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
         raise DomainError(f"shape parameters must be positive, got a={a}, b={b}")
     return _BetaPair((a + 1.0) / (a + b + 2.0), math.log(a),
-                     _beta_terms(a, b, maxit), _beta_terms(b, a, maxit))
+                     _beta_terms(a, b, _BETA_MAXIT), _beta_terms(b, a, _BETA_MAXIT))
 
 
 def _beta_terms(a, b, maxit):

@@ -92,7 +92,9 @@ through it.  ``run_chains`` runs hmc replicas, and scs and sps replicas
 from ``SPHERE_ENSEMBLE_MIN_CHAINS`` up, as one ensemble; other replicas
 run one after another.  A chain reads the same draws alone as in an
 ensemble, so replica i depends only on ``(seed, i)`` and its start and
-matches ``run_chain`` with its derived seed to round-off.
+matches ``run_chain`` with its derived seed: bit for bit where the
+target's batch rows have the bits of its points alone, as every
+built-in target's do, and to round-off otherwise.
 A product of two vectors is ``a.dot(b)`` and an ensemble's row products
 are ``np.vecdot``; no kernel uses ``@``.  ``a @ b`` reaches the same
 BLAS dot with the same bits, but through matmul's dispatch: at d = 100
@@ -517,8 +519,7 @@ def _pullback(rows, params, target):
     """F(x) and log pi(F(x)) + log J(x) at bright rows x, the one sphere density.
 
     One row of shape (d+1,) gives its image and a float, n rows of shape
-    (n, d+1) one ``cap_forward`` and one density call.  A batch is kept
-    2-d, since a skew t's rows depend on the shape of its batch.
+    (n, d+1) one ``cap_forward`` and one density call.
     """
     if rows.ndim == 1:
         y, logjac, _, _ = cap_forward(rows, params)
@@ -827,8 +828,9 @@ def run_chains(kernel: KernelConfig, params, target, init, iterations,
     up, step together as one ensemble, whose one ``_draws`` generator
     yields every chain's draws a step at a time; it makes one batched
     density call per transition, one for all the pilots and one per
-    block of independence tries, and its samples match ``run_chain``'s
-    to round-off.  Other chains run one after
+    block of independence tries, and its samples match ``run_chain``'s,
+    bit for bit where the target's batch rows have the bits of its points
+    alone, as every built-in target's do.  Other chains run one after
     another through ``run_chain``.  ``workers`` is accepted, since the
     benchmark passes it, and ignored.  Results come in chain order; the
     chains of an ensemble each report its wall time, and an aborted

@@ -43,13 +43,13 @@ tuner's among them, vectorize the series side of the incomplete beta.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .diagnostics import _read_table, _write_table
 from .errors import DomainError, EmptyInput, _require_dimension
 from .geometry import _beta_pair, _incomplete_beta, _incomplete_beta_scalar
 
@@ -432,6 +432,7 @@ class BinaryRegressionPosterior(TargetModel):
         self.data = data
         self.dim = data.dim
         self._positive = data.y == 1.0
+        self._columns = np.ascontiguousarray(data.X.T)
 
     def _log_lik_terms(self, u):
         """Each observation's log-likelihood and the signed predictor.
@@ -450,11 +451,15 @@ class BinaryRegressionPosterior(TargetModel):
         """``(log density, gradient)`` from one pass; an unwanted part is None.
 
         u = beta X' and the link's log-likelihood terms are computed once
-        for both parts; the logit gradient needs only u.
+        for both parts; the logit gradient needs only u.  u and the
+        gradient's sum over observations are ``np.vecdot`` rows, one dot
+        per observation and one per coefficient, so a batch row has the
+        bits of its point alone, which a matrix product of the whole batch
+        does not give.
         """
         data = self.data
         beta = np.asarray(beta, dtype=float)
-        u = beta @ data.X.T
+        u = np.vecdot(beta[..., None, :], data.X)
         if value or data.link == "robit":
             log_lik, s = self._log_lik_terms(u)
         log_p = grad_p = None
@@ -470,8 +475,8 @@ class BinaryRegressionPosterior(TargetModel):
                 ratio = np.exp(student_t_log_pdf(s, data.link_nu) - log_lik)
                 coef = np.where(self._positive, ratio, -ratio)
             s2 = data.prior_scale**2
-            grad_p = coef @ data.X - (data.prior_nu + 1.0) * beta / (
-                data.prior_nu * s2 + beta * beta)
+            grad_p = np.vecdot(coef[..., None, :], self._columns)
+            grad_p -= (data.prior_nu + 1.0) * beta / (data.prior_nu * s2 + beta * beta)
         return log_p, grad_p
 
     def log_density(self, beta):
@@ -488,29 +493,21 @@ def binary_regression_posterior(data: RegressionData) -> BinaryRegressionPosteri
     return BinaryRegressionPosterior(data)
 
 
+def _regression_header(width):
+    return (*(f"x_{j}" for j in range(1, width)), "y")
+
+
 def save_regression_csv(data: RegressionData, path):
     """Write the design matrix and responses as x_1..x_d, y with a header."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x_{j + 1}" for j in range(data.dim)] + ["y"])
-        for i in range(data.n):
-            writer.writerow([repr(float(v)) for v in data.X[i]] + [int(data.y[i])])
+    _write_table(path, _regression_header(data.dim + 1),
+                 ((*x, int(y)) for x, y in zip(data.X, data.y)))
 
 
 def load_regression_csv(path, link="logit", link_nu=2.0, prior_scale=2.5,
                         prior_nu=2.0) -> RegressionData:
     """Read a data set written by ``save_regression_csv``; a file without
     a data row raises ``EmptyInput``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if not header:
-            raise EmptyInput(f"regression CSV {path} is empty")
-        if header[-1] != "y" or not all(
-            h == f"x_{j + 1}" for j, h in enumerate(header[:-1])
-        ):
-            raise ValueError(f"unexpected CSV header {header!r}")
-        rows = [[float(v) for v in row] for row in reader if row]
+    _, rows = _read_table(path, "regression", _regression_header)
     if not rows:
         raise EmptyInput(f"regression CSV {path} holds no data rows")
     arr = np.asarray(rows, dtype=float)

@@ -6,6 +6,7 @@ import pytest
 
 from brightside.diagnostics import (
     DEFAULT_PROBS,
+    QQ_CSV_COLUMNS,
     empirical_quantiles,
     ess,
     qq_report,
@@ -183,6 +184,18 @@ class TestQQReport:
         path = tmp_path / "qq.csv"
         path.write_text("")
         with pytest.raises(EmptyInput, match="empty"):
+            read_qq_csv(path)
+
+    @pytest.mark.parametrize("bad", [
+        "1,0.5,1.0,1.0,0.0,0.5",            # a cell fewer than the header
+        "1,0.5,1.0,1.0,0.0,0.5,1.5,2.0",    # a cell more
+        "1.5,0.5,1.0,1.0,0.0,0.5,1.5",      # a coord that is no integer
+    ], ids=["short", "long", "float-coord"])
+    def test_csv_bad_row(self, tmp_path, bad):
+        path = tmp_path / "qq.csv"
+        path.write_text(",".join(QQ_CSV_COLUMNS) + "\n0,0.5,1.0,1.0,0.0,0.5,1.5\n"
+                        + bad + "\n")
+        with pytest.raises(ValueError, match="QQ CSV .* line 3: "):
             read_qq_csv(path)
 
     def test_csv_header_only(self, tmp_path):

@@ -364,6 +364,15 @@ def test_empty_samples_csv(tmp_path):
         load_samples_csv(path)
 
 
+@pytest.mark.parametrize("bad", ["60,0.5", "60,0.5,0.25,1.0", "60.5,0.5,0.25"],
+                         ids=["short", "long", "float-iter"])
+def test_samples_csv_bad_row(tmp_path, bad):
+    path = tmp_path / "samples.csv"
+    path.write_text("iter,y_1,y_2\n55,0.1,0.2\n" + bad + "\n")
+    with pytest.raises(ValueError, match="samples CSV .* line 3: "):
+        load_samples_csv(path)
+
+
 def test_header_only_samples_csv(tmp_path):
     # a run that kept no sample writes the header alone, and reads back
     # with the header's dimension

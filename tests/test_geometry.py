@@ -407,24 +407,38 @@ def cap_forward_written_out(x, p):
 
 class TestCapForward:
     def test_single_point_matches_batch_row(self):
-        # y takes the same elementwise steps on both branches; log_jac
-        # takes a dot product and math.log for one point where the batch
-        # takes a matrix-vector product and np.log, so it may differ in
-        # the last bits
+        # both branches take the same elementwise steps, and the bracket's
+        # dot is the point's x.dot(o) and the batch's row-wise np.vecdot
         rng = np.random.default_rng(18)
         for d in (1, 10, 100):
             for p in (random_params(rng, d), make_params(d, ell_o=1.1, R=2.5)):
                 xs = sample_uniform_cap(d, p.ell_o, rng, size=60)
-                y_b, lj_b, t_b, _ = cap_forward(xs, p)
+                y_b, lj_b, t_b, bracket_b = cap_forward(xs, p)
                 for i, x in enumerate(xs):
                     y, lj, t, bracket = cap_forward(x, p)
                     assert isinstance(lj, float) and isinstance(bracket, float)
                     assert np.array_equal(y, y_b[i])
-                    assert t == t_b[i]
-                    assert abs(lj - lj_b[i]) <= 1e-12 * max(1.0, abs(lj_b[i]))
+                    assert (t, lj, bracket) == (t_b[i], lj_b[i], bracket_b[i])
                 y_2, lj_2, _, _ = cap_forward(xs.reshape(3, 20, d + 1), p)
                 assert np.array_equal(y_2.reshape(60, d), y_b)
                 assert np.array_equal(lj_2.reshape(60), lj_b)
+
+    @pytest.mark.parametrize("d", [10, 100])
+    def test_shifted_rows_equal_points_alone_at_every_batch_size(self, d):
+        # a matrix-vector product's rows differ in the last bit from batch
+        # size to batch size; the bracket, and the chord solve's <w, h_o>
+        # behind scp_inverse, are row-wise dots
+        rng = np.random.default_rng(35)
+        h_o = rng.standard_normal(d)
+        p = make_params(d, h_o=0.5 * h_o / np.linalg.norm(h_o), ell_o=1.1, mu=0.5, R=2.0)
+        xs = sample_uniform_cap(d, p.ell_o, rng, size=199)
+        ys = p.mu + 2.0 * rng.standard_cauchy((199, d))
+        forward = [tuple(np.asarray(v).tobytes() for v in cap_forward(x, p)) for x in xs]
+        lifts = [scp_inverse(y, p).tobytes() for y in ys]
+        for n in (*range(1, 60), 100, 150, 199):
+            batch = cap_forward(xs[:n], p)
+            assert [tuple(v[i].tobytes() for v in batch) for i in range(n)] == forward[:n]
+            assert [row.tobytes() for row in scp_inverse(ys[:n], p)] == lifts[:n]
 
     def test_bracket_matches_the_form_before_the_unit_sphere_identity(self):
         # 1 - <o, x> = <h_x - h_o, h_x> - t z_d on the unit sphere.  Both
@@ -784,7 +798,10 @@ class TestIncompleteBetaPaths:
                 with pytest.raises(DomainError):
                     f(big, a, b)
 
-    def test_nonconvergence_raises_on_both_paths(self, monkeypatch):
+    def test_nonconvergence_raises_on_both_paths(self, monkeypatch, request):
+        # _beta_pair caches tables as long as _BETA_MAXIT; a pair first
+        # built here has two steps, so the cache is dropped afterwards
+        request.addfinalizer(geometry._beta_pair.cache_clear)
         monkeypatch.setattr(geometry, "_BETA_MAXIT", 2)
         for f in self.FUNCS:
             with pytest.raises(DomainError):

@@ -41,6 +41,8 @@ from brightside.kernels import (
 )
 from brightside.targets import (
     TargetModel,
+    binary_regression_posterior,
+    generate_separable_data,
     mv_student_t,
     skew_t,
 )
@@ -408,7 +410,7 @@ class TestSphereEnsemble:
                             seed=derive_chain_seed(22, i))
             assert ens.seed == one.seed
             assert ens.samples.shape == one.samples.shape == (200, d)
-            assert np.allclose(ens.samples, one.samples, rtol=0.0, atol=1e-10)
+            assert ens.samples.tobytes() == one.samples.tobytes()
             assert np.allclose(ens.step_size_trace, one.step_size_trace,
                                rtol=1e-10, atol=0.0)
             assert ens.acceptance_rate == one.acceptance_rate
@@ -448,9 +450,7 @@ class TestSphereEnsemble:
             for i, ens in enumerate(outs):
                 one = run_chain(cfg, p, target, inits[i], 50,
                                 seed=derive_chain_seed(23, i))
-                # Cauchy draws reach 1e3 and beyond: round-off is relative
-                assert np.allclose(ens.samples, one.samples, rtol=1e-10,
-                                   atol=1e-10)
+                assert ens.samples.tobytes() == one.samples.tobytes()
         for bad in (inits[:2], inits[:, :1], np.ones(3)):
             with pytest.raises(ValueError, match="init must have shape"):
                 run_chains(cfg, p, target, bad, 50, seed=23, n_chains=3)
@@ -675,7 +675,7 @@ class TestHmc:
                             seed=derive_chain_seed(16, i))
             assert ens.seed == one.seed
             assert ens.samples.shape == one.samples.shape == (100, 4)
-            assert np.allclose(ens.samples, one.samples, rtol=0.0, atol=1e-10)
+            assert ens.samples.tobytes() == one.samples.tobytes()
             assert np.allclose(ens.step_size_trace, one.step_size_trace,
                                rtol=1e-10, atol=0.0)
             assert ens.acceptance_rate == one.acceptance_rate
@@ -690,7 +690,7 @@ class TestHmc:
         for i, ens in enumerate(outs):
             one = run_chain(cfg, None, target, np.ones(10), 200, burnin=100,
                             seed=derive_chain_seed(18, i))
-            assert np.allclose(ens.samples, one.samples, rtol=0.0, atol=1e-10)
+            assert ens.samples.tobytes() == one.samples.tobytes()
             assert ens.acceptance_rate == one.acceptance_rate
             assert 0.0 < one.acceptance_rate < 1.0
 
@@ -709,6 +709,20 @@ class TestHmc:
                                 seed=derive_chain_seed(seed, i))
                 assert ens.step_size_trace.tobytes() == one.step_size_trace.tobytes()
                 assert ens.samples.tobytes() == one.samples.tobytes()
+
+    @pytest.mark.parametrize("link", ["logit", "robit"])
+    def test_regression_ensemble_matches_single_chains_bit_for_bit(self, link):
+        # the posterior's batch rows are its points alone, so a 6-chain
+        # ensemble's rows follow run_chain with every step size adapted
+        target = binary_regression_posterior(generate_separable_data(
+            30, 5, np.random.default_rng(0), link=link, link_nu=3.0))
+        cfg = KernelConfig("hmc", h=0.1, leapfrog_steps=5)
+        outs = run_chains(cfg, None, target, np.ones(5), 150, burnin=50, seed=7,
+                          n_chains=6)
+        for i, ens in enumerate(outs):
+            one = run_chain(cfg, None, target, np.ones(5), 150, burnin=50,
+                            seed=derive_chain_seed(7, i))
+            assert ens.samples.tobytes() == one.samples.tobytes()
 
     @pytest.mark.parametrize("target", [mv_student_t(100, nu=1.0), Gauss()],
                              ids=["cauchy-d100", "gauss"])
@@ -1353,8 +1367,7 @@ class TestMultipleTry:
             assert ens.independence_tries == one.independence_tries
             assert math.isclose(ens.pilot_relative_ess, one.pilot_relative_ess,
                                 rel_tol=1e-12)
-            # Cauchy draws reach 1e3 and beyond: round-off is relative
-            assert np.allclose(ens.samples, one.samples, rtol=1e-10, atol=1e-10)
+            assert ens.samples.tobytes() == one.samples.tobytes()
             assert ens.acceptance_rate == one.acceptance_rate
             assert ens.independence_acceptance == one.independence_acceptance
             assert 0.0 < one.independence_acceptance < 1.0

@@ -44,10 +44,12 @@ def matmul_lines(source):
                   and isinstance(node.op, ast.MatMult))
 
 
-def test_kernels_take_no_matmul():
+def test_kernels_and_geometry_take_no_matmul():
     # at d = 100 one ``a @ b`` of two vectors costs about twice
-    # ``a.dot(b)``, the same BLAS dot behind matmul's dispatch; the
-    # kernels' rows go through ``np.vecdot``
+    # ``a.dot(b)``, the same BLAS dot behind matmul's dispatch, and the
+    # rows of a batch's matrix-vector product differ in the last bit from
+    # batch size to batch size; rows go through ``np.vecdot``
     assert matmul_lines("w = x.dot(z) @ m  # a @ b\ny @= np.vecdot(x, z)\n") == [1, 2]
-    source = (ROOT / "src" / "brightside" / "kernels.py").read_text()
-    assert matmul_lines(source) == []
+    for module in ("kernels", "geometry"):
+        source = (ROOT / "src" / "brightside" / f"{module}.py").read_text()
+        assert matmul_lines(source) == [], module

@@ -433,6 +433,22 @@ class TestBinaryRegression:
                 v = post.log_density(np.full(5, scale))
                 assert np.isfinite(v)
 
+    @pytest.mark.parametrize("link", ["logit", "robit"])
+    def test_single_point_matches_batch_row(self, link):
+        # u and the gradient's sum over observations are np.vecdot rows,
+        # where a matrix product's rows differ in the last bit from batch
+        # size to batch size; robit at link_nu 3 runs the incomplete beta
+        rng = np.random.default_rng(34)
+        post = binary_regression_posterior(self.make_data(link=link, link_nu=3.0))
+        betas = 2.0 * rng.standard_cauchy((33, 5))
+        alone = [(_bits(post.log_density(b)), _bits(post.grad_log_density(b)),
+                  *map(_bits, post.log_density_and_grad(b))) for b in betas]
+        for n in (1, 2, 5, 16, 33):
+            batch = betas[:n]
+            rows = zip(post.log_density(batch), post.grad_log_density(batch),
+                       *post.log_density_and_grad(batch))
+            assert [tuple(map(_bits, row)) for row in rows] == alone[:n]
+
     def test_separation_persists_after_standardization(self):
         data = self.make_data()
         x1 = data.X[:, 0]
@@ -463,6 +479,17 @@ class TestBinaryRegression:
             path.write_text(text)
             with pytest.raises(EmptyInput, match=message):
                 load_regression_csv(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("x_1,x_2,y\n0.1,0.2,0.5,1\n", 2),            # a cell more than the header
+        ("x_1,x_2,y\n0.1,0.2,1\n0.1,1\n", 3),        # a cell fewer
+        ("x_1,x_2,y\n0.1,0.2,1\n0.1,x,1\n", 3),      # a cell that is no number
+    ], ids=["long", "short", "text"])
+    def test_csv_bad_row(self, tmp_path, text, line):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"regression CSV .* line {line}: "):
+            load_regression_csv(path)
 
     def test_rejects_nonbinary_response(self):
         with pytest.raises(ValueError):
