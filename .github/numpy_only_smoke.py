@@ -3,7 +3,11 @@
 scipy, mpmath and pytest are blocked from import first, so an import of
 any of them from the package fails here even where they are installed.
 Then every module is imported, a 100-point Student t log-CDF evaluated,
-a 50-step scs chain run alone and as an ensemble of
+the fused t log-CDF and pdf/CDF ratio at t = 0, +-1e300 and +-inf for
+nu = 1, 2 and 11 on the 0-d path, the small-batch loop and the
+vectorized batch (no warning, every ratio finite and positive where it
+is representable), a 10-row robit gradient at link_nu = 3 whose rows
+equal their points alone, a 50-step scs chain run alone and as an ensemble of
 ``SPHERE_ENSEMBLE_MIN_CHAINS`` chains, the fewest that ``run_chains``
 steps together, so the batched sphere transition steps its dark rows
 out one by one, both with the default independence move (its
@@ -66,7 +70,15 @@ from brightside.kernels import (
     run_chain,
     run_chains,
 )
-from brightside.targets import TargetModel, mv_student_t, skew_t, student_t_log_cdf
+from brightside.targets import (
+    TargetModel,
+    _t_log_cdf_ratio,
+    binary_regression_posterior,
+    generate_separable_data,
+    mv_student_t,
+    skew_t,
+    student_t_log_cdf,
+)
 from brightside.tuning import TuneOptions, tune
 
 for module in pkgutil.iter_modules(brightside.__path__):
@@ -75,6 +87,20 @@ for module in pkgutil.iter_modules(brightside.__path__):
 log_cdf = student_t_log_cdf(np.linspace(-50.0, 50.0, 100), 11.0)
 assert log_cdf.shape == (100,) and np.all(np.isfinite(log_cdf))
 assert np.all(np.diff(log_cdf) > 0.0) and log_cdf[-1] < 0.0
+edges = np.array([0.0, 1e300, -1e300, math.inf, -math.inf])
+for nu in (1.0, 2.0, 11.0):
+    for ts in (edges, np.tile(edges, 7)):
+        log_cdf, ratio = _t_log_cdf_ratio(ts, nu)
+        # r underflows at 1e300 and is 0 at +-inf
+        assert np.all(np.isfinite(ratio)) and np.all(ratio[np.isfinite(ts) & (ts < 1e300)] > 0.0)
+        assert np.all(ratio[np.isinf(ts)] == 0.0) and abs(log_cdf[0] - math.log(0.5)) < 1e-15
+        for i, t in enumerate(ts.tolist()):
+            assert _t_log_cdf_ratio(np.float64(t), nu) == (log_cdf[i], ratio[i]), (nu, t)
+robit = binary_regression_posterior(generate_separable_data(
+    30, 5, np.random.default_rng(2), link="robit", link_nu=3.0))
+betas = 2.0 * np.random.default_rng(3).standard_cauchy((10, 5))
+for beta, grad in zip(betas, robit.grad_log_density(betas)):
+    assert np.all(np.isfinite(grad)) and grad.tobytes() == robit.grad_log_density(beta).tobytes()
 
 chain = run_chain(KernelConfig("scs", h=0.5), make_params(3, ell_o=1.1),
                   mv_student_t(3, nu=1.0), np.zeros(3), 50, seed=0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,11 +42,14 @@ def empirical_quantiles(samples) -> np.ndarray:
     return np.quantile(samples, DEFAULT_PROBS)
 
 
+@lru_cache(maxsize=64)
 def _fft_length(n) -> int:
     """Smallest 2^i 3^j 5^k >= n, a length numpy's FFT transforms fast.
 
     For the 18 000-draw chains of a d = 100 Cauchy run that is 36 000
-    points in place of the next power of two, 65 536.
+    points in place of the next power of two, 65 536.  Cached per n: a
+    run's chains share a few lengths, and the search's loops cost a
+    tenth of a short series' ``ess``.
     """
     best = 1 << (n - 1).bit_length()
     p5 = 1

@@ -52,7 +52,7 @@ from .diagnostics import (
     relative_quantile_errors,
     write_qq_csv,
 )
-from .errors import BrightsideError
+from .errors import BrightsideError, _require_integer
 from .geometry import ProjectionParams, make_params
 from .kernels import (
     HMC_TARGET_ACCEPT,
@@ -552,7 +552,12 @@ def _samples_header(width):
 
 
 def write_samples_csv(path, samples, burnin=0, thinning=1):
-    """Kept samples with their absolute iteration indices."""
+    """Kept samples with their absolute iteration indices.  ``burnin``
+    (>= 0) and ``thinning`` (>= 1) must be integers, numpy's included, or
+    it raises ``ValueError``; the indices are written as plain ints."""
+    _require_integer("burnin", burnin, 0)
+    _require_integer("thinning", thinning, 1)
+    burnin, thinning = int(burnin), int(thinning)
     samples = np.asarray(samples)
     _write_table(path, _samples_header(samples.shape[1] + 1),
                  ((burnin + (k + 1) * thinning, *row) for k, row in enumerate(samples)))

@@ -44,10 +44,16 @@ work is done once per pair and cached as a ``_BetaPair``: for both
 orderings (a, b) and (b, a), the fraction's coefficients, the series
 coefficients, the edge and log B, and the swap threshold and log a.  A
 caller looks the pair up once (``_beta_pair``) and hands it to the one
-evaluation of a point, ``_incomplete_beta_scalar``, in plain floats; so
-do the small batches of the t log-CDF in ``targets``, which loop that
-evaluation.  A batch here vectorizes only its series side, with the
-same operations, and sends every other point through that evaluation.
+evaluation of a point, ``_incomplete_beta_scalar``, in plain floats.  A
+batch here vectorizes only its series side, with the same operations,
+and sends every other point through that evaluation.  The front factor
+x^a (1-x)^b / B(a, b) takes a 1/2 exponent, that of every Student t
+pair, as a square root: correctly rounded in plain floats and in numpy
+alike, so a point keeps its bits in a batch, and one transcendental call
+fewer than exp(b log1p(-x)).  The t log-CDF of ``targets`` builds its own
+per-point evaluation from the same pair: the series (``_beta_series``,
+``_beta_series_array``) and the fraction (``_betacf_scalar``), with that
+front factor giving the t pdf as well.
 
 Every uniform point of the bright cap comes from one sampler,
 ``_bright_rows``: ``sample_uniform_cap``, the tuner's batches and the
@@ -523,12 +529,40 @@ def _beta_series(x, coefs):
     """The truncated series sum by Horner's rule at a float.
 
     Each step is one multiply and one add, the steps that
-    ``_incomplete_beta`` takes in place on a batch's series side, so an
-    array element gets the bits its float gets.
+    ``_beta_series_array`` takes in place on a batch's series side, so
+    an array element gets the bits its float gets.
     """
     s = 0.0
     for c in coefs:
         s = s * x + c
+    return s
+
+
+def _front(xs, t, real=float, sqrt=math.sqrt):
+    """x^a (1-x)^b / B(a, b) at the reduced x, as (lpow, root) with the
+    factor exp(lpow) * root; ``real`` and ``sqrt`` are float and
+    math.sqrt at a float, np.asarray and np.sqrt at an array.
+
+    A 1/2 exponent is taken as a square root, which is correctly
+    rounded in numpy and in plain floats, so a point gets the same bits
+    alone and in a batch and makes one transcendental call fewer; root
+    is 1 where neither exponent is 1/2.
+    """
+    if t.b == 0.5:
+        return t.a * real(_np_log(xs)) - t.lbeta, sqrt(1.0 - xs)
+    if t.a == 0.5:
+        return t.b * real(_np_log1p(-xs)) - t.lbeta, sqrt(xs)
+    return t.a * real(_np_log(xs)) + t.b * real(_np_log1p(-xs)) - t.lbeta, 1.0
+
+
+def _beta_series_array(x, coefs):
+    """``_beta_series`` at every element of an array, in place of one
+    array: its first step, 0 * x + c, is c, and each later step the
+    same multiply and add, so an element gets the bits of its float."""
+    s = np.full_like(x, coefs[0])
+    for c in coefs[1:]:
+        s *= x
+        s += c
     return s
 
 
@@ -594,14 +628,14 @@ def _incomplete_beta_scalar(x, pair, log):
         if log:
             return 0.0 if x == 1.0 else -math.inf
         return x
-    lfront = t.a * float(_np_log(xs)) + t.b * float(_np_log1p(-xs)) - t.lbeta
+    lpow, root = _front(xs, t)
     if xs <= t.edge:
         cf = _beta_series(xs, t.coefs)
     else:
         cf = _betacf_scalar(xs, t)
     if log and not swap:
-        return lfront + float(_np_log(cf)) - pair.log_a
-    value = float(_np_exp(lfront)) * cf / t.a
+        return lpow + float(_np_log(root * cf)) - pair.log_a
+    value = float(_np_exp(lpow)) * root * cf / t.a
     # clamp to [0, 1]; comparisons cost less than min and max
     if value < 0.0:
         value = 0.0
@@ -663,13 +697,10 @@ def _incomplete_beta(x, a, b, log):
             continue
         xi = xs[group]
         li = log[group]
-        lfront = t.a * np.log(xi) + t.b * np.log1p(-xi) - t.lbeta
-        # _beta_series in place: its first step, 0 * x + c, is c
-        cf = np.full_like(xi, t.coefs[0])
-        for c in t.coefs[1:]:
-            cf *= xi
-            cf += c
-        value = np.exp(lfront)
+        lpow, root = _front(xi, t, np.asarray, np.sqrt)
+        cf = _beta_series_array(xi, t.coefs)
+        value = np.exp(lpow)
+        value *= root
         value *= cf
         value /= t.a
         np.clip(value, 0.0, 1.0, out=value)
@@ -678,7 +709,7 @@ def _incomplete_beta(x, a, b, log):
             res[li] = np.log1p(-value[li])
         else:
             res = value
-            res[li] = lfront[li] + np.log(cf[li]) - pair.log_a
+            res[li] = lpow[li] + np.log((root * cf)[li]) - pair.log_a
         out[group] = res
     return out
 

@@ -22,7 +22,7 @@ from brightside.geometry import (
     solve_chord_scale,
 )
 from brightside.kernels import _pullback
-from brightside.targets import SkewT, TargetModel, _check_dof, _t_log_pdf
+from brightside.targets import SkewT, TargetModel, _check_dof
 from brightside.tuning import project_params
 
 
@@ -94,10 +94,13 @@ def skew_t_grad_two_term(target: SkewT, y):
     s / (nu + |z|^2) z), r being the pdf/CDF ratio of T_m at s.  Near
     s = -inf, r s tends to -m and the two z terms cancel, so a sum of
     the same terms in another order can differ by a few ulps of the
-    largest of the three, not of the result.
+    largest of the three, not of the result.  r is the package's own,
+    from its fused t log-CDF evaluation: this checks the order of the
+    sum, not r, and an r formed another way can differ by more than a
+    few ulps where r s cancels against -m.
     """
-    z, q, nq, g, s, log_cdf = target._skewing(y)
-    ratio = np.exp(_t_log_pdf(s, target._m) - log_cdf)
+    z, q, nq, g, s, _, ratio = target._skewing(y)
+    ratio = np.asarray(ratio)
     kernel = target._grad(z, q)
     skew_a = (ratio * g)[..., None] * target.alpha_skew
     skew_z = (ratio * s / nq)[..., None] * z

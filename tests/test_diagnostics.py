@@ -6,6 +6,7 @@ import pytest
 
 from brightside.diagnostics import (
     DEFAULT_PROBS,
+    _fft_length,
     QQ_CSV_COLUMNS,
     empirical_quantiles,
     ess,
@@ -78,6 +79,13 @@ class TestKsStatistic:
             ks_statistic([], lambda s: s)
 
 
+def _only_235(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
 class TestEss:
     def test_iid_near_n(self):
         rng = np.random.default_rng(4)
@@ -108,6 +116,15 @@ class TestEss:
         assert 1.0 <= est <= 50.0
         with pytest.raises(EmptyInput):
             ess(np.ones(5))
+
+    def test_fft_length_cache_keeps_values(self):
+        # the cached lengths equal the uncached search's, and each is the
+        # smallest 5-smooth number at or above n
+        search = _fft_length.__wrapped__
+        smooth = [m for m in range(1, 5121) if _only_235(m)]
+        for n in range(1, 5001):
+            assert _fft_length(n) == search(n) == next(m for m in smooth if m >= n)
+        assert _fft_length(5001) == search(5001) == 5120
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_samples_raise(self, bad):

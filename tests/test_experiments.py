@@ -373,6 +373,22 @@ def test_samples_csv_bad_row(tmp_path, bad):
         load_samples_csv(path)
 
 
+def test_samples_csv_numpy_integer_indices(tmp_path):
+    # numpy integers write plain int indices, which read back; a float
+    # burnin once wrote 55.0, which the reader then rejected
+    path = tmp_path / "samples.csv"
+    samples = np.array([[0.1, 0.2], [0.3, 0.4]])
+    write_samples_csv(path, samples, burnin=np.int64(50), thinning=np.int64(5))
+    assert path.read_text().splitlines()[1].startswith("55,")
+    iters, back = load_samples_csv(path)
+    np.testing.assert_array_equal(iters, [55, 60])
+    np.testing.assert_array_equal(back, samples)
+    for kwargs in ({"burnin": np.float64(50)}, {"thinning": 5.0}, {"burnin": True},
+                   {"burnin": -1}, {"thinning": 0}):
+        with pytest.raises(ValueError, match="burnin|thinning"):
+            write_samples_csv(tmp_path / "bad.csv", samples, **kwargs)
+
+
 def test_header_only_samples_csv(tmp_path):
     # a run that kept no sample writes the header alone, and reads back
     # with the header's dimension

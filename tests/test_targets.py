@@ -426,6 +426,17 @@ class TestBinaryRegression:
             betas = rng.standard_normal((30, 5)) * 3.0
             assert_grad_matches_fd(post, betas)
 
+    @pytest.mark.parametrize("link_nu", [1.0, 2.0, 3.0])
+    def test_robit_gradient_matches_fd(self, link_nu):
+        # the pdf/CDF ratio of the two closed forms and of the incomplete
+        # beta, on single points and on a batch
+        rng = np.random.default_rng(16)
+        post = binary_regression_posterior(self.make_data(link="robit", link_nu=link_nu))
+        betas = rng.standard_normal((20, 5)) * 3.0
+        assert_grad_matches_fd(post, betas)
+        for beta, grad in zip(betas, post.grad_log_density(betas)):
+            assert np.array_equal(grad, post.grad_log_density(beta))
+
     def test_log_density_finite_far_out(self):
         for link in ("logit", "robit"):
             post = binary_regression_posterior(self.make_data(link=link))
@@ -599,7 +610,8 @@ class TestLogDensityAndGrad:
             30, 5, np.random.default_rng(43), link=link, link_nu=3.0))
         calls = Counter()
         link_terms = target._log_lik_terms
-        t_log_cdf = targets.student_t_log_cdf
+        # the robit link's value and pdf/CDF ratio come from one evaluation
+        t_log_cdf = targets._t_log_cdf_ratio
 
         def counted_link_terms(u):
             calls["link"] += 1
@@ -610,7 +622,7 @@ class TestLogDensityAndGrad:
             return t_log_cdf(t, nu)
 
         monkeypatch.setattr(target, "_log_lik_terms", counted_link_terms)
-        monkeypatch.setattr(targets, "student_t_log_cdf", counted_t_log_cdf)
+        monkeypatch.setattr(targets, "_t_log_cdf_ratio", counted_t_log_cdf)
         for beta in (np.ones(5), np.ones((10, 5))):
             calls.clear()
             target.log_density_and_grad(beta)
@@ -723,6 +735,9 @@ class TestSmallBatchLogCdf:
             alone = [student_t_log_cdf(float(t), m) for t in batch]
             assert _bits(student_t_log_cdf(batch, m)) == _bits(alone)
             assert _bits(student_t_log_cdf(batch.reshape(n, 1), m)) == _bits(alone)
+            # and the pdf/CDF ratio that comes with it
+            alone = [targets._t_log_cdf_ratio(np.float64(t), m) for t in batch]
+            assert _bits(np.transpose(targets._t_log_cdf_ratio(batch, m))) == _bits(alone)
 
     @pytest.mark.parametrize("d, nu", SKEW)
     def test_skew_t_rows_match_points_alone(self, d, nu):
@@ -730,7 +745,8 @@ class TestSmallBatchLogCdf:
                         alpha_skew=_paper_skew_t(d).alpha_skew, nu=nu)
         rows = self.skew_rows(target)
         self.assert_covers(target._skewing(rows)[4], target._m)
-        for n in self.SIZES:
+        # up to one row past the small-batch loop, and a 1 000-row batch
+        for n in (*self.SIZES, 1000):
             ys = self.cycled(rows, n)
             value, grad = target.log_density_and_grad(ys)
             values, grads = target.log_density(ys), target.grad_log_density(ys)
@@ -784,6 +800,67 @@ class TestSmallBatchLogCdf:
                     f(ys)
                 with pytest.raises(DomainError):
                     f(ys[-1])
+
+
+class TestLogCdfRatio:
+    """log T_nu and the pdf/CDF ratio r = t_nu / T_nu from the one fused
+    evaluation, against 40-digit mpmath, on the 0-d path and on a batch
+    of more than ``_BETA_SMALL_BATCH`` points."""
+
+    RTOL = 2e-13
+
+    @staticmethod
+    def reference(t, nu):
+        import mpmath
+
+        with mpmath.workdps(40):
+            t, nu = mpmath.mpf(t), mpmath.mpf(nu)
+            x = nu / (nu + t * t)
+            lower = mpmath.betainc(nu / 2, 0.5, 0, x, regularized=True) / 2
+            cdf = 1 - lower if t > 0 else lower
+            pdf = x ** ((nu + 1) / 2) / (mpmath.sqrt(nu) * mpmath.beta(nu / 2, 0.5))
+            return mpmath.log1p(-lower) if t > 0 else mpmath.log(lower), pdf / cdf
+
+    def assert_matches(self, ts, nu):
+        ts = np.asarray(ts, dtype=float)
+        assert ts.size > targets._BETA_SMALL_BATCH
+        batch = targets._t_log_cdf_ratio(ts, nu)
+        for i, t in enumerate(ts.tolist()):
+            alone = targets._t_log_cdf_ratio(np.float64(t), nu)
+            assert _bits(alone) == _bits((batch[0][i], batch[1][i]))
+            log_cdf, ratio = alone
+            # a reference below the double range is compared as rounded
+            ref_log, ref_ratio = (float(v) if abs(v) < 2.3e-308 else v
+                                  for v in self.reference(t, nu))
+            if t * t < math.inf or t > 0.0:
+                assert abs(log_cdf - ref_log) <= self.RTOL * abs(ref_log)
+            elif nu != 1.0:
+                # x = nu / (nu + t^2) is 0 where t^2 overflows: the value
+                # is that at -inf, with r at its limit nu / |t|
+                assert log_cdf == -math.inf
+            assert abs(ratio - ref_ratio) <= self.RTOL * ref_ratio
+
+    @pytest.mark.parametrize("nu", [1.0, 2.0, 3.0, 11.0, 101.0])
+    def test_against_mpmath(self, nu):
+        # both tails from 1e-8 (the reflected pair, where 1 - x would
+        # cancel) out to 1e8 (the series), the continued fraction between,
+        # t = 0 and +-1e300, whose square overflows
+        mags = np.concatenate([np.geomspace(1e-8, 1e8, 33), [0.7, 2.0, 5.0, 15.0, 1e300]])
+        self.assert_matches(np.concatenate([[0.0], mags, -mags]), nu)
+        for t, log_cdf in ((math.inf, 0.0), (-math.inf, -math.inf)):
+            assert targets._t_log_cdf_ratio(np.float64(t), nu) == (log_cdf, 0.0)
+            got = targets._t_log_cdf_ratio(np.array([t, 1.0]), nu)
+            assert got[0][0] == log_cdf and got[1][0] == 0.0
+
+    @pytest.mark.parametrize("d, nu", TestSmallBatchLogCdf.SKEW)
+    def test_skew_rows_against_mpmath(self, d, nu):
+        # every branch the skewing arguments of the small-batch rows reach
+        target = skew_t(xi=np.linspace(-1.0, 1.0, d),
+                        alpha_skew=_paper_skew_t(d).alpha_skew, nu=nu)
+        args = target._skewing(TestSmallBatchLogCdf.skew_rows(target))[4]
+        TestSmallBatchLogCdf.assert_covers(args, target._m)
+        # with a shifted copy, the batch is past the small-batch loop
+        self.assert_matches(np.concatenate([args, args + 0.5]), target._m)
 
 
 class TestExactSamplersInPlace:
