@@ -5,9 +5,10 @@ any of them from the package fails here even where they are installed.
 Then every module is imported, a 100-point Student t log-CDF evaluated,
 the fused t log-CDF and pdf/CDF ratio at t = 0, +-1e300 and +-inf for
 nu = 1, 2 and 11 on the 0-d path, the small-batch loop and the
-vectorized batch (no warning, every ratio finite and positive where it
-is representable), a 10-row robit gradient at link_nu = 3 whose rows
-equal their points alone, a 50-step scs chain run alone and as an ensemble of
+vectorized batch (no warning, every log-CDF at a finite t finite, every
+ratio finite and positive where it is representable), a 10-row robit
+gradient at link_nu = 3 whose rows equal their points alone, a 50-step
+scs chain run alone and as an ensemble of
 ``SPHERE_ENSEMBLE_MIN_CHAINS`` chains, the fewest that ``run_chains``
 steps together, so the batched sphere transition steps its dark rows
 out one by one, both with the default independence move (its
@@ -70,14 +71,13 @@ from brightside.kernels import (
     run_chain,
     run_chains,
 )
+from brightside.special import _t_log_cdf_ratio, student_t_log_cdf
 from brightside.targets import (
     TargetModel,
-    _t_log_cdf_ratio,
     binary_regression_posterior,
     generate_separable_data,
     mv_student_t,
     skew_t,
-    student_t_log_cdf,
 )
 from brightside.tuning import TuneOptions, tune
 
@@ -91,6 +91,7 @@ edges = np.array([0.0, 1e300, -1e300, math.inf, -math.inf])
 for nu in (1.0, 2.0, 11.0):
     for ts in (edges, np.tile(edges, 7)):
         log_cdf, ratio = _t_log_cdf_ratio(ts, nu)
+        assert np.all(np.isfinite(log_cdf[np.isfinite(ts)])), (nu, log_cdf)
         # r underflows at 1e300 and is 0 at +-inf
         assert np.all(np.isfinite(ratio)) and np.all(ratio[np.isfinite(ts) & (ts < 1e300)] > 0.0)
         assert np.all(ratio[np.isinf(ts)] == 0.0) and abs(log_cdf[0] - math.log(0.5)) < 1e-15

@@ -27,11 +27,11 @@ from .geometry import (
     cap_ratio_exact,
     log_jacobian_at_cap_point,
     make_params,
-    regularized_incomplete_beta,
     sample_uniform_cap,
     scp_forward,
     scp_inverse,
     solve_chord_scale,
 )
+from .special import regularized_incomplete_beta, student_t_log_cdf
 
 __version__ = "0.1.0"

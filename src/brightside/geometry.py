@@ -36,24 +36,7 @@ observer: the unit-sphere form of <h_x - h_o, h_x> - t z_d, one dot
 product per point and at least 1 - |o| > 0.  A centered projection
 (h_o = 0, mu = 0) skips the shift terms of the map.
 
-The regularized incomplete beta I_x(a, b) behind ``cap_ratio_exact``
-and the Student t CDFs of ``targets`` sums a fixed 12-term power series
-near x = 0, up to an edge per (a, b) where the dropped terms are proven
-below half an ulp, and a continued fraction above it.  All the per-pair
-work is done once per pair and cached as a ``_BetaPair``: for both
-orderings (a, b) and (b, a), the fraction's coefficients, the series
-coefficients, the edge and log B, and the swap threshold and log a.  A
-caller looks the pair up once (``_beta_pair``) and hands it to the one
-evaluation of a point, ``_incomplete_beta_scalar``, in plain floats.  A
-batch here vectorizes only its series side, with the same operations,
-and sends every other point through that evaluation.  The front factor
-x^a (1-x)^b / B(a, b) takes a 1/2 exponent, that of every Student t
-pair, as a square root: correctly rounded in plain floats and in numpy
-alike, so a point keeps its bits in a batch, and one transcendental call
-fewer than exp(b log1p(-x)).  The t log-CDF of ``targets`` builds its own
-per-point evaluation from the same pair: the series (``_beta_series``,
-``_beta_series_array``) and the fraction (``_betacf_scalar``), with that
-front factor giving the t pdf as well.
+The incomplete beta behind ``cap_ratio_exact`` is that of ``special``.
 
 Every uniform point of the bright cap comes from one sampler,
 ``_bright_rows``: ``sample_uniform_cap``, the tuner's batches and the
@@ -69,11 +52,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
+from . import special
 from .errors import (
     BoundaryWithoutSymmetry,
     DarkSidePoint,
@@ -372,6 +355,12 @@ def _bright_rows(rng, rows, count, threshold):
     return rows[:count], rows[count:], drawn
 
 
+# the incomplete beta of ``special``, bound here too: ``bench/layers.py``
+# imports both names from this module
+regularized_incomplete_beta = special.regularized_incomplete_beta
+log_regularized_incomplete_beta = special.log_regularized_incomplete_beta
+
+
 def cap_ratio_exact(d, ell_o) -> float:
     """Exact surface fraction of the dark side of the sphere.
 
@@ -387,360 +376,4 @@ def cap_ratio_exact(d, ell_o) -> float:
         return 0.5
     s = ell_o - 1.0
     x = 1.0 - s * s
-    return 0.5 * float(regularized_incomplete_beta(x, d / 2.0, 0.5))
-
-
-# --- regularized incomplete beta -------------------------------------------
-
-_BETA_EPS = 1e-15
-_BETA_FPMIN = 1e-300
-# ``_beta_pair`` caches fraction tables this long: a change at run time
-# needs ``_beta_pair.cache_clear()``
-_BETA_MAXIT = 500
-# Terms of the power series summed at or below a pair's series edge.
-_BETA_SERIES_TERMS = 12
-_np_log, _np_log1p, _np_exp = np.log, np.log1p, np.exp
-
-
-class _BetaTerms(NamedTuple):
-    """What I_x(a, b) needs of one ordered shape pair, computed once.
-
-    ``num1[m] * x / den1[m]`` and ``num2[m] * x / den2[m]`` are the odd
-    and even coefficients of the continued fraction's step m (index 0
-    unused), up to the ``_BETA_MAXIT`` the tables were built for.
-    ``coefs`` are the series coefficients (a+b)_k / (a+1)_k for
-    k < ``_BETA_SERIES_TERMS``, highest degree first, and ``edge`` is the
-    largest x at which the truncated series is used.
-    """
-
-    a: float
-    b: float
-    lbeta: float
-    num1: tuple
-    den1: tuple
-    num2: tuple
-    den2: tuple
-    coefs: tuple
-    edge: float
-
-
-class _BetaPair(NamedTuple):
-    """What I_x(a, b) needs of one shape pair at any x, looked up once.
-
-    ``threshold`` is (a+1) / (a+b+2), above which x is reflected to
-    1 - x and (b, a); ``terms`` and ``reflected`` are the ``_BetaTerms``
-    of (a, b) and of (b, a).
-    """
-
-    threshold: float
-    log_a: float
-    terms: _BetaTerms
-    reflected: _BetaTerms
-
-
-@lru_cache(maxsize=16)
-def _beta_pair(a, b):
-    """The ``_BetaPair`` of the floats (a, b), with fraction tables up to
-    ``_BETA_MAXIT``: one cache lookup, made once per call by a caller that
-    evaluates many points.  Raises DomainError unless a and b are finite
-    and positive."""
-    if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
-        raise DomainError(f"shape parameters must be positive, got a={a}, b={b}")
-    return _BetaPair((a + 1.0) / (a + b + 2.0), math.log(a),
-                     _beta_terms(a, b, _BETA_MAXIT), _beta_terms(b, a, _BETA_MAXIT))
-
-
-def _beta_terms(a, b, maxit):
-    """The ``_BetaTerms`` of (a, b), with fraction tables up to step ``maxit``.
-
-    I_x(a, b) = x^a (1-x)^b / (a B(a, b)) * sum_k (a+b)_k / (a+1)_k x^k
-    (DLMF 8.17.8).  The term ratio is x (a+b+k) / (a+1+k), which for
-    k >= K is at most r x with r = max(1, (a+b+K) / (a+1+K)), so the terms
-    dropped after the first K sum to at most c_K x^K / (1 - r x).  The
-    edge is the largest x where that bound is below half an ulp of 1 (the
-    sum is at least 1), less a relative 1e-12 for the rounding of c_K and
-    of the test itself; found by bisection over the doubles.
-    """
-    m = np.arange(1.0, maxit + 1.0)
-    m2 = 2.0 * m
-    qab = a + b
-    qap = a + 1.0
-    # the same operations, in the same order, as the fraction's formulas
-    # m (b - m) x / ((a - 1 + 2m)(a + 2m)) and
-    # -(a + m)(a + b + m) x / ((a + 2m)(a + 1 + 2m))
-    tables = [(0.0, *v.tolist()) for v in (
-        m * (b - m), ((a - 1.0) + m2) * (a + m2),
-        -(a + m) * (qab + m), (a + m2) * (qap + m2))]
-    k_terms = _BETA_SERIES_TERMS
-    coefs = [1.0]
-    for k in range(k_terms):
-        coefs.append(coefs[-1] * (qab + k) / (qap + k))
-    c_k = coefs.pop()
-    r = max(1.0, (qab + k_terms) / (qap + k_terms))
-    bound = 0.5 * math.ulp(1.0) * (1.0 - 1e-12)
-    lo, hi = 0.0, 1.0 / r
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if c_k * mid**k_terms <= bound * (1.0 - r * mid):
-            lo = mid
-        else:
-            hi = mid
-    return _BetaTerms(a, b, _log_beta(a, b), *tables, tuple(reversed(coefs)), lo)
-
-
-def _stirling_remainder(z):
-    """ln Gamma(z) - [(z - 1/2) ln z - z + ln(2 pi) / 2], four terms.
-
-    The first omitted term, 1 / (1188 z^9), is below 1e-20 for z >= 85.
-    """
-    w = 1.0 / (z * z)
-    return (((-1.0 / 1680.0 * w + 1.0 / 1260.0) * w - 1.0 / 360.0) * w
-            + 1.0 / 12.0) / z
-
-
-def _log_beta(a, b):
-    """log B(a, b), symmetric in its arguments bit for bit.
-
-    While Gamma(a + b) is finite, the log of the gamma quotient: the
-    difference lgamma(a) - lgamma(a + b) of two large logs cancels, and
-    costs I_x a relative 2.6e-14 at (50.5, 1/2), where the quotient's
-    log is off by 1e-16.  From a + b = 171 on, where Gamma(a + b)
-    overflows, lgamma(lo) plus ln Gamma(hi) - ln Gamma(hi + lo) taken as
-    one Stirling difference, so the large logs never meet (the idea of
-    ``algdiv`` in DiDonato & Morris, ACM TOMS 708): within 3e-16
-    relative from (170.5, 1/2) to (5e5, 1/2), where the lgamma
-    difference is off by 2.3e-14 to 1.2e-10.
-    """
-    lo, hi = min(a, b), max(a, b)
-    if a + b >= 171.0:
-        ratio = (-lo * math.log(hi) - (hi + lo - 0.5) * math.log1p(lo / hi) + lo
-                 + _stirling_remainder(hi) - _stirling_remainder(hi + lo))
-        return math.lgamma(lo) + ratio
-    if lo > 1e-300:
-        beta = math.gamma(hi) / math.gamma(a + b) * math.gamma(lo)
-        if 0.0 < beta < math.inf:
-            return math.log(beta)
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
-def _beta_series(x, coefs):
-    """The truncated series sum by Horner's rule at a float.
-
-    Each step is one multiply and one add, the steps that
-    ``_beta_series_array`` takes in place on a batch's series side, so
-    an array element gets the bits its float gets.
-    """
-    s = 0.0
-    for c in coefs:
-        s = s * x + c
-    return s
-
-
-def _front(xs, t, real=float, sqrt=math.sqrt):
-    """x^a (1-x)^b / B(a, b) at the reduced x, as (lpow, root) with the
-    factor exp(lpow) * root; ``real`` and ``sqrt`` are float and
-    math.sqrt at a float, np.asarray and np.sqrt at an array.
-
-    A 1/2 exponent is taken as a square root, which is correctly
-    rounded in numpy and in plain floats, so a point gets the same bits
-    alone and in a batch and makes one transcendental call fewer; root
-    is 1 where neither exponent is 1/2.
-    """
-    if t.b == 0.5:
-        return t.a * real(_np_log(xs)) - t.lbeta, sqrt(1.0 - xs)
-    if t.a == 0.5:
-        return t.b * real(_np_log1p(-xs)) - t.lbeta, sqrt(xs)
-    return t.a * real(_np_log(xs)) + t.b * real(_np_log1p(-xs)) - t.lbeta, 1.0
-
-
-def _beta_series_array(x, coefs):
-    """``_beta_series`` at every element of an array, in place of one
-    array: its first step, 0 * x + c, is c, and each later step the
-    same multiply and add, so an element gets the bits of its float."""
-    s = np.full_like(x, coefs[0])
-    for c in coefs[1:]:
-        s *= x
-        s += c
-    return s
-
-
-def _betacf_scalar(x, t):
-    """Continued fraction for the incomplete beta (modified Lentz), one point.
-
-    For one ordered pair's terms ``t``; converges for x < (a+1)/(a+b+2),
-    and stops at step m once |delta - 1| < ``_BETA_EPS``.
-    """
-    dd = 1.0 - (t.a + t.b) * x / (t.a + 1.0)
-    if abs(dd) < _BETA_FPMIN:
-        dd = _BETA_FPMIN
-    dd = 1.0 / dd
-    h = dd
-    c = 1.0
-    num1, den1, num2, den2 = t.num1, t.den1, t.num2, t.den2
-    for m in range(1, _BETA_MAXIT + 1):
-        aa = num1[m] * x / den1[m]
-        dd = 1.0 + aa * dd
-        if abs(dd) < _BETA_FPMIN:
-            dd = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        dd = 1.0 / dd
-        h = h * dd * c
-        aa = num2[m] * x / den2[m]
-        dd = 1.0 + aa * dd
-        if abs(dd) < _BETA_FPMIN:
-            dd = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        dd = 1.0 / dd
-        delta = dd * c
-        h = h * delta
-        if abs(delta - 1.0) < _BETA_EPS:
-            return h
-    raise DomainError("incomplete beta continued fraction failed to converge")
-
-
-def _incomplete_beta_scalar(x, pair, log):
-    """I_x(a, b), or its log where ``log`` is true, at one float x.
-
-    ``pair`` is the ``_beta_pair`` of (a, b), which a caller looks up once
-    for all its points.  The one evaluation of a point: every point of
-    every batch that is not on the vectorized series side comes here.
-    log, log1p and exp are numpy's rather than ``math``'s: on SIMD builds
-    the two differ in the last bit on up to a few arguments in a hundred,
-    and numpy's give the series side of a batch the bits a point gets
-    here.  They are bound once, as module names, since a loop over
-    points calls this once per point.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise DomainError("x must lie in [0, 1]")
-    swap = x > pair.threshold
-    if swap:
-        xs, t = 1.0 - x, pair.reflected
-    else:
-        xs, t = x, pair.terms
-    if not 0.0 < xs < 1.0:
-        # x is 0 or 1, where I is exact
-        if log:
-            return 0.0 if x == 1.0 else -math.inf
-        return x
-    lpow, root = _front(xs, t)
-    if xs <= t.edge:
-        cf = _beta_series(xs, t.coefs)
-    else:
-        cf = _betacf_scalar(xs, t)
-    if log and not swap:
-        return lpow + float(_np_log(root * cf)) - pair.log_a
-    value = float(_np_exp(lpow)) * root * cf / t.a
-    # clamp to [0, 1]; comparisons cost less than min and max
-    if value < 0.0:
-        value = 0.0
-    elif value > 1.0:
-        value = 1.0
-    if log:
-        return float(_np_log1p(-value))
-    return 1.0 - value if swap else value
-
-
-def _incomplete_beta(x, a, b, log):
-    """I_x(a, b) where ``log`` is false, log I_x(a, b) where it is true.
-
-    ``log`` broadcasts against ``x``, so one call can return the value
-    for some elements and its log for others.  The symmetry reduction
-    I_x(a, b) = 1 - I_{1-x}(b, a) is applied where x > (a+1)/(a+b+2),
-    so the sum below runs in its rapidly convergent region.  Where the
-    reduction applies the reflected value is small, so its log1p
-    complement is accurate; elsewhere the log is taken of the series or
-    fraction form directly, which stays finite far below
-    double-precision range.
-
-    The reduced x meets one of two forms of the same factor.  At or
-    below the pair's series edge (0.005 to 0.05 for the pairs
-    (nu/2, 1/2) and (1/2, nu/2) of the Student t) it is a fixed
-    ``_BETA_SERIES_TERMS``-term power series, whose dropped tail is
-    proven below half an ulp; above it, the continued fraction.
-    Everything that depends only on (a, b) is computed once per pair
-    and cached (``_beta_pair``); a call looks it up once for all its
-    points.
-
-    There is one per-point path, ``_incomplete_beta_scalar``, in plain
-    floats.  A 0-d ``x`` returns its float; a batch vectorizes only the
-    series side: the interior points at or below their swap group's
-    edge, one swap group at a time, each with its pair's scalar
-    coefficients in an in-place Horner loop and the other operations of
-    the per-point path in the same order.  Every other point (x = 0 or
-    1, and the fraction side) goes through the per-point path.  So a
-    point gets the same bits alone and in any batch.
-    """
-    pair = _beta_pair(float(a), float(b))
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return _incomplete_beta_scalar(float(x), pair, bool(log))
-    if np.shape(log) != x.shape:
-        log = np.broadcast_to(np.asarray(log, dtype=bool), x.shape)
-    if not np.all((x >= 0.0) & (x <= 1.0)):
-        raise DomainError("x must lie in [0, 1]")
-    swap = x > pair.threshold
-    xs = np.where(swap, 1.0 - x, x)
-    series = (xs > 0.0) & (xs <= np.where(swap, pair.reflected.edge, pair.terms.edge))
-    out = np.empty_like(x)
-    rest = ~series
-    out[rest] = [_incomplete_beta_scalar(xv, pair, lv)
-                 for xv, lv in zip(x[rest].tolist(), log[rest].tolist())]
-    for reflected, t, group in ((False, pair.terms, series & ~swap),
-                                (True, pair.reflected, series & swap)):
-        if not group.any():
-            continue
-        xi = xs[group]
-        li = log[group]
-        lpow, root = _front(xi, t, np.asarray, np.sqrt)
-        cf = _beta_series_array(xi, t.coefs)
-        value = np.exp(lpow)
-        value *= root
-        value *= cf
-        value /= t.a
-        np.clip(value, 0.0, 1.0, out=value)
-        if reflected:
-            res = 1.0 - value
-            res[li] = np.log1p(-value[li])
-        else:
-            res = value
-            res[li] = lpow[li] + np.log((root * cf)[li]) - pair.log_a
-        out[group] = res
-    return out
-
-
-def regularized_incomplete_beta(x, a, b):
-    """Regularized incomplete beta function I_x(a, b).
-
-    The symmetry reduction I_x(a, b) = 1 - I_{1-x}(b, a) is applied when
-    x > (a+1)/(a+b+2).  The reduced x then takes a 12-term power series
-    near 0 (at or below an edge computed per (a, b), where the dropped
-    terms are proven below half an ulp) and the continued fraction
-    elsewhere, in its rapidly convergent region.  Accepts scalar or
-    array x; a and b are positive scalars, and a 0-d x returns a float.
-    Each point is computed by one plain-float path; a batch vectorizes
-    only its series side, with the same operations.  The series is a
-    fixed sum and each point's fraction stops when its own
-    |delta - 1| < 1e-15, so a point gets the same value alone and in any
-    batch.
-    """
-    return _incomplete_beta(x, a, b, False)
-
-
-def log_regularized_incomplete_beta(x, a, b):
-    """log I_x(a, b), stable for values far below double-precision range.
-
-    Uses the log of the series or continued-fraction form directly when
-    x is in the convergent region, else the log1p complement of the
-    reflected value.  Intended for deep lower tails (e.g. heavy-tail CDF
-    logs), which is where the 12-term series serves.  Evaluated as
-    ``regularized_incomplete_beta`` is: one plain-float path per point,
-    with a batch vectorizing only its series side; a 0-d x
-    returns a float.  A point gets the same value alone and in any batch.
-    """
-    return _incomplete_beta(x, a, b, True)
+    return 0.5 * regularized_incomplete_beta(x, d / 2.0, 0.5)

@@ -30,42 +30,19 @@ factor's share a coefficient, so with m = nu + d, skewing argument s and
 pdf/CDF ratio r it is ((-m - r s) / (nu + |z|^2)) z + (r g) a, one
 product over the points with z and one with the skewness vector a.
 
-Outside its nu = 1 and nu = 2 closed forms the t log-CDF (the skew t's
-factor, the robit link) rests on the incomplete beta I_x(nu/2, 1/2) of
-``geometry``, whose per-pair work is cached there and looked up once per
-call.  One evaluation per point gives both log T and the pdf/CDF ratio
-r = t / T that the skew-t and robit gradients need: the t pdf is the
-incomplete beta's own front factor over |t|, so r costs a division or
-two rather than a second pass over the points.  A 0-d argument runs that
-evaluation once, and batches of up to ``_BETA_SMALL_BATCH`` points (the
-10-chain ensembles, one robit chain) run it in one loop with the
-constants of nu bound once; larger batches, the tuner's among them,
-vectorize its series side through the same branch formulas.  ``SkewT``
-and the robit link call it past the degrees-of-freedom check their
-construction made.
+The t log-CDF and its pdf/CDF ratio are ``special._t_log_cdf_ratio``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .diagnostics import _read_table, _write_table
 from .errors import DomainError, EmptyInput, _require_dimension
-from .geometry import (
-    _beta_pair,
-    _beta_series,
-    _beta_series_array,
-    _betacf_scalar,
-    _BetaPair,
-    _np_exp,
-    _np_log,
-    _np_log1p,
-)
+from .special import _check_dof, _t_log_cdf_ratio
 
 
 class TargetModel:
@@ -96,240 +73,6 @@ class TargetModel:
     @property
     def has_exact_sampler(self) -> bool:
         return self.exact_sample is not None
-
-
-# --- student t --------------------------------------------------------------
-
-
-# Up to this many points the t log-CDF and its pdf/CDF ratio run one
-# per-point loop rather than vectorizing the series side.  On skew-t
-# batches drawn from the target (d = 10 and 100, so m = 11 and 101,
-# skewness 100 and -100 on two coordinates; numpy 2.4, per batch the best
-# of 3 x 20 calls of each, loop and vectorized interleaved, median over
-# 20 batches of the ratio of the loop's time to the vectorized time, on
-# a 2-core x86-64 VM):
-#   points      8     16     24     28     32     36     40    128
-#   d = 10    0.36   0.60   0.83   0.96   1.06   1.21   1.29   2.66
-#   d = 100   0.38   0.62   0.82   0.85   0.93   0.99   1.05   1.55
-# At 32 points that is 127 against 121 us at d = 10 and 152 against
-# 162 us at d = 100.  The two cross near 30 points at d = 10 and near 36
-# at d = 100, so the limit stays at 32.
-_BETA_SMALL_BATCH = 32
-
-
-def _check_dof(nu):
-    # NaN and infinity fail too; the t at nu = inf is the normal, not a t
-    if not 0.0 < nu < math.inf:
-        raise DomainError(f"degrees of freedom must be finite and positive, got {nu}")
-
-
-def student_t_log_cdf(t, nu):
-    """log of the Student t CDF, stable deep into both tails.
-
-    For t >= 0 it returns log1p(-F(-t)), so the upper tail keeps its
-    precision as 1 - F vanishes.  Outside the nu = 1 and nu = 2 closed
-    forms it rests on the incomplete beta I_x(nu/2, 1/2), with
-    x = nu / (nu + t^2) and F(-|t|) = I_x / 2, whose per-pair work is
-    looked up once per call (``_t_log_cdf_ratio``).  Each point takes
-    either the fixed series or a continued fraction run to its own
-    convergence, in the same operations alone, in a small batch's loop
-    and on a large batch's vectorized series side, so a point gets the
-    same value alone as inside any batch.
-    """
-    _check_dof(nu)
-    return _t_log_cdf_ratio(np.asarray(t, dtype=float), float(nu))[0]
-
-
-def _t_log_cdf_ratio(t, nu):
-    """log T_nu(t) and the pdf/CDF ratio r = t_nu(t) / T_nu(t) from one
-    evaluation, at a float array or numpy scalar ``t`` for a ``nu``
-    already checked; two floats for a 0-d ``t``.
-
-    Outside the closed forms both come from one incomplete-beta pass per
-    point.  Up to ``_BETA_SMALL_BATCH`` points run one loop, with the
-    constants of nu bound once: the upper-tail series branch, which most
-    skew-t arguments take, is tested first and summed inline, and every
-    other point goes to ``_t_point``.  A larger batch vectorizes the
-    series side, the points with 0 < x <= the pair's series edge, through
-    the same branch formulas (``_t_upper``, ``_t_lower``); the rest take
-    ``_t_point``.
-    """
-    if nu == 1 or nu == 2:
-        return _t_closed_forms(t, nu)
-    k = _t_constants(nu)
-    if t.ndim == 0:
-        return _t_point(float(t), k)
-    if t.size <= _BETA_SMALL_BATCH:
-        nu, edge, coefs = k.nu, k.edge, k.coefs
-        log_cdf, ratio = [], []
-        for tv in t.ravel().tolist():
-            x = nu / (nu + tv * tv)
-            if 0.0 < x <= edge and tv >= 0.0:
-                cf = 0.0
-                for c in coefs:
-                    cf = cf * x + c
-                v, r = _t_upper(x, tv, cf, k)
-            else:
-                v, r = _t_point(tv, k)
-            log_cdf.append(v)
-            ratio.append(r)
-        return np.array(log_cdf).reshape(t.shape), np.array(ratio).reshape(t.shape)
-    flat = t.ravel()
-    with np.errstate(over="ignore"):
-        x = nu / (nu + flat * flat)
-    series = (x > 0.0) & (x <= k.edge)
-    log_cdf = np.empty_like(flat)
-    ratio = np.empty_like(flat)
-    rest = ~series
-    if rest.any():
-        log_cdf[rest], ratio[rest] = np.array([_t_point(tv, k) for tv in flat[rest].tolist()]).T
-    for side, branch in ((series & (flat >= 0.0), _t_upper), (series & (flat < 0.0), _t_lower)):
-        if side.any():
-            xs = x[side]
-            cf = _beta_series_array(xs, k.coefs)
-            log_cdf[side], ratio[side] = branch(xs, flat[side], cf, k, np.asarray, np.sqrt)
-    return log_cdf.reshape(t.shape), ratio.reshape(t.shape)
-
-
-_LOG_HALF = math.log(0.5)
-
-
-class _TConstants(NamedTuple):
-    """What the t log-CDF needs of nu, looked up once per call: a = nu/2,
-    log B(a, 1/2) and log B(a, 1/2) + log nu, the series edge and
-    coefficients of the pair (a, 1/2), its ``_BetaPair``, and
-    r(0) = 2 t_nu(0)."""
-
-    nu: float
-    a: float
-    lbeta: float
-    lbeta_nu: float
-    edge: float
-    coefs: tuple
-    pair: _BetaPair
-    r_zero: float
-
-
-@lru_cache(maxsize=16)
-def _t_constants(nu):
-    pair = _beta_pair(nu / 2.0, 0.5)
-    t = pair.terms
-    return _TConstants(nu, t.a, t.lbeta, t.lbeta + math.log(nu), t.edge, t.coefs,
-                       pair, 2.0 * math.exp(-t.lbeta) / math.sqrt(nu))
-
-
-# The two branches below the symmetry threshold, x = nu / (nu + t^2) at
-# most (a+1) / (a+3/2), where I_x(a, 1/2) = front cf / a with
-# front = x^a sqrt(1-x) / B(a, 1/2) and cf the series or the continued
-# fraction; the t pdf is front / |t|.  Each takes a float (with float
-# and math.sqrt) or an array (with np.asarray and np.sqrt): log, log1p
-# and exp are numpy's either way and the square root is correctly
-# rounded in both, so an array element gets the bits of its float.
-
-
-def _t_upper(x, tv, cf, k, real=float, sqrt=math.sqrt):
-    """log T and r for tv >= 0: T = 1 - I/2 = 1 - front cf / nu, and
-    r = front / (tv T)."""
-    front = real(_np_exp(k.a * real(_np_log(x)) - k.lbeta)) * sqrt(1.0 - x)
-    half = front * cf / k.nu
-    return real(_np_log1p(-half)), front / (tv * (1.0 - half))
-
-
-def _t_lower(x, tv, cf, k, real=float, sqrt=math.sqrt):
-    """log T and r for tv < 0: log T = log(front cf / nu), taken in logs
-    so that it stays finite far below the double range, and
-    r = nu / (|tv| cf), which needs no exp and cannot underflow."""
-    return (k.a * real(_np_log(x)) - k.lbeta_nu + real(_np_log(sqrt(1.0 - x) * cf)),
-            -k.nu / (tv * cf))
-
-
-def _t_point(tv, k):
-    """log T_nu(tv) and r at one float ``tv``; ``k`` is ``_t_constants(nu)``.
-
-    Below the symmetry threshold the series (at or below the edge, where
-    |tv| is beyond about 4.5 sqrt(nu)) or the continued fraction feeds
-    ``_t_upper`` or ``_t_lower``.  Above it (|tv| small) the reflected
-    pair (1/2, a) runs at y = tv^2 / (nu + tv^2), formed directly rather
-    than as 1 - x, which would cancel: I_x(a, 1/2) = 1 - v with
-    v = 2 front cf, front = y^(1/2) (1-y)^a / B(a, 1/2) = |tv| pdf, so
-    T = (1 +- v) / 2 on the upper (lower) tail and r = 2 front / (|tv| (1 +- v)).
-    At tv = 0 (or tv^2 below the smallest double) r = 2 t_nu(0).  Where
-    tv^2 overflows, x = 0: T is 1 or 0 to rounding and r the lower tail's
-    limit nu / |tv|, 0 at -inf.  NaN raises ``DomainError``.
-    """
-    x = k.nu / (k.nu + tv * tv)
-    if 0.0 < x <= k.edge:
-        cf = _beta_series(x, k.coefs)
-    elif 0.0 < x <= k.pair.threshold:
-        cf = _betacf_scalar(x, k.pair.terms)
-    elif x == 0.0:
-        return (0.0, 0.0) if tv > 0.0 else (-math.inf, -k.nu / tv)
-    elif not x <= 1.0:
-        raise DomainError(f"t log-CDF argument must not be NaN, got {tv}")
-    else:
-        tt = tv * tv
-        y = tt / (k.nu + tt)
-        if y == 0.0:
-            return _LOG_HALF, k.r_zero
-        t = k.pair.reflected
-        cf = _beta_series(y, t.coefs) if y <= t.edge else _betacf_scalar(y, t)
-        front = float(_np_exp(k.a * float(_np_log1p(-y)) - k.lbeta)) * math.sqrt(y)
-        v = 2.0 * front * cf
-        if tv < 0.0:
-            v = -v
-        return _LOG_HALF + float(_np_log1p(v)), 2.0 * front / (abs(tv) * (1.0 + v))
-    return _t_upper(x, tv, cf, k) if tv >= 0.0 else _t_lower(x, tv, cf, k)
-
-
-def _t_closed_forms(t, nu):
-    """``_t_log_cdf_ratio`` at nu = 1 and nu = 2, in forms free of
-    cancellation, overflow and, but at t = -inf, of 0 / 0."""
-    scalar = t.ndim == 0
-    t_arr = np.atleast_1d(t)
-    a = np.abs(t_arr)
-    neg = t_arr < 0.0
-    with np.errstate(invalid="ignore", over="ignore"):
-        if nu == 1:
-            # arctan(t) + pi/2 = arctan2(1, -t) for t <= 0
-            theta = np.arctan2(1.0, a)
-            lower = theta / math.pi
-            # r = 1 / ((1 + t^2) pi T), with pi T = theta or pi - theta
-            pi_cdf = np.where(neg, theta, math.pi - theta)
-            ratio = 1.0 / (pi_cdf + a * (a * pi_cdf))
-        else:
-            # rationalized form of (1 + t/sqrt(2+t^2))/2 for t <= 0
-            s = np.sqrt(2.0 + a * a)
-            prod = s * (s + a)
-            lower = 1.0 / prod
-            # the pdf is 1 / h^3, with h = sqrt(2 + t^2) formed by hypot
-            h = np.hypot(a, math.sqrt(2.0))
-            ratio = np.where(neg, (1.0 + a / h) / h, 1.0 / (h * h * h * (1.0 - lower)))
-    # a * 0 or inf / inf is NaN at t = -inf, where r tends to 0
-    ratio[a == math.inf] = 0.0
-    out = np.log1p(-lower)
-    if nu == 1:
-        # lower is 0 at t = -inf, whose log is -inf as for every other nu
-        with np.errstate(divide="ignore"):
-            out[neg] = np.log(lower[neg])
-    else:
-        out[neg] = -np.log(prod[neg])
-    if scalar:
-        return float(out[0]), float(ratio[0])
-    return out, ratio
-
-
-def student_t_log_pdf(t, nu):
-    """Normalized log density of the univariate Student t."""
-    _check_dof(nu)
-    t = np.asarray(t, dtype=float)
-    return _t_log_pdf_const(nu) - (nu + 1.0) / 2.0 * np.log1p(t * t / nu)
-
-
-@lru_cache(maxsize=16)
-def _t_log_pdf_const(nu):
-    """log of the t density's normalizing constant, once per nu."""
-    return (math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0)
-            - 0.5 * math.log(nu * math.pi))
 
 
 # --- multivariate student t / Cauchy ----------------------------------------

@@ -15,14 +15,10 @@ import math
 import numpy as np
 
 from brightside.errors import EmptyInput
-from brightside.geometry import (
-    ProjectionParams,
-    _incomplete_beta,
-    make_params,
-    solve_chord_scale,
-)
+from brightside.geometry import ProjectionParams, make_params, solve_chord_scale
 from brightside.kernels import _pullback
-from brightside.targets import SkewT, TargetModel, _check_dof
+from brightside.special import _check_dof, _incomplete_beta
+from brightside.targets import SkewT, TargetModel
 from brightside.tuning import project_params
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import special as sps
 
-from brightside import geometry, targets
+from brightside import geometry, special
 from brightside.errors import (
     BoundaryWithoutSymmetry,
     BrightsideError,
@@ -739,9 +739,9 @@ class TestLogBeta:
                          (5e5, 0.5), (300.0, 60.0)):
                 ref = (mpmath.loggamma(a) + mpmath.loggamma(b)
                        - mpmath.loggamma(mpmath.mpf(a) + b))
-                got = geometry._log_beta(a, b)
+                got = special._log_beta(a, b)
                 assert abs(got - ref) <= 1e-15 * abs(ref)
-                assert geometry._log_beta(b, a) == got
+                assert special._log_beta(b, a) == got
 
 
 class TestIncompleteBetaPaths:
@@ -749,8 +749,8 @@ class TestIncompleteBetaPaths:
 
     FUNCS = (regularized_incomplete_beta, log_regularized_incomplete_beta)
     # the t log-CDF loops the per-point path up to its small-batch limit
-    # and vectorizes one point more; here both sizes vectorize
-    SIZES = (targets._BETA_SMALL_BATCH, targets._BETA_SMALL_BATCH + 1)
+    # and vectorizes one point more; the incomplete beta loops both
+    SIZES = (special._BETA_SMALL_BATCH, special._BETA_SMALL_BATCH + 1)
 
     def test_batch_independence(self):
         rng = np.random.default_rng(30)
@@ -801,8 +801,8 @@ class TestIncompleteBetaPaths:
     def test_nonconvergence_raises_on_both_paths(self, monkeypatch, request):
         # _beta_pair caches tables as long as _BETA_MAXIT; a pair first
         # built here has two steps, so the cache is dropped afterwards
-        request.addfinalizer(geometry._beta_pair.cache_clear)
-        monkeypatch.setattr(geometry, "_BETA_MAXIT", 2)
+        request.addfinalizer(special._beta_pair.cache_clear)
+        monkeypatch.setattr(special, "_BETA_MAXIT", 2)
         for f in self.FUNCS:
             with pytest.raises(DomainError):
                 f(0.8, 5.5, 0.5)
@@ -820,7 +820,7 @@ class TestSeriesRegion:
 
     @staticmethod
     def edge(a, b):
-        return geometry._beta_terms(a, b, geometry._BETA_MAXIT).edge
+        return special._beta_terms(a, b, special._BETA_MAXIT).edge
 
     def test_against_mpmath_at_the_edge(self):
         import mpmath
@@ -846,7 +846,7 @@ class TestSeriesRegion:
 
     def test_batch_across_the_edge_matches_plain_floats(self):
         rng = np.random.default_rng(34)
-        n = targets._BETA_SMALL_BATCH + 1
+        n = special._BETA_SMALL_BATCH + 1
         for a, b in self.SHAPES:
             edge = self.edge(a, b)
             xs = np.concatenate([
@@ -856,43 +856,19 @@ class TestSeriesRegion:
                 single = [f(float(x), a, b) for x in xs]
                 assert np.array_equal(f(xs, a, b), single)
 
-    def test_both_swap_groups_with_mixed_log_flags(self):
-        # every point on the series side, in both swap groups, each with
-        # value and log flags mixed, batched past the small-batch limit
-        rng = np.random.default_rng(36)
-        n = 4 * targets._BETA_SMALL_BATCH
-        for a, b in self.SHAPES + ((2.0, 3.0),):
-            xs = np.concatenate([rng.uniform(0.0, 0.9 * self.edge(a, b), n),
-                                 1.0 - rng.uniform(0.0, 0.9 * self.edge(b, a), n)])
-            log = rng.random(xs.size) < 0.5
-            swap = xs > (a + 1.0) / (a + b + 2.0)
-            assert swap.sum() == n and (log & swap).any() and (log & ~swap).any()
-            pair = geometry._beta_pair(a, b)
-            single = [geometry._incomplete_beta_scalar(float(x), pair, bool(lv))
-                      for x, lv in zip(xs, log)]
-            assert np.array_equal(geometry._incomplete_beta(xs, a, b, log), single)
-        # the t log-CDF at m = 11: |t| large and small, both signs
-        from brightside.targets import student_t_log_cdf
-        m = 11.0
-        t_far = np.sqrt(m / (0.9 * self.edge(m / 2.0, 0.5)) - m) * rng.uniform(1.0, 3.0, n)
-        t_near = np.sqrt(m * 0.9 * self.edge(0.5, m / 2.0)) * rng.uniform(0.01, 1.0, n)
-        ts = np.concatenate([t_far, t_near]) * rng.choice([-1.0, 1.0], 2 * n)
-        assert np.array_equal(student_t_log_cdf(ts, m),
-                              [student_t_log_cdf(float(t), m) for t in ts])
-
     def test_dropped_terms_below_half_an_ulp(self):
         # the terms after the first K, summed in 40 digits at the edge,
         # stay below half an ulp of the K-term sum
         import mpmath
 
         rng = np.random.default_rng(35)
-        k_terms = geometry._BETA_SERIES_TERMS
+        k_terms = special._BETA_SERIES_TERMS
         with mpmath.workdps(40):
             for a, b in rng.uniform(0.05, 120.0, (60, 2)):
-                t = geometry._beta_terms(a, b, geometry._BETA_MAXIT)
+                t = special._beta_terms(a, b, special._BETA_MAXIT)
                 x = mpmath.mpf(t.edge)
                 total = mpmath.hyp2f1(a + b, 1, a + 1, x)
                 head = mpmath.fsum(mpmath.rf(a + b, k) / mpmath.rf(a + 1, k) * x**k
                                    for k in range(k_terms))
-                s = geometry._beta_series(t.edge, t.coefs)
+                s = special._beta_series(t.edge, t.coefs)
                 assert total - head < math.ulp(s) / 2

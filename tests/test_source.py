@@ -53,3 +53,53 @@ def test_kernels_and_geometry_take_no_matmul():
     for module in ("kernels", "geometry"):
         source = (ROOT / "src" / "brightside" / f"{module}.py").read_text()
         assert matmul_lines(source) == [], module
+
+
+def package_imports(source):
+    """(module, name) of each import from the package in ``source``:
+    ``from .m import n`` and ``from brightside.m import n`` give (m, n),
+    ``from . import m`` and ``import brightside.m`` give (m, None)."""
+    pairs = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("brightside")):
+            module = (node.module or "").removeprefix("brightside").lstrip(".")
+            pairs += [(module, a.name) if module else (a.name, None) for a in node.names]
+        elif isinstance(node, ast.Import):
+            pairs += [(a.name.removeprefix("brightside."), None) for a in node.names
+                      if a.name.startswith("brightside.")]
+    return pairs
+
+
+def top_level_names(source):
+    """Names that ``source`` defines by def, class or assignment at module level."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [n.id for target in node.targets for n in ast.walk(target)
+                      if isinstance(n, ast.Name)]
+    return names
+
+
+def test_special_functions_stay_in_special():
+    # the incomplete beta and the t log-CDF live in ``special``, which
+    # needs neither geometry nor targets; targets takes nothing private
+    # of geometry, and geometry defines no beta of its own
+    snippet = ("from . import special\nfrom .geometry import _x, y\n"
+               "from brightside.targets import z\nimport brightside.kernels\n"
+               "import numpy as np\na, (_beta_b, c) = 1, (2, 3)\n"
+               "def _incomplete_beta_d():\n    from .errors import e\nclass F:\n    g = 1\n")
+    assert package_imports(snippet) == [
+        ("special", None), ("geometry", "_x"), ("geometry", "y"), ("targets", "z"),
+        ("kernels", None), ("errors", "e")]
+    assert top_level_names(snippet) == ["a", "_beta_b", "c", "_incomplete_beta_d", "F"]
+    source = {module: (ROOT / "src" / "brightside" / f"{module}.py").read_text()
+              for module in ("special", "geometry", "targets")}
+    assert [pair for pair in package_imports(source["special"])
+            if pair[0] in ("geometry", "targets")] == []
+    assert [name for module, name in package_imports(source["targets"])
+            if module == "geometry" and (name or "").startswith("_")] == []
+    assert [name for name in top_level_names(source["geometry"])
+            if name.startswith(("_beta", "_incomplete_beta", "_BETA"))] == []

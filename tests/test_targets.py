@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from brightside import geometry, targets
+from brightside import special, targets
 from brightside.errors import DomainError, EmptyInput
 from brightside.geometry import make_params
 from brightside.kernels import KernelConfig, hmc_step, run_chains
+from brightside.special import student_t_log_cdf, student_t_log_pdf
 from brightside.targets import (
     RegressionData,
     SkewT,
@@ -20,8 +21,6 @@ from brightside.targets import (
     save_regression_csv,
     skew_t,
     standardize_columns,
-    student_t_log_cdf,
-    student_t_log_pdf,
 )
 from brightside.tuning import TuneOptions, tune
 from oracles import log_jacobian, skew_t_grad_two_term, student_t_cdf, uniform_cap_pullback
@@ -685,7 +684,7 @@ class TestSmallBatchLogCdf:
     0-d path once per point, so every row has the bits of its point alone;
     one point more takes the vectorized series side."""
 
-    SIZES = range(1, targets._BETA_SMALL_BATCH + 2)
+    SIZES = range(1, special._BETA_SMALL_BATCH + 2)
     # the skew t at d = 10 and 100, nu = 1 and 2, with the paper's skewness
     SKEW = [pytest.param(d, nu, id=f"d{d}-nu{nu:g}") for d in (10, 100)
             for nu in (1.0, 2.0)]
@@ -717,7 +716,7 @@ class TestSmallBatchLogCdf:
     @staticmethod
     def assert_covers(args, m):
         # every branch of the per-point evaluation appears among args
-        pair = geometry._beta_pair(m / 2.0, 0.5)
+        pair = special._beta_pair(m / 2.0, 0.5)
         x = m / (m + args * args)
         swap = x > pair.threshold
         xs = np.where(swap, 1.0 - x, x)
@@ -736,8 +735,8 @@ class TestSmallBatchLogCdf:
             assert _bits(student_t_log_cdf(batch, m)) == _bits(alone)
             assert _bits(student_t_log_cdf(batch.reshape(n, 1), m)) == _bits(alone)
             # and the pdf/CDF ratio that comes with it
-            alone = [targets._t_log_cdf_ratio(np.float64(t), m) for t in batch]
-            assert _bits(np.transpose(targets._t_log_cdf_ratio(batch, m))) == _bits(alone)
+            alone = [special._t_log_cdf_ratio(np.float64(t), m) for t in batch]
+            assert _bits(np.transpose(special._t_log_cdf_ratio(batch, m))) == _bits(alone)
 
     @pytest.mark.parametrize("d, nu", SKEW)
     def test_skew_t_rows_match_points_alone(self, d, nu):
@@ -804,8 +803,8 @@ class TestSmallBatchLogCdf:
 
 class TestLogCdfRatio:
     """log T_nu and the pdf/CDF ratio r = t_nu / T_nu from the one fused
-    evaluation, against 40-digit mpmath, on the 0-d path and on a batch
-    of more than ``_BETA_SMALL_BATCH`` points."""
+    evaluation, against 40-digit mpmath, on the 0-d path, on a batch of
+    more than ``_BETA_SMALL_BATCH`` points and on its small-batch slices."""
 
     RTOL = 2e-13
 
@@ -823,33 +822,35 @@ class TestLogCdfRatio:
 
     def assert_matches(self, ts, nu):
         ts = np.asarray(ts, dtype=float)
-        assert ts.size > targets._BETA_SMALL_BATCH
-        batch = targets._t_log_cdf_ratio(ts, nu)
+        assert ts.size > special._BETA_SMALL_BATCH
+        batch = special._t_log_cdf_ratio(ts, nu)
+        n = special._BETA_SMALL_BATCH
+        for i in range(0, ts.size, n):
+            small = special._t_log_cdf_ratio(ts[i:i + n], nu)
+            assert _bits(small) == _bits((batch[0][i:i + n], batch[1][i:i + n]))
         for i, t in enumerate(ts.tolist()):
-            alone = targets._t_log_cdf_ratio(np.float64(t), nu)
+            alone = special._t_log_cdf_ratio(np.float64(t), nu)
             assert _bits(alone) == _bits((batch[0][i], batch[1][i]))
             log_cdf, ratio = alone
             # a reference below the double range is compared as rounded
             ref_log, ref_ratio = (float(v) if abs(v) < 2.3e-308 else v
                                   for v in self.reference(t, nu))
-            if t * t < math.inf or t > 0.0:
-                assert abs(log_cdf - ref_log) <= self.RTOL * abs(ref_log)
-            elif nu != 1.0:
-                # x = nu / (nu + t^2) is 0 where t^2 overflows: the value
-                # is that at -inf, with r at its limit nu / |t|
-                assert log_cdf == -math.inf
+            assert abs(log_cdf - ref_log) <= self.RTOL * abs(ref_log)
             assert abs(ratio - ref_ratio) <= self.RTOL * ref_ratio
 
     @pytest.mark.parametrize("nu", [1.0, 2.0, 3.0, 11.0, 101.0])
     def test_against_mpmath(self, nu):
         # both tails from 1e-8 (the reflected pair, where 1 - x would
         # cancel) out to 1e8 (the series), the continued fraction between,
-        # t = 0 and +-1e300, whose square overflows
-        mags = np.concatenate([np.geomspace(1e-8, 1e8, 33), [0.7, 2.0, 5.0, 15.0, 1e300]])
-        self.assert_matches(np.concatenate([[0.0], mags, -mags]), nu)
+        # t = 0, +-1e200, +-1e300 and +-1.7e308, whose squares overflow,
+        # and -1.2e154, whose square is finite but at nu = 2 not
+        # s (s + |t|) with s^2 = 2 + t^2
+        mags = np.concatenate([np.geomspace(1e-8, 1e8, 33),
+                               [0.7, 2.0, 5.0, 15.0, 1e200, 1e300, 1.7e308]])
+        self.assert_matches(np.concatenate([[0.0], mags, -mags, [-1.2e154]]), nu)
         for t, log_cdf in ((math.inf, 0.0), (-math.inf, -math.inf)):
-            assert targets._t_log_cdf_ratio(np.float64(t), nu) == (log_cdf, 0.0)
-            got = targets._t_log_cdf_ratio(np.array([t, 1.0]), nu)
+            assert special._t_log_cdf_ratio(np.float64(t), nu) == (log_cdf, 0.0)
+            got = special._t_log_cdf_ratio(np.array([t, 1.0]), nu)
             assert got[0][0] == log_cdf and got[1][0] == 0.0
 
     @pytest.mark.parametrize("d, nu", TestSmallBatchLogCdf.SKEW)
