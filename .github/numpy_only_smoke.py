@@ -20,7 +20,7 @@ and 4), each matching ``run_chain`` with its own seed to 1e-10, a
 10-chain scs ensemble on a shifted d = 3 skew t run twice with one seed
 (the two must give the same samples, the caller's start array must be
 left as it was, and so must every array the target returned, since the
-ensemble writes only the arrays it made for its proposals), one
+ensemble writes no array it was handed, by the caller or the target), one
 50-step sps chain and one rwm chain, HMC run as one chain and as a
 3-chain ensemble, so both leapfrog shapes run, a short tune run twice
 with one seed (the rows it carries between steps are per-call state, so

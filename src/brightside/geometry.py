@@ -72,6 +72,9 @@ from .errors import (
 # quadratic's constant term stays strictly negative.
 INTERIOR_MARGIN = 1e-9
 
+# the log ``cap_forward`` takes for one point, as for a batch
+_np_log = np.log
+
 
 @dataclass(frozen=True)
 class ProjectionParams:
@@ -191,11 +194,12 @@ def cap_forward(x, p: ProjectionParams):
     centered projection (h_o = 0, mu = 0, see ``ProjectionParams._centered``)
     skips the h_o and mu terms.  A 1-d ``x`` is one point with t and
     bracket plain floats; otherwise the leading axes are a batch.  Both
-    take the same elementwise steps, and a batch takes <o, x> per row
-    (``np.vecdot``, the point's dot), so a batch row's y, log_jac, t and
-    bracket have the bits of its single point.  Raises DarkSidePoint if
-    any point is at or above the observer latitude, where the chord
-    never reaches the plane.
+    take the same elementwise steps, their logs are numpy's (``math.log``
+    differs from it in the last bit at a few arguments in a thousand),
+    and a batch takes <o, x> per row (``np.vecdot``, the point's dot),
+    so a batch row's y, log_jac, t and bracket have the bits of its
+    single point.  Raises DarkSidePoint if any point is at or above the
+    observer latitude, where the chord never reaches the plane.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -211,7 +215,8 @@ def cap_forward(x, p: ProjectionParams):
             y -= p.h_o * ((zd + 1.0) * s)
             y += p.mu
             bracket = 1.0 - float(x.dot(p._observer))
-        log_jac = p._log_jac_const + math.log(bracket) - (p.d + 1.0) * math.log(t)
+        log_jac = (p._log_jac_const + float(_np_log(bracket))
+                   - (p.d + 1.0) * float(_np_log(t)))
         return y, log_jac, t, bracket
     zd = x[..., -1]
     t = (p.ell_o - 1.0) - zd

@@ -12,9 +12,11 @@ Hamiltonian Monte Carlo baselines run directly in target space.  Each
 transition is written once, as a function of the state and that
 step's draws: ``sphere_step`` (scs, sps), ``hmc_step`` and, in the chain
 loop behind ``run_chain`` and ``run_chains``, the rwm step and the scs
-independence move.  All four call one test, ``metropolis``: accept where
-the proposal's log density lp' is finite and log u < lp' - lp, with
-log 0 = -inf, so no kernel moves to a NaN or +inf density.
+independence move.  Each ends in one call of ``metropolis``, the one
+test and the one selection: it accepts where the proposal's log density
+lp' is finite and log u < lp' - lp, with log 0 = -inf, so no kernel
+moves to a NaN or +inf density, and it picks the next state without
+writing into any array.
 
 Every ``KernelConfig.independence_every``-th scs step (t % k == 0, k = 3
 by default, 0 for none) is an independence move instead, with multiple
@@ -77,24 +79,19 @@ leapfrog steps makes L - 1 gradient calls and, at the proposal, one
 fused ``log_density_and_grad`` call, which serves both the acceptance
 test and the next trajectory's first kick.  The leapfrog carries the
 velocity v = eps p, so a step is a kick v += eps^2 g and a drift
-y += v, one array pass fewer than the momentum form; one chain's
-acceptance test runs in plain floats, and an ensemble's row by row.
-An ensemble's ``metropolis`` selects rows in place: it copies each
-rejected row of the state into the arrays the transition made for its
-proposal (the tangent step and its image and density, the HMC end
-point, an independence step's picked try) and returns those as the new
-state.  It never writes into the state it was handed, the caller's
-start, or an array a target returned, so HMC selects its end-point
-density and gradient into new arrays.
-Stepping-out is written for one pair only
-(``stepping_out``); an ensemble steps its dark rows out one at a time
-through it.  ``run_chains`` runs hmc replicas, and scs and sps replicas
-from ``SPHERE_ENSEMBLE_MIN_CHAINS`` up, as one ensemble; other replicas
-run one after another.  A chain reads the same draws alone as in an
-ensemble, so replica i depends only on ``(seed, i)`` and its start and
-matches ``run_chain`` with its derived seed: bit for bit where the
-target's batch rows have the bits of its points alone, as every
-built-in target's do, and to round-off otherwise.
+y += v, one array pass fewer than the momentum form.  One chain's
+Metropolis test runs in plain floats and hands back the very tuple of
+parts, the state's or the proposal's, that it was given; an ensemble's
+runs row by row and picks new arrays with ``np.where``.  Stepping-out
+is written for one pair only (``stepping_out``); an ensemble steps its
+dark rows out one at a time through it.  ``run_chains`` runs hmc
+replicas, and scs and sps replicas from ``SPHERE_ENSEMBLE_MIN_CHAINS``
+up, as one ensemble; other replicas run one after another.  A chain
+reads the same draws alone as in an ensemble, so replica i depends only
+on ``(seed, i)`` and its start and matches ``run_chain`` with its
+derived seed: bit for bit where the target's batch rows have the bits
+of its points alone, as every built-in target's do, and to round-off
+otherwise.
 A product of two vectors is ``a.dot(b)`` and an ensemble's row products
 are ``np.vecdot``; no kernel uses ``@``.  ``a @ b`` reaches the same
 BLAS dot with the same bits, but through matmul's dispatch: at d = 100
@@ -307,33 +304,30 @@ def stepping_out(x, x_prime, ell_o) -> np.ndarray:
     return out
 
 
-def metropolis(u, lp, lp_new, current=(), proposed=()):
-    """The Metropolis test of every kernel.
+def metropolis(u, lp, lp_new, current, proposed):
+    """The Metropolis test of every kernel, and its one selection.
 
     Accepts where ``lp_new`` is finite and log u < lp_new - lp, with
     log 0 = -inf; ``lp`` and ``lp_new`` are the log densities the kernel
-    carries at the state and at the proposal (-H for HMC), so a proposal
-    at NaN or +-inf is rejected.  One chain passes floats and gets a
-    bool.  n chains pass ``lp_new`` of shape (n,) and the state's parts
-    at ``lp`` and at ``lp_new``, arrays of shape (n, k) or (n,), as the
-    tuples ``current`` and ``proposed``.  Their rows are selected in
-    place: each rejected row of ``current`` and of ``lp`` is copied into
-    ``proposed`` and ``lp_new``, and these come back, each part and then
-    lp, followed by the boolean array of accepted rows.  So ``proposed``
-    and ``lp_new`` must be arrays the kernel made for this step, never
-    the state's, a caller's or one a target returned; ``current`` and
-    ``lp`` are only read.
+    tests at the state and at the proposal (-H for HMC), so a proposal
+    at NaN or +-inf is rejected.  ``current`` and ``proposed`` are the
+    tuples of the parts of the state the kernel carries, at the state
+    and at the proposal.  One chain passes floats and gets back
+    (``proposed``, True) or (``current``, False), the very tuple it
+    handed in.  n chains pass ``u``, ``lp`` and ``lp_new`` of shape (n,)
+    and parts of shape (n, k) or (n,), and get back a tuple of new
+    arrays, each row the proposal's where accepted and the state's where
+    not, with the boolean array of accepted rows.  No input is written.
     """
     if not isinstance(lp_new, np.ndarray):
-        return (math.log(u) if u > 0.0 else -math.inf) < lp_new - lp and math.isfinite(lp_new)
+        if (math.log(u) if u > 0.0 else -math.inf) < lp_new - lp and math.isfinite(lp_new):
+            return proposed, True
+        return current, False
     with np.errstate(divide="ignore", invalid="ignore"):
         accepted = np.isfinite(lp_new) & (np.log(u) < lp_new - lp)
-    rejected = ~accepted
-    keep = rejected[:, None]
-    for old, new in zip(current, proposed):
-        np.copyto(new, old, where=keep if new.ndim > 1 else rejected)
-    np.copyto(lp_new, lp, where=rejected)
-    return (*proposed, lp_new, accepted)
+    rows = accepted[:, None]
+    return tuple(np.where(rows if new.ndim > 1 else accepted, new, old)
+                 for old, new in zip(current, proposed)), accepted
 
 
 def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,
@@ -351,9 +345,7 @@ def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,
     antipodal), an exact tie with the dark cap and a non-finite density
     are rejected; the first two have probability zero, and in an
     ensemble their rows re-evaluate their state at proposal density NaN.
-    Returns (x, y, logpost, accepted); an ensemble gets back the arrays
-    made for its proposal, rejected rows set to the state's, and its
-    input arrays are left as they were.
+    Returns (x, y, logpost, accepted), selected by ``metropolis``.
     """
     ell_o = params.ell_o
     lat_threshold = ell_o - 1.0
@@ -365,24 +357,24 @@ def sphere_step(x, y, logpost, h, params: ProjectionParams, target: TargetModel,
             y_star, lp_star = _pullback(x_star, params, target)
         except (DegenerateProposal, DarkSidePoint):
             return x, y, logpost, False
-        if metropolis(u, logpost, lp_star):
-            return x_star, y_star, lp_star, True
-        return x, y, logpost, False
-    lat = x_star[:, -1]  # a view: it follows the rows stepped out
-    if ell_o < 2.0:
-        for i in (lat > lat_threshold).nonzero()[0]:
-            try:
-                x_star[i] = stepping_out(x[i], x_star[i], ell_o)
-            except DegenerateProposal:
-                pass  # the proposal stays dark and fails the test below
-    dead = lat >= lat_threshold  # degenerate rows and exact ties
-    any_dead = dead.any()
-    if any_dead:
-        x_star[dead] = x[dead]
-    y_star, lp_star = _pullback(x_star, params, target)
-    if any_dead:
-        lp_star[dead] = np.nan
-    return metropolis(u, logpost, lp_star, (x, y), (x_star, y_star))
+    else:
+        lat = x_star[:, -1]  # a view: it follows the rows stepped out
+        if ell_o < 2.0:
+            for i in (lat > lat_threshold).nonzero()[0]:
+                try:
+                    x_star[i] = stepping_out(x[i], x_star[i], ell_o)
+                except DegenerateProposal:
+                    pass  # the proposal stays dark and fails the test below
+        dead = lat >= lat_threshold  # degenerate rows and exact ties
+        any_dead = dead.any()
+        if any_dead:
+            x_star[dead] = x[dead]
+        y_star, lp_star = _pullback(x_star, params, target)
+        if any_dead:
+            lp_star[dead] = np.nan
+    (x, y, logpost), accepted = metropolis(u, logpost, lp_star, (x, y, logpost),
+                                           (x_star, y_star, lp_star))
+    return x, y, logpost, accepted
 
 
 def leapfrog(y, momentum, eps, steps, target: TargetModel, g):
@@ -429,27 +421,22 @@ def hmc_step(y, logp, g, eps, steps, target: TargetModel, z, u):
     -H = log p - |m|^2 / 2 at either end (plain floats for one chain,
     whose accepted log density is returned as a float); negation is
     exact, so the ratio has the bits of H_0 - H_1.  A row whose end point
-    is not finite gets -H = NaN.  Returns (y, logp, g, accepted).  An
-    ensemble's y is its trajectory's end point with the rejected rows
-    set back; logp and g, which the target returned, are selected into
-    new arrays, so no input array and no array of the target's is
-    written.
+    is not finite gets -H = NaN.  Returns (y, logp, g, accepted),
+    selected by ``metropolis``.
     """
     if y.ndim == 1:
         y1, m1, logp1, g1 = leapfrog(y, z, eps, steps, target, g)
         logp1 = float(logp1)
         lp1 = logp1 - 0.5 * float(m1.dot(m1)) if np.isfinite(y1).all() else math.nan
-        if metropolis(u, float(logp) - 0.5 * float(z.dot(z)), lp1):
-            return y1, logp1, g1, True
-        return y, logp, g, False
-    y1, m1, logp1, g1 = leapfrog(y, z, eps[:, None], steps, target, g)
-    with np.errstate(invalid="ignore"):  # inf - inf on a diverged row
-        lp1 = logp1 - 0.5 * np.vecdot(m1, m1)
-    lp1[~np.isfinite(y1).all(axis=-1)] = np.nan
-    # logp1 and g1 may be arrays the target keeps, so they are not written
-    y1, _, accepted = metropolis(u, logp - 0.5 * np.vecdot(z, z), lp1, (y,), (y1,))
-    return (y1, np.where(accepted, logp1, logp), np.where(accepted[:, None], g1, g),
-            accepted)
+        lp0 = float(logp) - 0.5 * float(z.dot(z))
+    else:
+        y1, m1, logp1, g1 = leapfrog(y, z, eps[:, None], steps, target, g)
+        with np.errstate(invalid="ignore"):  # inf - inf on a diverged row
+            lp1 = logp1 - 0.5 * np.vecdot(m1, m1)
+        lp1[~np.isfinite(y1).all(axis=-1)] = np.nan
+        lp0 = logp - 0.5 * np.vecdot(z, z)
+    (y, logp, g), accepted = metropolis(u, lp0, lp1, (y, logp, g), (y1, logp1, g1))
+    return y, logp, g, accepted
 
 
 # When a target's pullback is so close to uniform that the requested
@@ -679,9 +666,10 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
     and returns a list.  ``_draws`` is the only source of randomness:
     each step hands the kernel its (z, u), whatever the kernel makes of
     them, and an scs independence step tests the picked try that comes
-    with them.  Its generators are made before the loop, so a bad seed
-    raises ValueError; the pilot runs with the first step's draws, so an
-    abort in its density call is a ``ChainAborted``.
+    with them, in one ``metropolis`` call for one chain and for n, as
+    the rwm step does.  Its generators are made before the loop, so a
+    bad seed raises ValueError; the pilot runs with the first step's
+    draws, so an abort in its density call is a ``ChainAborted``.
     """
     for name, value, least in (("iterations", iterations, 1), ("burnin", burnin, 0),
                                ("thinning", thinning, 1)):
@@ -760,23 +748,17 @@ def _drive(kernel, params, target, init, iterations, burnin, thinning, seed):
             if move:
                 # multiple-try acceptance: log u < log W - log(W - w' + w)
                 x_new, y_new, lp_new, total, others = move
-                if ensemble:
-                    x, y, logpost, _, acc = metropolis(u, np.logaddexp(others, logpost),
-                                                       total, (x, y, logpost),
-                                                       (x_new, y_new, lp_new))
-                else:
-                    acc = metropolis(u, logpost if others == -math.inf
-                                     else np.logaddexp(others, logpost), total)
-                    if acc:
-                        x, y, logpost = x_new, y_new, lp_new
+                lp = (logpost if not ensemble and others == -math.inf
+                      else np.logaddexp(others, logpost))
+                (x, y, logpost), acc = metropolis(u, lp, total, (x, y, logpost),
+                                                  (x_new, y_new, lp_new))
             elif on_sphere:
                 x, y, logpost, acc = sphere_step(x, y, logpost, h, params, target, z, u)
             elif kernel.kind == "rwm":
                 y_prime = y + h * z
                 lp_prime = float(target.log_density(y_prime))
-                acc = metropolis(u, logpost, lp_prime)
-                if acc:
-                    y, logpost = y_prime, lp_prime
+                (y, logpost), acc = metropolis(u, logpost, lp_prime, (y, logpost),
+                                               (y_prime, lp_prime))
             else:
                 y, logpost, grad, acc = hmc_step(y, logpost, grad, h,
                                                  kernel.leapfrog_steps, target, z, u)

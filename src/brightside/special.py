@@ -588,16 +588,3 @@ def _t_closed_forms(t, nu):
         return float(out[0]), float(ratio[0])
     return out, ratio
 
-
-def student_t_log_pdf(t, nu):
-    """Normalized log density of the univariate Student t."""
-    _check_dof(nu)
-    t = np.asarray(t, dtype=float)
-    return _t_log_pdf_const(nu) - (nu + 1.0) / 2.0 * np.log1p(t * t / nu)
-
-
-@lru_cache(maxsize=16)
-def _t_log_pdf_const(nu):
-    """log of the t density's normalizing constant, once per nu."""
-    return (math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0)
-            - 0.5 * math.log(nu * math.pi))

@@ -489,8 +489,7 @@ class TestSphereEnsemble:
         # three chains are each offered a proposal 10 nats uphill, with
         # the smallest positive uniform; row 1's proposal has a NaN
         # density and row 2's +inf, and only those two stay, in the batch
-        # as in the one-chain branch; metropolis writes the rejected rows
-        # into the proposal arrays, so it is handed copies of them
+        # as in the one-chain branch
         p = make_params(2, ell_o=1.1)
         rng = np.random.default_rng(25)
         x = scp_inverse(rng.standard_normal((3, 2)), p)
@@ -499,13 +498,15 @@ class TestSphereEnsemble:
         logpost = np.array([-5.0, -5.0, -5.0])
         lp_new = np.array([5.0, np.nan, np.inf])
         u = np.full(3, 5e-324)
-        out = metropolis(u, logpost, lp_new.copy(), (x, y), (x_new.copy(), y_new.copy()))
-        assert out[3].tolist() == [True, False, False]
+        out, accepted = metropolis(u, logpost, lp_new, (x, y, logpost), (x_new, y_new, lp_new))
+        assert accepted.tolist() == [True, False, False]
         assert np.array_equal(out[0][0], x_new[0]) and np.array_equal(out[1][0], y_new[0])
         assert np.array_equal(out[0][1:], x[1:]) and np.array_equal(out[1][1:], y[1:])
         assert out[2].tolist() == [5.0, -5.0, -5.0]
         for i, accepted in enumerate((True, False, False)):
-            assert metropolis(5e-324, -5.0, float(lp_new[i])) is accepted
+            state, proposal = (x[i], y[i], -5.0), (x_new[i], y_new[i], float(lp_new[i]))
+            picked, acc = metropolis(5e-324, -5.0, float(lp_new[i]), state, proposal)
+            assert acc is accepted and picked is (proposal if accepted else state)
 
     def test_degenerate_row_rejected_alone(self):
         # row 0 stands 1e-9 below the dark cap and steps 1e-8 up along
@@ -811,12 +812,16 @@ class TestZeroUniform:
     """
 
     def test_metropolis(self):
+        state, proposal = (np.zeros(3), 1e6), (np.ones(3), 0.0)
         for u, accepted in ((0.0, True), (5e-324, False)):
-            assert metropolis(u, 1e6, 0.0) is accepted
-            rows = metropolis(np.full(2, u), np.full(2, 1e6), np.zeros(2))
-            assert rows[-1].tolist() == [accepted] * 2
-        assert metropolis(0.0, 0.0, -math.inf) is False
-        assert metropolis(0.0, -math.inf, -1e300) is True
+            picked, acc = metropolis(u, 1e6, 0.0, state, proposal)
+            assert acc is accepted and picked is (proposal if accepted else state)
+            rows, acc = metropolis(np.full(2, u), np.full(2, 1e6), np.zeros(2),
+                                   (np.zeros(2),), (np.ones(2),))
+            assert acc.tolist() == [accepted] * 2
+            assert rows[0].tolist() == [float(accepted)] * 2
+        assert metropolis(0.0, 0.0, -math.inf, state, proposal) == (state, False)
+        assert metropolis(0.0, -math.inf, -1e300, state, proposal) == (proposal, True)
 
     @staticmethod
     def sphere_states(n=None):
@@ -1490,7 +1495,7 @@ class Cached(TargetModel):
 
 
 class TestEnsembleWrites:
-    """An ensemble's transitions write only the arrays they made."""
+    """No transition writes an array it was handed."""
 
     def test_transitions_leave_their_inputs(self):
         # on Cached, row 1 is at -inf in every batch, so each n-chain
@@ -1513,16 +1518,26 @@ class TestEnsembleWrites:
             assert not accepted[1] and accepted.sum() > 1
             for a, b in zip(inputs, before):
                 assert np.array_equal(a, b)
-        # metropolis writes the rejected rows into the proposal arrays and
-        # returns them, reading the state's
+        # metropolis picks n chains' rows into new arrays and one chain's
+        # parts as the very tuple it was handed, and writes no input
         x_new, y_new, lp_new = x + 1.0, y + 1.0, lp + 1.0
-        before = [a.copy() for a in (u, lp, x, y)]
-        out = metropolis(u, lp, lp_new, (x, y), (x_new, y_new))
-        assert out[0] is x_new and out[1] is y_new and out[2] is lp_new
-        assert out[3].tolist() == [i != 1 for i in range(n)]
-        assert np.array_equal(x_new[1], x[1]) and np.array_equal(x_new[0], x[0] + 1.0)
-        for a, b in zip((u, lp, x, y), before):
+        state, proposal = (x, y, lp), (x_new, y_new, lp_new)
+        inputs = (u, *state, *proposal)
+        before = [a.copy() for a in inputs]
+        out, accepted = metropolis(u, lp, lp_new, state, proposal)
+        assert accepted.tolist() == [i != 1 for i in range(n)]
+        assert len(out) == 3 and not any(a is b for a in out for b in inputs)
+        for picked, old, new in zip(out, state, proposal):
+            assert np.array_equal(picked[1], old[1])
+            assert np.array_equal(np.delete(picked, 1, axis=0), np.delete(new, 1, axis=0))
+        for a, b in zip(inputs, before):
             assert np.array_equal(a, b)
+        for i in range(n):
+            one_state, one_proposal = tuple(a[i] for a in state), tuple(a[i] for a in proposal)
+            picked, acc = metropolis(float(u[i]), float(lp[i]), float(lp_new[i]),
+                                     one_state, one_proposal)
+            assert acc is bool(accepted[i])
+            assert picked is (one_proposal if acc else one_state)
 
     @pytest.mark.parametrize("kind", ["scs", "hmc"])
     def test_target_arrays_never_written(self, kind):

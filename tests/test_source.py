@@ -1,6 +1,7 @@
 """Static checks over the source of the package and its tests."""
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -103,3 +104,32 @@ def test_special_functions_stay_in_special():
             if module == "geometry" and (name or "").startswith("_")] == []
     assert [name for name in top_level_names(source["geometry"])
             if name.startswith(("_beta", "_incomplete_beta", "_BETA"))] == []
+
+
+def absolute_imports(source):
+    """Top-level module of each absolute import in ``source``, in every
+    scope; relative imports stay in the package and are skipped."""
+    modules = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules += [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules.append(node.module.split(".")[0])
+    return modules
+
+
+def test_src_imports_only_numpy_and_the_standard_library():
+    # the static form of the numpy-only CI job, whose smoke run catches an
+    # import only on the paths it takes, a lazy one in a function included
+    assert absolute_imports(
+        "from __future__ import annotations\nimport os.path, numpy as np\n"
+        "from . import special\nfrom .errors import e\nfrom brightside.geometry import f\n"
+        "def g():\n    from scipy.special import gammaln\n    import mpmath\n") == [
+        "__future__", "os", "numpy", "brightside", "scipy", "mpmath"]
+    allowed = sys.stdlib_module_names | {"numpy", "brightside"}
+    paths = sorted((ROOT / "src").rglob("*.py"))
+    assert len(paths) >= 9
+    foreign = {str(path.relative_to(ROOT)): modules for path in paths
+               if (modules := [m for m in absolute_imports(path.read_text())
+                               if m not in allowed])}
+    assert foreign == {}

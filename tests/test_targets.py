@@ -9,7 +9,7 @@ from brightside import special, targets
 from brightside.errors import DomainError, EmptyInput
 from brightside.geometry import make_params
 from brightside.kernels import KernelConfig, hmc_step, run_chains
-from brightside.special import student_t_log_cdf, student_t_log_pdf
+from brightside.special import student_t_log_cdf
 from brightside.targets import (
     RegressionData,
     SkewT,
@@ -56,7 +56,8 @@ class TestStudentTCdf:
 
     def test_nu2_against_quadrature(self):
         def pdf(t):
-            return float(np.exp(student_t_log_pdf(t, 2.0)))
+            # the nu = 2 density in closed form
+            return (2.0 + t * t) ** -1.5
 
         val, err = integrate.quad(pdf, -np.inf, math.sqrt(2.0))
         assert err < 1e-7
@@ -134,11 +135,10 @@ class TestStudentTCdf:
         with pytest.raises(DomainError):
             student_t_cdf(0.0, -1.0)
         # NaN and infinite degrees of freedom fail the same check
-        for f in (student_t_cdf, student_t_log_cdf, student_t_log_pdf):
+        for f in (student_t_cdf, student_t_log_cdf):
             for nu in (0.0, -1.0, math.nan, math.inf):
                 with pytest.raises(DomainError, match="degrees of freedom"):
                     f(0.5, nu)
-        for f in (student_t_cdf, student_t_log_cdf):
             with pytest.raises(DomainError):
                 f(math.nan, 3.0)
             with pytest.raises(DomainError):
